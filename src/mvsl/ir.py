@@ -5,8 +5,8 @@ initialization, assignment, and by-value argument is a Copy, each
 binding leaving scope gets a Destroy, and function literals become
 global routines taking their environment record as an extra leading
 parameter.  The move optimization then rewrites a Copy into a Move and
-deletes the source's Destroy whenever the source has no further use on
-any control-flow path; it never reorders instructions.
+deletes the source's Destroy whenever that Destroy, in the Copy's own
+block, is the source's only later use; it never reorders instructions.
 
 Slots are indexes into a routine-local frame.  Instructions form a
 tree: straight-line lists plus CondBr, which carries its branch blocks
@@ -16,8 +16,7 @@ is machine-checked by verify_linearity before and after optimization.
 
 from __future__ import annotations
 
-import copy as _copylib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .ast import (
     ArrayLit,
@@ -610,77 +609,92 @@ def lower_program(tp: TypedProgram) -> IRProgram:
 # Move optimization
 
 
-def _operand_uses(ins: Instr, slot: int) -> int:
-    """Number of times ins reads or consumes slot (definitions excluded)."""
-    n = 0
+def _reads(ins: Instr) -> list[int]:
+    """Slots ins reads or consumes, one entry per operand; definitions
+    and the instructions of nested blocks are excluded."""
+    if isinstance(ins, (Copy, Move)):
+        return [ins.src]
+    if isinstance(ins, Destroy):
+        return [ins.slot]
     if isinstance(ins, (MakeArray, MakeStruct, MakeClosure)):
-        n += ins.operands.count(slot)
-    elif isinstance(ins, (Copy, Move)):
-        n += ins.src == slot
-    elif isinstance(ins, Destroy):
-        n += ins.slot == slot
-    elif isinstance(ins, (LoadPath, ResolveLocation)):
-        n += ins.base == slot
-        n += sum(1 for kind, v in ins.steps if kind == "index" and v == slot)
-    elif isinstance(ins, StorePath):
-        n += ins.base == slot
-        n += ins.value == slot
-        n += sum(1 for kind, v in ins.steps if kind == "index" and v == slot)
-    elif isinstance(ins, OverlapCheck):
-        n += (ins.a == slot) + (ins.b == slot)
-    elif isinstance(ins, CallInstr):
-        n += ins.callee == slot
-        n += ins.args.count(slot) + ins.locations.count(slot)
-    elif isinstance(ins, BinaryInstr):
-        n += (ins.lhs == slot) + (ins.rhs == slot)
-    elif isinstance(ins, CondBr):
-        n += ins.cond == slot
-    elif isinstance(ins, Return):
-        n += ins.slot == slot
-    return n
+        return ins.operands
+    if isinstance(ins, (LoadPath, ResolveLocation)):
+        return [ins.base, *(v for kind, v in ins.steps if kind == "index")]
+    if isinstance(ins, StorePath):
+        return [ins.base, ins.value, *(v for kind, v in ins.steps if kind == "index")]
+    if isinstance(ins, OverlapCheck):
+        return [ins.a, ins.b]
+    if isinstance(ins, CallInstr):
+        return [ins.callee, *ins.args, *ins.locations]
+    if isinstance(ins, BinaryInstr):
+        return [ins.lhs, ins.rhs]
+    if isinstance(ins, CondBr):
+        return [ins.cond]
+    if isinstance(ins, Return):
+        return [ins.slot]
+    return []  # MakeInt, MakeFloat
 
 
-def _collect_uses(block: list[Instr], start: int, slot: int, out: list) -> None:
-    for i in range(start, len(block)):
+# The value of a slot in _elide_moves's map when its later uses are not
+# just one Destroy in the block being walked.
+_USED_ELSEWHERE = -1
+
+
+def _elide_moves(block: list[Instr]) -> tuple[list[Instr], dict[int, int]]:
+    """Rewrite each Copy whose source's only later use is a Destroy in
+    this same block into a Move, and drop that Destroy.
+
+    One backward walk keeps, for each slot read after the current
+    instruction, the index of its Destroy when that is its only later
+    use, or _USED_ELSEWHERE for any other use, which includes every read
+    inside a nested CondBr block; an unread slot has no entry.  Returns
+    the rewritten block, which is block itself when nothing changed, and
+    that map as it stands at the top of the block.
+    """
+    later: dict[int, int] = {}
+    moves: dict[int, int] = {}  # index of an elided Copy -> index of its Destroy
+    branches: dict[int, CondBr] = {}  # index -> CondBr with rewritten blocks
+    for i in range(len(block) - 1, -1, -1):
         ins = block[i]
-        if _operand_uses(ins, slot):
-            out.append((block, i, ins))
-        if isinstance(ins, CondBr):
-            _collect_uses(ins.then_block, 0, slot, out)
-            _collect_uses(ins.else_block, 0, slot, out)
-
-
-def _optimize_block(block: list[Instr]) -> None:
-    i = 0
-    while i < len(block):
-        ins = block[i]
-        if isinstance(ins, CondBr):
-            _optimize_block(ins.then_block)
-            _optimize_block(ins.else_block)
-        elif isinstance(ins, Copy):
-            uses: list = []
-            _collect_uses(block, i + 1, ins.src, uses)
-            if len(uses) == 1:
-                ublock, _, use = uses[0]
-                # Safe only when the lone remaining use is the source's
-                # Destroy in this very block; a Destroy in a branch (or a
-                # branch-dependent use pattern) stays untouched.
-                if ublock is block and isinstance(use, Destroy):
-                    block[i] = Move(ins.dst, ins.src, ins.span)
-                    for j in range(i + 1, len(block)):
-                        if block[j] is use:
-                            del block[j]
-                            break
-        i += 1
+        if isinstance(ins, Copy):
+            j = later.get(ins.src, _USED_ELSEWHERE)
+            if j != _USED_ELSEWHERE:
+                moves[i] = j
+        elif isinstance(ins, Destroy) and ins.slot not in later:
+            later[ins.slot] = i
+            continue
+        elif isinstance(ins, CondBr):
+            then_block, then_reads = _elide_moves(ins.then_block)
+            else_block, else_reads = _elide_moves(ins.else_block)
+            for slot in (*then_reads, *else_reads):
+                later[slot] = _USED_ELSEWHERE
+            if then_block is not ins.then_block or else_block is not ins.else_block:
+                branches[i] = replace(ins, then_block=then_block, else_block=else_block)
+        for slot in _reads(ins):
+            later[slot] = _USED_ELSEWHERE
+    if not moves and not branches:
+        return block, later
+    dropped = set(moves.values())
+    out: list[Instr] = []
+    for i, ins in enumerate(block):
+        if i in moves:
+            out.append(Move(ins.dst, ins.src, ins.span))
+        elif i not in dropped:
+            out.append(branches.get(i, ins))
+    return out, later
 
 
 def apply_move_optimization(ir: IRProgram) -> IRProgram:
-    """Return a copy of ir with last-use Copies rewritten to Moves."""
-    out = IRProgram(
-        _copylib.deepcopy(ir.routines), dict(ir.metatypes), ir.entry, ir.structs
-    )
-    for routine in out.routines.values():
-        _optimize_block(routine.body)
+    """Return ir with last-use Copies rewritten to Moves.
+
+    ir itself is left unchanged.  The result shares with it every
+    routine, block and instruction that the rewrite does not touch.
+    """
+    routines: dict[str, Routine] = {}
+    for rid, routine in ir.routines.items():
+        body, _ = _elide_moves(routine.body)
+        routines[rid] = routine if body is routine.body else replace(routine, body=body)
+    out = IRProgram(routines, dict(ir.metatypes), ir.entry, ir.structs)
     verify_linearity(out)
     return out
 

@@ -13,6 +13,8 @@ from .diagnostics import ParseError, Span
 KEYWORDS = frozenset({"var", "let", "struct", "in", "inout", "if", "then", "else"})
 
 _PUNCT = frozenset("(){}[],;:.")
+# ASCII only: str.isdigit also accepts characters such as "²" and "٣".
+_DIGITS = frozenset("0123456789")
 # Two-character operators first so == is not read as two = tokens.
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
 _ONE_CHAR_OPS = frozenset("+-*/%<>=")
@@ -53,15 +55,15 @@ def tokenize(source: str) -> list[Token]:
                 kind = TokenKind.IDENT
             tokens.append(Token(kind, text, Span(start, i)))
             continue
-        if c.isdigit():
-            while i < n and source[i].isdigit():
+        if c in _DIGITS:
+            while i < n and source[i] in _DIGITS:
                 i += 1
             # A float needs a digit on both sides of the dot; otherwise the
             # dot is left for the next token (field access on literals is a
             # parse error anyway).
-            if i + 1 < n and source[i] == "." and source[i + 1].isdigit():
+            if i + 1 < n and source[i] == "." and source[i + 1] in _DIGITS:
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
                 tokens.append(Token(TokenKind.FLOAT, source[start:i], Span(start, i)))
             else:

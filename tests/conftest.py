@@ -27,6 +27,16 @@ def corpus_sources():
     return [(f.name, f.read_text()) for f in corpus_files()]
 
 
+def corpus_expected(name):
+    return (CORPUS / name.replace(".mvs", ".expected")).read_text().strip()
+
+
+def lexable_corpus_sources():
+    """The corpus without its error[Syntax] entries, which do not tokenize
+    or parse."""
+    return [(n, s) for n, s in corpus_sources() if corpus_expected(n) != "error[Syntax]"]
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_sources()

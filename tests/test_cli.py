@@ -6,7 +6,7 @@ import pytest
 
 import mvsl.cli as cli
 
-from conftest import CORPUS, corpus_files
+from conftest import CORPUS, corpus_expected, corpus_files
 
 
 def run_cli(capsys, *argv):
@@ -190,7 +190,7 @@ def test_usage_errors_exit_4(capsys, argv):
 
 def test_corpus_golden(capsys):
     for f in corpus_files():
-        expected = (CORPUS / f.name.replace(".mvs", ".expected")).read_text().strip()
+        expected = corpus_expected(f.name)
         code, out, err = run_cli(capsys, "run", str(f))
         if expected.startswith("error["):
             assert code == 1, f.name

@@ -1,19 +1,28 @@
 import random
+import re
 
 import pytest
 
 from mvsl import check_program, dump_ir, execute, generate_program, parse_source, GenConfig
+from mvsl import ir as ir_module
+from mvsl.diagnostics import ParseError, TypeCheckError
 from mvsl.ir import (
+    ENTRY_ID,
     NOOP_DESTROY,
     TRIVIAL_COPY,
     CallInstr,
+    CondBr,
     Copy,
     Destroy,
     EnvRecordType,
+    IRProgram,
     MakeClosure,
+    MakeInt,
     Move,
     OverlapCheck,
     ResolveLocation,
+    Return,
+    Routine,
     apply_move_optimization,
     lower_program,
     size_bytes,
@@ -31,14 +40,15 @@ def table_of(source):
     return check_program(parse_source(source)).structs
 
 
-def all_instrs(ir):
-    def walk(block):
-        for ins in block:
-            yield ins
-            if hasattr(ins, "then_block"):
-                yield from walk(ins.then_block)
-                yield from walk(ins.else_block)
+def walk(block):
+    for ins in block:
+        yield ins
+        if hasattr(ins, "then_block"):
+            yield from walk(ins.then_block)
+            yield from walk(ins.else_block)
 
+
+def all_instrs(ir):
     for r in ir.routines.values():
         yield from walk(r.body)
 
@@ -256,6 +266,128 @@ def test_optimization_preserves_output_on_corpus():
         assert out_base == out_opt, name
 
 
+def base_programs():
+    """Naive IR of the type-correct corpus and of a few generated seeds."""
+    for _, source in corpus_sources():
+        try:
+            yield lower_source(source, move_opt=False)
+        except (ParseError, TypeCheckError):
+            continue
+    for seed in (0, 1, 2, 7, 42):
+        yield lower_program(check_program(generate_program(GenConfig(seed, size_budget=50))))
+
+
+def count(block, kind):
+    return sum(isinstance(i, kind) for i in walk(block))
+
+
+def test_optimization_leaves_base_alone_and_shares_it():
+    changed = unchanged = 0
+    for base in base_programs():
+        before = dump_ir(base)
+        opt = apply_move_optimization(base)
+        assert dump_ir(base) == before
+        base_ids = {id(i) for i in all_instrs(base)}
+        for rid, routine in base.routines.items():
+            new = opt.routines[rid]
+            elided = count(new.body, Move) - count(routine.body, Move)
+            if elided == 0:
+                assert new is routine, rid
+                unchanged += 1
+                continue
+            changed += 1
+            assert new.body is not routine.body
+            assert count(routine.body, Copy) == count(new.body, Copy) + elided
+            # Only the new Moves and the CondBrs above them are new objects.
+            fresh = [i for i in walk(new.body) if id(i) not in base_ids]
+            assert all(isinstance(i, (Move, CondBr)) for i in fresh), rid
+    assert changed and unchanged
+
+
+def single_routine(body, n_slots):
+    routine = Routine(ENTRY_ID, [], body, n_slots)
+    return IRProgram({ENTRY_ID: routine}, {}, ENTRY_ID, {})
+
+
+def copy_chain(n):
+    """n straight-line pairs: copy %k -> %k+1, then destroy %k."""
+    body = [MakeInt(0, 0)]
+    for k in range(n):
+        body += [Copy(k + 1, k), Destroy(k)]
+    body.append(Return(n))
+    return single_routine(body, n + 1)
+
+
+def test_move_elision_work_is_linear(monkeypatch):
+    calls = 0
+    reads = ir_module._reads
+
+    def counted(ins):
+        nonlocal calls
+        calls += 1
+        return reads(ins)
+
+    monkeypatch.setattr(ir_module, "_reads", counted)
+    work = {}
+    for n in (500, 1000):
+        calls = 0
+        body = apply_move_optimization(copy_chain(n)).routines[ENTRY_ID].body
+        work[n] = calls
+        assert sum(isinstance(i, Move) for i in body) == n
+        assert not any(isinstance(i, (Copy, Destroy)) for i in body)
+    assert work[1000] <= 2.5 * work[500]
+
+
+def test_destroy_only_in_branch_keeps_copy():
+    # %0 is destroyed on both paths, but only inside the branches.
+    body = [
+        MakeInt(0, 0),
+        MakeInt(1, 1),
+        Copy(2, 0),
+        CondBr(1, [Destroy(0)], [Destroy(0)]),
+        Return(2),
+    ]
+    base = single_routine(body, 3)
+    opt = apply_move_optimization(base)
+    assert opt.routines[ENTRY_ID] is base.routines[ENTRY_ID]
+    assert isinstance(opt.routines[ENTRY_ID].body[2], Copy)
+
+
+def test_read_in_nested_block_keeps_copy():
+    # The only later use of %0 in its own block is its Destroy, but a
+    # branch reads it in between.
+    body = [
+        MakeInt(0, 0),
+        MakeInt(1, 1),
+        Copy(2, 0),
+        CondBr(1, [Copy(3, 0), Destroy(3)], []),
+        Destroy(0),
+        Return(2),
+    ]
+    base = single_routine(body, 4)
+    opt = apply_move_optimization(base)
+    assert opt.routines[ENTRY_ID] is base.routines[ENTRY_ID]
+    assert isinstance(opt.routines[ENTRY_ID].body[2], Copy)
+
+
+def test_copy_in_branch_moves_when_branch_destroys_source():
+    then_block = [Copy(3, 0), Destroy(0), Destroy(3)]
+    body = [
+        MakeInt(0, 0),
+        MakeInt(1, 1),
+        CondBr(1, then_block, [Destroy(0)]),
+        MakeInt(2, 2),
+        Return(2),
+    ]
+    base = single_routine(body, 4)
+    opt = apply_move_optimization(base)
+    new_body = opt.routines[ENTRY_ID].body
+    assert [type(i) for i in new_body[2].then_block] == [Move, Destroy]
+    assert new_body[2].else_block is body[2].else_block
+    assert all(new_body[k] is body[k] for k in (0, 1, 3, 4))
+    assert [type(i) for i in body[2].then_block] == [Copy, Destroy, Destroy]
+
+
 # -- linearity ------------------------------------------------------------------
 
 
@@ -289,4 +421,7 @@ def test_dump_golden_small_program():
     assert lines[0].startswith("routine @entry")
     assert any("make_int 4" in l for l in lines)
     assert any(l.split(": ", 1)[1].startswith("copy") for l in lines if ": " in l)
-    assert lines[-1].endswith("ret %0") or "ret" in lines[-1]
+    ret = re.fullmatch(r"\d+: return %(\d+)", lines[-1])
+    assert ret, lines[-1]
+    # The returned slot is the copy of x made for the result.
+    assert any(re.fullmatch(rf"\d+: copy %\d+ -> %{ret[1]}", l) for l in lines)

@@ -3,7 +3,7 @@ import pytest
 from mvsl import ParseError, tokenize
 from mvsl.ast import TokenKind
 
-from conftest import corpus_sources
+from conftest import lexable_corpus_sources
 
 
 def kinds(source):
@@ -58,6 +58,14 @@ def test_float_needs_digits_both_sides():
     ]
 
 
+@pytest.mark.parametrize("source, start", [("\u00b2", 0), ("1\u0663", 1), ("1.\u0663", 2)])
+def test_only_ascii_digits_form_numbers(source, start):
+    # "²" and "٣" satisfy str.isdigit, and int() would read "1٣" as 13.
+    with pytest.raises(ParseError) as e:
+        tokenize(source)
+    assert e.value.span.start == start
+
+
 def test_comments_and_whitespace_skipped():
     assert lexemes("x // trailing comment\n  y") == ["x", "y"]
     assert tokenize("// only a comment") == []
@@ -74,7 +82,7 @@ def test_wildcard_token():
 def test_spans_cover_lexemes_exactly():
     # Tiling: spans are strictly increasing, each one covers its lexeme,
     # and every gap holds only whitespace or comments.
-    for name, source in corpus_sources():
+    for name, source in lexable_corpus_sources():
         toks = tokenize(source)
         pos = 0
         for t in toks:

@@ -16,7 +16,7 @@ from mvsl.ast import (
     StructInit,
 )
 
-from conftest import corpus_sources
+from conftest import lexable_corpus_sources
 
 
 def test_struct_then_binding():
@@ -98,7 +98,7 @@ def test_syntax_errors_mention_expectation(source, fragment):
 
 
 def test_round_trip_corpus():
-    for name, source in corpus_sources():
+    for name, source in lexable_corpus_sources():
         p = parse_source(source)
         assert parse_source(pretty_program(p)) == p, name
 
@@ -111,6 +111,6 @@ def test_round_trip_generated(seed, budget):
 
 
 def test_pretty_print_fixed_point():
-    for _, source in corpus_sources():
+    for _, source in lexable_corpus_sources():
         once = pretty_program(parse_source(source))
         assert pretty_program(parse_source(once)) == once

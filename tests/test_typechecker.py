@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mvsl import GenConfig, check_program, generate_program, interpret_eager, parse_source
 from mvsl.ast import Assign, Binding, Call, Cond, FuncLit
-from mvsl.diagnostics import TypeCheckError
+from mvsl.diagnostics import ParseError, TypeCheckError
 from mvsl.typechecker import (
     DISJOINT,
     MAYBE_OVERLAP,
@@ -14,7 +14,7 @@ from mvsl.typechecker import (
 )
 from mvsl.types import INT, FuncType, StructType
 
-from conftest import corpus_sources
+from conftest import corpus_expected
 
 SWAP = """
 struct U {} in
@@ -270,13 +270,11 @@ def test_soundness_hook_generated_programs_interpret():
 
 
 def test_corpus_type_outcomes(corpus):
-    from conftest import CORPUS
-
     for name, source in corpus:
-        expected = (CORPUS / name.replace(".mvs", ".expected")).read_text().strip()
+        expected = corpus_expected(name)
         if expected.startswith("error["):
             code = expected[len("error[") : -1]
-            with pytest.raises(TypeCheckError) as e:
+            with pytest.raises(ParseError if code == "Syntax" else TypeCheckError) as e:
                 check(source)
             assert e.value.code == code, name
         else:
