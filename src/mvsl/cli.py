@@ -66,6 +66,8 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: not valid UTF-8 at byte {e.start}") from e
 
 
 def _dump_types(program: Program) -> str:

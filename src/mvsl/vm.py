@@ -19,7 +19,8 @@ checker could not decide.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .diagnostics import NO_SPAN, RuntimeTrap, Span
 from .ir import (
@@ -28,7 +29,6 @@ from .ir import (
     CondBr,
     Copy,
     Destroy,
-    ENTRY_ID,
     IRProgram,
     Instr,
     LoadPath,
@@ -46,7 +46,6 @@ from .ir import (
     Return,
     Routine,
     StorePath,
-    size_bytes,
 )
 from .types import Type
 
@@ -92,16 +91,15 @@ class RuntimeStats:
 class StructVal:
     """Struct value; fields laid out in declaration order.
 
-    field_names is set only for closure environment records, whose
-    layout is not in the user struct table.
+    A closure environment record is a StructVal named env.<routine id>,
+    laid out as that routine's env_fields.
     """
 
-    __slots__ = ("name", "fields", "field_names")
+    __slots__ = ("name", "fields")
 
-    def __init__(self, name: str, fields: list, field_names: tuple[str, ...] | None = None):
+    def __init__(self, name: str, fields: list):
         self.name = name
         self.fields = fields
-        self.field_names = field_names
 
 
 class ArrayVal:
@@ -119,13 +117,11 @@ class ArrayVal:
 
 
 class ClosureRecord:
-    __slots__ = ("routine_id", "env", "copy_routine", "destroy_routine")
+    __slots__ = ("routine_id", "env")
 
-    def __init__(self, routine_id: str, env: StructVal, copy_routine: str, destroy_routine: str):
+    def __init__(self, routine_id: str, env: StructVal):
         self.routine_id = routine_id
         self.env = env
-        self.copy_routine = copy_routine
-        self.destroy_routine = destroy_routine
 
 
 class FuncVal:
@@ -168,16 +164,18 @@ class Frame:
 # Two locations overlap iff one trail is a prefix of the other.
 
 
-@dataclass(frozen=True)
 class Location:
-    trail: tuple
+    """A trail plus the place it reached when it was resolved: the value
+    lives at container[index].  Only a call borrowing its callee reads
+    that place, right after the resolution; every other use walks the
+    trail again, since sharing created since then must be duplicated."""
 
-    @property
-    def kind(self) -> str:
-        for hop in reversed(self.trail):
-            if hop[0] == "elem":
-                return "ArrayElement"
-        return "FrameSlot"
+    __slots__ = ("trail", "container", "index")
+
+    def __init__(self, trail: tuple, container: list | None = None, index: int | None = None):
+        self.trail = trail
+        self.container = container
+        self.index = index
 
 
 def check_dynamic_overlap(l1: Location, l2: Location, span: Span = NO_SPAN) -> None:
@@ -240,6 +238,17 @@ class VM:
         self.store: dict[int, Block] = {}
         self.next_sid = 0
         self.frames: list[Frame] = []
+        # Struct name -> field name -> index, for user structs and for
+        # every routine's environment record.
+        self.field_slots: dict[str, dict[str, int]] = {
+            name: {f: i for i, f in enumerate(info.field_names)}
+            for name, info in ir.structs.items()
+        }
+        for rid, routine in ir.routines.items():
+            if routine.env_fields is not None:
+                self.field_slots[f"env.{rid}"] = {
+                    f: i for i, (f, _) in enumerate(routine.env_fields)
+                }
 
     # -- store management ----------------------------------------------------
 
@@ -250,17 +259,22 @@ class VM:
         self.stats.allocs += 1
         return sid
 
-    def block_k(self, block: Block) -> int:
-        return block.n * size_bytes(block.element_type, self.ir.structs)
-
     # -- value operations -----------------------------------------------------
+    #
+    # Values dispatch on their exact type, most frequent first: no value
+    # class has subclasses, and bool never reaches the VM.
 
     def copy_value(self, v: Value) -> Value:
-        if isinstance(v, (int, float)):
+        t = type(v)
+        if t is int or t is float:
             return v
-        if isinstance(v, StructVal):
-            return StructVal(v.name, [self.copy_value(f) for f in v.fields], v.field_names)
-        if isinstance(v, ArrayVal):
+        if t is StructVal:
+            return StructVal(v.name, [self.copy_value(f) for f in v.fields])
+        if t is FuncVal:
+            rec = v.record
+            env = StructVal(rec.env.name, [self.copy_value(f) for f in rec.env.fields])
+            return FuncVal(ClosureRecord(rec.routine_id, env))
+        if t is ArrayVal:
             if self.cow:
                 self.store[v.sid].r += 1
                 self.stats.retains += 1
@@ -269,24 +283,21 @@ class VM:
             elems = [self.copy_value(e) for e in block.elems]
             self.stats.deep_copies += 1
             return ArrayVal(v.element_type, self.alloc(v.element_type, elems))
-        if isinstance(v, FuncVal):
-            rec = v.record
-            env = StructVal(
-                rec.env.name,
-                [self.copy_value(f) for f in rec.env.fields],
-                rec.env.field_names,
-            )
-            return FuncVal(ClosureRecord(rec.routine_id, env, rec.copy_routine, rec.destroy_routine))
         raise AssertionError(f"cannot copy {v!r}")
 
     def destroy_value(self, v: Value) -> None:
-        if isinstance(v, (int, float)) or v is None:
+        t = type(v)
+        if t is int or t is float or v is None:
             return
-        if isinstance(v, StructVal):
+        if t is StructVal:
             for f in v.fields:
                 self.destroy_value(f)
             return
-        if isinstance(v, ArrayVal):
+        if t is FuncVal:
+            for f in v.record.env.fields:
+                self.destroy_value(f)
+            return
+        if t is ArrayVal:
             block = self.store.get(v.sid)
             assert block is not None and block.r >= 1, "destroy of a dead block"
             if block.r == 1:
@@ -297,9 +308,6 @@ class VM:
             else:
                 block.r -= 1
                 self.stats.releases += 1
-            return
-        if isinstance(v, FuncVal):
-            self.destroy_value(v.record.env)
             return
         raise AssertionError(f"cannot destroy {v!r}")
 
@@ -329,18 +337,6 @@ class VM:
 
     # -- frame helpers ----------------------------------------------------------
 
-    def take(self, frame: Frame, slot: int) -> Value:
-        v = frame.slots[slot]
-        frame.slots[slot] = None
-        return v
-
-    def field_index(self, sv: StructVal, name: str) -> int:
-        if sv.field_names is not None:
-            return sv.field_names.index(name)
-        idx = self.ir.structs[sv.name].index_of(name)
-        assert idx is not None
-        return idx
-
     def check_bounds(self, block: Block, index: int, span: Span) -> None:
         if not 0 <= index < block.n:
             raise RuntimeTrap(
@@ -351,28 +347,31 @@ class VM:
 
     # -- path navigation ---------------------------------------------------------
 
-    def _loc_place(self, loc: Location, span: Span, prepare: bool):
+    def _loc_place(self, trail: tuple, span: Span, prepare: bool, out: list | None = None):
         """Walk a location's trail to (container, index).
 
         container is a frame-slot list, struct field list, or block
         element list; the value lives at container[index].  With
-        prepare=True, shared blocks crossed by the trail are duplicated
-        and the trail rewritten, which is prepare_mutation.
+        prepare=True, shared blocks crossed by the trail are duplicated,
+        which is prepare_mutation; out, when given, receives the trail
+        rewritten to the duplicated blocks.
         """
-        hop = loc.trail[0]
+        hop = trail[0]
         assert hop[0] == "slot"
         container: list = hop[1].slots
         index = hop[2]
-        trail = [hop]
-        for hop in loc.trail[1:]:
+        if out is not None:
+            out.append(hop)
+        for hop in trail[1:]:
             cur = container[index]
             if hop[0] == "field":
-                assert isinstance(cur, StructVal)
+                assert type(cur) is StructVal
                 container = cur.fields
-                index = self.field_index(cur, hop[1])
-                trail.append(hop)
+                index = self.field_slots[cur.name][hop[1]]
+                if out is not None:
+                    out.append(hop)
             else:
-                assert isinstance(cur, ArrayVal) and cur.sid == hop[1], (
+                assert type(cur) is ArrayVal and cur.sid == hop[1], (
                     "stale location: storage replaced during argument evaluation"
                 )
                 block = self.store[cur.sid]
@@ -381,18 +380,9 @@ class VM:
                 self.check_bounds(block, hop[2], span)
                 container = block.elems
                 index = hop[2]
-                trail.append(("elem", cur.sid, hop[2]))
-        return container, index, Location(tuple(trail))
-
-    def prepare_mutation(self, loc: Location, span: Span = NO_SPAN) -> Location:
-        """Make every block along loc uniquely referenced; returns the
-        location rewritten to the duplicated blocks."""
-        _, _, out = self._loc_place(loc, span, prepare=True)
-        return out
-
-    def read_location(self, loc: Location, span: Span) -> Value:
-        container, index, _ = self._loc_place(loc, span, prepare=False)
-        return container[index]
+                if out is not None:
+                    out.append(("elem", cur.sid, index))
+        return container, index
 
     def _walk_steps(self, frame: Frame, cur: Value, steps, span: Span, prepare: bool, trail=None):
         """Walk path steps from a value; consumes index slots.
@@ -402,21 +392,23 @@ class VM:
         Used by loads (prepare=False), stores and resolutions
         (prepare=True).
         """
+        slots = frame.slots
         container = None
         index = None
         for kind, v in steps:
             if container is not None:
                 cur = container[index]
             if kind == "field":
-                assert isinstance(cur, StructVal)
+                assert type(cur) is StructVal
                 container = cur.fields
-                index = self.field_index(cur, v)
+                index = self.field_slots[cur.name][v]
                 if trail is not None:
                     trail.append(("field", v))
             else:
-                i = self.take(frame, v)
-                assert isinstance(i, int)
-                assert isinstance(cur, ArrayVal)
+                i = slots[v]
+                slots[v] = None
+                assert type(i) is int
+                assert type(cur) is ArrayVal
                 block = self.store[cur.sid]
                 if prepare and block.r > 1:
                     block = self.cow_dup(cur)
@@ -430,33 +422,33 @@ class VM:
     # -- instruction execution ------------------------------------------------
 
     def exec_load(self, frame: Frame, ins: LoadPath) -> None:
-        base = frame.slots[ins.base]
-        if isinstance(base, Location):
-            container, index, _ = self._loc_place(base, ins.span, prepare=False)
+        cur = frame.slots[ins.base]
+        if type(cur) is Location:
+            container, index = self._loc_place(cur.trail, ins.span, prepare=False)
             cur = container[index]
-        else:
-            cur = base
-        container, index = self._walk_steps(frame, cur, ins.steps, ins.span, prepare=False)
-        target = cur if container is None else container[index]
-        frame.slots[ins.dst] = self.copy_value(target)
+        if ins.steps:
+            container, index = self._walk_steps(frame, cur, ins.steps, ins.span, prepare=False)
+            cur = container[index]
+        frame.slots[ins.dst] = self.copy_value(cur)
 
     def exec_store(self, frame: Frame, ins: StorePath) -> None:
-        value = self.take(frame, ins.value)
-        base = frame.slots[ins.base]
-        if isinstance(base, Location):
-            container, index, _ = self._loc_place(base, ins.span, prepare=True)
+        slots = frame.slots
+        value = slots[ins.value]
+        slots[ins.value] = None
+        base = slots[ins.base]
+        if type(base) is Location:
+            container, index = self._loc_place(base.trail, ins.span, prepare=True)
             if ins.steps:
-                c2, i2 = self._walk_steps(
+                container, index = self._walk_steps(
                     frame, container[index], ins.steps, ins.span, prepare=True
                 )
-                container, index = c2, i2
         else:
             if self.debug:
                 assert ins.base not in frame.routine.immutable_slots, (
                     "write through an immutable binding"
                 )
             if not ins.steps:
-                container, index = frame.slots, ins.base
+                container, index = slots, ins.base
             else:
                 container, index = self._walk_steps(
                     frame, base, ins.steps, ins.span, prepare=True
@@ -466,58 +458,64 @@ class VM:
         self.destroy_value(old)
 
     def exec_resolve(self, frame: Frame, ins: ResolveLocation) -> None:
-        base = frame.slots[ins.base]
-        if isinstance(base, Location):
-            _, _, loc = self._loc_place(base, ins.span, prepare=True)
-            trail = list(loc.trail)
-            cur = self.read_location(loc, ins.span)
+        slots = frame.slots
+        cur = slots[ins.base]
+        trail: list = []
+        if type(cur) is Location:
+            container, index = self._loc_place(cur.trail, ins.span, prepare=True, out=trail)
+            cur = container[index]
         else:
             if self.debug and not ins.borrow:
                 assert ins.base not in frame.routine.immutable_slots, (
                     "inout resolution of an immutable binding"
                 )
-            trail = [("slot", frame, ins.base)]
-            cur = base
-        self._walk_steps(frame, cur, ins.steps, ins.span, prepare=True, trail=trail)
-        frame.slots[ins.dst] = Location(tuple(trail))
+            trail.append(("slot", frame, ins.base))
+            container, index = slots, ins.base
+        if ins.steps:
+            container, index = self._walk_steps(
+                frame, cur, ins.steps, ins.span, prepare=True, trail=trail
+            )
+        slots[ins.dst] = Location(tuple(trail), container, index)
 
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
-        callee = self.take(frame, ins.callee)
-        if isinstance(callee, Location):
+        slots = frame.slots
+        callee = slots[ins.callee]
+        slots[ins.callee] = None
+        if type(callee) is Location:
             # Borrowed callee: the closure value stays in place and its
-            # environment mutations persist there.
-            fn = self.read_location(callee, ins.span)
+            # environment mutations persist there.  Lowering resolves it
+            # after every argument, and only inout resolutions, which find
+            # its blocks already unique, run before the call: its
+            # recorded place is current.
+            fn = callee.container[callee.index]
             owned = None
         else:
-            fn = callee
-            owned = callee
-        assert isinstance(fn, FuncVal)
-        args = [self.take(frame, s) for s in ins.args]
-        locations = [self.take(frame, s) for s in ins.locations]
-        routine = self.ir.routines[fn.record.routine_id]
-        result = self.execute_routine(routine, args, locations, fn.record.env)
+            fn = owned = callee
+        assert type(fn) is FuncVal
+        args = _take_all(slots, ins.args)
+        locations = _take_all(slots, ins.locations)
+        record = fn.record
+        routine = self.ir.routines[record.routine_id]
+        result = self.execute_routine(routine, args, locations, record.env)
         if owned is not None:
             self.destroy_value(owned)
-        frame.slots[ins.dst] = result
-
-    def exec_binary(self, frame: Frame, ins: BinaryInstr) -> None:
-        lhs = self.take(frame, ins.lhs)
-        rhs = self.take(frame, ins.rhs)
-        frame.slots[ins.dst] = apply_binary(ins.op, lhs, rhs, ins.span)
+        slots[ins.dst] = result
 
     def execute_routine(self, routine: Routine, args: list, locations: list, env) -> Value:
         frame = Frame(routine)
-        ai = 0
-        li = 0
-        for i, (passing, _) in enumerate(routine.params):
-            if passing == P_ENV:
-                frame.slots[i] = env  # borrowed, never destroyed here
-            elif passing == P_VALUE:
-                frame.slots[i] = args[ai]
+        slots = frame.slots
+        params = routine.params
+        ai = li = 0
+        for i in range(len(params)):
+            passing = params[i][0]
+            if passing == P_VALUE:
+                slots[i] = args[ai]
                 ai += 1
+            elif passing == P_ENV:
+                slots[i] = env  # borrowed, never destroyed here
             else:
                 assert passing == P_INOUT
-                frame.slots[i] = locations[li]
+                slots[i] = locations[li]
                 li += 1
         self.frames.append(frame)
         try:
@@ -528,57 +526,62 @@ class VM:
         return result
 
     def exec_block(self, block: list[Instr], frame: Frame) -> Value | None:
+        # One exact-type test per instruction, most frequent first.
+        slots = frame.slots
+        debug = self.debug
         for ins in block:
-            if isinstance(ins, MakeInt) or isinstance(ins, MakeFloat):
-                frame.slots[ins.dst] = ins.value
-            elif isinstance(ins, Copy):
-                frame.slots[ins.dst] = self.copy_value(frame.slots[ins.src])
-            elif isinstance(ins, Move):
-                frame.slots[ins.dst] = self.take(frame, ins.src)
+            t = type(ins)
+            if t is Copy:
+                slots[ins.dst] = self.copy_value(slots[ins.src])
+            elif t is MakeInt:
+                slots[ins.dst] = ins.value
+            elif t is BinaryInstr:
+                lhs = slots[ins.lhs]
+                rhs = slots[ins.rhs]
+                slots[ins.lhs] = slots[ins.rhs] = None
+                slots[ins.dst] = apply_binary(ins.op, lhs, rhs, ins.span)
+            elif t is Move:
+                slots[ins.dst] = slots[ins.src]
+                slots[ins.src] = None
                 self.stats.moves += 1
-            elif isinstance(ins, Destroy):
-                self.destroy_value(self.take(frame, ins.slot))
-            elif isinstance(ins, LoadPath):
-                self.exec_load(frame, ins)
-            elif isinstance(ins, StorePath):
-                self.exec_store(frame, ins)
-            elif isinstance(ins, BinaryInstr):
-                self.exec_binary(frame, ins)
-            elif isinstance(ins, MakeArray):
-                elems = [self.take(frame, s) for s in ins.operands]
-                sid = self.alloc(ins.element_type, elems)
-                frame.slots[ins.dst] = ArrayVal(ins.element_type, sid)
-            elif isinstance(ins, MakeStruct):
-                fields = [self.take(frame, s) for s in ins.operands]
-                frame.slots[ins.dst] = StructVal(ins.struct_name, fields)
-            elif isinstance(ins, MakeClosure):
-                captured = [self.take(frame, s) for s in ins.operands]
-                routine = self.ir.routines[ins.routine_id]
-                names = tuple(n for n, _ in (routine.env_fields or []))
-                env = StructVal(f"env.{ins.routine_id}", captured, names)
-                record = ClosureRecord(
-                    ins.routine_id, env, ins.copy_routine, ins.destroy_routine
-                )
-                frame.slots[ins.dst] = FuncVal(record)
-            elif isinstance(ins, ResolveLocation):
+            elif t is Destroy:
+                v = slots[ins.slot]
+                slots[ins.slot] = None
+                self.destroy_value(v)
+            elif t is CondBr:
+                cond = slots[ins.cond]
+                slots[ins.cond] = None
+                assert type(cond) is int
+                self.exec_block(ins.then_block if cond != 0 else ins.else_block, frame)
+            elif t is ResolveLocation:
                 self.exec_resolve(frame, ins)
-            elif isinstance(ins, OverlapCheck):
-                check_dynamic_overlap(frame.slots[ins.a], frame.slots[ins.b], ins.span)
-            elif isinstance(ins, CallInstr):
+            elif t is CallInstr:
                 self.exec_call(frame, ins)
-            elif isinstance(ins, CondBr):
-                cond = self.take(frame, ins.cond)
-                assert isinstance(cond, int)
-                chosen = ins.then_block if cond != 0 else ins.else_block
-                self.exec_block(chosen, frame)
-            elif isinstance(ins, Return):
-                result = self.take(frame, ins.slot)
-                if self.debug:
+            elif t is Return:
+                result = slots[ins.slot]
+                slots[ins.slot] = None
+                if debug:
                     self.audit_refcounts(pending=result)
                 return result
+            elif t is LoadPath:
+                self.exec_load(frame, ins)
+            elif t is StorePath:
+                self.exec_store(frame, ins)
+            elif t is MakeFloat:
+                slots[ins.dst] = ins.value
+            elif t is MakeArray:
+                elems = _take_all(slots, ins.operands)
+                slots[ins.dst] = ArrayVal(ins.element_type, self.alloc(ins.element_type, elems))
+            elif t is MakeClosure:
+                env = StructVal(f"env.{ins.routine_id}", _take_all(slots, ins.operands))
+                slots[ins.dst] = FuncVal(ClosureRecord(ins.routine_id, env))
+            elif t is MakeStruct:
+                slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
+            elif t is OverlapCheck:
+                check_dynamic_overlap(slots[ins.a], slots[ins.b], ins.span)
             else:  # pragma: no cover
                 raise AssertionError(f"unknown instruction {ins!r}")
-            if self.debug:
+            if debug:
                 self.audit_refcounts()
         return None
 
@@ -590,17 +593,18 @@ class VM:
         refs: dict[int, int] = {}
 
         def walk(v: Value) -> None:
-            if isinstance(v, ArrayVal):
+            t = type(v)
+            if t is ArrayVal:
                 refs[v.sid] = refs.get(v.sid, 0) + 1
-            elif isinstance(v, StructVal):
+            elif t is StructVal:
                 for f in v.fields:
                     walk(f)
-            elif isinstance(v, FuncVal):
+            elif t is FuncVal:
                 walk(v.record.env)
 
         for frame in self.frames:
             for v in frame.slots:
-                if v is not None and not isinstance(v, Location):
+                if v is not None and type(v) is not Location:
                     walk(v)
         if pending is not None:
             walk(pending)
@@ -620,11 +624,19 @@ class VM:
         return text
 
 
+def _take_all(slots: list, indices: list[int]) -> list:
+    """Move the values out of slots[indices], leaving those slots empty."""
+    values = [slots[s] for s in indices]
+    for s in indices:
+        slots[s] = None
+    return values
+
+
 def apply_binary(op: str, lhs: Value, rhs: Value, span: Span) -> Value:
     """Shared scalar semantics: Int is checked 64-bit two's complement
     with truncating division; Float is IEEE 754 double (division by
     zero yields an infinity or nan, never a trap)."""
-    if isinstance(lhs, int):
+    if type(lhs) is int:
         return _int_binary(op, lhs, rhs, span)
     return _float_binary(op, lhs, rhs)
 
@@ -685,8 +697,6 @@ def _float_binary(op: str, a: float, b: float) -> Value:
     if b == 0.0:
         if a != a or a == 0.0:
             return float("nan")
-        import math
-
         sign = math.copysign(1.0, a) * math.copysign(1.0, b)
         return math.copysign(float("inf"), sign)
     return a / b

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn_cli(*argv):
+    """Run `python -m mvsl` in a child that imports this checkout's mvsl."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mvsl", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture()
@@ -185,6 +199,17 @@ def test_usage_errors_exit_4(capsys, argv):
     assert "usage" in err.lower() or "error" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["run", "check", "diff"])
+def test_undecodable_input_is_usage_error(tmp_path, command):
+    f = tmp_path / "bytes.mvs"
+    f.write_bytes(b"\xff\xfe1")
+    proc = spawn_cli(command, str(f))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("usage error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # -- corpus golden ------------------------------------------------------------------
 
 
@@ -207,10 +232,6 @@ def test_corpus_golden(capsys):
 
 def test_console_entry_point():
     # one end-to-end spawn through the installed script path
-    proc = subprocess.run(
-        [sys.executable, "-m", "mvsl", "run", str(CORPUS / "swap.mvs")],
-        capture_output=True,
-        text=True,
-    )
+    proc = spawn_cli("run", str(CORPUS / "swap.mvs"))
     assert proc.returncode == 0
     assert proc.stdout == "Pair(2, 4)\n"

@@ -1,3 +1,4 @@
+import builtins
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from mvsl import (
     parse_source,
     serialize_array_layout,
 )
+from mvsl import vm as vm_module
 from mvsl.ir import apply_move_optimization, lower_program
 from mvsl.types import INT
 from mvsl.vm import VM, ArrayVal, Location, StructVal, check_dynamic_overlap, format_value
@@ -370,3 +372,31 @@ def test_closure_env_persists_across_calls():
     for cow in (True, False):
         for opt in (True, False):
             assert run_source(src, cow=cow, move_opt=opt)[0] == "12"
+
+
+# -- dispatch ------------------------------------------------------------------------
+
+
+FIB_BOX = (
+    "struct F { var fn: (F, Int) -> Int } in "
+    "let fib: (F, Int) -> Int = (s: F, n: Int) -> Int { "
+    "if n < 2 then n else s.fn(s, n - 1) + s.fn(s, n - 2) } in "
+    "let box: F = F(fib) in box.fn(box, 16)"
+)
+
+
+def test_dispatch_uses_exact_types(monkeypatch):
+    # Instructions and values dispatch on type(x) is C: fib(16) through a
+    # closure box runs 3193 calls with a few isinstance tests in total.
+    calls = 0
+
+    def counting_isinstance(obj, cls):
+        nonlocal calls
+        calls += 1
+        return builtins.isinstance(obj, cls)
+
+    ir = lower_source(FIB_BOX)
+    monkeypatch.setattr(vm_module, "isinstance", counting_isinstance, raising=False)
+    out, _ = execute(ir)
+    assert out == "987"
+    assert calls <= 50_000
