@@ -26,13 +26,33 @@ class TokenKind(enum.Enum):
     ARROW = "arrow"
     AMP = "ampersand"
     UNDERSCORE = "underscore"
+    # The parser's end-of-input sentinel; the lexer never produces it.
+    EOF = "end-of-input"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    lexeme: str
-    span: Span
+    """One lexeme and its span; a plain slot class that compares, hashes
+    and prints by value."""
+
+    __slots__ = ("kind", "lexeme", "span")
+
+    def __init__(self, kind: TokenKind, lexeme: str, span: Span):
+        self.kind = kind
+        self.lexeme = lexeme
+        self.span = span
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (
+            self.kind is other.kind and self.lexeme == other.lexeme and self.span == other.span
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.lexeme, self.span))
+
+    def __repr__(self) -> str:
+        return f"Token(kind={self.kind!r}, lexeme={self.lexeme!r}, span={self.span!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,38 @@ offset, so constructing an error never needs the source at hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Span:
-    """Half-open offset range [start, end) into the source text."""
+    """Half-open offset range [start, end) into the source text.
 
-    start: int
-    end: int
+    A plain slot class, since one is built per token and per AST node.
+    It compares, hashes and prints by value.  It must stay hashable: the
+    AST and IR dataclasses use NO_SPAN as a field default, and
+    @dataclass rejects an unhashable default as mutable.
+    """
+
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Span:
+            return NotImplemented
+        return self.start == other.start and self.end == other.end
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"Span(start={self.start!r}, end={self.end!r})"
 
     def merge(self, other: Span) -> Span:
-        return Span(min(self.start, other.start), max(self.end, other.end))
+        return Span(
+            self.start if self.start <= other.start else other.start,
+            self.end if self.end >= other.end else other.end,
+        )
 
 
 # Placeholder for nodes built programmatically rather than parsed.

@@ -21,6 +21,10 @@ Grammar, one production per comment below its parse function:
     func-lit  -> "(" [param ("," param)*] ")" "->" type "{" expr "}"
     param     -> IDENT ":" ["inout"] type
 
+The three binary levels are one function, `binary`, which climbs the
+precedence table _BINARY_PREC instead of recursing through one function
+per level; it builds the same left-associative trees.
+
 The braced-body form is sugar: `var f: () -> T { e } in b` declares a
 zero-parameter function literal and is only accepted when the binding
 is annotated with a zero-parameter function type.
@@ -63,47 +67,58 @@ from .diagnostics import ParseError, Span
 from .lexer import tokenize
 
 _INT_MAX = 2**63 - 1
+# Digits of _INT_MAX: a literal with more significant digits is out of
+# range, and int() refuses strings of more than 4300 digits.
+_INT_MAX_DIGITS = len(str(_INT_MAX))
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
+# Binary operators by precedence; all of them are left-associative.
+_BINARY_PREC = {
+    "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3, "%": 3,
+}  # fmt: skip
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_len: int):
-        self.tokens = tokens
+        # The EOF sentinel ends the list, so the cursor never runs off it:
+        # nothing advances past EOF, and lookahead beyond the current
+        # token only happens when that token is not EOF.
+        self.tokens = tokens + [Token(TokenKind.EOF, "", Span(source_len, source_len))]
         self.pos = 0
-        self.eof_span = Span(source_len, source_len)
+        self.tok = self.tokens[0]
         self.struct_names: set[str] = set()
 
     # -- cursor helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self, ahead: int) -> Token:
+        return self.tokens[self.pos + ahead]
 
-    def at(self, kind: TokenKind, lexeme: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.kind is kind and (lexeme is None or t.lexeme == lexeme)
+    def at(self, kind: TokenKind, lexeme: str | None = None) -> bool:
+        t = self.tok
+        return t.kind is kind and (lexeme is None or t.lexeme == lexeme)
 
     def advance(self) -> Token:
-        t = self.tokens[self.pos]
+        t = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return t
 
     def match(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        if self.at(kind, lexeme):
-            return self.advance()
+        t = self.tok
+        if t.kind is kind and (lexeme is None or t.lexeme == lexeme):
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+            return t
         return None
 
     def here(self) -> Span:
-        t = self.peek()
-        return t.span if t is not None else self.eof_span
+        return self.tok.span
 
     def fail(self, what: str) -> ParseError:
-        t = self.peek()
-        found = "end of input" if t is None else f"'{t.lexeme}'"
-        return ParseError(self.here(), f"expected {what}, found {found}")
+        t = self.tok
+        found = "end of input" if t.kind is TokenKind.EOF else f"'{t.lexeme}'"
+        return ParseError(t.span, f"expected {what}, found {found}")
 
     def expect(self, kind: TokenKind, lexeme: str | None, what: str) -> Token:
         t = self.match(kind, lexeme)
@@ -119,7 +134,7 @@ class _Parser:
             structs.append(self.struct_decl())
             self.expect(TokenKind.KEYWORD, "in", "'in' after struct declaration")
         entry = self.expr()
-        if self.peek() is not None:
+        if self.tok.kind is not TokenKind.EOF:
             raise self.fail("end of input")
         return Program(structs, entry)
 
@@ -141,8 +156,8 @@ class _Parser:
         return StructDecl(name_tok.lexeme, fields, start.merge(end))
 
     def field_decl(self, seen: set[str]) -> FieldDecl:
-        qual = self.peek()
-        if qual is None or qual.kind is not TokenKind.KEYWORD or qual.lexeme not in ("var", "let"):
+        qual = self.tok
+        if qual.kind is not TokenKind.KEYWORD or qual.lexeme not in ("var", "let"):
             raise self.fail("'var' or 'let' field")
         self.advance()
         name_tok = self.expect(TokenKind.IDENT, None, "field name")
@@ -156,9 +171,7 @@ class _Parser:
     # -- types ---------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
-        t = self.peek()
-        if t is None:
-            raise self.fail("a type")
+        t = self.tok
         if t.kind is TokenKind.IDENT:
             self.advance()
             return NamedTE(t.lexeme, t.span)
@@ -185,8 +198,8 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if t is not None and t.kind is TokenKind.KEYWORD and t.lexeme in ("var", "let"):
+        t = self.tok
+        if t.kind is TokenKind.KEYWORD and t.lexeme in ("var", "let"):
             return self.binding()
         e = self.operand()
         if self.at(TokenKind.OP, "="):
@@ -201,8 +214,8 @@ class _Parser:
 
     def binding(self) -> Expr:
         qual = self.advance()  # var or let
-        name_tok = self.peek()
-        if name_tok is None or name_tok.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
+        name_tok = self.tok
+        if name_tok.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
             raise self.fail("binding name")
         self.advance()
         annotation: TypeExpr | None = None
@@ -234,42 +247,39 @@ class _Parser:
             self.expect(TokenKind.KEYWORD, "else", "'else'")
             orelse = self.operand()
             return Cond(cond, then, orelse, start.merge(orelse.span))
-        return self.comparison()
+        return self.binary(1)
 
-    def _binary_chain(self, ops: tuple[str, ...], sub) -> Expr:
-        lhs = sub()
+    def binary(self, min_prec: int) -> Expr:
+        """Precedence climbing: operands joined by operators that bind at
+        least as tightly as min_prec, grouped to the left."""
+        lhs = self.postfix()
         while True:
-            t = self.peek()
-            if t is None or t.kind is not TokenKind.OP or t.lexeme not in ops:
+            t = self.tok
+            prec = _BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+            if prec is None or prec < min_prec:
                 return lhs
             self.advance()
-            rhs = sub()
+            rhs = self.binary(prec + 1)
             lhs = Binary(t.lexeme, lhs, rhs, lhs.span.merge(rhs.span))
-
-    def comparison(self) -> Expr:
-        return self._binary_chain(_CMP_OPS, self.additive)
-
-    def additive(self) -> Expr:
-        return self._binary_chain(_ADD_OPS, self.multiplicative)
-
-    def multiplicative(self) -> Expr:
-        return self._binary_chain(_MUL_OPS, self.postfix)
 
     def postfix(self) -> Expr:
         e = self.primary()
         while True:
-            if self.at(TokenKind.PUNCT, "("):
+            t = self.tok
+            if t.kind is not TokenKind.PUNCT:
+                return e
+            if t.lexeme == "(":
                 e = self.call(e)
-            elif self.at(TokenKind.PUNCT, "."):
+            elif t.lexeme == ".":
                 if not isinstance(e, Path):
-                    raise ParseError(self.here(), "field access requires a path")
-                dot = self.advance()
+                    raise ParseError(t.span, "field access requires a path")
+                self.advance()
                 name_tok = self.expect(TokenKind.IDENT, None, "field name")
-                e.accessors.append(FieldAcc(name_tok.lexeme, dot.span.merge(name_tok.span)))
+                e.accessors.append(FieldAcc(name_tok.lexeme, t.span.merge(name_tok.span)))
                 e.span = e.span.merge(name_tok.span)
-            elif self.at(TokenKind.PUNCT, "["):
+            elif t.lexeme == "[":
                 if not isinstance(e, Path):
-                    raise ParseError(self.here(), "indexing requires a path")
+                    raise ParseError(t.span, "indexing requires a path")
                 self.advance()
                 idx = self.operand()
                 end = self.expect(TokenKind.PUNCT, "]", "']'").span
@@ -307,8 +317,8 @@ class _Parser:
         return Call(callee, args, span)
 
     def inout_path(self) -> Path:
-        root = self.peek()
-        if root is None or root.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
+        root = self.tok
+        if root.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
             raise self.fail("a path after '&'")
         self.advance()
         p = Path(root.lexeme, [], root.span)
@@ -328,39 +338,42 @@ class _Parser:
                 return p
 
     def primary(self) -> Expr:
-        t = self.peek()
-        if t is None:
-            raise self.fail("an expression")
-        if t.kind is TokenKind.INT:
+        t = self.tok
+        kind = t.kind
+        if kind is TokenKind.IDENT:
             self.advance()
-            value = int(t.lexeme)
+            return Path(t.lexeme, [], t.span)
+        if kind is TokenKind.INT:
+            self.advance()
+            digits = t.lexeme.lstrip("0") or "0"
+            value = int(digits) if len(digits) <= _INT_MAX_DIGITS else _INT_MAX + 1
             if value > _INT_MAX:
                 raise ParseError(t.span, "integer literal out of range")
             return IntLit(value, t.span)
-        if t.kind is TokenKind.FLOAT:
+        if kind is TokenKind.FLOAT:
             self.advance()
             value = float(t.lexeme)
             if value != value or value in (float("inf"), float("-inf")):
                 raise ParseError(t.span, "float literal out of range")
             return FloatLit(value, t.span)
-        if t.kind is TokenKind.IDENT:
-            self.advance()
-            return Path(t.lexeme, [], t.span)
-        if t.kind is TokenKind.UNDERSCORE:
+        if kind is TokenKind.UNDERSCORE:
             self.advance()
             return Path("_", [], t.span)
-        if t.kind is TokenKind.PUNCT and t.lexeme == "[":
+        if kind is TokenKind.PUNCT and t.lexeme == "[":
             self.advance()
             elements = [self.operand()]
             while self.match(TokenKind.PUNCT, ","):
                 elements.append(self.operand())
             end = self.expect(TokenKind.PUNCT, "]", "']' or ','").span
             return ArrayLit(elements, t.span.merge(end))
-        if t.kind is TokenKind.PUNCT and t.lexeme == "(":
+        if kind is TokenKind.PUNCT and t.lexeme == "(":
             # Function literal when the parenthesis opens a parameter list
             # (empty, or IDENT ':'), otherwise a grouping.
-            if self.at(TokenKind.PUNCT, ")", ahead=1) or (
-                self.at(TokenKind.IDENT, ahead=1) and self.at(TokenKind.PUNCT, ":", ahead=2)
+            nxt = self.peek(1)
+            if (nxt.kind is TokenKind.PUNCT and nxt.lexeme == ")") or (
+                nxt.kind is TokenKind.IDENT
+                and self.peek(2).kind is TokenKind.PUNCT
+                and self.peek(2).lexeme == ":"
             ):
                 return self.func_lit()
             self.advance()

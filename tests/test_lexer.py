@@ -1,6 +1,10 @@
-import pytest
+import re
 
-from mvsl import ParseError, tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvsl import ParseError, parse_source, tokenize
 from mvsl.ast import TokenKind
 
 from conftest import lexable_corpus_sources
@@ -92,3 +96,43 @@ def test_spans_cover_lexemes_exactly():
             gap = source[pos : t.span.start]
             assert all(c in " \t\r\n" for c in gap) or "//" in gap, name
             pos = t.span.end
+
+
+# The language's characters and keywords, plus non-ASCII letters and
+# digits; comment openers and line ends are repeated so that most drawn
+# texts mix comments with tokens.
+_PIECES = list("abxyz_0179 \t(){}[],;:.+-*/%<>=!&") + [
+    "²", "٣", "é", "->", "==", "1.5", "var", "let", "in", "if", "then",
+    "else", "struct", "inout",
+] + ["//", "\r", "\n"] * 5  # fmt: skip
+_GAP = re.compile(r"(?:[ \t\r\n]|//[^\n]*\n)*")
+_LAST_GAP = re.compile(r"(?:[ \t\r\n]|//[^\n]*\n)*(?://[^\n]*)?")
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    pieces=st.lists(st.sampled_from(_PIECES), max_size=40),
+    tail=st.sampled_from(["", "//", "// comment at end of input"]),
+)
+def test_tokens_tile_any_input(pieces, tail):
+    # Either tokenize rejects the text, or each lexeme is its source slice
+    # and the gaps hold only whitespace and comments; a comment only ends
+    # a gap at a newline or at the end of the input.  Nothing but
+    # ParseError ever escapes the front end.
+    source = "".join(pieces) + tail
+    try:
+        toks = tokenize(source)
+    except ParseError:
+        pass
+    else:
+        pos = 0
+        for t in toks:
+            assert pos <= t.span.start < t.span.end
+            assert source[t.span.start : t.span.end] == t.lexeme
+            assert _GAP.fullmatch(source, pos, t.span.start)
+            pos = t.span.end
+        assert _LAST_GAP.fullmatch(source, pos)
+    try:
+        parse_source(source)
+    except ParseError:
+        pass

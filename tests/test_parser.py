@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +116,35 @@ def test_pretty_print_fixed_point():
     for _, source in lexable_corpus_sources():
         once = pretty_program(parse_source(source))
         assert pretty_program(parse_source(once)) == once
+
+
+def test_nested_parentheses_under_default_recursion_limit():
+    # Each level of parentheses costs a handful of Python frames (expr,
+    # operand, binary, postfix, primary); 150 levels must fit in the
+    # interpreter's default limit of 1000.
+    depth = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        p = parse_source("(" * depth + "1" + ")" * depth)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.entry == IntLit(1)
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [("0000007", 7), ("0" * 5000 + "7", 7), ("9223372036854775807", 2**63 - 1)],
+    ids=["zeros", "5000-zeros", "int-max"],
+)
+def test_integer_literal_leading_zeros(source, value):
+    assert parse_source(source).entry.value == value
+
+
+@pytest.mark.parametrize(
+    "source", ["9223372036854775808", "9" * 5000], ids=["int-max-plus-1", "5000-nines"]
+)
+def test_integer_literal_out_of_range(source):
+    # 5000 digits exceed what int() converts from a string.
+    with pytest.raises(ParseError, match="integer literal out of range"):
+        parse_source(source)
