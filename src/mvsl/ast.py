@@ -292,7 +292,6 @@ _PREC_PRIMARY = 6
 
 _CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 _ADD_OPS = {"+", "-"}
-_MUL_OPS = {"*", "/", "%"}
 
 
 def _binary_prec(op: str) -> int:

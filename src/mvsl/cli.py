@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .ast import Binding, Program, dump_ast
+from .ast import Assign, Binding, Program, dump_ast
 from .diagnostics import RuntimeTrap, SourceError, UsageError
 from .difftest import differential_run, differential_seed_run
 from .generator import GenConfig, generate_program
@@ -78,8 +78,8 @@ def _dump_types(program: Program) -> str:
         fields = ", ".join(f"{f}: {t}" for f, t in zip(info.field_names, info.field_types))
         lines.append(f"struct {name} {{ {fields} }}")
     e = tp.program.entry
-    while isinstance(e, Binding):
-        if e.name != "_":
+    while isinstance(e, (Binding, Assign)):
+        if isinstance(e, Binding) and e.name != "_":
             assert e.init.ty is not None
             lines.append(f"{e.name}: {e.init.ty}")
         e = e.body

@@ -37,78 +37,7 @@ from .ast import (
 )
 from .diagnostics import NO_SPAN, Span
 from .typechecker import StructInfo, TypedProgram
-from .types import FLOAT, INT, INOUT, ArrayType, FloatType, FuncType, IntType, StructType, Type
-
-# ---------------------------------------------------------------------------
-# Type metadata
-
-
-@dataclass(frozen=True)
-class EnvRecordType(Type):
-    """The record type of one routine's captured environment."""
-
-    routine_id: str
-    fields: tuple[tuple[str, Type], ...]
-
-    def __str__(self) -> str:
-        return f"env.{self.routine_id}"
-
-
-@dataclass(frozen=True)
-class TypeMetadata:
-    type: Type
-    trivial: bool
-    size_bytes: int
-    copy_routine: str
-    destroy_routine: str
-
-
-TRIVIAL_COPY = "copy.trivial"
-NOOP_DESTROY = "destroy.noop"
-
-_HANDLE_SIZE = 8
-
-
-def _is_trivial(t: Type, table: dict[str, StructInfo]) -> bool:
-    if isinstance(t, (IntType, FloatType)):
-        return True
-    if isinstance(t, StructType):
-        return all(_is_trivial(ft, table) for ft in table[t.name].field_types)
-    if isinstance(t, EnvRecordType):
-        return all(_is_trivial(ft, table) for _, ft in t.fields)
-    return False  # arrays and functions own heap storage
-
-
-def size_bytes(t: Type, table: dict[str, StructInfo]) -> int:
-    """Layout size; array elements and closure environments count as one
-    handle-sized cell."""
-    if isinstance(t, (IntType, FloatType)):
-        return 8
-    if isinstance(t, ArrayType):
-        return _HANDLE_SIZE
-    if isinstance(t, FuncType):
-        # Routine id, environment handle, copy routine, destroy routine.
-        return 4 * _HANDLE_SIZE
-    if isinstance(t, StructType):
-        return sum(size_bytes(ft, table) for ft in table[t.name].field_types)
-    if isinstance(t, EnvRecordType):
-        return sum(size_bytes(ft, table) for _, ft in t.fields)
-    raise AssertionError(f"unknown type {t!r}")
-
-
-def synthesize_metatype(t: Type, table: dict[str, StructInfo]) -> TypeMetadata:
-    """Deterministic per-type copy/destroy metadata.
-
-    Trivial types share the bitwise copy and the no-op destroy; every
-    other type gets routines named after the type itself.
-    """
-    trivial = _is_trivial(t, table)
-    if trivial:
-        cr, dr = TRIVIAL_COPY, NOOP_DESTROY
-    else:
-        cr, dr = f"copy[{t}]", f"destroy[{t}]"
-    return TypeMetadata(t, trivial, size_bytes(t, table), cr, dr)
-
+from .types import INOUT, ArrayType, FuncType, Type
 
 # ---------------------------------------------------------------------------
 # Instructions
@@ -156,8 +85,6 @@ class MakeClosure(Instr):
     dst: int
     routine_id: str
     operands: list[int]  # captured values, declaration order
-    copy_routine: str
-    destroy_routine: str
     span: Span = NO_SPAN
 
 
@@ -270,7 +197,6 @@ class Routine:
 @dataclass
 class IRProgram:
     routines: dict[str, Routine]
-    metatypes: dict[Type, TypeMetadata]
     entry: str
     structs: dict[str, StructInfo]
 
@@ -401,19 +327,16 @@ class _RoutineBuilder:
             return t
         if isinstance(e, ArrayLit):
             assert isinstance(e.ty, ArrayType)
-            self.lowerer.register_type(e.ty)
             ops = [self.lower_value(x) for x in e.elements]
             t = self.new_slot()
             self.emit(MakeArray(t, e.ty.element, ops, e.span))
             return t
         if isinstance(e, StructInit):
-            self.lowerer.register_type(e.ty)
             ops = [self.lower_value(a) for a in e.args]
             t = self.new_slot()
             self.emit(MakeStruct(t, e.name, ops, e.span))
             return t
         if isinstance(e, Path):
-            self.lowerer.register_type(e.ty)
             t = self.new_slot()
             self.emit_path_read(e, t)
             return t
@@ -478,13 +401,8 @@ class _RoutineBuilder:
                 name = self.env_field_by_id[cap.binding_id]
                 self.emit(LoadPath(t, self.env_slot, [("field", name)], e.span))
             ops.append(t)
-        env_meta = self.lowerer.env_metatype(routine)
         dst = self.new_slot()
-        self.emit(
-            MakeClosure(
-                dst, routine.id, ops, env_meta.copy_routine, env_meta.destroy_routine, e.span
-            )
-        )
+        self.emit(MakeClosure(dst, routine.id, ops, e.span))
         return dst
 
     def lower_call(self, e: Call) -> int:
@@ -544,39 +462,12 @@ class _RoutineBuilder:
 class _Lowerer:
     def __init__(self, tp: TypedProgram):
         self.tp = tp
-        self.structs = tp.structs
         self.routines: dict[str, Routine] = {}
-        self.metatypes: dict[Type, TypeMetadata] = {}
-        self.env_types: dict[str, EnvRecordType] = {}
         self.next_fn = 0
-
-    def register_type(self, t: Type | None) -> None:
-        if t is not None and t not in self.metatypes:
-            self.metatypes[t] = synthesize_metatype(t, self.structs)
-            if isinstance(t, ArrayType):
-                self.register_type(t.element)
-            elif isinstance(t, StructType):
-                for ft in self.structs[t.name].field_types:
-                    self.register_type(ft)
-            elif isinstance(t, FuncType):
-                for _, pt in t.params:
-                    self.register_type(pt)
-                self.register_type(t.ret)
-
-    def env_metatype(self, routine: Routine) -> TypeMetadata:
-        env_ty = self.env_types[routine.id]
-        return self.metatypes[env_ty]
 
     def lower_routine(self, fl: FuncLit) -> Routine:
         rid = f"@fn{self.next_fn}"
         self.next_fn += 1
-        assert fl.captures is not None
-        env_ty = EnvRecordType(rid, tuple((c.name, c.ty) for c in fl.captures))
-        self.env_types[rid] = env_ty
-        self.metatypes[env_ty] = synthesize_metatype(env_ty, self.structs)
-        for c in fl.captures:
-            self.register_type(c.ty)
-        self.register_type(fl.ty)
         b = _RoutineBuilder(self, rid, fl)
         result = b.lower_full(fl.body)
         value_params = [
@@ -587,15 +478,11 @@ class _Lowerer:
         return routine
 
     def lower(self) -> IRProgram:
-        self.register_type(INT)
-        self.register_type(FLOAT)
-        for name in self.structs:
-            self.register_type(StructType(name))
         b = _RoutineBuilder(self, ENTRY_ID, None)
         result = b.lower_full(self.tp.program.entry)
         routine = b.finish(result, [], self.tp.program.entry.span)
         self.routines[ENTRY_ID] = routine
-        return IRProgram(self.routines, self.metatypes, ENTRY_ID, self.structs)
+        return IRProgram(self.routines, ENTRY_ID, self.tp.structs)
 
 
 def lower_program(tp: TypedProgram) -> IRProgram:
@@ -694,7 +581,7 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
     for rid, routine in ir.routines.items():
         body, _ = _elide_moves(routine.body)
         routines[rid] = routine if body is routine.body else replace(routine, body=body)
-    out = IRProgram(routines, dict(ir.metatypes), ir.entry, ir.structs)
+    out = IRProgram(routines, ir.entry, ir.structs)
     verify_linearity(out)
     return out
 
@@ -839,10 +726,7 @@ def _fmt_instr(ins: Instr) -> str:
         return f"make_struct {ins.struct_name} ({ops}) -> %{ins.dst}"
     if isinstance(ins, MakeClosure):
         ops = ", ".join(f"%{o}" for o in ins.operands)
-        return (
-            f"make_closure {ins.routine_id} ({ops}) "
-            f"c={ins.copy_routine} d={ins.destroy_routine} -> %{ins.dst}"
-        )
+        return f"make_closure {ins.routine_id} ({ops}) -> %{ins.dst}"
     if isinstance(ins, Copy):
         return f"copy %{ins.src} -> %{ins.dst}"
     if isinstance(ins, Move):

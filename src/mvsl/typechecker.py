@@ -171,12 +171,6 @@ def _collect_inline_structs(ty: Type, out: list[str]) -> None:
     # FuncType: heap environment, never inline; Int/Float: leaves.
 
 
-def check_struct_table(structs: list[StructDecl]) -> dict[str, StructDecl]:
-    """Validate struct declarations; returns name -> declaration."""
-    table = build_struct_table(structs)
-    return {name: info.decl for name, info in table.items()}
-
-
 # ---------------------------------------------------------------------------
 # Access path shapes and the static overlap relation
 
@@ -193,10 +187,6 @@ class AccessPathShape:
 
     root: int  # binding id: identity, not spelling
     steps: tuple[tuple[str, object], ...]
-
-    @property
-    def text(self) -> str:
-        raise AttributeError  # pragma: no cover - use path_text instead
 
 
 def shape_of_path(p: Path) -> AccessPathShape:

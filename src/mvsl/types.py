@@ -2,8 +2,7 @@
 
 Types are immutable and compare structurally, except StructType which
 compares by name: struct declarations are nominal, everything built on
-top of them is structural.  All variants are hashable so they can key
-metatype tables.
+top of them is structural.  All variants are hashable.
 """
 
 from __future__ import annotations

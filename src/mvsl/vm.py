@@ -47,7 +47,6 @@ from .ir import (
     Routine,
     StorePath,
 )
-from .types import Type
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -103,50 +102,39 @@ class StructVal:
 
 
 class ArrayVal:
-    """An array handle: element type plus a storage id.
+    """An array handle: a storage id.
 
     Each live handle is a distinct owner; copy-on-write rewrites
     handle.sid in place when it duplicates the block under an owner.
     """
 
-    __slots__ = ("element_type", "sid")
+    __slots__ = ("sid",)
 
-    def __init__(self, element_type: Type, sid: int):
-        self.element_type = element_type
+    def __init__(self, sid: int):
         self.sid = sid
 
 
-class ClosureRecord:
-    __slots__ = ("routine_id", "env")
-
-    def __init__(self, routine_id: str, env: StructVal):
-        self.routine_id = routine_id
-        self.env = env
-
-
 class FuncVal:
-    __slots__ = ("record",)
+    """A closure: the routine it runs plus its environment record."""
 
-    def __init__(self, record: ClosureRecord):
-        self.record = record
+    __slots__ = ("routine", "env")
+
+    def __init__(self, routine: Routine, env: StructVal):
+        self.routine = routine
+        self.env = env
 
 
 Value = object  # int | float | StructVal | ArrayVal | FuncVal
 
 
 class Block:
-    """One store entry: ⟨r, n, k, elements⟩."""
+    """One store entry: a reference count r and the elements."""
 
-    __slots__ = ("r", "element_type", "elems")
+    __slots__ = ("r", "elems")
 
-    def __init__(self, element_type: Type, elems: list):
+    def __init__(self, elems: list):
         self.r = 1
-        self.element_type = element_type
         self.elems = elems
-
-    @property
-    def n(self) -> int:
-        return len(self.elems)
 
 
 class Frame:
@@ -252,10 +240,10 @@ class VM:
 
     # -- store management ----------------------------------------------------
 
-    def alloc(self, element_type: Type, elems: list) -> int:
+    def alloc(self, elems: list) -> int:
         sid = self.next_sid
         self.next_sid += 1
-        self.store[sid] = Block(element_type, elems)
+        self.store[sid] = Block(elems)
         self.stats.allocs += 1
         return sid
 
@@ -271,18 +259,17 @@ class VM:
         if t is StructVal:
             return StructVal(v.name, [self.copy_value(f) for f in v.fields])
         if t is FuncVal:
-            rec = v.record
-            env = StructVal(rec.env.name, [self.copy_value(f) for f in rec.env.fields])
-            return FuncVal(ClosureRecord(rec.routine_id, env))
+            env = StructVal(v.env.name, [self.copy_value(f) for f in v.env.fields])
+            return FuncVal(v.routine, env)
         if t is ArrayVal:
             if self.cow:
                 self.store[v.sid].r += 1
                 self.stats.retains += 1
-                return ArrayVal(v.element_type, v.sid)
+                return ArrayVal(v.sid)
             block = self.store[v.sid]
             elems = [self.copy_value(e) for e in block.elems]
             self.stats.deep_copies += 1
-            return ArrayVal(v.element_type, self.alloc(v.element_type, elems))
+            return ArrayVal(self.alloc(elems))
         raise AssertionError(f"cannot copy {v!r}")
 
     def destroy_value(self, v: Value) -> None:
@@ -294,7 +281,7 @@ class VM:
                 self.destroy_value(f)
             return
         if t is FuncVal:
-            for f in v.record.env.fields:
+            for f in v.env.fields:
                 self.destroy_value(f)
             return
         if t is ArrayVal:
@@ -321,7 +308,7 @@ class VM:
         old.r -= 1
         self.stats.releases += 1
         elems = [self.copy_value(e) for e in old.elems]
-        handle.sid = self.alloc(handle.element_type, elems)
+        handle.sid = self.alloc(elems)
         self.stats.cow_copies += 1
         return self.store[handle.sid]
 
@@ -338,11 +325,11 @@ class VM:
     # -- frame helpers ----------------------------------------------------------
 
     def check_bounds(self, block: Block, index: int, span: Span) -> None:
-        if not 0 <= index < block.n:
+        if not 0 <= index < len(block.elems):
             raise RuntimeTrap(
                 span,
                 INDEX_OUT_OF_BOUNDS,
-                f"index {index} out of bounds for array of {block.n} elements",
+                f"index {index} out of bounds for array of {len(block.elems)} elements",
             )
 
     # -- path navigation ---------------------------------------------------------
@@ -494,9 +481,7 @@ class VM:
         assert type(fn) is FuncVal
         args = _take_all(slots, ins.args)
         locations = _take_all(slots, ins.locations)
-        record = fn.record
-        routine = self.ir.routines[record.routine_id]
-        result = self.execute_routine(routine, args, locations, record.env)
+        result = self.execute_routine(fn.routine, args, locations, fn.env)
         if owned is not None:
             self.destroy_value(owned)
         slots[ins.dst] = result
@@ -571,10 +556,10 @@ class VM:
                 slots[ins.dst] = ins.value
             elif t is MakeArray:
                 elems = _take_all(slots, ins.operands)
-                slots[ins.dst] = ArrayVal(ins.element_type, self.alloc(ins.element_type, elems))
+                slots[ins.dst] = ArrayVal(self.alloc(elems))
             elif t is MakeClosure:
                 env = StructVal(f"env.{ins.routine_id}", _take_all(slots, ins.operands))
-                slots[ins.dst] = FuncVal(ClosureRecord(ins.routine_id, env))
+                slots[ins.dst] = FuncVal(self.ir.routines[ins.routine_id], env)
             elif t is MakeStruct:
                 slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
             elif t is OverlapCheck:
@@ -600,7 +585,7 @@ class VM:
                 for f in v.fields:
                     walk(f)
             elif t is FuncVal:
-                walk(v.record.env)
+                walk(v.env)
 
         for frame in self.frames:
             for v in frame.slots:

@@ -106,7 +106,7 @@ def test_run_syntax_error_exit_1(capsys, tmp_path):
     assert code == 1 and "error[" in err
 
 
-def test_dump_modes(capsys, pair_file):
+def test_dump_modes(capsys, pair_file, tmp_path):
     code, ast_out, _ = run_cli(capsys, "run", pair_file, "--dump=ast")
     assert code == 0 and "struct Pair" in ast_out
     code, ir_out, _ = run_cli(capsys, "run", pair_file, "--dump=ir")
@@ -114,6 +114,11 @@ def test_dump_modes(capsys, pair_file):
     code, ty_out, _ = run_cli(capsys, "run", pair_file, "--dump=types")
     assert code == 0
     assert "p: Pair" in ty_out and "result: Pair" in ty_out
+    # an assignment in the chain does not end the list of bindings
+    chain = tmp_path / "chain.mvs"
+    chain.write_text("var x: Int = 1 in x = 2 in var y: Float = 3.0 in y\n")
+    code, ty_out, _ = run_cli(capsys, "run", str(chain), "--dump=types")
+    assert code == 0 and ty_out == "x: Int\ny: Float\nresult: Float\n"
 
 
 def test_dump_does_not_execute(capsys, trap_file):

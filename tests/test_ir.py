@@ -1,4 +1,3 @@
-import random
 import re
 
 import pytest
@@ -8,15 +7,11 @@ from mvsl import ir as ir_module
 from mvsl.diagnostics import ParseError, TypeCheckError
 from mvsl.ir import (
     ENTRY_ID,
-    NOOP_DESTROY,
-    TRIVIAL_COPY,
     CallInstr,
     CondBr,
     Copy,
     Destroy,
-    EnvRecordType,
     IRProgram,
-    MakeClosure,
     MakeInt,
     Move,
     OverlapCheck,
@@ -25,19 +20,13 @@ from mvsl.ir import (
     Routine,
     apply_move_optimization,
     lower_program,
-    size_bytes,
-    synthesize_metatype,
     verify_linearity,
 )
-from mvsl.types import FLOAT, INT, ArrayType, FuncType, StructType
+from mvsl.types import INT
 
 from conftest import corpus_sources, lower_source
 
 PAIR = "struct Pair { var fs: Int; var sn: Int } in "
-
-
-def table_of(source):
-    return check_program(parse_source(source)).structs
 
 
 def walk(block):
@@ -53,75 +42,6 @@ def all_instrs(ir):
         yield from walk(r.body)
 
 
-# -- metatypes ----------------------------------------------------------------
-
-
-def test_builtin_metatypes():
-    m = synthesize_metatype(INT, {})
-    assert m.trivial and m.size_bytes == 8
-    assert m.copy_routine == TRIVIAL_COPY and m.destroy_routine == NOOP_DESTROY
-    assert synthesize_metatype(FLOAT, {}).size_bytes == 8
-
-
-def test_pair_is_trivial_16_bytes():
-    table = table_of(PAIR + "0")
-    m = synthesize_metatype(StructType("Pair"), table)
-    assert m.trivial and m.size_bytes == 16
-
-
-def test_array_is_not_trivial():
-    m = synthesize_metatype(ArrayType(INT), {})
-    assert not m.trivial
-    assert m.copy_routine != TRIVIAL_COPY and m.destroy_routine != NOOP_DESTROY
-    # handle-sized cell regardless of element type
-    assert m.size_bytes == synthesize_metatype(ArrayType(ArrayType(INT)), {}).size_bytes
-
-
-def test_struct_with_array_field_not_trivial():
-    table = table_of("struct Boxed { var xs: [Int]; var n: Int } in 0")
-    m = synthesize_metatype(StructType("Boxed"), table)
-    assert not m.trivial
-    assert m.size_bytes == 16  # one handle cell + one Int
-
-
-def test_func_not_trivial():
-    m = synthesize_metatype(FuncType((), INT), {})
-    assert not m.trivial
-
-
-def test_metatype_deterministic():
-    table = table_of(PAIR + "0")
-    t = ArrayType(StructType("Pair"))
-    assert synthesize_metatype(t, table) == synthesize_metatype(t, table)
-
-
-def brute_trivial(t, table):
-    if t in (INT, FLOAT):
-        return True
-    if isinstance(t, StructType):
-        info = table[t.name]
-        return all(brute_trivial(ft, table) for ft in info.field_types)
-    return False  # arrays, functions, env records
-
-
-def test_triviality_matches_brute_force():
-    rng = random.Random(11)
-    for seed in range(80):
-        tp = check_program(generate_program(GenConfig(seed, size_budget=30, struct_count=3)))
-        table = tp.structs
-        pool = [INT, FLOAT, ArrayType(INT), FuncType((), INT)]
-        pool += [StructType(n) for n in table]
-        pool += [ArrayType(StructType(n)) for n in table]
-        for t in pool:
-            assert synthesize_metatype(t, table).trivial == brute_trivial(t, table), t
-
-
-def test_size_is_sum_of_field_sizes():
-    table = table_of("struct A { var x: Int; var y: Float } in struct B { var a: A; var z: Int } in 0")
-    assert size_bytes(StructType("A"), table) == 16
-    assert size_bytes(StructType("B"), table) == 24
-
-
 # -- lowering shape -----------------------------------------------------------
 
 
@@ -132,7 +52,7 @@ def test_closure_lowering_synthesizes_one_routine():
     assert len(fns) == 1
     assert fns[0].env_fields == [("foo", INT)]
     # the env parameter is the routine's first parameter
-    assert fns[0].params[0][1] is None or isinstance(fns[0].params[0][1], EnvRecordType)
+    assert fns[0].params[0] == ("env", None)
 
 
 def test_copy_then_destroy_for_binding():
@@ -182,24 +102,6 @@ def test_wildcard_lowers_to_evaluate_then_destroy():
     # the wildcard's value is copied (or later moved) and then destroyed
     # without ever being stored to a named slot
     assert any(isinstance(i, Destroy) for i in body)
-
-
-def test_makeclosure_routines_match_env_metatype():
-    for seed in (1, 5, 9, 23):
-        ir = lower_program(
-            check_program(generate_program(GenConfig(seed, size_budget=45)))
-        )
-        env_types = {
-            t.routine_id: m for t, m in ir.metatypes.items() if isinstance(t, EnvRecordType)
-        }
-        seen = 0
-        for ins in all_instrs(ir):
-            if isinstance(ins, MakeClosure):
-                meta = env_types[ins.routine_id]
-                assert ins.copy_routine == meta.copy_routine
-                assert ins.destroy_routine == meta.destroy_routine
-                seen += 1
-        assert seen or not env_types
 
 
 # -- move optimization ----------------------------------------------------------
@@ -306,7 +208,7 @@ def test_optimization_leaves_base_alone_and_shares_it():
 
 def single_routine(body, n_slots):
     routine = Routine(ENTRY_ID, [], body, n_slots)
-    return IRProgram({ENTRY_ID: routine}, {}, ENTRY_ID, {})
+    return IRProgram({ENTRY_ID: routine}, ENTRY_ID, {})
 
 
 def copy_chain(n):

@@ -16,7 +16,6 @@ from mvsl import (
 )
 from mvsl import vm as vm_module
 from mvsl.ir import apply_move_optimization, lower_program
-from mvsl.types import INT
 from mvsl.vm import VM, ArrayVal, Location, StructVal, check_dynamic_overlap, format_value
 
 from conftest import corpus_sources, lower_source, run_source
@@ -33,8 +32,8 @@ def fresh_vm(cow=True):
 
 def test_copy_retains_under_cow():
     vm = fresh_vm(cow=True)
-    sid = vm.alloc(INT, [1, 2])
-    a = ArrayVal(INT, sid)
+    sid = vm.alloc([1, 2])
+    a = ArrayVal(sid)
     b = vm.copy_value(a)
     assert b.sid == sid
     assert vm.store[sid].r == 2
@@ -48,7 +47,7 @@ def test_copy_retains_under_cow():
 
 def test_copy_duplicates_without_cow():
     vm = fresh_vm(cow=False)
-    a = ArrayVal(INT, vm.alloc(INT, [1, 2]))
+    a = ArrayVal(vm.alloc([1, 2]))
     b = vm.copy_value(a)
     assert b.sid != a.sid
     assert vm.store[a.sid].r == vm.store[b.sid].r == 1
@@ -60,8 +59,8 @@ def test_copy_duplicates_without_cow():
 
 def test_nested_destroy_releases_inner_blocks():
     vm = fresh_vm()
-    inner = ArrayVal(INT, vm.alloc(INT, [7]))
-    outer = ArrayVal(None, vm.alloc(None, [inner]))
+    inner = ArrayVal(vm.alloc([7]))
+    outer = ArrayVal(vm.alloc([inner]))
     vm.destroy_value(outer)
     assert not vm.store
     assert vm.stats.frees == 2
