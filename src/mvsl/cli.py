@@ -4,7 +4,7 @@ Three commands over one source file:
 
     mvsl run FILE [--stats] [--no-move-opt] [--no-cow] [--oracle] [--dump=ast|ir|types]
     mvsl check FILE
-    mvsl diff [FILE] [--seed=N] [--trials=N]
+    mvsl diff FILE | mvsl diff [--seed=N] [--trials=N]
 
 `run` prints the program's formatted final value, and nothing else, on
 stdout; stats and diagnostics go to stderr so output stays scriptable.
@@ -88,6 +88,8 @@ def _dump_types(program: Program) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.oracle and (args.dump == "ir" or args.no_cow or args.no_move_opt):
+        raise UsageError("--oracle runs no IR: it takes no --dump=ir, --no-cow or --no-move-opt")
     source = _read(args.input)
     try:
         program = parse_source(source)
@@ -134,6 +136,8 @@ def _cmd_check(args) -> int:
 def _cmd_diff(args) -> int:
     reports = []
     if args.seed is not None or args.trials is not None:
+        if args.input is not None:
+            raise UsageError("diff takes a file or --seed/--trials, not both")
         seed = args.seed if args.seed is not None else 0
         trials = args.trials if args.trials is not None else 1
         if trials < 1:

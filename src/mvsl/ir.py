@@ -496,30 +496,35 @@ def lower_program(tp: TypedProgram) -> IRProgram:
 # Move optimization
 
 
-def _reads(ins: Instr) -> list[int]:
-    """Slots ins reads or consumes, one entry per operand; definitions
-    and the instructions of nested blocks are excluded."""
-    if isinstance(ins, (Copy, Move)):
-        return [ins.src]
-    if isinstance(ins, Destroy):
-        return [ins.slot]
-    if isinstance(ins, (MakeArray, MakeStruct, MakeClosure)):
-        return ins.operands
-    if isinstance(ins, (LoadPath, ResolveLocation)):
-        return [ins.base, *(v for kind, v in ins.steps if kind == "index")]
-    if isinstance(ins, StorePath):
-        return [ins.base, ins.value, *(v for kind, v in ins.steps if kind == "index")]
-    if isinstance(ins, OverlapCheck):
-        return [ins.a, ins.b]
-    if isinstance(ins, CallInstr):
-        return [ins.callee, *ins.args, *ins.locations]
-    if isinstance(ins, BinaryInstr):
-        return [ins.lhs, ins.rhs]
-    if isinstance(ins, CondBr):
-        return [ins.cond]
-    if isinstance(ins, Return):
-        return [ins.slot]
-    return []  # MakeInt, MakeFloat
+def _operands(ins: Instr) -> tuple[list[int], list[int], int | None]:
+    """The slots ins only reads, the slots it consumes, and the slot it
+    produces (or None); the instructions of nested blocks are excluded."""
+    t = type(ins)
+    if t is Copy:
+        return [ins.src], [], ins.dst
+    if t is Move:
+        return [], [ins.src], ins.dst
+    if t is Destroy:
+        return [], [ins.slot], None
+    if t is MakeInt or t is MakeFloat:
+        return [], [], ins.dst
+    if t is MakeArray or t is MakeStruct or t is MakeClosure:
+        return [], ins.operands, ins.dst
+    if t is LoadPath or t is ResolveLocation:
+        return [ins.base], [v for kind, v in ins.steps if kind == "index"], ins.dst
+    if t is StorePath:
+        return [ins.base], [*(v for kind, v in ins.steps if kind == "index"), ins.value], None
+    if t is OverlapCheck:
+        return [ins.a, ins.b], [], None
+    if t is CallInstr:
+        return [], [ins.callee, *ins.args, *ins.locations], ins.dst
+    if t is BinaryInstr:
+        return [], [ins.lhs, ins.rhs], ins.dst
+    if t is CondBr:
+        return [], [ins.cond], None
+    if t is Return:
+        return [], [ins.slot], None
+    raise AssertionError(f"unknown instruction {ins!r}")
 
 
 # The value of a slot in _elide_moves's map when its later uses are not
@@ -557,7 +562,8 @@ def _elide_moves(block: list[Instr]) -> tuple[list[Instr], dict[int, int]]:
                 later[slot] = _USED_ELSEWHERE
             if then_block is not ins.then_block or else_block is not ins.else_block:
                 branches[i] = replace(ins, then_block=then_block, else_block=else_block)
-        for slot in _reads(ins):
+        reads, consumes, _ = _operands(ins)
+        for slot in (*reads, *consumes):
             later[slot] = _USED_ELSEWHERE
     if not moves and not branches:
         return block, later
@@ -619,69 +625,22 @@ def verify_linearity(ir: IRProgram) -> None:
 
 
 def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool) -> None:
-    def produce(ins: Instr, slot: int) -> None:
-        if state.get(slot, _EMPTY) != _EMPTY:
-            raise _lin_fail(rid, ins, f"slot {slot} already live")
-        state[slot] = _OWNED
-
-    def consume(ins: Instr, slot: int) -> None:
-        if state.get(slot, _EMPTY) != _OWNED:
-            raise _lin_fail(rid, ins, f"slot {slot} not owned")
-        state[slot] = _EMPTY
-
-    def read(ins: Instr, slot: int) -> None:
-        if state.get(slot, _EMPTY) not in (_OWNED, _LOC, _ENV):
-            raise _lin_fail(rid, ins, f"slot {slot} not readable")
-
     for idx, ins in enumerate(block):
-        if isinstance(ins, (MakeInt, MakeFloat)):
-            produce(ins, ins.dst)
-        elif isinstance(ins, (MakeArray, MakeStruct, MakeClosure)):
-            for op in ins.operands:
-                consume(ins, op)
-            produce(ins, ins.dst)
-        elif isinstance(ins, Copy):
-            read(ins, ins.src)
-            produce(ins, ins.dst)
-        elif isinstance(ins, Move):
-            consume(ins, ins.src)
-            produce(ins, ins.dst)
-        elif isinstance(ins, Destroy):
-            consume(ins, ins.slot)
-        elif isinstance(ins, LoadPath):
-            read(ins, ins.base)
-            for kind, v in ins.steps:
-                if kind == "index":
-                    consume(ins, v)  # type: ignore[arg-type]
-            produce(ins, ins.dst)
-        elif isinstance(ins, StorePath):
-            read(ins, ins.base)
-            for kind, v in ins.steps:
-                if kind == "index":
-                    consume(ins, v)  # type: ignore[arg-type]
-            consume(ins, ins.value)
-        elif isinstance(ins, ResolveLocation):
-            read(ins, ins.base)
-            for kind, v in ins.steps:
-                if kind == "index":
-                    consume(ins, v)  # type: ignore[arg-type]
-            produce(ins, ins.dst)
-        elif isinstance(ins, OverlapCheck):
-            read(ins, ins.a)
-            read(ins, ins.b)
-        elif isinstance(ins, CallInstr):
-            consume(ins, ins.callee)
-            for a in ins.args:
-                consume(ins, a)
-            for l in ins.locations:
-                consume(ins, l)
-            produce(ins, ins.dst)
-        elif isinstance(ins, BinaryInstr):
-            consume(ins, ins.lhs)
-            consume(ins, ins.rhs)
-            produce(ins, ins.dst)
-        elif isinstance(ins, CondBr):
-            consume(ins, ins.cond)
+        if type(ins) is Return and (not top or idx != len(block) - 1):
+            raise _lin_fail(rid, ins, "Return must end the routine body")
+        reads, consumes, dst = _operands(ins)
+        for slot in reads:
+            if state.get(slot, _EMPTY) not in (_OWNED, _LOC, _ENV):
+                raise _lin_fail(rid, ins, f"slot {slot} not readable")
+        for slot in consumes:
+            if state.get(slot, _EMPTY) != _OWNED:
+                raise _lin_fail(rid, ins, f"slot {slot} not owned")
+            state[slot] = _EMPTY
+        if dst is not None:
+            if state.get(dst, _EMPTY) != _EMPTY:
+                raise _lin_fail(rid, ins, f"slot {dst} already live")
+            state[dst] = _OWNED
+        if type(ins) is CondBr:
             then_state = dict(state)
             else_state = dict(state)
             _verify_block(rid, ins.then_block, then_state, top=False)
@@ -692,12 +651,6 @@ def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool
                 raise _lin_fail(rid, ins, "branch end states differ")
             state.clear()
             state.update(live_then)
-        elif isinstance(ins, Return):
-            if not top or idx != len(block) - 1:
-                raise _lin_fail(rid, ins, "Return must end the routine body")
-            consume(ins, ins.slot)
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown instruction {ins!r}")
     if top and (not block or not isinstance(block[-1], Return)):
         raise _LinearityError(f"linearity violation in {rid}: body must end with Return")
 

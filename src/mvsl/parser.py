@@ -270,23 +270,27 @@ class _Parser:
                 return e
             if t.lexeme == "(":
                 e = self.call(e)
-            elif t.lexeme == ".":
+            elif t.lexeme == "." or t.lexeme == "[":
                 if not isinstance(e, Path):
-                    raise ParseError(t.span, "field access requires a path")
-                self.advance()
-                name_tok = self.expect(TokenKind.IDENT, None, "field name")
-                e.accessors.append(FieldAcc(name_tok.lexeme, t.span.merge(name_tok.span)))
-                e.span = e.span.merge(name_tok.span)
-            elif t.lexeme == "[":
-                if not isinstance(e, Path):
-                    raise ParseError(t.span, "indexing requires a path")
-                self.advance()
-                idx = self.operand()
-                end = self.expect(TokenKind.PUNCT, "]", "']'").span
-                e.accessors.append(IndexAcc(idx, idx.span.merge(end)))
-                e.span = e.span.merge(end)
+                    what = "field access" if t.lexeme == "." else "indexing"
+                    raise ParseError(t.span, f"{what} requires a path")
+                self.accessor(e)
             else:
                 return e
+
+    def accessor(self, p: Path) -> None:
+        """Parse one `.name` or `[operand]` accessor, at its '.' or '[',
+        onto the end of p."""
+        t = self.advance()
+        if t.lexeme == ".":
+            name_tok = self.expect(TokenKind.IDENT, None, "field name")
+            p.accessors.append(FieldAcc(name_tok.lexeme, t.span.merge(name_tok.span)))
+            p.span = p.span.merge(name_tok.span)
+        else:
+            idx = self.operand()
+            end = self.expect(TokenKind.PUNCT, "]", "']'").span
+            p.accessors.append(IndexAcc(idx, idx.span.merge(end)))
+            p.span = p.span.merge(end)
 
     def call(self, callee: Expr) -> Expr:
         self.expect(TokenKind.PUNCT, "(", "'('")
@@ -322,20 +326,9 @@ class _Parser:
             raise self.fail("a path after '&'")
         self.advance()
         p = Path(root.lexeme, [], root.span)
-        while True:
-            if self.at(TokenKind.PUNCT, "."):
-                dot = self.advance()
-                name_tok = self.expect(TokenKind.IDENT, None, "field name")
-                p.accessors.append(FieldAcc(name_tok.lexeme, dot.span.merge(name_tok.span)))
-                p.span = p.span.merge(name_tok.span)
-            elif self.at(TokenKind.PUNCT, "["):
-                self.advance()
-                idx = self.operand()
-                end = self.expect(TokenKind.PUNCT, "]", "']'").span
-                p.accessors.append(IndexAcc(idx, idx.span.merge(end)))
-                p.span = p.span.merge(end)
-            else:
-                return p
+        while self.at(TokenKind.PUNCT, ".") or self.at(TokenKind.PUNCT, "["):
+            self.accessor(p)
+        return p
 
     def primary(self) -> Expr:
         t = self.tok

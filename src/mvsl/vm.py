@@ -9,11 +9,12 @@ shared.  With cow off every copy is a deep copy, so blocks are never
 shared and the counters expose exactly what each strategy costs.
 
 inout arguments travel as Locations: a trail of frame-slot, field, and
-array-element hops, never a machine address.  Resolution applies
-prepare_mutation along the path, so a callee always writes
-uniquely-referenced storage; overlap between two locations of one call
-is the trail-prefix relation, checked dynamically for pairs the type
-checker could not decide.
+array-element hops, never a machine address.  One walker, VM._place,
+follows both a Location's trail and an instruction's path steps; a
+resolution duplicates every shared block along the path, so a callee
+always writes uniquely-referenced storage.  Overlap between two
+locations of one call is the trail-prefix relation, checked dynamically
+for pairs the type checker could not decide.
 """
 
 from __future__ import annotations
@@ -332,137 +333,88 @@ class VM:
                 f"index {index} out of bounds for array of {len(block.elems)} elements",
             )
 
-    # -- path navigation ---------------------------------------------------------
+    # -- places -------------------------------------------------------------------
 
-    def _loc_place(self, trail: tuple, span: Span, prepare: bool, out: list | None = None):
-        """Walk a location's trail to (container, index).
+    def _place(self, frame: Frame, base: int, steps, span: Span, prepare: bool, trail=None):
+        """Walk from frame slot base through the IR steps to (container,
+        index): the place lives at container[index], a frame-slot list,
+        struct field list or block element list.
 
-        container is a frame-slot list, struct field list, or block
-        element list; the value lives at container[index].  With
-        prepare=True, shared blocks crossed by the trail are duplicated,
-        which is prepare_mutation; out, when given, receives the trail
-        rewritten to the duplicated blocks.
+        A base slot holding a Location is walked through its trail
+        first.  ("index", slot) steps consume their slot.  With
+        prepare=True a shared block crossed on the way is duplicated, so
+        the place can be written.  trail, when given, receives the hops
+        walked, each element hop naming the storage id it reached.
         """
-        hop = trail[0]
-        assert hop[0] == "slot"
-        container: list = hop[1].slots
-        index = hop[2]
-        if out is not None:
-            out.append(hop)
-        for hop in trail[1:]:
+        slots = frame.slots
+        container, index = slots, base
+        hops = steps
+        cur = slots[base]
+        if type(cur) is Location:
+            head = cur.trail[0]
+            assert head[0] == "slot"
+            container, index = head[1].slots, head[2]
+            hops = (*cur.trail[1:], *steps)
+        else:
+            head = ("slot", frame, base)
+        if trail is not None:
+            trail.append(head)
+        for hop in hops:
             cur = container[index]
-            if hop[0] == "field":
+            kind = hop[0]
+            if kind == "field":
                 assert type(cur) is StructVal
                 container = cur.fields
                 index = self.field_slots[cur.name][hop[1]]
-                if out is not None:
-                    out.append(hop)
+                if trail is not None:
+                    trail.append(hop)
+                continue
+            if kind == "index":
+                index = slots[hop[1]]
+                slots[hop[1]] = None
+                assert type(index) is int
+                assert type(cur) is ArrayVal
             else:
                 assert type(cur) is ArrayVal and cur.sid == hop[1], (
                     "stale location: storage replaced during argument evaluation"
                 )
-                block = self.store[cur.sid]
-                if prepare and block.r > 1:
-                    block = self.cow_dup(cur)
-                self.check_bounds(block, hop[2], span)
-                container = block.elems
                 index = hop[2]
-                if out is not None:
-                    out.append(("elem", cur.sid, index))
-        return container, index
-
-    def _walk_steps(self, frame: Frame, cur: Value, steps, span: Span, prepare: bool, trail=None):
-        """Walk path steps from a value; consumes index slots.
-
-        Returns (container, index) of the final place when the walk is
-        rooted in a container, plus the extended trail when requested.
-        Used by loads (prepare=False), stores and resolutions
-        (prepare=True).
-        """
-        slots = frame.slots
-        container = None
-        index = None
-        for kind, v in steps:
-            if container is not None:
-                cur = container[index]
-            if kind == "field":
-                assert type(cur) is StructVal
-                container = cur.fields
-                index = self.field_slots[cur.name][v]
-                if trail is not None:
-                    trail.append(("field", v))
-            else:
-                i = slots[v]
-                slots[v] = None
-                assert type(i) is int
-                assert type(cur) is ArrayVal
-                block = self.store[cur.sid]
-                if prepare and block.r > 1:
-                    block = self.cow_dup(cur)
-                self.check_bounds(block, i, span)
-                container = block.elems
-                index = i
-                if trail is not None:
-                    trail.append(("elem", cur.sid, i))
+            block = self.store[cur.sid]
+            if prepare and block.r > 1:
+                block = self.cow_dup(cur)
+            self.check_bounds(block, index, span)
+            container = block.elems
+            if trail is not None:
+                trail.append(("elem", cur.sid, index))
         return container, index
 
     # -- instruction execution ------------------------------------------------
 
     def exec_load(self, frame: Frame, ins: LoadPath) -> None:
-        cur = frame.slots[ins.base]
-        if type(cur) is Location:
-            container, index = self._loc_place(cur.trail, ins.span, prepare=False)
-            cur = container[index]
-        if ins.steps:
-            container, index = self._walk_steps(frame, cur, ins.steps, ins.span, prepare=False)
-            cur = container[index]
-        frame.slots[ins.dst] = self.copy_value(cur)
+        container, index = self._place(frame, ins.base, ins.steps, ins.span, prepare=False)
+        frame.slots[ins.dst] = self.copy_value(container[index])
 
     def exec_store(self, frame: Frame, ins: StorePath) -> None:
         slots = frame.slots
         value = slots[ins.value]
         slots[ins.value] = None
-        base = slots[ins.base]
-        if type(base) is Location:
-            container, index = self._loc_place(base.trail, ins.span, prepare=True)
-            if ins.steps:
-                container, index = self._walk_steps(
-                    frame, container[index], ins.steps, ins.span, prepare=True
-                )
-        else:
-            if self.debug:
-                assert ins.base not in frame.routine.immutable_slots, (
-                    "write through an immutable binding"
-                )
-            if not ins.steps:
-                container, index = slots, ins.base
-            else:
-                container, index = self._walk_steps(
-                    frame, base, ins.steps, ins.span, prepare=True
-                )
+        if self.debug and type(slots[ins.base]) is not Location:
+            assert ins.base not in frame.routine.immutable_slots, (
+                "write through an immutable binding"
+            )
+        container, index = self._place(frame, ins.base, ins.steps, ins.span, prepare=True)
         old = container[index]
         container[index] = value
         self.destroy_value(old)
 
     def exec_resolve(self, frame: Frame, ins: ResolveLocation) -> None:
-        slots = frame.slots
-        cur = slots[ins.base]
-        trail: list = []
-        if type(cur) is Location:
-            container, index = self._loc_place(cur.trail, ins.span, prepare=True, out=trail)
-            cur = container[index]
-        else:
-            if self.debug and not ins.borrow:
-                assert ins.base not in frame.routine.immutable_slots, (
-                    "inout resolution of an immutable binding"
-                )
-            trail.append(("slot", frame, ins.base))
-            container, index = slots, ins.base
-        if ins.steps:
-            container, index = self._walk_steps(
-                frame, cur, ins.steps, ins.span, prepare=True, trail=trail
+        if self.debug and not ins.borrow and type(frame.slots[ins.base]) is not Location:
+            assert ins.base not in frame.routine.immutable_slots, (
+                "inout resolution of an immutable binding"
             )
-        slots[ins.dst] = Location(tuple(trail), container, index)
+        trail: list = []
+        container, index = self._place(frame, ins.base, ins.steps, ins.span, True, trail)
+        frame.slots[ins.dst] = Location(tuple(trail), container, index)
 
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
         slots = frame.slots

@@ -204,6 +204,25 @@ def test_usage_errors_exit_4(capsys, argv):
     assert "usage" in err.lower() or "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["diff", "{file}", "--seed=1"],
+        ["diff", "{file}", "--trials=2"],
+        ["diff", "nonexistent.mvs", "--seed=0"],
+        ["run", "{file}", "--oracle", "--dump=ir"],
+        ["run", "{file}", "--oracle", "--no-cow"],
+        ["run", "{file}", "--oracle", "--no-move-opt"],
+    ],
+    ids=["diff-seed", "diff-trials", "diff-missing-seed", "oracle-dump-ir", "oracle-no-cow",
+         "oracle-no-move-opt"],
+)
+def test_ignored_option_combinations_are_usage_errors(capsys, pair_file, flags):
+    code, out, err = run_cli(capsys, *(f.format(file=pair_file) for f in flags))
+    assert code == 4 and out == ""
+    assert err.startswith("usage error: ")
+
+
 @pytest.mark.parametrize("command", ["run", "check", "diff"])
 def test_undecodable_input_is_usage_error(tmp_path, command):
     f = tmp_path / "bytes.mvs"

@@ -12,12 +12,16 @@ from mvsl.ir import (
     Copy,
     Destroy,
     IRProgram,
+    LoadPath,
     MakeInt,
+    MakeStruct,
     Move,
     OverlapCheck,
+    P_INOUT,
     ResolveLocation,
     Return,
     Routine,
+    StorePath,
     apply_move_optimization,
     lower_program,
     verify_linearity,
@@ -222,14 +226,14 @@ def copy_chain(n):
 
 def test_move_elision_work_is_linear(monkeypatch):
     calls = 0
-    reads = ir_module._reads
+    operands = ir_module._operands
 
     def counted(ins):
         nonlocal calls
         calls += 1
-        return reads(ins)
+        return operands(ins)
 
-    monkeypatch.setattr(ir_module, "_reads", counted)
+    monkeypatch.setattr(ir_module, "_operands", counted)
     work = {}
     for n in (500, 1000):
         calls = 0
@@ -307,6 +311,48 @@ def test_linearity_on_corpus_and_generated():
         )
         verify_linearity(base)
         verify_linearity(apply_move_optimization(base))
+
+
+
+@pytest.mark.parametrize(
+    "params, body, message",
+    [
+        ([], [MakeInt(0, 0), MakeInt(0, 1), Return(0)], "slot 0 already live"),
+        ([], [MakeInt(0, 0), Destroy(0), Destroy(0)], "slot 0 not owned"),
+        # an inout parameter is a location the routine does not own
+        ([(P_INOUT, INT)], [Destroy(0), MakeInt(1, 0), Return(1)], "slot 0 not owned"),
+        ([], [Copy(1, 0), Return(1)], "slot 0 not readable"),
+        # a path's base is read before its index slots are consumed
+        ([], [StorePath(0, [("index", 1)], 2)], "slot 0 not readable"),
+        ([], [MakeInt(0, 0), LoadPath(2, 0, [("index", 1)])], "slot 1 not owned"),
+        ([], [MakeInt(0, 0), MakeInt(1, 1), Return(1)], "slot 0 leaks at exit"),
+        (
+            [],
+            [MakeInt(0, 0), MakeInt(1, 1), CondBr(1, [Destroy(0)], []), Return(0)],
+            "branch end states differ",
+        ),
+        ([], [MakeInt(0, 0), Return(0), MakeInt(1, 1)], "Return must end the routine body"),
+        (
+            [],
+            [MakeInt(0, 0), MakeInt(1, 1), CondBr(1, [Return(0)], [Destroy(0)])],
+            "Return must end the routine body",
+        ),
+        ([], [MakeInt(0, 0), Destroy(0)], "body must end with Return"),
+        ([], [], "body must end with Return"),
+    ],
+)
+def test_linearity_rejections(params, body, message):
+    routine = Routine(ENTRY_ID, params, body, 4)
+    with pytest.raises(AssertionError) as e:
+        verify_linearity(IRProgram({ENTRY_ID: routine}, ENTRY_ID, {}))
+    text = str(e.value)
+    assert text.startswith(f"linearity violation in {ENTRY_ID}")
+    assert text.endswith(f": {message}")
+
+
+def test_linearity_consumes_operands_before_producing():
+    # The struct's only operand is its own destination slot.
+    verify_linearity(single_routine([MakeInt(0, 0), MakeStruct(0, "S", [0]), Return(0)], 1))
 
 
 # -- dump -----------------------------------------------------------------------

@@ -15,7 +15,25 @@ from mvsl import (
     serialize_array_layout,
 )
 from mvsl import vm as vm_module
-from mvsl.ir import apply_move_optimization, lower_program
+from mvsl.ir import (
+    ENTRY_ID,
+    P_ENV,
+    P_INOUT,
+    CallInstr,
+    Destroy,
+    IRProgram,
+    LoadPath,
+    MakeArray,
+    MakeClosure,
+    MakeInt,
+    ResolveLocation,
+    Return,
+    Routine,
+    StorePath,
+    apply_move_optimization,
+    lower_program,
+)
+from mvsl.types import INT
 from mvsl.vm import VM, ArrayVal, Location, StructVal, check_dynamic_overlap, format_value
 
 from conftest import corpus_sources, lower_source, run_source
@@ -399,3 +417,86 @@ def test_dispatch_uses_exact_types(monkeypatch):
     out, _ = execute(ir)
     assert out == "987"
     assert calls <= 50_000
+
+
+# -- place checks on hand-built IR ---------------------------------------------------
+
+
+def hand_ir(body, n_slots, immutable=(), routines=()):
+    entry = Routine(ENTRY_ID, [], body, n_slots, immutable_slots=frozenset(immutable))
+    return IRProgram({ENTRY_ID: entry, **{r.id: r for r in routines}}, ENTRY_ID, {})
+
+
+def test_store_through_immutable_binding():
+    body = [MakeInt(0, 1), MakeInt(1, 2), StorePath(0, [], 1), Return(0)]
+    with pytest.raises(AssertionError, match="write through an immutable binding"):
+        execute(hand_ir(body, 2, immutable={0}), debug=True)
+    assert execute(hand_ir(body, 2, immutable={0}), debug=False)[0] == "2"
+
+
+# An inout callee that returns its argument's value.
+READ_INOUT = Routine(
+    "@fn0", [(P_ENV, None), (P_INOUT, INT)], [LoadPath(2, 1, []), Return(2)], 3, env_fields=[]
+)
+
+
+def resolve_and_call(base, borrow=False):
+    """%0 = 5; %1 = &%base; call a routine that reads through it."""
+    return [
+        MakeInt(0, 5),
+        ResolveLocation(1, base, [], borrow=borrow),
+        MakeClosure(2, "@fn0", []),
+        CallInstr(3, 2, [], [1]),
+        Destroy(0),
+        Return(3),
+    ]
+
+
+def test_resolution_of_immutable_binding():
+    ir = hand_ir(resolve_and_call(0), 4, immutable={0}, routines=[READ_INOUT])
+    with pytest.raises(AssertionError, match="inout resolution of an immutable binding"):
+        execute(ir, debug=True)
+    assert execute(ir, debug=False)[0] == "5"
+    borrowed = hand_ir(resolve_and_call(0, borrow=True), 4, immutable={0}, routines=[READ_INOUT])
+    assert execute(borrowed, debug=True)[0] == "5"
+
+
+def test_immutability_checks_skip_location_bases():
+    # The callee stores through, and resolves, an inout parameter whose
+    # slot is marked immutable: both checks apply only to owned bases.
+    body = [
+        MakeInt(2, 6),
+        StorePath(1, [], 2),
+        ResolveLocation(3, 1, []),
+        LoadPath(4, 3, []),
+        Return(4),
+    ]
+    callee = Routine(
+        "@fn0", [(P_ENV, None), (P_INOUT, INT)], body, 5, env_fields=[],
+        immutable_slots=frozenset({1}),
+    )
+    ir = hand_ir(resolve_and_call(0), 4, routines=[callee])
+    assert execute(ir, debug=True)[0] == "6"
+
+
+# %3 locates %1[0]; then %1 is replaced by a new array.
+STALE_PREFIX = [
+    MakeInt(0, 7),
+    MakeArray(1, INT, [0]),
+    MakeInt(2, 0),
+    ResolveLocation(3, 1, [("index", 2)]),
+    MakeInt(4, 8),
+    MakeArray(5, INT, [4]),
+    StorePath(1, [], 5),
+    MakeInt(6, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "use",
+    [LoadPath(7, 3, []), StorePath(3, [], 6), ResolveLocation(7, 3, [])],
+    ids=["load", "store", "resolve"],
+)
+def test_stale_location_is_caught(use):
+    with pytest.raises(AssertionError, match="stale location"):
+        execute(hand_ir([*STALE_PREFIX, use, Return(7)], 8))
