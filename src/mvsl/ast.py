@@ -226,30 +226,37 @@ class Cond(Expr):
 
 
 @dataclass
-class Binding(Expr):
-    """`var`/`let` name binding: qualifier name[: type] = init in body."""
+class Binding:
+    """`var`/`let` statement of a chain: qualifier name[: type] = init."""
 
     qualifier: str  # "var" or "let"
     name: str  # "_" for a wildcard binding
     annotation: TypeExpr | None
     init: Expr
-    body: Expr
     span: Span = field(compare=False, default=NO_SPAN)
 
     binding_id: int | None = field(compare=False, default=None)
 
 
 @dataclass
-class Assign(Expr):
-    """Path assignment: target = value in body.
+class Assign:
+    """Assignment statement of a chain: target = value.
 
-    A wildcard discard `_ = e in body` is an Assign whose target is the
-    path `_`.
+    A wildcard discard `_ = e` is an Assign whose target is the path `_`.
     """
 
     target: Path
     value: Expr
-    body: Expr
+    span: Span = field(compare=False, default=NO_SPAN)
+
+
+@dataclass
+class Chain(Expr):
+    """One or more statements, each closed by `in`, then the tail; the
+    bindings live through the tail and then die in reverse order."""
+
+    stmts: list[Binding | Assign]
+    tail: Expr
     span: Span = field(compare=False, default=NO_SPAN)
 
 
@@ -280,8 +287,9 @@ class Program:
 # Operand-level precedence, lowest binds loosest:
 #   1 if-expression   2 comparison   3 additive   4 multiplicative
 #   5 call/path postfix   6 primary
-# Statement-level forms (bindings, assignments) only ever appear in
-# body positions and never need parentheses.
+# A chain is parenthesized everywhere but the program's entry and a
+# function body, its own tail included: there it would parse back as more
+# statements of the outer chain.
 
 _PREC_IF = 1
 _PREC_CMP = 2
@@ -333,31 +341,22 @@ def _operand(e: Expr) -> str:
 def pretty_expr(e: Expr, min_prec: int = 0, multiline: bool = False) -> str:
     """Render e, parenthesizing when its form binds looser than min_prec.
 
-    With multiline=True, statement chains (bindings and assignments)
-    break onto one line per statement; function literal bodies always
-    render inline.
+    With multiline=True, a chain breaks onto one line per statement;
+    function literal bodies always render inline.
     """
-    sep = "\n" if multiline else " "
-    if isinstance(e, (Binding, Assign)):
-        text = _pretty_statement(e, sep)
+    if isinstance(e, Chain):
+        parts = []
+        for s in e.stmts:
+            if isinstance(s, Binding):
+                ann = f": {pretty_type(s.annotation)}" if s.annotation else ""
+                parts.append(f"{s.qualifier} {s.name}{ann} = {_operand(s.init)} in")
+            else:
+                parts.append(f"{_pretty_path(s.target)} = {_operand(s.value)} in")
+        parts.append(_operand(e.tail))
+        text = ("\n" if multiline else " ").join(parts)
         return f"({text})" if min_prec > 0 else text
     text, prec = _pretty_operand(e)
     return f"({text})" if prec < min_prec else text
-
-
-def _pretty_statement(e: Expr, sep: str) -> str:
-    parts = []
-    while True:
-        if isinstance(e, Binding):
-            ann = f": {pretty_type(e.annotation)}" if e.annotation else ""
-            parts.append(f"{e.qualifier} {e.name}{ann} = {_operand(e.init)} in")
-            e = e.body
-        elif isinstance(e, Assign):
-            parts.append(f"{_pretty_path(e.target)} = {_operand(e.value)} in")
-            e = e.body
-        else:
-            parts.append(pretty_expr(e))
-            return sep.join(parts)
 
 
 def _pretty_operand(e: Expr) -> tuple[str, int]:
@@ -474,14 +473,15 @@ def _dump_expr(e: Expr, out: list[str], depth: int) -> None:
         _dump_expr(e.cond, out, depth + 1)
         _dump_expr(e.then, out, depth + 1)
         _dump_expr(e.orelse, out, depth + 1)
-    elif isinstance(e, Binding):
-        ann = f": {pretty_type(e.annotation)}" if e.annotation else ""
-        put(f"Binding {e.qualifier} {e.name}{ann}")
-        _dump_expr(e.init, out, depth + 1)
-        _dump_expr(e.body, out, depth)
-    elif isinstance(e, Assign):
-        put(f"Assign {_pretty_path(e.target)}")
-        _dump_expr(e.value, out, depth + 1)
-        _dump_expr(e.body, out, depth)
+    elif isinstance(e, Chain):
+        for s in e.stmts:
+            if isinstance(s, Binding):
+                ann = f": {pretty_type(s.annotation)}" if s.annotation else ""
+                put(f"Binding {s.qualifier} {s.name}{ann}")
+                _dump_expr(s.init, out, depth + 1)
+            else:
+                put(f"Assign {_pretty_path(s.target)}")
+                _dump_expr(s.value, out, depth + 1)
+        _dump_expr(e.tail, out, depth)
     else:  # pragma: no cover
         raise AssertionError(f"unknown expression {e!r}")

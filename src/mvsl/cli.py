@@ -18,10 +18,9 @@ import argparse
 import json
 import sys
 
-from .ast import Assign, Binding, Program, dump_ast
+from .ast import Binding, Chain, Program, dump_ast
 from .diagnostics import RuntimeTrap, SourceError, UsageError
 from .difftest import differential_run, differential_seed_run
-from .generator import GenConfig, generate_program
 from .ir import apply_move_optimization, dump_ir, lower_program
 from .oracle import interpret_eager
 from .parser import parse_source
@@ -78,11 +77,12 @@ def _dump_types(program: Program) -> str:
         fields = ", ".join(f"{f}: {t}" for f, t in zip(info.field_names, info.field_types))
         lines.append(f"struct {name} {{ {fields} }}")
     e = tp.program.entry
-    while isinstance(e, (Binding, Assign)):
-        if isinstance(e, Binding) and e.name != "_":
-            assert e.init.ty is not None
-            lines.append(f"{e.name}: {e.init.ty}")
-        e = e.body
+    while isinstance(e, Chain):
+        for s in e.stmts:
+            if isinstance(s, Binding) and s.name != "_":
+                assert s.init.ty is not None
+                lines.append(f"{s.name}: {s.init.ty}")
+        e = e.tail
     lines.append(f"result: {tp.entry_type}")
     return "\n".join(lines)
 
@@ -90,6 +90,10 @@ def _dump_types(program: Program) -> str:
 def _cmd_run(args) -> int:
     if args.oracle and (args.dump == "ir" or args.no_cow or args.no_move_opt):
         raise UsageError("--oracle runs no IR: it takes no --dump=ir, --no-cow or --no-move-opt")
+    if args.dump and (args.stats or args.oracle or args.no_cow):
+        raise UsageError("--dump runs nothing: it takes no --stats, --oracle or --no-cow")
+    if args.dump in ("ast", "types") and args.no_move_opt:
+        raise UsageError(f"--dump={args.dump} lowers nothing: it takes no --no-move-opt")
     source = _read(args.input)
     try:
         program = parse_source(source)

@@ -26,6 +26,7 @@ from .ast import (
     Binary,
     Binding,
     Call,
+    Chain,
     Cond,
     Expr,
     FieldAcc,
@@ -309,7 +310,7 @@ class _Gen:
 
     # -- statements -----------------------------------------------------------
 
-    def stmt_bind(self) -> list[tuple]:
+    def stmt_bind(self) -> list[Binding | Assign]:
         menu: list[Type] = [INT, INT, FLOAT, ArrayType(INT)]
         if self.budget > 10:
             menu += [ArrayType(FLOAT), ArrayType(ArrayType(INT))]
@@ -327,9 +328,9 @@ class _Gen:
         )
         self.vars.append(v)
         self.spend(2)
-        return [("bind", "var" if v.mutable else "let", v.name, _te(ty), e)]
+        return [Binding("var" if v.mutable else "let", v.name, _te(ty), e)]
 
-    def stmt_assign(self) -> list[tuple]:
+    def stmt_assign(self) -> list[Binding | Assign]:
         targets: list[tuple[Path, Type, _Var]] = []
         for v in self.vars:
             if not v.mutable:
@@ -367,7 +368,7 @@ class _Gen:
         if not path.accessors and v.ty == INT:
             v.known_value = meta.known_value
         self.spend(2)
-        return [("assign", path, e)]
+        return [Assign(path, e)]
 
     def index_expr(self, length: int) -> Expr:
         """An in-bounds subscript: a literal, or a read of an Int
@@ -377,7 +378,7 @@ class _Gen:
             return Path(self.pick(known).name, [])
         return IntLit(self.rng.randrange(length))
 
-    def stmt_closure(self) -> list[tuple]:
+    def stmt_closure(self) -> list[Binding | Assign]:
         kind = self.pick(["counter", "pure", "reader"])
         if kind == "counter":
             state = self.ints_of(lambda v: v.mutable)
@@ -385,16 +386,13 @@ class _Gen:
                 return self.stmt_bind()
             sv = self.pick(state)
             name = self.fresh("tick")
-            body = Assign(
-                Path(sv.name, []),
-                Binary("+", Binary("%", Path(sv.name, []), IntLit(97)), IntLit(1)),
-                Path(sv.name, []),
-            )
+            step = Binary("+", Binary("%", Path(sv.name, []), IntLit(97)), IntLit(1))
+            body = Chain([Assign(Path(sv.name, []), step)], Path(sv.name, []))
             fn = FuncLit([], NamedTE("Int"), body)
             fv = _Var(name, FuncType((), INT), False, ret_bound=98)
             self.vars.append(fv)
             self.spend(6)
-            return [("bind", "let", name, _te(fv.ty), fn)]
+            return [Binding("let", name, _te(fv.ty), fn)]
         if kind == "pure":
             name = self.fresh("fn")
             k = self.rng.randint(1, 8)
@@ -403,7 +401,7 @@ class _Gen:
             fv = _Var(name, FuncType(((BY_VALUE, INT),), INT), False, ret_bound=58)
             self.vars.append(fv)
             self.spend(5)
-            return [("bind", "let", name, _te(fv.ty), fn)]
+            return [Binding("let", name, _te(fv.ty), fn)]
         arrays = [v for v in self.vars if v.ty == ArrayType(INT) and v.length]
         if not arrays:
             return self.stmt_bind()
@@ -414,9 +412,9 @@ class _Gen:
         fv = _Var(name, FuncType((), INT), False, ret_bound=av.bound)
         self.vars.append(fv)
         self.spend(4)
-        return [("bind", "let", name, _te(fv.ty), fn)]
+        return [Binding("let", name, _te(fv.ty), fn)]
 
-    def stmt_call(self) -> list[tuple]:
+    def stmt_call(self) -> list[Binding | Assign]:
         closures = [
             v
             for v in self.vars
@@ -433,20 +431,21 @@ class _Gen:
             name = self.fresh("r")
             rv = _Var(name, INT, False, bound=v.ret_bound)
             self.vars.append(rv)
-            return [("bind", "let", name, _te(INT), call)]
-        return [("assign", Path("_", []), call)]
+            return [Binding("let", name, _te(INT), call)]
+        return [Assign(Path("_", []), call)]
 
-    def helper(self, which: str) -> tuple[_Var, list[tuple]]:
+    def helper(self, which: str) -> tuple[_Var, list[Binding | Assign]]:
         """Declare (once) and return an inout helper closure."""
         if which in self.helpers:
             return self.helpers[which], []
         if which == "swap":
-            body = Binding(
-                "let",
-                "t",
-                NamedTE("Int"),
-                Path("a", []),
-                Assign(Path("a", []), Path("b", []), Assign(Path("b", []), Path("t", []), IntLit(0))),
+            body = Chain(
+                [
+                    Binding("let", "t", NamedTE("Int"), Path("a", [])),
+                    Assign(Path("a", []), Path("b", [])),
+                    Assign(Path("b", []), Path("t", [])),
+                ],
+                IntLit(0),
             )
             fn = FuncLit(
                 [Param("a", INOUT, NamedTE("Int")), Param("b", INOUT, NamedTE("Int"))],
@@ -455,19 +454,15 @@ class _Gen:
             )
             ty = FuncType(((INOUT, INT), (INOUT, INT)), INT)
         elif which == "bump":
-            body = Assign(
-                Path("a", []),
-                Binary("+", Binary("%", Path("a", []), IntLit(89)), IntLit(self.rng.randint(1, 8))),
-                Path("a", []),
-            )
+            k = IntLit(self.rng.randint(1, 8))
+            step = Binary("+", Binary("%", Path("a", []), IntLit(89)), k)
+            body = Chain([Assign(Path("a", []), step)], Path("a", []))
             fn = FuncLit([Param("a", INOUT, NamedTE("Int"))], NamedTE("Int"), body)
             ty = FuncType(((INOUT, INT),), INT)
         else:
-            body = Assign(
-                Path("xs", [IndexAcc(IntLit(0))]),
-                Binary("+", Binary("%", Path("xs", [IndexAcc(IntLit(0))]), IntLit(83)), IntLit(1)),
-                Path("xs", [IndexAcc(IntLit(0))]),
-            )
+            target, read, result = (Path("xs", [IndexAcc(IntLit(0))]) for _ in range(3))
+            step = Binary("+", Binary("%", read, IntLit(83)), IntLit(1))
+            body = Chain([Assign(target, step)], result)
             fn = FuncLit([Param("xs", INOUT, ArrayTE(NamedTE("Int")))], NamedTE("Int"), body)
             ty = FuncType(((INOUT, ArrayType(INT)),), INT)
         name = self.fresh(which)
@@ -475,9 +470,9 @@ class _Gen:
         self.helpers[which] = hv
         self.vars.append(hv)
         self.spend(7)
-        return hv, [("bind", "let", name, _te(ty), fn)]
+        return hv, [Binding("let", name, _te(ty), fn)]
 
-    def stmt_inout(self) -> list[tuple]:
+    def stmt_inout(self) -> list[Binding | Assign]:
         which = self.pick(["swap", "bump", "bump", "abump"])
         if which == "swap":
             pairs = self.inout_pairs()
@@ -509,10 +504,10 @@ class _Gen:
             call = Call(Path(hv.name, []), [InoutArg(Path(v.name, []))])
         self.spend(4)
         if self.rng.random() < 0.6:
-            return decl + [("assign", Path("_", []), call)]
+            return decl + [Assign(Path("_", []), call)]
         # Exercise the conditional path: the call happens on one branch only.
         c, _ = self.gen_int(1)
-        return decl + [("assign", Path("_", []), Cond(c, call, IntLit(0)))]
+        return decl + [Assign(Path("_", []), Cond(c, call, IntLit(0)))]
 
     def int_places(self) -> list[tuple[Path, _Var]]:
         """Mutable Int-typed places usable as inout arguments."""
@@ -612,7 +607,7 @@ class _Gen:
             return Program([], IntLit(self.rng.randint(0, 9)))
         if self.cfg.size_budget >= 8 and self.cfg.struct_count > 0:
             self.declare_structs()
-        items: list[tuple] = []
+        stmts: list[Binding | Assign] = []
         while self.budget > 3:
             kinds = ["bind", "bind", "assign"]
             if self.cfg.enable_closures:
@@ -621,24 +616,17 @@ class _Gen:
                 kinds += ["inout", "inout"]
             kind = self.pick(kinds)
             if kind == "bind":
-                items += self.stmt_bind()
+                stmts += self.stmt_bind()
             elif kind == "assign":
-                items += self.stmt_assign()
+                stmts += self.stmt_assign()
             elif kind == "closure":
-                items += self.stmt_closure()
+                stmts += self.stmt_closure()
             elif kind == "call":
-                items += self.stmt_call()
+                stmts += self.stmt_call()
             else:
-                items += self.stmt_inout()
-        entry: Expr = self.final_expr()
-        for item in reversed(items):
-            if item[0] == "bind":
-                _, qual, name, te, init = item
-                entry = Binding(qual, name, te, init, entry)
-            else:
-                _, path, value = item
-                entry = Assign(path, value, entry)
-        return Program(self.structs, entry)
+                stmts += self.stmt_inout()
+        entry = self.final_expr()
+        return Program(self.structs, Chain(stmts, entry) if stmts else entry)
 
 
 def generate_program(cfg: GenConfig) -> Program:

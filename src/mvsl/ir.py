@@ -24,12 +24,12 @@ from .ast import (
     Binary,
     Binding,
     Call,
+    Chain,
     Cond,
     Expr,
     FieldAcc,
     FloatLit,
     FuncLit,
-    IndexAcc,
     InoutArg,
     IntLit,
     Path,
@@ -252,19 +252,24 @@ class _RoutineBuilder:
 
     # -- expression lowering --------------------------------------------------
 
-    def lower_full(self, e: Expr) -> int:
-        """Lower a statement chain; returns the slot owning the result."""
-        if isinstance(e, Binding):
-            return self.lower_binding(e)
-        if isinstance(e, Assign):
-            return self.lower_assign(e)
-        return self.lower_value(e)
+    def lower_chain(self, e: Chain) -> int:
+        """Lower the statements and the tail, then destroy the bindings in reverse."""
+        live: list[Binding] = []
+        for s in e.stmts:
+            if isinstance(s, Assign):
+                self.lower_assign(s)
+            elif s.name == "_":
+                t = self.lower_value(s.init)
+                self.emit(Destroy(t, s.init.span))
+            else:
+                self.lower_binding(s)
+                live.append(s)
+        result = self.lower_value(e.tail)
+        for s in reversed(live):
+            self.emit(Destroy(self.slot_map[s.binding_id], s.span))
+        return result
 
-    def lower_binding(self, e: Binding) -> int:
-        if e.name == "_":
-            t = self.lower_value(e.init)
-            self.emit(Destroy(t, e.init.span))
-            return self.lower_full(e.body)
+    def lower_binding(self, e: Binding) -> None:
         assert e.binding_id is not None
         slot = self.new_slot()
         self.slot_map[e.binding_id] = slot
@@ -276,20 +281,16 @@ class _RoutineBuilder:
             t = self.lower_value(e.init)
             self.emit(Copy(slot, t, e.init.span))
             self.emit(Destroy(t, e.init.span))
-        result = self.lower_full(e.body)
-        self.emit(Destroy(slot, e.span))
-        return result
 
-    def lower_assign(self, e: Assign) -> int:
+    def lower_assign(self, e: Assign) -> None:
         if e.target.root == "_" and not e.target.accessors:
             t = self.lower_value(e.value)
             self.emit(Destroy(t, e.value.span))
-            return self.lower_full(e.body)
+            return
         # Subscripts of the target evaluate before the value, left to right.
         base, steps = self.lower_target(e.target)
         v = self.lower_copied(e.value)
         self.emit(StorePath(base, steps, v, e.span))
-        return self.lower_full(e.body)
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
         """Base slot and steps for a write or location path."""
@@ -316,7 +317,7 @@ class _RoutineBuilder:
         self.emit(LoadPath(dst, base, steps, p.span))
 
     def lower_value(self, e: Expr) -> int:
-        """Lower an operand; returns a fresh slot owning the value."""
+        """Lower an expression; returns a fresh slot owning its value."""
         if isinstance(e, IntLit):
             t = self.new_slot()
             self.emit(MakeInt(t, e.value, e.span))
@@ -350,20 +351,19 @@ class _RoutineBuilder:
             t = self.new_slot()
             self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span))
             return t
-        if isinstance(e, (Binding, Assign)):
-            # Parenthesized statement chain in operand position.
-            return self.lower_full(e)
+        if isinstance(e, Chain):
+            return self.lower_chain(e)
         if isinstance(e, Cond):
             result = self.new_slot()
             cond = self.lower_value(e.cond)
             then_block: list[Instr] = []
             self.blocks.append(then_block)
-            r = self.lower_full(e.then)
+            r = self.lower_value(e.then)
             self.emit(Move(result, r, e.then.span))
             self.blocks.pop()
             else_block: list[Instr] = []
             self.blocks.append(else_block)
-            r = self.lower_full(e.orelse)
+            r = self.lower_value(e.orelse)
             self.emit(Move(result, r, e.orelse.span))
             self.blocks.pop()
             self.emit(CondBr(cond, then_block, else_block, e.span))
@@ -469,7 +469,7 @@ class _Lowerer:
         rid = f"@fn{self.next_fn}"
         self.next_fn += 1
         b = _RoutineBuilder(self, rid, fl)
-        result = b.lower_full(fl.body)
+        result = b.lower_value(fl.body)
         value_params = [
             b.slot_map[pid] for pid in (fl.param_ids or []) if pid not in b.inout_ids
         ]
@@ -479,7 +479,7 @@ class _Lowerer:
 
     def lower(self) -> IRProgram:
         b = _RoutineBuilder(self, ENTRY_ID, None)
-        result = b.lower_full(self.tp.program.entry)
+        result = b.lower_value(self.tp.program.entry)
         routine = b.finish(result, [], self.tp.program.entry.span)
         self.routines[ENTRY_ID] = routine
         return IRProgram(self.routines, ENTRY_ID, self.tp.structs)

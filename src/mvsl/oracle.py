@@ -13,22 +13,21 @@ from __future__ import annotations
 
 from .ast import (
     ArrayLit,
-    Assign,
     Binary,
     Binding,
     Call,
+    Chain,
     Cond,
     Expr,
     FieldAcc,
     FloatLit,
     FuncLit,
-    IndexAcc,
     InoutArg,
     IntLit,
     Path,
     StructInit,
 )
-from .diagnostics import NO_SPAN, RuntimeTrap, Span
+from .diagnostics import RuntimeTrap, Span
 from .typechecker import StructInfo, TypedProgram
 
 _INT_MIN = -(2**63)
@@ -66,7 +65,8 @@ class Func:
 
 
 class Scope:
-    """One lexical scope level; lookup walks outward.
+    """One lexical scope level, a whole chain's bindings or a call's
+    parameters; lookup walks outward.
 
     A closure body runs in a scope whose outermost level is the
     closure's env dict, so capture reads and writes hit the dict that
@@ -249,23 +249,24 @@ class _Interp:
         if isinstance(e, Cond):
             c = self.eval(e.cond, scope)
             return self.eval(e.then if c != 0 else e.orelse, scope)
-        if isinstance(e, Binding):
-            if e.name == "_":
-                self.eval(e.init, scope)
-                return self.eval(e.body, scope)
-            inner = Scope({e.name: self.eval(e.init, scope)}, scope)
-            return self.eval(e.body, inner)
-        if isinstance(e, Assign):
-            if e.target.root == "_" and not e.target.accessors:
-                self.eval(e.value, scope)
-            else:
-                # Subscripts of the target run before the value; bounds
-                # are checked by the write itself.
-                t = self.trail(e.target, scope)
-                owner = scope.owner(e.target.root)
-                v = self.eval(e.value, scope)
-                self.write_trail(owner, t, v, e.span)
-            return self.eval(e.body, scope)
+        if isinstance(e, Chain):
+            # One scope: a later binding of a name replaces the earlier.
+            inner = Scope({}, scope)
+            for s in e.stmts:
+                if isinstance(s, Binding):
+                    v = self.eval(s.init, inner)
+                    if s.name != "_":
+                        inner.vars[s.name] = v
+                elif s.target.root == "_" and not s.target.accessors:
+                    self.eval(s.value, inner)
+                else:
+                    # Subscripts of the target run before the value; bounds
+                    # are checked by the write itself.
+                    t = self.trail(s.target, inner)
+                    owner = inner.owner(s.target.root)
+                    v = self.eval(s.value, inner)
+                    self.write_trail(owner, t, v, s.span)
+            return self.eval(e.tail, inner)
         if isinstance(e, Call):
             return self.call(e, scope)
         raise AssertionError(f"cannot evaluate {e!r}")

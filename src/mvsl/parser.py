@@ -7,23 +7,33 @@ Grammar, one production per comment below its parse function:
     field     -> ("var" | "let") IDENT ":" type
     type      -> IDENT | "[" type "]"
                | "(" [param-type ("," param-type)*] ")" "->" type
-    expr      -> binding | assignment | operand
+    expr      -> (statement "in")* operand
+    statement -> binding | assignment
     binding   -> ("var" | "let") (IDENT | "_") [":" type]
-                 ("=" operand | braced-body) "in" expr
-    assignment-> path "=" operand "in" expr
+                 ("=" operand | braced-body)
+    assignment-> path "=" operand
     operand   -> "if" operand "then" operand "else" operand | comparison
     comparison-> additive (("=="|"!="|"<"|"<="|">"|">=") additive)*
     additive  -> multiplicative (("+"|"-") multiplicative)*
     multiplicative -> postfix (("*"|"/"|"%") postfix)*
     postfix   -> primary ("(" args ")" | "." IDENT | "[" operand "]")*
     primary   -> INT | FLOAT | IDENT | "_" | "[" operand ("," operand)* "]"
-               | func-lit | "(" operand ")"
+               | func-lit | "(" expr ")"
     func-lit  -> "(" [param ("," param)*] ")" "->" type "{" expr "}"
     param     -> IDENT ":" ["inout"] type
 
-The three binary levels are one function, `binary`, which climbs the
-precedence table _BINARY_PREC instead of recursing through one function
-per level; it builds the same left-associative trees.
+A chain of statements is one Chain node, built by the loop in `expr`.
+The three binary levels are one loop in `operand` over the precedence
+table _BINARY_PREC with an operator stack, instead of one function per
+level; it builds the same left-associative trees.
+
+Nesting has a documented limit, MAX_NESTING.  One counter, `depth`,
+rises on entry to each operand, type and function literal, and once per
+binary operator, since a run of operators nests its Binary nodes; it
+falls back when the construct is done.  An operand, operator, type or
+function literal opened with more than MAX_NESTING levels around it is
+`error[Syntax]: nesting too deep`.  The limit keeps the deepest accepted
+program within Python's default recursion limit in every pass.
 
 The braced-body form is sugar: `var f: () -> T { e } in b` declares a
 zero-parameter function literal and is only accepted when the binding
@@ -43,6 +53,7 @@ from .ast import (
     Binary,
     Binding,
     Call,
+    Chain,
     Cond,
     Expr,
     FieldAcc,
@@ -71,6 +82,11 @@ _INT_MAX = 2**63 - 1
 # range, and int() refuses strings of more than 4300 digits.
 _INT_MAX_DIGITS = len(str(_INT_MAX))
 
+# Levels of nesting allowed around an operand, operator, type or function
+# literal.  At this depth the parser needs about 760 Python frames and no
+# later pass more; the default recursion limit is 1000.
+MAX_NESTING = 150
+
 # Binary operators by precedence; all of them are left-associative.
 _BINARY_PREC = {
     "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
@@ -88,6 +104,16 @@ class _Parser:
         self.pos = 0
         self.tok = self.tokens[0]
         self.struct_names: set[str] = set()
+        self.depth = 0
+
+    def descend(self) -> int:
+        """Open one more level of nesting; returns the depth to restore
+        when the level closes."""
+        depth = self.depth
+        if depth > MAX_NESTING:
+            raise ParseError(self.tok.span, f"nesting too deep (limit {MAX_NESTING})")
+        self.depth = depth + 1
+        return depth
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -171,16 +197,17 @@ class _Parser:
     # -- types ---------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
+        depth = self.descend()
         t = self.tok
         if t.kind is TokenKind.IDENT:
             self.advance()
-            return NamedTE(t.lexeme, t.span)
-        if t.kind is TokenKind.PUNCT and t.lexeme == "[":
+            te: TypeExpr = NamedTE(t.lexeme, t.span)
+        elif t.kind is TokenKind.PUNCT and t.lexeme == "[":
             self.advance()
             elem = self.type_expr()
             end = self.expect(TokenKind.PUNCT, "]", "']'").span
-            return ArrayTE(elem, t.span.merge(end))
-        if t.kind is TokenKind.PUNCT and t.lexeme == "(":
+            te = ArrayTE(elem, t.span.merge(end))
+        elif t.kind is TokenKind.PUNCT and t.lexeme == "(":
             self.advance()
             params: list[tuple[str, TypeExpr]] = []
             if not self.at(TokenKind.PUNCT, ")"):
@@ -192,27 +219,32 @@ class _Parser:
             self.expect(TokenKind.PUNCT, ")", "')' or ','")
             self.expect(TokenKind.ARROW, None, "'->'")
             ret = self.type_expr()
-            return FuncTE(params, ret, t.span.merge(ret.span))
-        raise self.fail("a type")
+            te = FuncTE(params, ret, t.span.merge(ret.span))
+        else:
+            raise self.fail("a type")
+        self.depth = depth
+        return te
 
     # -- expressions ---------------------------------------------------------
 
     def expr(self) -> Expr:
-        t = self.tok
-        if t.kind is TokenKind.KEYWORD and t.lexeme in ("var", "let"):
-            return self.binding()
-        e = self.operand()
-        if self.at(TokenKind.OP, "="):
+        stmts: list[Binding | Assign] = []
+        while True:
+            t = self.tok
+            if t.kind is TokenKind.KEYWORD and t.lexeme in ("var", "let"):
+                stmts.append(self.binding())
+                continue
+            e = self.operand()
+            if not self.at(TokenKind.OP, "="):
+                return Chain(stmts, e, stmts[0].span.merge(e.span)) if stmts else e
             if not isinstance(e, Path):
                 raise ParseError(self.here(), "assignment target must be a path")
             self.advance()
             value = self.operand()
             self.expect(TokenKind.KEYWORD, "in", "'in' after assignment")
-            body = self.expr()
-            return Assign(e, value, body, e.span.merge(body.span))
-        return e
+            stmts.append(Assign(e, value, e.span.merge(value.span)))
 
-    def binding(self) -> Expr:
+    def binding(self) -> Binding:
         qual = self.advance()  # var or let
         name_tok = self.tok
         if name_tok.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
@@ -233,12 +265,13 @@ class _Parser:
             self.expect(TokenKind.OP, "=", "'='")
             init = self.operand()
         self.expect(TokenKind.KEYWORD, "in", "'in' after binding")
-        body = self.expr()
-        return Binding(
-            qual.lexeme, name_tok.lexeme, annotation, init, body, qual.span.merge(body.span)
-        )
+        return Binding(qual.lexeme, name_tok.lexeme, annotation, init, qual.span.merge(init.span))
 
     def operand(self) -> Expr:
+        depth = self.depth  # descend(), inlined on this hot path
+        if depth > MAX_NESTING:
+            self.descend()
+        self.depth = depth + 1
         if self.at(TokenKind.KEYWORD, "if"):
             start = self.advance().span
             cond = self.operand()
@@ -246,21 +279,33 @@ class _Parser:
             then = self.operand()
             self.expect(TokenKind.KEYWORD, "else", "'else'")
             orelse = self.operand()
+            self.depth = depth
             return Cond(cond, then, orelse, start.merge(orelse.span))
-        return self.binary(1)
-
-    def binary(self, min_prec: int) -> Expr:
-        """Precedence climbing: operands joined by operators that bind at
-        least as tightly as min_prec, grouped to the left."""
-        lhs = self.postfix()
-        while True:
-            t = self.tok
-            prec = _BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
-            if prec is None or prec < min_prec:
-                return lhs
-            self.advance()
-            rhs = self.binary(prec + 1)
-            lhs = Binary(t.lexeme, lhs, rhs, lhs.span.merge(rhs.span))
+        e = self.postfix()
+        t = self.tok
+        prec = _BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+        if prec is not None:
+            # Binary operators, grouped with an operator stack: once an
+            # operand is read, every stacked operator that binds at least
+            # as tightly as the next takes its two operands, since all of
+            # them are left-associative.
+            operands = [e]
+            ops: list[tuple[str, int]] = []
+            while prec is not None:
+                # The operands after an operator nest one level deeper.
+                self.descend()
+                self.advance()
+                ops.append((t.lexeme, prec))
+                operands.append(self.postfix())
+                t = self.tok
+                prec = _BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+                while ops and (prec is None or ops[-1][1] >= prec):
+                    rhs = operands.pop()
+                    lhs = operands.pop()
+                    operands.append(Binary(ops.pop()[0], lhs, rhs, lhs.span.merge(rhs.span)))
+            e = operands[0]
+        self.depth = depth
+        return e
 
     def postfix(self) -> Expr:
         e = self.primary()
@@ -376,6 +421,7 @@ class _Parser:
         raise self.fail("an expression")
 
     def func_lit(self) -> FuncLit:
+        depth = self.descend()
         start = self.expect(TokenKind.PUNCT, "(", "'('").span
         params: list[Param] = []
         seen: set[str] = set()
@@ -397,6 +443,7 @@ class _Parser:
         self.expect(TokenKind.PUNCT, "{", "'{'")
         body = self.expr()
         end = self.expect(TokenKind.PUNCT, "}", "'}'").span
+        self.depth = depth
         return FuncLit(params, ret, body, start.merge(end))
 
 

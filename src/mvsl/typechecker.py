@@ -22,7 +22,7 @@ must be re-checked at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (
     ArrayLit,
@@ -32,13 +32,13 @@ from .ast import (
     Binding,
     Call,
     Capture,
+    Chain,
     Cond,
     Expr,
     FieldAcc,
     FloatLit,
     FuncLit,
     FuncTE,
-    IndexAcc,
     InoutArg,
     IntLit,
     NamedTE,
@@ -368,13 +368,23 @@ class _Checker:
                     f"branches differ: then has type {tt}, else has type {et}",
                 )
             return tt
-        if isinstance(e, Binding):
-            return self.check_binding(e, ctx)
-        if isinstance(e, Assign):
-            return self.check_assign(e, ctx)
+        if isinstance(e, Chain):
+            return self.check_chain(e, ctx)
         raise AssertionError(f"unknown expression {e!r}")
 
-    def check_binding(self, e: Binding, ctx: TypingContext) -> Type:
+    def check_chain(self, e: Chain, ctx: TypingContext) -> Type:
+        # One scope: a later binding of a name replaces the earlier.
+        ctx.push()
+        for s in e.stmts:
+            if isinstance(s, Binding):
+                self.check_binding(s, ctx)
+            else:
+                self.check_assign(s, ctx)
+        tail_ty = self.check_expr(e.tail, ctx)
+        ctx.pop()
+        return tail_ty
+
+    def check_binding(self, e: Binding, ctx: TypingContext) -> None:
         init_ty = self.check_expr(e.init, ctx)
         if e.annotation is not None:
             want = resolve_type(e.annotation, self.struct_names)
@@ -385,16 +395,12 @@ class _Checker:
                     f"initializer has type {init_ty}, annotation says {want}",
                 )
         e.binding_id = self.fresh_id()
-        ctx.push()
         if e.name != "_":
             ctx.bind(
                 BindingInfo(e.name, init_ty, e.qualifier == "var", e.binding_id, "local")
             )
-        body_ty = self.check_expr(e.body, ctx)
-        ctx.pop()
-        return body_ty
 
-    def check_assign(self, e: Assign, ctx: TypingContext) -> Type:
+    def check_assign(self, e: Assign, ctx: TypingContext) -> None:
         if e.target.root == "_" and not e.target.accessors:
             # Wildcard discard: value may have any type.
             self.check_expr(e.value, ctx)
@@ -413,7 +419,6 @@ class _Checker:
                     TYPE_MISMATCH,
                     f"cannot assign {value_ty} to path of type {target_ty}",
                 )
-        return self.check_expr(e.body, ctx)
 
     def check_binary(self, e: Binary, ctx: TypingContext) -> Type:
         lt = self.check_expr(e.lhs, ctx)

@@ -121,6 +121,13 @@ def test_dump_modes(capsys, pair_file, tmp_path):
     assert code == 0 and ty_out == "x: Int\ny: Float\nresult: Float\n"
 
 
+def test_dump_ir_without_move_opt(capsys, pair_file):
+    code, opt_out, _ = run_cli(capsys, "run", pair_file, "--dump=ir")
+    code_noopt, noopt_out, err = run_cli(capsys, "run", pair_file, "--dump=ir", "--no-move-opt")
+    assert code == code_noopt == 0 and err == ""
+    assert "move" in opt_out and "move" not in noopt_out
+
+
 def test_dump_does_not_execute(capsys, trap_file):
     # a program that would trap still dumps cleanly
     code, out, _ = run_cli(capsys, "run", trap_file, "--dump=ir")
@@ -213,9 +220,21 @@ def test_usage_errors_exit_4(capsys, argv):
         ["run", "{file}", "--oracle", "--dump=ir"],
         ["run", "{file}", "--oracle", "--no-cow"],
         ["run", "{file}", "--oracle", "--no-move-opt"],
+        ["run", "{file}", "--dump=ast", "--stats"],
+        ["run", "{file}", "--dump=types", "--stats"],
+        ["run", "{file}", "--dump=ir", "--stats"],
+        ["run", "{file}", "--dump=ast", "--oracle"],
+        ["run", "{file}", "--dump=types", "--oracle"],
+        ["run", "{file}", "--dump=ast", "--no-cow"],
+        ["run", "{file}", "--dump=types", "--no-cow"],
+        ["run", "{file}", "--dump=ir", "--no-cow"],
+        ["run", "{file}", "--dump=ast", "--no-move-opt"],
+        ["run", "{file}", "--dump=types", "--no-move-opt"],
     ],
     ids=["diff-seed", "diff-trials", "diff-missing-seed", "oracle-dump-ir", "oracle-no-cow",
-         "oracle-no-move-opt"],
+         "oracle-no-move-opt", "dump-ast-stats", "dump-types-stats", "dump-ir-stats",
+         "dump-ast-oracle", "dump-types-oracle", "dump-ast-no-cow", "dump-types-no-cow",
+         "dump-ir-no-cow", "dump-ast-no-move-opt", "dump-types-no-move-opt"],
 )
 def test_ignored_option_combinations_are_usage_errors(capsys, pair_file, flags):
     code, out, err = run_cli(capsys, *(f.format(file=pair_file) for f in flags))

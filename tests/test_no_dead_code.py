@@ -4,7 +4,8 @@ A function, class or constant defined at the top level of a module in
 src/mvsl must be referenced somewhere in src/mvsl outside its own
 definition: code that only its own tests use is deleted, not kept.  The
 public API (mvsl.__all__), dunder names and the console script `entry`
-are exempt.
+are exempt.  Likewise every name a module imports must be referenced in
+that module; `__init__.py`, which re-exports the API, is exempt.
 """
 
 import ast
@@ -57,5 +58,28 @@ def unused_names() -> list[str]:
     return unused
 
 
+def unused_imports() -> list[str]:
+    """module:name for each name a module imports and never references."""
+    unused = []
+    for f in sorted(PACKAGE.glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text(), str(f))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{f.name}:{name}" for name in imported if name not in used]
+    return unused
+
+
 def test_every_module_level_name_is_used_in_the_package():
     assert unused_names() == []
+
+
+def test_every_import_is_used_in_its_module():
+    assert unused_imports() == []

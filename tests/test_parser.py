@@ -9,8 +9,10 @@ from mvsl.ast import (
     ArrayLit,
     ArrayTE,
     Assign,
+    Binary,
     Binding,
     Call,
+    Chain,
     FuncLit,
     InoutArg,
     IntLit,
@@ -26,24 +28,25 @@ def test_struct_then_binding():
     assert len(p.structs) == 1
     assert p.structs[0].name == "Pair"
     assert [f.name for f in p.structs[0].fields] == ["fs", "sn"]
-    e = p.entry
+    assert isinstance(p.entry, Chain) and len(p.entry.stmts) == 1
+    e = p.entry.stmts[0]
     assert isinstance(e, Binding) and e.qualifier == "var" and e.name == "p"
     assert isinstance(e.init, StructInit)
-    assert isinstance(e.body, Path) and e.body.root == "p"
+    assert isinstance(p.entry.tail, Path) and p.entry.tail.root == "p"
 
 
 def test_wildcard_assign_with_inout_args():
     p = parse_source("_ = swap(&p.fs, &p.sn) in p")
-    e = p.entry
+    (e,) = p.entry.stmts
     assert isinstance(e, Assign) and e.target.root == "_"
     assert isinstance(e.value, Call)
     assert all(isinstance(a, InoutArg) for a in e.value.args)
-    assert isinstance(e.body, Path)
+    assert isinstance(p.entry.tail, Path)
 
 
 def test_array_annotation_and_literal():
     p = parse_source("let a: [Pair] = [Pair(4,2), Pair(5,3)] in a")
-    e = p.entry
+    (e,) = p.entry.stmts
     assert e.qualifier == "let"
     assert isinstance(e.annotation, ArrayTE)
     assert isinstance(e.init, ArrayLit) and len(e.init.elements) == 2
@@ -54,14 +57,13 @@ def test_function_literal_sugar():
     sugar = parse_source("var fn: () -> Int { 4 } in fn()")
     full = parse_source("var fn: () -> Int = () -> Int { 4 } in fn()")
     assert sugar == full
-    e = sugar.entry
+    (e,) = sugar.entry.stmts
     assert isinstance(e.init, FuncLit) and isinstance(e.init.body, IntLit)
 
 
 def test_annotation_optional():
     p = parse_source("var p = 4 in let q = p in q")
-    assert p.entry.annotation is None
-    assert p.entry.body.annotation is None
+    assert [s.annotation for s in p.entry.stmts] == [None, None]
 
 
 def test_precedence():
@@ -79,7 +81,8 @@ def test_conditional_binds_looser_than_comparison():
 def test_parenthesized_statement_chain():
     # A grouped binding/assignment chain is an expression.
     p = parse_source("var q = 1 in (q = 2 in q) + q")
-    assert p.entry.body is not None
+    assert isinstance(p.entry.tail, Binary)
+    assert isinstance(p.entry.tail.lhs, Chain) and isinstance(p.entry.tail.lhs.stmts[0], Assign)
 
 
 @pytest.mark.parametrize(
@@ -109,6 +112,23 @@ def test_round_trip_corpus():
 @given(seed=st.integers(0, 10_000), budget=st.integers(1, 60))
 def test_round_trip_generated(seed, budget):
     p = generate_program(GenConfig(seed, size_budget=budget))
+    assert parse_source(pretty_program(p)) == p
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "var a = 1 in (var b = 2 in b)",
+        "var a = 1 in (a = 2 in (var b = a in b))",
+        "var q = 1 in (q = 2 in q) + q",
+        "if 1 then (var a = 1 in a) else (let b = 2 in b)",
+        "let f: (Int) -> Int = (x: Int) -> Int { var y = x in y = y + 1 in y } in f((let z = 1 in z))",
+    ],
+)
+def test_round_trip_nested_chains(source):
+    # A chain nested in another's tail prints in parentheses, so it does
+    # not parse back as more statements of the outer chain.
+    p = parse_source(source)
     assert parse_source(pretty_program(p)) == p
 
 

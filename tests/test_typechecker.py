@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsl import GenConfig, check_program, generate_program, interpret_eager, parse_source
-from mvsl.ast import Assign, Binding, Call, Cond, FuncLit
+from mvsl.ast import Assign, Binding, Call, Chain, Cond, FuncLit
 from mvsl.diagnostics import ParseError, TypeCheckError
 from mvsl.typechecker import (
     DISJOINT,
@@ -152,7 +152,7 @@ def test_closure_may_mutate_captures():
 def test_captures_recorded():
     src = "var x: Int = 1 in var y: Int = 2 in var f: () -> Int = () -> Int { x + y } in f()"
     tp = check(src)
-    lit = tp.program.entry.body.body.init
+    lit = tp.program.entry.stmts[2].init
     assert isinstance(lit, FuncLit)
     assert sorted(c.name for c in lit.captures) == ["x", "y"]
 
@@ -225,14 +225,18 @@ def test_transitive_mutability_on_generated_programs():
         quals = {}
 
         def scan(e, env):
-            if isinstance(e, Binding):
-                scan(e.init, env)
-                scan(e.body, {**env, e.name: e.qualifier})
-            elif isinstance(e, Assign):
-                if e.target.root != "_":
-                    assert env.get(e.target.root) == "var", e.target.root
-                scan(e.value, env)
-                scan(e.body, env)
+            if isinstance(e, Chain):
+                env = dict(env)
+                for s in e.stmts:
+                    if isinstance(s, Binding):
+                        scan(s.init, env)
+                        env[s.name] = s.qualifier
+                    else:
+                        assert isinstance(s, Assign)
+                        if s.target.root != "_":
+                            assert env.get(s.target.root) == "var", s.target.root
+                        scan(s.value, env)
+                scan(e.tail, env)
             elif isinstance(e, Cond):
                 scan(e.cond, env), scan(e.then, env), scan(e.orelse, env)
             elif isinstance(e, FuncLit):
