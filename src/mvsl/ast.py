@@ -152,7 +152,6 @@ class Path(Expr):
 
     # Filled by the type checker.
     root_binding_id: int | None = field(compare=False, default=None)
-    root_kind: str | None = field(compare=False, default=None)
 
 
 @dataclass
@@ -198,15 +197,13 @@ class Call(Expr):
     args: list[Expr | InoutArg]
     span: Span = field(compare=False, default=NO_SPAN)
 
-    # Pairs of inout argument positions (indexes into the sublist of
-    # inout args) whose overlap could not be decided statically and
-    # must be checked at runtime.  Filled by the type checker.
+    # The places of a call are the paths it borrows for its duration:
+    # its callee when that is a path, then its inout arguments, left to
+    # right.  The law of exclusivity is one rule over this list, and
+    # overlap_pairs holds the pairs of its indexes whose overlap could
+    # not be decided statically and must be checked at runtime.  Filled
+    # by the type checker.
     overlap_pairs: list[tuple[int, int]] | None = field(compare=False, default=None)
-
-    # A path callee is borrowed for the duration of the call, so it
-    # participates in exclusivity too: inout argument positions whose
-    # overlap with the callee path needs a runtime check.
-    callee_overlap: list[int] | None = field(compare=False, default=None)
 
 
 @dataclass
@@ -285,29 +282,25 @@ class Program:
 # Pretty printing
 #
 # Operand-level precedence, lowest binds loosest:
-#   1 if-expression   2 comparison   3 additive   4 multiplicative
+#   1 if-expression   2-4 binary operators, from BINARY_PREC
 #   5 call/path postfix   6 primary
 # A chain is parenthesized everywhere but the program's entry and a
 # function body, its own tail included: there it would parse back as more
 # statements of the outer chain.
 
 _PREC_IF = 1
-_PREC_CMP = 2
-_PREC_ADD = 3
-_PREC_MUL = 4
+PREC_CMP = 2
 _PREC_POSTFIX = 5
 _PREC_PRIMARY = 6
 
-_CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
-_ADD_OPS = {"+", "-"}
-
-
-def _binary_prec(op: str) -> int:
-    if op in _CMP_OPS:
-        return _PREC_CMP
-    if op in _ADD_OPS:
-        return _PREC_ADD
-    return _PREC_MUL
+# Binary operators by precedence, the one table of them: the parser
+# groups, the pretty printer parenthesizes and the checker types by it.
+# All of them are left-associative.
+BINARY_PREC = {
+    "==": PREC_CMP, "!=": PREC_CMP, "<": PREC_CMP, "<=": PREC_CMP, ">": PREC_CMP, ">=": PREC_CMP,
+    "+": 3, "-": 3,
+    "*": 4, "/": 4, "%": 4,
+}  # fmt: skip
 
 
 def pretty_type(te: TypeExpr) -> str:
@@ -388,7 +381,7 @@ def _pretty_operand(e: Expr) -> tuple[str, int]:
                 args.append(_operand(a))
         return f"{callee}({', '.join(args)})", _PREC_POSTFIX
     if isinstance(e, Binary):
-        prec = _binary_prec(e.op)
+        prec = BINARY_PREC[e.op]
         lhs = pretty_expr(e.lhs, prec)
         rhs = pretty_expr(e.rhs, prec + 1)
         return f"{lhs} {e.op} {rhs}", prec

@@ -293,14 +293,14 @@ class _RoutineBuilder:
         self.emit(StorePath(base, steps, v, e.span))
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
-        """Base slot and steps for a write or location path."""
+        """Base slot and steps for a write or location path; a root that
+        is no slot of this routine is a field of its environment."""
         steps: list[Step] = []
-        if p.root_kind == "capture":
+        base = self.slot_map.get(p.root_binding_id)
+        if base is None:
             base = self.env_slot
             assert base is not None
             steps.append(("field", self.env_field_by_id[p.root_binding_id]))
-        else:
-            base = self.slot_map[p.root_binding_id]
         for acc in p.accessors:
             if isinstance(acc, FieldAcc):
                 steps.append(("field", acc.name))
@@ -309,9 +309,11 @@ class _RoutineBuilder:
         return base, steps
 
     def emit_path_read(self, p: Path, dst: int) -> None:
-        """Read a path into dst; a bare binding read is a plain Copy."""
-        if p.root_kind in ("local", "param") and not p.accessors:
-            self.emit(Copy(dst, self.slot_map[p.root_binding_id], p.span))
+        """Read a path into dst; a bare read of a slot that holds its
+        value, not an inout Location, is a plain Copy."""
+        rid = p.root_binding_id
+        if not p.accessors and rid in self.slot_map and rid not in self.inout_ids:
+            self.emit(Copy(dst, self.slot_map[rid], p.span))
             return
         base, steps = self.lower_target(p)
         self.emit(LoadPath(dst, base, steps, p.span))
@@ -389,60 +391,44 @@ class _RoutineBuilder:
         ops = []
         for cap in e.captures:
             t = self.new_slot()
-            if cap.binding_id in self.slot_map:
-                slot = self.slot_map[cap.binding_id]
-                if cap.binding_id in self.inout_ids:
-                    self.emit(LoadPath(t, slot, [], e.span))
-                else:
-                    self.emit(Copy(t, slot, e.span))
-            else:
-                # Captured transitively from this routine's own environment.
-                assert self.env_slot is not None
-                name = self.env_field_by_id[cap.binding_id]
-                self.emit(LoadPath(t, self.env_slot, [("field", name)], e.span))
+            self.emit_path_read(Path(cap.name, span=e.span, root_binding_id=cap.binding_id), t)
             ops.append(t)
         dst = self.new_slot()
         self.emit(MakeClosure(dst, routine.id, ops, e.span))
         return dst
 
     def lower_call(self, e: Call) -> int:
-        assert e.overlap_pairs is not None and e.callee_overlap is not None
-        # A path callee is borrowed in place so environment mutations
-        # persist in the named closure value; any other callee is a
+        assert e.overlap_pairs is not None
+        # The call's places, indexed like overlap_pairs: a path callee,
+        # borrowed in place so environment mutations persist in the named
+        # closure value, then the inout arguments.  Any other callee is a
         # temporary the call consumes.
-        callee_target: tuple[int, list[Step]] | None = None
+        targets: list[tuple[Path, int, list[Step]]] = []
         if isinstance(e.callee, Path):
-            callee_target = self.lower_target(e.callee)
+            targets.append((e.callee, *self.lower_target(e.callee)))
         else:
             callee = self.lower_value(e.callee)
         # Arguments evaluate left to right; an inout argument's
-        # contribution is its subscript temporaries.  All locations are
-        # then resolved adjacent to the call, so no user code runs
-        # between a resolution and the call it feeds.
+        # contribution is its subscript temporaries.  All places are then
+        # resolved adjacent to the call, so no user code runs between a
+        # resolution and the call it feeds.
         args: list[int] = []
-        inout_paths: list[Path] = []
-        resolved: list[tuple[int, list[Step]]] = []
         for a in e.args:
             if isinstance(a, InoutArg):
-                inout_paths.append(a.path)
-                resolved.append(self.lower_target(a.path))
+                targets.append((a.path, *self.lower_target(a.path)))
             else:
                 args.append(self.lower_copied(a))
-        if callee_target is not None:
-            callee = self.new_slot()
-            base, steps = callee_target
-            self.emit(ResolveLocation(callee, base, steps, borrow=True, span=e.callee.span))
-        locations = []
-        for (base, steps), p in zip(resolved, inout_paths):
+        places = []
+        for p, base, steps in targets:
             loc = self.new_slot()
-            self.emit(ResolveLocation(loc, base, steps, span=p.span))
-            locations.append(loc)
-        for i in e.callee_overlap:
-            self.emit(OverlapCheck(callee, locations[i], e.span))
+            self.emit(ResolveLocation(loc, base, steps, borrow=p is e.callee, span=p.span))
+            places.append(loc)
         for i, j in e.overlap_pairs:
-            self.emit(OverlapCheck(locations[i], locations[j], e.span))
+            self.emit(OverlapCheck(places[i], places[j], e.span))
+        if isinstance(e.callee, Path):
+            callee = places.pop(0)
         dst = self.new_slot()
-        self.emit(CallInstr(dst, callee, args, locations, e.span))
+        self.emit(CallInstr(dst, callee, args, places, e.span))
         return dst
 
     def finish(self, result: int, value_param_slots: list[int], span: Span) -> Routine:

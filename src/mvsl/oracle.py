@@ -165,9 +165,10 @@ class _Interp:
 
     # -- paths ------------------------------------------------------------
 
-    def trail(self, p: Path, scope: Scope) -> tuple:
-        """Concrete place of a path: owning-dict identity, name, then
-        one hop per accessor with subscripts evaluated to numbers."""
+    def trail(self, p: Path, scope: Scope) -> tuple[dict, tuple]:
+        """Concrete place of a path: the dict that owns its root, and the
+        hops to it, (owning-dict identity, name) and then one per
+        accessor with subscripts evaluated to numbers."""
         owner = scope.owner(p.root)
         hops: list = [(id(owner), p.root)]
         for acc in p.accessors:
@@ -175,53 +176,29 @@ class _Interp:
                 hops.append(("f", acc.name))
             else:
                 hops.append(("i", self.eval(acc.index, scope)))
-        return tuple(hops)
+        return owner, tuple(hops)
 
-    def read_trail(self, owner: dict, t: tuple, span: Span):
-        v = owner[t[0][1]]
-        for hop in t[1:]:
-            if hop[0] == "f":
+    def place(self, trail: tuple[dict, tuple], span: Span) -> tuple:
+        """Walk a trail to (container, key): the place is container[key],
+        a name of the owning dict, a field of a struct's list or an
+        element of an array's list.  Each subscript is bounds-checked."""
+        owner, hops = trail
+        container, key = owner, hops[0][1]
+        for kind, k in hops[1:]:
+            v = container[key]
+            if kind == "f":
                 assert isinstance(v, Struct)
-                v = v.fields[self._field(v, hop[1])]
+                container, key = v.fields, self.structs[v.name].index_of(k)
             else:
-                v = self._elem(v, hop[1], span)
-        return v
-
-    def write_trail(self, owner: dict, t: tuple, value, span: Span) -> None:
-        if len(t) == 1:
-            owner[t[0][1]] = value
-            return
-        v = owner[t[0][1]]
-        for hop in t[1:-1]:
-            if hop[0] == "f":
-                v = v.fields[self._field(v, hop[1])]
-            else:
-                v = self._elem(v, hop[1], span)
-        last = t[-1]
-        if last[0] == "f":
-            v.fields[self._field(v, last[1])] = value
-        else:
-            assert isinstance(v, Array)
-            self._bounds(v, last[1], span)
-            v.elems[last[1]] = value
-
-    def _field(self, v: Struct, name: str) -> int:
-        idx = self.structs[v.name].index_of(name)
-        assert idx is not None
-        return idx
-
-    def _bounds(self, v: Array, i: int, span: Span) -> None:
-        if not 0 <= i < len(v.elems):
-            raise RuntimeTrap(
-                span,
-                "IndexOutOfBounds",
-                f"index {i} out of bounds for array of {len(v.elems)} elements",
-            )
-
-    def _elem(self, v, i: int, span: Span):
-        assert isinstance(v, Array)
-        self._bounds(v, i, span)
-        return v.elems[i]
+                assert isinstance(v, Array)
+                if not 0 <= k < len(v.elems):
+                    raise RuntimeTrap(
+                        span,
+                        "IndexOutOfBounds",
+                        f"index {k} out of bounds for array of {len(v.elems)} elements",
+                    )
+                container, key = v.elems, k
+        return container, key
 
     # -- evaluation --------------------------------------------------------
 
@@ -229,9 +206,8 @@ class _Interp:
         if isinstance(e, IntLit) or isinstance(e, FloatLit):
             return e.value
         if isinstance(e, Path):
-            t = self.trail(e, scope)
-            owner = scope.owner(e.root)
-            return deep_copy(self.read_trail(owner, t, e.span))
+            container, key = self.place(self.trail(e, scope), e.span)
+            return deep_copy(container[key])
         if isinstance(e, ArrayLit):
             return Array([self.eval(x, scope) for x in e.elements])
         if isinstance(e, StructInit):
@@ -263,57 +239,45 @@ class _Interp:
                     # Subscripts of the target run before the value; bounds
                     # are checked by the write itself.
                     t = self.trail(s.target, inner)
-                    owner = inner.owner(s.target.root)
                     v = self.eval(s.value, inner)
-                    self.write_trail(owner, t, v, s.span)
+                    container, key = self.place(t, s.span)
+                    container[key] = v
             return self.eval(e.tail, inner)
         if isinstance(e, Call):
             return self.call(e, scope)
         raise AssertionError(f"cannot evaluate {e!r}")
 
     def call(self, e: Call, scope: Scope):
-        assert e.overlap_pairs is not None and e.callee_overlap is not None
+        assert e.overlap_pairs is not None
         # Phases match the compiled form: callee subscripts, arguments
         # left to right (an inout argument contributes its subscripts),
-        # then the callee and every inout place are resolved with bounds
-        # checks, then overlap checks, then the call itself.
-        callee_trail: tuple | None = None
-        if isinstance(e.callee, Path):
-            callee_trail = self.trail(e.callee, scope)
-            callee_owner = scope.owner(e.callee.root)
-        else:
+        # then the call's places, the callee first, are resolved with
+        # bounds checks, then overlap checks, then the call itself.  A
+        # path callee is read in place so capture mutations persist in
+        # the named closure; any other callee is a temporary.
+        trails = [self.trail(e.callee, scope)] if isinstance(e.callee, Path) else []
+        n_callee = len(trails)
+        if not n_callee:
             fn = self.eval(e.callee, scope)
-
         copied_in: list = []
-        inout: list[tuple[dict, tuple]] = []  # (owner, concrete trail)
         for a in e.args:
             if isinstance(a, InoutArg):
-                t = self.trail(a.path, scope)
-                inout.append((scope.owner(a.path.root), t))
+                trails.append(self.trail(a.path, scope))
             else:
                 copied_in.append(self.eval(a, scope))
 
-        # A path callee is read in place so capture mutations persist in
-        # the named closure; any other callee is a temporary.
-        if callee_trail is not None:
-            fn = self.read_trail(callee_owner, callee_trail, e.callee.span)
+        if n_callee:
+            container, key = self.place(trails[0], e.callee.span)
+            fn = container[key]
         assert isinstance(fn, Func)
-        for o, t in inout:
-            self.read_trail(o, t, e.span)
-
-        def prefix_related(t1: tuple, t2: tuple) -> bool:
-            return all(a == b for a, b in zip(t1, t2))
-
-        for i in e.callee_overlap:
-            assert callee_trail is not None
-            if prefix_related(callee_trail, inout[i][1]):
-                raise RuntimeTrap(e.span, "OverlapViolation", "overlapping inout arguments")
+        places = [self.place(t, e.span) for t in trails[n_callee:]]
+        # Two places overlap iff one trail is a prefix of the other.
         for i, j in e.overlap_pairs:
-            if prefix_related(inout[i][1], inout[j][1]):
+            if all(a == b for a, b in zip(trails[i][1], trails[j][1])):
                 raise RuntimeTrap(e.span, "OverlapViolation", "overlapping inout arguments")
 
         # Copy in.
-        inout_vals = [deep_copy(self.read_trail(o, t, e.span)) for o, t in inout]
+        inout_vals = [deep_copy(container[key]) for container, key in places]
 
         # The closure's env dict itself is the outermost scope, so
         # capture mutations persist in the value across calls.
@@ -325,8 +289,10 @@ class _Interp:
         result = self.eval(fn.lit.body, body_scope)
 
         # Copy out, left to right; exclusivity keeps order unobservable.
-        for (o, t), p in zip(inout, [p for p in fn.lit.params if p.passing == "inout"]):
-            self.write_trail(o, t, deep_copy(body_scope.vars[p.name]), e.span)
+        inout_params = [p for p in fn.lit.params if p.passing == "inout"]
+        for t, p in zip(trails[n_callee:], inout_params):
+            container, key = self.place(t, e.span)
+            container[key] = deep_copy(body_scope.vars[p.name])
         return result
 
 

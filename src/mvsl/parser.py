@@ -24,8 +24,8 @@ Grammar, one production per comment below its parse function:
 
 A chain of statements is one Chain node, built by the loop in `expr`.
 The three binary levels are one loop in `operand` over the precedence
-table _BINARY_PREC with an operator stack, instead of one function per
-level; it builds the same left-associative trees.
+table `ast.BINARY_PREC` with an operator stack, instead of one function
+per level; it builds the same left-associative trees.
 
 Nesting has a documented limit, MAX_NESTING.  One counter, `depth`,
 rises on entry to each operand, type and function literal, and once per
@@ -47,6 +47,7 @@ the entry expression is parsed.
 from __future__ import annotations
 
 from .ast import (
+    BINARY_PREC,
     ArrayLit,
     ArrayTE,
     Assign,
@@ -86,13 +87,6 @@ _INT_MAX_DIGITS = len(str(_INT_MAX))
 # literal.  At this depth the parser needs about 760 Python frames and no
 # later pass more; the default recursion limit is 1000.
 MAX_NESTING = 150
-
-# Binary operators by precedence; all of them are left-associative.
-_BINARY_PREC = {
-    "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-    "+": 2, "-": 2,
-    "*": 3, "/": 3, "%": 3,
-}  # fmt: skip
 
 
 class _Parser:
@@ -283,7 +277,7 @@ class _Parser:
             return Cond(cond, then, orelse, start.merge(orelse.span))
         e = self.postfix()
         t = self.tok
-        prec = _BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+        prec = BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
         if prec is not None:
             # Binary operators, grouped with an operator stack: once an
             # operand is read, every stacked operator that binds at least
@@ -298,7 +292,7 @@ class _Parser:
                 ops.append((t.lexeme, prec))
                 operands.append(self.postfix())
                 t = self.tok
-                prec = _BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+                prec = BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
                 while ops and (prec is None or ops[-1][1] >= prec):
                     rhs = operands.pop()
                     lhs = operands.pop()

@@ -16,8 +16,9 @@ Enforces, over parsed programs:
 
 Checking annotates the AST in place: every expression gets a `ty`,
 bindings get unique ids, paths learn their root binding, function
-literals their capture lists, and calls the inout pairs whose overlap
-must be re-checked at runtime.
+literals their capture lists, and calls the pairs of their places (a
+path callee, then the inout arguments) whose overlap must be re-checked
+at runtime.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
+    BINARY_PREC,
+    PREC_CMP,
     ArrayLit,
     ArrayTE,
     Assign,
@@ -66,8 +69,6 @@ WILDCARD_READ = "WildcardRead"
 DISJOINT = "Disjoint"
 OVERLAP = "Overlap"
 MAYBE_OVERLAP = "MaybeOverlap"
-
-_CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
 
 def _err(span: Span, code: str, message: str) -> TypeCheckError:
@@ -136,29 +137,31 @@ def build_struct_table(structs: list[StructDecl]) -> dict[str, StructInfo]:
         table[s.name] = info
         deps[s.name] = edge
 
-    # Depth-first cycle detection over the inline-containment graph.
-    state: dict[str, int] = {n: 0 for n in table}  # 0 new, 1 on stack, 2 done
-    stack: list[str] = []
-
-    def visit(name: str, at: Span) -> None:
-        state[name] = 1
-        stack.append(name)
-        for dep in deps[name]:
-            if state[dep] == 1:
-                cycle = stack[stack.index(dep) :]
+    # Depth-first cycle detection over the inline-containment graph, with
+    # an explicit stack: a chain of structs may be any length.
+    state: dict[str, int] = {n: 0 for n in table}  # 0 new, 1 on the path, 2 done
+    for s in structs:
+        if state[s.name] != 0:
+            continue
+        state[s.name] = 1
+        path = [s.name]  # the structs being visited, outermost first
+        pending = [iter(deps[s.name])]  # the unvisited deps of each
+        while path:
+            dep = next(pending[-1], None)
+            if dep is None:
+                state[path.pop()] = 2
+                pending.pop()
+            elif state[dep] == 1:
+                cycle = path[path.index(dep) :]
                 raise _err(
                     table[dep].decl.span,
                     RECURSIVE_STRUCT,
                     f"recursive struct cycle: {', '.join(cycle)}",
                 )
-            if state[dep] == 0:
-                visit(dep, table[dep].decl.span)
-        stack.pop()
-        state[name] = 2
-
-    for s in structs:
-        if state[s.name] == 0:
-            visit(s.name, s.span)
+            elif state[dep] == 0:
+                state[dep] = 1
+                path.append(dep)
+                pending.append(iter(deps[dep]))
     return table
 
 
@@ -181,8 +184,9 @@ class AccessPathShape:
 
     steps classify each accessor: ("field", name), ("lit", value) for a
     compile-time integer literal subscript, or ("dyn", text) for any
-    other subscript (text is the canonical form, used only for the
-    character-identical rule, never for overlap decisions).
+    other subscript.  text is the subscript's canonical form, never used
+    for overlap decisions: it only makes two shapes of one call equal
+    exactly when their paths are character-identical.
     """
 
     root: int  # binding id: identity, not spelling
@@ -228,10 +232,6 @@ def paths_overlap(p1: AccessPathShape, p2: AccessPathShape) -> str:
     return MAYBE_OVERLAP if maybe else OVERLAP
 
 
-def _path_text(p: Path) -> str:
-    return pretty_expr(p)
-
-
 # ---------------------------------------------------------------------------
 # Typing context
 
@@ -242,7 +242,6 @@ class BindingInfo:
     ty: Type
     mutable: bool
     binding_id: int
-    kind: str  # "local" | "param" | "inout_param" | "capture"
 
 
 class TypingContext:
@@ -278,7 +277,7 @@ class TypingContext:
         if outer is None:
             return None
         # Captured copies are mutable regardless of the source qualifier.
-        cap = BindingInfo(name, outer.ty, True, outer.binding_id, "capture")
+        cap = BindingInfo(name, outer.ty, True, outer.binding_id)
         self.captures[name] = cap
         return cap
 
@@ -396,9 +395,7 @@ class _Checker:
                 )
         e.binding_id = self.fresh_id()
         if e.name != "_":
-            ctx.bind(
-                BindingInfo(e.name, init_ty, e.qualifier == "var", e.binding_id, "local")
-            )
+            ctx.bind(BindingInfo(e.name, init_ty, e.qualifier == "var", e.binding_id))
 
     def check_assign(self, e: Assign, ctx: TypingContext) -> None:
         if e.target.root == "_" and not e.target.accessors:
@@ -410,7 +407,7 @@ class _Checker:
                 raise _err(
                     e.target.span,
                     IMMUTABLE_TARGET,
-                    f"cannot assign through immutable path '{_path_text(e.target)}'",
+                    f"cannot assign through immutable path '{pretty_expr(e.target)}'",
                 )
             value_ty = self.check_expr(e.value, ctx)
             if value_ty != target_ty:
@@ -433,7 +430,7 @@ class _Checker:
             )
         if e.op == "%" and lt != INT:
             raise _err(e.span, TYPE_MISMATCH, "operator '%' requires Int operands")
-        if e.op in _CMP_OPS:
+        if BINARY_PREC[e.op] == PREC_CMP:
             return INT
         return lt
 
@@ -447,9 +444,8 @@ class _Checker:
             sig.append((passing, ty))
             pid = self.fresh_id()
             param_ids.append(pid)
-            kind = "inout_param" if passing == INOUT else "param"
             # By-value parameters are immutable; mutate a local copy instead.
-            inner.bind(BindingInfo(p.name, ty, passing == INOUT, pid, kind))
+            inner.bind(BindingInfo(p.name, ty, passing == INOUT, pid))
         ret = resolve_type(e.ret, self.struct_names)
         body_ty = self.check_expr(e.body, inner)
         if body_ty != ret:
@@ -475,7 +471,9 @@ class _Checker:
                 ARITY_MISMATCH,
                 f"function takes {len(callee_ty.params)} arguments, found {len(e.args)}",
             )
-        inout_paths: list[Path] = []
+        # The call's places: a path callee, then the inout arguments.
+        places: list[Path] = [e.callee] if isinstance(e.callee, Path) else []
+        n_callee = len(places)
         for i, (arg, (passing, pty)) in enumerate(zip(e.args, callee_ty.params)):
             if passing == INOUT:
                 if not isinstance(arg, InoutArg):
@@ -489,7 +487,7 @@ class _Checker:
                     raise _err(
                         arg.span,
                         IMMUTABLE_TARGET,
-                        f"inout argument '{_path_text(arg.path)}' is an immutable path",
+                        f"inout argument '{pretty_expr(arg.path)}' is an immutable path",
                     )
                 if ty != pty:
                     raise _err(
@@ -497,7 +495,7 @@ class _Checker:
                         TYPE_MISMATCH,
                         f"inout argument has type {ty}, parameter expects {pty}",
                     )
-                inout_paths.append(arg.path)
+                places.append(arg.path)
             else:
                 if isinstance(arg, InoutArg):
                     raise _err(
@@ -512,53 +510,45 @@ class _Checker:
                         TYPE_MISMATCH,
                         f"argument has type {ty}, parameter expects {pty}",
                     )
-        e.overlap_pairs = self.check_exclusivity(e, inout_paths)
-        e.callee_overlap = self.check_callee_exclusivity(e, inout_paths)
+        e.overlap_pairs = self.check_exclusivity(e, places, n_callee)
         return callee_ty.ret
 
     def check_exclusivity(
-        self, call: Call, inout_paths: list[Path]
+        self, call: Call, places: list[Path], n_callee: int
     ) -> list[tuple[int, int]]:
-        """Reject statically-overlapping inout pairs; return the pairs
-        that need a runtime check."""
-        pending: list[tuple[int, int]] = []
-        shapes = [shape_of_path(p) for p in inout_paths]
-        texts = [_path_text(p) for p in inout_paths]
-        for i in range(len(inout_paths)):
-            for j in range(i + 1, len(inout_paths)):
-                verdict = paths_overlap(shapes[i], shapes[j])
-                # Character-identical paths are always a static error,
-                # even when their subscripts are dynamic.
-                if verdict == OVERLAP or texts[i] == texts[j]:
-                    raise _err(
-                        call.span,
-                        OVERLAPPING_INOUT,
-                        f"inout arguments '{texts[i]}' and '{texts[j]}' overlap",
-                    )
-                if verdict == MAYBE_OVERLAP:
-                    pending.append((i, j))
-        return pending
+        """Reject statically overlapping pairs of the call's places, the
+        first n_callee of them its borrowed callee; return the pairs that
+        need a runtime check.
 
-    def check_callee_exclusivity(
-        self, call: Call, inout_paths: list[Path]
-    ) -> list[int]:
-        """A path callee is read in place for the whole call, so an
-        inout argument may not alias it; mirrors check_exclusivity."""
-        if not isinstance(call.callee, Path) or not inout_paths:
-            return []
-        pending: list[int] = []
-        cshape = shape_of_path(call.callee)
-        ctext = _path_text(call.callee)
-        for i, p in enumerate(inout_paths):
-            verdict = paths_overlap(cshape, shape_of_path(p))
-            if verdict == OVERLAP or ctext == _path_text(p):
-                raise _err(
-                    call.span,
-                    OVERLAPPING_INOUT,
-                    f"inout argument '{_path_text(p)}' overlaps the call target '{ctext}'",
-                )
-            if verdict == MAYBE_OVERLAP:
-                pending.append(i)
+        Identical paths are an error even when their subscripts are
+        dynamic.  A clash of two inout arguments is reported before a
+        clash with the callee.
+        """
+        shapes = [shape_of_path(p) for p in places]
+        pending: list[tuple[int, int]] = []
+        callee_clash: int | None = None
+        for i in range(len(places)):
+            for j in range(i + 1, len(places)):
+                verdict = paths_overlap(shapes[i], shapes[j])
+                if verdict == OVERLAP or shapes[i] == shapes[j]:
+                    if i >= n_callee:
+                        raise _err(
+                            call.span,
+                            OVERLAPPING_INOUT,
+                            f"inout arguments '{pretty_expr(places[i])}' and "
+                            f"'{pretty_expr(places[j])}' overlap",
+                        )
+                    if callee_clash is None:
+                        callee_clash = j
+                elif verdict == MAYBE_OVERLAP:
+                    pending.append((i, j))
+        if callee_clash is not None:
+            raise _err(
+                call.span,
+                OVERLAPPING_INOUT,
+                f"inout argument '{pretty_expr(places[callee_clash])}' overlaps "
+                f"the call target '{pretty_expr(places[0])}'",
+            )
         return pending
 
     # -- paths ---------------------------------------------------------------
@@ -568,7 +558,7 @@ class _Checker:
     ) -> tuple[Type, bool]:
         """Type a path and report whether it is mutable end to end.
 
-        Annotates the root binding id and kind on the node.  Wildcard
+        Annotates the root binding id on the node.  Wildcard
         roots are rejected here; bare wildcard targets never reach this
         point.
         """
@@ -578,7 +568,6 @@ class _Checker:
         if info is None:
             raise _err(p.span, UNBOUND_NAME, f"unbound name '{p.root}'")
         p.root_binding_id = info.binding_id
-        p.root_kind = info.kind
         ty: Type = info.ty
         mutable = info.mutable
         for acc in p.accessors:

@@ -418,8 +418,7 @@ class VM:
 
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
         slots = frame.slots
-        callee = slots[ins.callee]
-        slots[ins.callee] = None
+        fn = callee = slots[ins.callee]
         if type(callee) is Location:
             # Borrowed callee: the closure value stays in place and its
             # environment mutations persist there.  Lowering resolves it
@@ -427,15 +426,15 @@ class VM:
             # its blocks already unique, run before the call: its
             # recorded place is current.
             fn = callee.container[callee.index]
-            owned = None
-        else:
-            fn = owned = callee
         assert type(fn) is FuncVal
         args = _take_all(slots, ins.args)
         locations = _take_all(slots, ins.locations)
+        # The callee lends its env to the call; an owned callee stays in
+        # its slot until the call returns, so its env is counted once.
         result = self.execute_routine(fn.routine, args, locations, fn.env)
-        if owned is not None:
-            self.destroy_value(owned)
+        slots[ins.callee] = None
+        if fn is callee:
+            self.destroy_value(callee)
         slots[ins.dst] = result
 
     def execute_routine(self, routine: Routine, args: list, locations: list, env) -> Value:
@@ -526,7 +525,8 @@ class VM:
 
     def audit_refcounts(self, pending: Value | None = None) -> None:
         """Safepoint check: each block's r equals the number of live
-        Values holding its σ."""
+        Values holding its σ.  A frame's env slot borrows the env of the
+        callee's closure value, which is counted where that value lives."""
         refs: dict[int, int] = {}
 
         def walk(v: Value) -> None:
@@ -540,7 +540,10 @@ class VM:
                 walk(v.env)
 
         for frame in self.frames:
-            for v in frame.slots:
+            slots = frame.slots
+            if frame.routine.params and frame.routine.params[0][0] == P_ENV:
+                slots = slots[1:]
+            for v in slots:
                 if v is not None and type(v) is not Location:
                     walk(v)
         if pending is not None:

@@ -190,6 +190,17 @@ def test_chain_scopes_do_not_grow_with_its_length(monkeypatch):
     assert seen[0] == seen[1] == {"push": 1, "scope": 2}
 
 
+def test_long_struct_chain_checks(tmp_path):
+    """Struct cycles are found with an explicit stack: a chain of 2 000
+    structs, each holding the next inline, checks under the default
+    recursion limit."""
+    n = 2000
+    decls = "".join(f"struct S{i} {{ var a: S{i + 1} }} in\n" for i in range(n - 1))
+    f = tmp_path / "structs.mvs"
+    f.write_text(decls + f"struct S{n - 1} {{ var a: Int }} in\n0")
+    assert run_cli("check", str(f)) == (0, "ok\n", "")
+
+
 # -- the command line never ends in a traceback ---------------------------------------------
 
 COMMANDS = [

@@ -308,6 +308,37 @@ def test_refcount_audit_debug_mode():
             continue
 
 
+def test_refcount_audit_does_not_count_a_borrowed_env():
+    # a closure's env is lent to its call, so the array it captured has
+    # one reference, held by the closure value
+    src = "var a: [Int] = [1, 2] in let f: () -> Int = () -> Int { a[0] } in f()"
+    assert run_source(src, debug=True)[0] == "1"
+    # a callee that is an owned temporary keeps its env counted once
+    assert run_source("var a: [Int] = [1, 2] in (() -> Int { a[1] })()", debug=True)[0] == "2"
+    nested = (
+        "var a: [Int] = [1, 2] in "
+        "let f: () -> Int = () -> Int { let g: () -> Int = () -> Int { a[1] } in g() } in f()"
+    )
+    for cow in (True, False):
+        assert run_source(nested, cow=cow, debug=True)[0] == "2"
+
+
+def test_refcount_audit_catches_a_leaked_retain(monkeypatch):
+    copy_value = VM.copy_value
+
+    def leaky_copy(self, v):
+        out = copy_value(self, v)
+        if type(out) is ArrayVal:
+            self.store[out.sid].r += 1
+        return out
+
+    monkeypatch.setattr(VM, "copy_value", leaky_copy)
+    # without move elision the capture is a copy of a
+    src = "var a: [Int] = [1, 2] in let f: () -> Int = () -> Int { a[0] } in f()"
+    with pytest.raises(AssertionError, match="refcount drift"):
+        run_source(src, move_opt=False, debug=True)
+
+
 def test_refcount_audit_generated():
     for seed in range(40):
         ir = apply_move_optimization(

@@ -96,6 +96,54 @@ def test_overlapping_inout_static():
     assert err_code(src4) == "OverlappingInout"
 
 
+CALLEE = (
+    "struct B { var f: (inout B, inout Int, inout Int) -> Int; var n: Int } in "
+    "var b: B = B((x: inout B, p: inout Int, q: inout Int) -> Int { x.n + p + q }, 1) in "
+    "var y: Int = 2 in var z: Int = 3 in "
+)
+
+
+def err_message(source):
+    with pytest.raises(TypeCheckError) as e:
+        check(source)
+    assert e.value.code == "OverlappingInout"
+    return e.value.message
+
+
+def test_overlapping_inout_messages():
+    src = SWAP + "var a: [Int] = [1, 2] in var i: Int = 0 in _ = swap(&a[i], &a[i]) in a"
+    assert err_message(src) == "inout arguments 'a[i]' and 'a[i]' overlap"
+    # a path callee is one more place of the call
+    assert err_message(CALLEE + "b.f(&b, &y, &z)") == (
+        "inout argument 'b' overlaps the call target 'b.f'"
+    )
+    # a clash of two inout arguments is reported before one with the callee
+    assert err_message(CALLEE + "b.f(&b, &y, &y)") == "inout arguments 'y' and 'y' overlap"
+
+
+def test_overlap_pairs_index_the_places_callee_first():
+    def pairs(source):
+        call = check(source).program.entry.tail
+        assert isinstance(call, Call)
+        return call.overlap_pairs
+
+    dyn = SWAP + "var a: [Int] = [1, 2] in var i: Int = 0 in "
+    # the callee `swap` is place 0, disjoint from both arguments
+    assert pairs(dyn + "swap(&a[i], &a[0])") == [(1, 2)]
+    # a callee that is no path is no place
+    lit = "((l: inout Int, r: inout Int) -> Int { l + r })"
+    assert pairs("var a: [Int] = [1, 2] in var i: Int = 0 in " + lit + "(&a[i], &a[0])") == [
+        (0, 1)
+    ]
+    fs = (
+        "struct S { var f: (inout S) -> Int; var n: Int } in "
+        "var ss: [S] = [S((s: inout S) -> Int { s.n }, 1), S((s: inout S) -> Int { 0 }, 2)] in "
+        "var i: Int = 0 in "
+    )
+    assert pairs(fs + "ss[i].f(&ss[0])") == [(0, 1)]
+    assert pairs(fs + "ss[0].f(&ss[1])") == []
+
+
 def test_recursive_struct():
     assert err_code("struct A { var a: A } in 0") == "RecursiveStruct"
     assert err_code("struct A { var b: B } in struct B { var a: A } in 0") == "RecursiveStruct"
@@ -103,6 +151,17 @@ def test_recursive_struct():
     assert err_code("struct A { var xs: [A] } in 0") == "RecursiveStruct"
     # function types hold no inline value of A; exempt
     check("struct A { var f: (A) -> Int } in 0")
+
+
+def test_recursive_struct_reports_the_cycle_in_order():
+    src = (
+        "struct A { var b: B } in struct B { var c: [C]; var n: Int } in "
+        "struct C { var f: () -> A; var d: D } in struct D { var b: B } in 0"
+    )
+    with pytest.raises(TypeCheckError) as e:
+        check(src)
+    assert e.value.message == "recursive struct cycle: B, C, D"
+    assert src[e.value.span.start : e.value.span.end].startswith("struct B {")
 
 
 def test_wildcard_read():
