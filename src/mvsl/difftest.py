@@ -61,6 +61,6 @@ def differential_run(program: Program) -> dict:
     }
 
 
-def differential_seed_run(seed: int, size_budget: int = 50) -> dict:
+def differential_seed_run(seed: int) -> dict:
     """Generate the program for one seed and differential-test it."""
-    return differential_run(generate_program(GenConfig(seed, size_budget=size_budget)))
+    return differential_run(generate_program(GenConfig(seed)))

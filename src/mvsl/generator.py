@@ -11,6 +11,10 @@ variables whose concrete value is statically known, so they are always
 in bounds and inout pairs that need a runtime overlap check are
 concretely disjoint.
 
+Candidate places are tuples (variable, *steps), where each step is a
+field name, a literal subscript or an Int variable read as a subscript;
+only the place picked becomes a Path.
+
 The same GenConfig always yields the same program.
 """
 
@@ -20,6 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .ast import (
+    Accessor,
     ArrayLit,
     ArrayTE,
     Assign,
@@ -59,6 +64,8 @@ from .types import (
 )
 
 _BOUND_CAP = 1 << 30
+MAX_DEPTH = 4
+STRUCT_COUNT = 2
 
 
 def _int_lit(k: int) -> Expr:
@@ -70,10 +77,6 @@ def _int_lit(k: int) -> Expr:
 class GenConfig:
     seed: int
     size_budget: int = 50
-    max_depth: int = 4
-    struct_count: int = 2
-    enable_closures: bool = True
-    enable_inout: bool = True
 
 
 @dataclass
@@ -82,10 +85,27 @@ class _Var:
     ty: Type
     mutable: bool
     bound: int = 8  # max |int| reachable anywhere inside the value
-    length: int | None = None  # array length when statically tracked
-    inner_length: int | None = None  # row length of an array of arrays
+    length: int = 0  # array length
+    inner_length: int = 0  # row length of an array of arrays
     known_value: int | None = None  # concrete value of an Int variable
     ret_bound: int = 0  # |result| bound when this is a closure
+
+
+@dataclass
+class _Struct:
+    fields: list[tuple[str, Type]]
+    ints: list[str]  # names of the Int fields
+
+
+def _path(v: _Var, *steps: str | int | _Var) -> Path:
+    """The place reached from v by steps (see the module docstring)."""
+    accessors: list[Accessor] = []
+    for s in steps:
+        if isinstance(s, str):
+            accessors.append(FieldAcc(s))
+        else:
+            accessors.append(IndexAcc(IntLit(s) if isinstance(s, int) else _path(s)))
+    return Path(v.name, accessors)
 
 
 def _te(ty: Type) -> TypeExpr:
@@ -106,9 +126,12 @@ class _Gen:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.budget = cfg.size_budget
+        self.structs: dict[StructType, _Struct] = {}
+        # Every variable in declaration order, and three indexes over it.
         self.vars: list[_Var] = []
-        self.structs: list[StructDecl] = []
-        self.struct_types: list[StructType] = []
+        self.by_type: dict[Type, list[_Var]] = {}
+        self.closures: list[_Var] = []  # Int closures taking only by-value Ints
+        self.int_holders: list[_Var] = []  # structs with Int fields, [Int]s
         self.names = 0
         self.helpers: dict[str, _Var] = {}
 
@@ -124,12 +147,23 @@ class _Gen:
     def pick(self, seq):
         return self.rng.choice(seq)
 
-    def ints_of(self, pred=None) -> list[_Var]:
-        out = [v for v in self.vars if v.ty == INT]
-        return [v for v in out if pred(v)] if pred else out
+    def declare(self, v: _Var) -> None:
+        """File v under its type, and as an Int closure taking by-value
+        Ints or as a holder of readable Int places."""
+        ty = v.ty
+        self.vars.append(v)
+        self.by_type.setdefault(ty, []).append(v)
+        if isinstance(ty, FuncType):
+            if ty.ret == INT and all(p == (BY_VALUE, INT) for p in ty.params):
+                self.closures.append(v)
+        elif ty == ArrayType(INT) or isinstance(ty, StructType) and self.structs[ty].ints:
+            self.int_holders.append(v)
 
     def of_type(self, ty: Type) -> list[_Var]:
-        return [v for v in self.vars if v.ty == ty]
+        return self.by_type.get(ty, [])
+
+    def ints_of(self, pred) -> list[_Var]:
+        return [v for v in self.of_type(INT) if pred(v)]
 
     # -- integer expressions -------------------------------------------------
 
@@ -174,52 +208,39 @@ class _Gen:
     def int_leaf(self) -> tuple[Expr, int]:
         self.spend(1)
         sources: list[str] = ["lit", "lit"]
-        if self.ints_of():
+        ints = self.of_type(INT)
+        if ints:
             sources.append("var")
         paths = self.int_paths()
         if paths:
             sources.append("path")
-        closures = [
-            v
-            for v in self.vars
-            if isinstance(v.ty, FuncType)
-            and v.ty.ret == INT
-            and all(p == BY_VALUE for p, _ in v.ty.params)
-        ]
-        if closures and self.budget > 2:
+        if self.closures and self.budget > 2:
             sources.append("call")
         kind = self.pick(sources)
         if kind == "lit":
             k = self.rng.randint(-8, 8)
             return _int_lit(k), 8
         if kind == "var":
-            v = self.pick(self.ints_of())
-            return Path(v.name, []), v.bound
+            v = self.pick(ints)
+            return _path(v), v.bound
         if kind == "path":
-            p, bound = self.pick(paths)
-            return p, bound
-        v = self.pick(closures)
+            place = self.pick(paths)
+            return _path(*place), place[0].bound
+        v = self.pick(self.closures)
         assert isinstance(v.ty, FuncType)
-        args = []
-        for passing, pty in v.ty.params:
-            assert passing == BY_VALUE and pty == INT
-            a, _ = self.gen_int(0)
-            args.append(a)
+        args = [self.gen_int(0)[0] for _ in v.ty.params]
         self.spend(2)
-        return Call(Path(v.name, []), args), v.ret_bound
+        return Call(_path(v), args), v.ret_bound
 
-    def int_paths(self) -> list[tuple[Path, int]]:
-        """Readable Int-typed paths through structs and arrays."""
-        out: list[tuple[Path, int]] = []
-        for v in self.vars:
+    def int_paths(self) -> list[tuple]:
+        """Readable Int places through structs and arrays: every Int
+        field, and one literal subscript drawn per [Int] variable."""
+        out: list[tuple] = []
+        for v in self.int_holders:
             if isinstance(v.ty, StructType):
-                decl = self.structs[self.struct_types.index(v.ty)]
-                for f in decl.fields:
-                    if isinstance(f.type_expr, NamedTE) and f.type_expr.name == "Int":
-                        out.append((Path(v.name, [FieldAcc(f.name)]), v.bound))
-            elif v.ty == ArrayType(INT) and v.length:
-                i = self.rng.randrange(v.length)
-                out.append((Path(v.name, [IndexAcc(IntLit(i))]), v.bound))
+                out += [(v, f) for f in self.structs[v.ty].ints]
+            else:
+                out.append((v, self.rng.randrange(v.length)))
         return out
 
     # -- float expressions -----------------------------------------------------
@@ -229,7 +250,7 @@ class _Gen:
         if depth <= 0 or self.budget <= 0 or self.rng.random() < 0.4:
             floats = self.of_type(FLOAT)
             if floats and self.rng.random() < 0.5:
-                return Path(self.pick(floats).name, [])
+                return _path(self.pick(floats))
             k = self.rng.randint(0, 32)
             lit = FloatLit(k / 4.0)
             return lit if self.rng.random() < 0.8 else Binary("-", FloatLit(0.0), lit)
@@ -253,26 +274,22 @@ class _Gen:
         if ty == FLOAT:
             return self.gen_float(depth), meta
         if isinstance(ty, ArrayType):
-            same = [
-                v
-                for v in self.of_type(ty)
-                if v.length is not None
-            ]
+            same = self.of_type(ty)
             if same and self.rng.random() < 0.4:
                 src = self.pick(same)
                 self.spend(1)
                 meta.bound = src.bound
                 meta.length = src.length
                 meta.inner_length = src.inner_length
-                return Path(src.name, []), meta
+                return _path(src), meta
             n = self.rng.randint(1, 3)
-            inner: int | None = None
+            inner = 0
             elems = []
             bound = 0
             for _ in range(n):
                 if isinstance(ty.element, ArrayType):
                     # Rows of one nested literal share a length.
-                    if inner is None:
+                    if not inner:
                         inner = self.rng.randint(1, 3)
                     row = []
                     for _ in range(inner):
@@ -294,12 +311,10 @@ class _Gen:
                 src = self.pick(same)
                 self.spend(1)
                 meta.bound = src.bound
-                return Path(src.name, []), meta
-            decl = self.structs[self.struct_types.index(ty)]
+                return _path(src), meta
             args = []
             bound = 0
-            for f in decl.fields:
-                fty = INT if (isinstance(f.type_expr, NamedTE) and f.type_expr.name == "Int") else FLOAT
+            for _, fty in self.structs[ty].fields:
                 e, m = self.gen_value(fty, depth - 1)
                 args.append(e)
                 bound = max(bound, m.bound)
@@ -314,69 +329,56 @@ class _Gen:
         menu: list[Type] = [INT, INT, FLOAT, ArrayType(INT)]
         if self.budget > 10:
             menu += [ArrayType(FLOAT), ArrayType(ArrayType(INT))]
-        menu += self.struct_types
+        menu += self.structs
         ty = self.pick(menu)
-        e, meta = self.gen_value(ty, self.cfg.max_depth - 1)
-        v = _Var(
-            self.fresh("v"),
-            ty,
-            self.rng.random() < 0.7,
-            meta.bound,
-            meta.length,
-            meta.inner_length,
-            meta.known_value,
-        )
-        self.vars.append(v)
+        e, v = self.gen_value(ty, MAX_DEPTH - 1)
+        v.name, v.mutable = self.fresh("v"), self.rng.random() < 0.7
+        self.declare(v)
         self.spend(2)
         return [Binding("var" if v.mutable else "let", v.name, _te(ty), e)]
 
     def stmt_assign(self) -> list[Binding | Assign]:
-        targets: list[tuple[Path, Type, _Var]] = []
+        targets: list[tuple[tuple, Type]] = []
         for v in self.vars:
             if not v.mutable:
                 continue
             if v.ty in (INT, FLOAT):
-                targets.append((Path(v.name, []), v.ty, v))
+                targets.append(((v,), v.ty))
             elif isinstance(v.ty, StructType):
-                decl = self.structs[self.struct_types.index(v.ty)]
-                f = self.pick(decl.fields)
-                fty = INT if (isinstance(f.type_expr, NamedTE) and f.type_expr.name == "Int") else FLOAT
-                targets.append((Path(v.name, [FieldAcc(f.name)]), fty, v))
-            elif v.ty == ArrayType(INT) and v.length:
-                targets.append(
-                    (Path(v.name, [IndexAcc(self.index_expr(v.length))]), INT, v)
-                )
-            elif v.ty == ArrayType(ArrayType(INT)) and v.length and v.inner_length:
-                targets.append(
-                    (
-                        Path(
-                            v.name,
-                            [
-                                IndexAcc(self.index_expr(v.length)),
-                                IndexAcc(self.index_expr(v.inner_length)),
-                            ],
-                        ),
-                        INT,
-                        v,
-                    )
-                )
+                f, fty = self.pick(self.structs[v.ty].fields)
+                targets.append(((v, f), fty))
+            elif v.ty == ArrayType(INT):
+                targets.append(((v, self.index_expr(v.length)), INT))
+            elif v.ty == ArrayType(ArrayType(INT)):
+                steps = (self.index_expr(v.length), self.index_expr(v.inner_length))
+                targets.append(((v, *steps), INT))
         if not targets:
             return self.stmt_bind()
-        path, ty, v = self.pick(targets)
-        e, meta = self.gen_value(ty, self.cfg.max_depth - 2)
+        place, ty = self.pick(targets)
+        v = place[0]
+        e, meta = self.gen_value(ty, MAX_DEPTH - 2)
         v.bound = max(v.bound, meta.bound)
-        if not path.accessors and v.ty == INT:
+        if len(place) == 1 and v.ty == INT:
             v.known_value = meta.known_value
         self.spend(2)
-        return [Assign(path, e)]
+        return [Assign(_path(*place), e)]
 
-    def index_expr(self, length: int) -> Expr:
-        """An in-bounds subscript: a literal, or a read of an Int
-        variable whose concrete value is known."""
+    def index_expr(self, length: int) -> int | _Var:
+        """An in-bounds subscript: a literal, or an Int variable whose
+        concrete value is known."""
         known = self.ints_of(lambda v: v.known_value is not None and 0 <= v.known_value < length)
         if known and self.rng.random() < 0.4:
-            return Path(self.pick(known).name, [])
-        return IntLit(self.rng.randrange(length))
+            return self.pick(known)
+        return self.rng.randrange(length)
+
+    def let_fn(
+        self, prefix: str, ty: FuncType, fn: FuncLit, ret_bound: int, cost: int
+    ) -> tuple[_Var, Binding]:
+        """Declare an immutable closure variable bound to fn."""
+        v = _Var(self.fresh(prefix), ty, False, ret_bound=ret_bound)
+        self.declare(v)
+        self.spend(cost)
+        return v, Binding("let", v.name, _te(ty), fn)
 
     def stmt_closure(self) -> list[Binding | Assign]:
         kind = self.pick(["counter", "pure", "reader"])
@@ -385,53 +387,35 @@ class _Gen:
             if not state:
                 return self.stmt_bind()
             sv = self.pick(state)
-            name = self.fresh("tick")
-            step = Binary("+", Binary("%", Path(sv.name, []), IntLit(97)), IntLit(1))
-            body = Chain([Assign(Path(sv.name, []), step)], Path(sv.name, []))
+            step = Binary("+", Binary("%", _path(sv), IntLit(97)), IntLit(1))
+            body = Chain([Assign(_path(sv), step)], _path(sv))
             fn = FuncLit([], NamedTE("Int"), body)
-            fv = _Var(name, FuncType((), INT), False, ret_bound=98)
-            self.vars.append(fv)
-            self.spend(6)
-            return [Binding("let", name, _te(fv.ty), fn)]
+            return [self.let_fn("tick", FuncType((), INT), fn, 98, 6)[1]]
         if kind == "pure":
-            name = self.fresh("fn")
             k = self.rng.randint(1, 8)
             body = Binary("+", Binary("%", Path("p", []), IntLit(50)), IntLit(k))
             fn = FuncLit([Param("p", BY_VALUE, NamedTE("Int"))], NamedTE("Int"), body)
-            fv = _Var(name, FuncType(((BY_VALUE, INT),), INT), False, ret_bound=58)
-            self.vars.append(fv)
-            self.spend(5)
-            return [Binding("let", name, _te(fv.ty), fn)]
-        arrays = [v for v in self.vars if v.ty == ArrayType(INT) and v.length]
+            return [self.let_fn("fn", FuncType(((BY_VALUE, INT),), INT), fn, 58, 5)[1]]
+        arrays = self.of_type(ArrayType(INT))
         if not arrays:
             return self.stmt_bind()
         av = self.pick(arrays)
-        name = self.fresh("peek")
-        body = Path(av.name, [IndexAcc(IntLit(self.rng.randrange(av.length)))])
+        body = _path(av, self.rng.randrange(av.length))
         fn = FuncLit([], NamedTE("Int"), body)
-        fv = _Var(name, FuncType((), INT), False, ret_bound=av.bound)
-        self.vars.append(fv)
-        self.spend(4)
-        return [Binding("let", name, _te(fv.ty), fn)]
+        return [self.let_fn("peek", FuncType((), INT), fn, av.bound, 4)[1]]
 
     def stmt_call(self) -> list[Binding | Assign]:
-        closures = [
-            v
-            for v in self.vars
-            if isinstance(v.ty, FuncType) and all(p == BY_VALUE for p, _ in v.ty.params)
-        ]
-        if not closures:
-            return self.stmt_closure() if self.cfg.enable_closures else self.stmt_bind()
-        v = self.pick(closures)
+        if not self.closures:
+            return self.stmt_closure()
+        v = self.pick(self.closures)
         assert isinstance(v.ty, FuncType)
         args = [self.gen_int(1)[0] for _ in v.ty.params]
-        call = Call(Path(v.name, []), args)
+        call = Call(_path(v), args)
         self.spend(3)
         if self.rng.random() < 0.5:
-            name = self.fresh("r")
-            rv = _Var(name, INT, False, bound=v.ret_bound)
-            self.vars.append(rv)
-            return [Binding("let", name, _te(INT), call)]
+            rv = _Var(self.fresh("r"), INT, False, bound=v.ret_bound)
+            self.declare(rv)
+            return [Binding("let", rv.name, _te(INT), call)]
         return [Assign(Path("_", []), call)]
 
     def helper(self, which: str) -> tuple[_Var, list[Binding | Assign]]:
@@ -465,12 +449,9 @@ class _Gen:
             body = Chain([Assign(target, step)], result)
             fn = FuncLit([Param("xs", INOUT, ArrayTE(NamedTE("Int")))], NamedTE("Int"), body)
             ty = FuncType(((INOUT, ArrayType(INT)),), INT)
-        name = self.fresh(which)
-        hv = _Var(name, ty, False, ret_bound=98)
+        hv, decl = self.let_fn(which, ty, fn, 98, 7)
         self.helpers[which] = hv
-        self.vars.append(hv)
-        self.spend(7)
-        return hv, [Binding("let", name, _te(ty), fn)]
+        return hv, [decl]
 
     def stmt_inout(self) -> list[Binding | Assign]:
         which = self.pick(["swap", "bump", "bump", "abump"])
@@ -479,29 +460,28 @@ class _Gen:
             if not pairs:
                 return self.stmt_bind()
             hv, decl = self.helper("swap")
-            (p1, v1), (p2, v2) = self.pick(pairs)
-            shared = max(v1.bound, v2.bound)
-            v1.bound = max(v1.bound, shared)
-            v2.bound = max(v2.bound, shared)
+            places = self.pick(pairs)
+            v1, v2 = places[0][0], places[1][0]
+            v1.bound = v2.bound = max(v1.bound, v2.bound)
             v1.known_value = v2.known_value = None
-            call = Call(Path(hv.name, []), [InoutArg(p1), InoutArg(p2)])
         elif which == "bump":
             targets = self.int_places()
             if not targets:
                 return self.stmt_bind()
             hv, decl = self.helper("bump")
-            p, v = self.pick(targets)
+            places = [self.pick(targets)]
+            v = places[0][0]
             v.bound = max(v.bound, 97)
             v.known_value = None
-            call = Call(Path(hv.name, []), [InoutArg(p)])
         else:
-            arrays = [v for v in self.vars if v.ty == ArrayType(INT) and v.mutable and v.length]
+            arrays = [v for v in self.of_type(ArrayType(INT)) if v.mutable]
             if not arrays:
                 return self.stmt_bind()
             hv, decl = self.helper("abump")
             v = self.pick(arrays)
             v.bound = max(v.bound, 84)
-            call = Call(Path(hv.name, []), [InoutArg(Path(v.name, []))])
+            places = [(v,)]
+        call = Call(_path(hv), [InoutArg(_path(*p)) for p in places])
         self.spend(4)
         if self.rng.random() < 0.6:
             return decl + [Assign(Path("_", []), call)]
@@ -509,53 +489,35 @@ class _Gen:
         c, _ = self.gen_int(1)
         return decl + [Assign(Path("_", []), Cond(c, call, IntLit(0)))]
 
-    def int_places(self) -> list[tuple[Path, _Var]]:
+    def int_places(self) -> list[tuple]:
         """Mutable Int-typed places usable as inout arguments."""
-        out: list[tuple[Path, _Var]] = []
+        out: list[tuple] = []
         for v in self.vars:
             if not v.mutable:
                 continue
             if v.ty == INT:
-                out.append((Path(v.name, []), v))
+                out.append((v,))
             elif isinstance(v.ty, StructType):
-                decl = self.structs[self.struct_types.index(v.ty)]
-                for f in decl.fields:
-                    if isinstance(f.type_expr, NamedTE) and f.type_expr.name == "Int":
-                        out.append((Path(v.name, [FieldAcc(f.name)]), v))
-            elif v.ty == ArrayType(INT) and v.length:
-                out.append((Path(v.name, [IndexAcc(self.index_expr(v.length))]), v))
+                out += [(v, f) for f in self.structs[v.ty].ints]
+            elif v.ty == ArrayType(INT):
+                out.append((v, self.index_expr(v.length)))
         return out
 
-    def inout_pairs(self) -> list[tuple[tuple[Path, _Var], tuple[Path, _Var]]]:
+    def inout_pairs(self) -> list[tuple[tuple, tuple]]:
         """Pairs of provably-disjoint mutable Int places: sibling
         fields, distinct literal indexes, known-value reads against a
         different literal, and places in distinct variables."""
-        pairs = []
+        pairs: list[tuple[tuple, tuple]] = []
         for v in self.vars:
             if not v.mutable:
                 continue
             if isinstance(v.ty, StructType):
-                decl = self.structs[self.struct_types.index(v.ty)]
-                ints = [
-                    f.name
-                    for f in decl.fields
-                    if isinstance(f.type_expr, NamedTE) and f.type_expr.name == "Int"
-                ]
+                ints = self.structs[v.ty].ints
                 if len(ints) >= 2:
-                    pairs.append(
-                        (
-                            (Path(v.name, [FieldAcc(ints[0])]), v),
-                            (Path(v.name, [FieldAcc(ints[1])]), v),
-                        )
-                    )
-            elif v.ty == ArrayType(INT) and v.length and v.length >= 2:
+                    pairs.append(((v, ints[0]), (v, ints[1])))
+            elif v.ty == ArrayType(INT) and v.length >= 2:
                 i = self.rng.randrange(v.length - 1)
-                pairs.append(
-                    (
-                        (Path(v.name, [IndexAcc(IntLit(i))]), v),
-                        (Path(v.name, [IndexAcc(IntLit(i + 1))]), v),
-                    )
-                )
+                pairs.append(((v, i), (v, i + 1)))
                 known = self.ints_of(
                     lambda x: x.known_value is not None and 0 <= x.known_value < v.length
                 )
@@ -565,29 +527,19 @@ class _Gen:
                     if other != kv.known_value:
                         # Dynamic against literal: statically undecided,
                         # concretely disjoint, so the runtime check passes.
-                        pairs.append(
-                            (
-                                (Path(v.name, [IndexAcc(Path(kv.name, []))]), v),
-                                (Path(v.name, [IndexAcc(IntLit(other))]), v),
-                            )
-                        )
-        scalars = [(Path(v.name, []), v) for v in self.vars if v.ty == INT and v.mutable]
-        for i in range(len(scalars) - 1):
-            pairs.append((scalars[i], scalars[i + 1]))
-        return pairs
+                        pairs.append(((v, kv), (v, other)))
+        scalars = [(v,) for v in self.ints_of(lambda v: v.mutable)]
+        return pairs + list(zip(scalars, scalars[1:]))
 
     # -- program assembly ------------------------------------------------------
 
     def declare_structs(self) -> None:
-        for i in range(self.cfg.struct_count):
-            name = f"S{i}"
-            nf = self.rng.randint(2, 3)
-            fields = []
-            for j in range(nf):
-                fty = "Int" if self.rng.random() < 0.75 else "Float"
-                fields.append(FieldDecl("var", f"f{j}", NamedTE(fty)))
-            self.structs.append(StructDecl(name, fields))
-            self.struct_types.append(StructType(name))
+        for i in range(STRUCT_COUNT):
+            fields = [
+                (f"f{j}", INT if self.rng.random() < 0.75 else FLOAT)
+                for j in range(self.rng.randint(2, 3))
+            ]
+            self.structs[StructType(f"S{i}")] = _Struct(fields, [f for f, t in fields if t == INT])
             self.spend(2)
 
     def final_expr(self) -> Expr:
@@ -596,37 +548,30 @@ class _Gen:
             e, _ = self.gen_int(1)
             return e
         mode = self.pick(["combine", "combine", "whole"])
-        ints = self.ints_of()
+        ints = self.of_type(INT)
         if mode == "combine" and len(ints) >= 2:
             a, b = self.pick(ints), self.pick(ints)
-            return Binary("+", Path(a.name, []), Path(b.name, []))
-        return Path(self.pick(candidates).name, [])
+            return Binary("+", _path(a), _path(b))
+        return _path(self.pick(candidates))
 
     def generate(self) -> Program:
         if self.cfg.size_budget <= 1:
             return Program([], IntLit(self.rng.randint(0, 9)))
-        if self.cfg.size_budget >= 8 and self.cfg.struct_count > 0:
+        if self.cfg.size_budget >= 8:
             self.declare_structs()
         stmts: list[Binding | Assign] = []
         while self.budget > 3:
-            kinds = ["bind", "bind", "assign"]
-            if self.cfg.enable_closures:
-                kinds += ["closure", "call"]
-            if self.cfg.enable_inout and self.budget > 10:
-                kinds += ["inout", "inout"]
-            kind = self.pick(kinds)
-            if kind == "bind":
-                stmts += self.stmt_bind()
-            elif kind == "assign":
-                stmts += self.stmt_assign()
-            elif kind == "closure":
-                stmts += self.stmt_closure()
-            elif kind == "call":
-                stmts += self.stmt_call()
-            else:
-                stmts += self.stmt_inout()
+            kinds = [self.stmt_bind, self.stmt_bind, self.stmt_assign]
+            kinds += [self.stmt_closure, self.stmt_call]
+            if self.budget > 10:
+                kinds += [self.stmt_inout, self.stmt_inout]
+            stmts += self.pick(kinds)()
         entry = self.final_expr()
-        return Program(self.structs, Chain(stmts, entry) if stmts else entry)
+        decls = [
+            StructDecl(t.name, [FieldDecl("var", f, _te(fty)) for f, fty in s.fields])
+            for t, s in self.structs.items()
+        ]
+        return Program(decls, Chain(stmts, entry) if stmts else entry)
 
 
 def generate_program(cfg: GenConfig) -> Program:

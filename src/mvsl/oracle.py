@@ -252,25 +252,28 @@ class _Interp:
         # Phases match the compiled form: callee subscripts, arguments
         # left to right (an inout argument contributes its subscripts),
         # then the call's places, the callee first, are resolved with
-        # bounds checks, then overlap checks, then the call itself.  A
-        # path callee is read in place so capture mutations persist in
-        # the named closure; any other callee is a temporary.
-        trails = [self.trail(e.callee, scope)] if isinstance(e.callee, Path) else []
-        n_callee = len(trails)
+        # bounds checks at their own paths' spans, then overlap checks,
+        # then the call itself.  A path callee is read in place so
+        # capture mutations persist in the named closure; any other
+        # callee is a temporary.
+        paths = [e.callee] if isinstance(e.callee, Path) else []
+        n_callee = len(paths)
+        trails = [self.trail(p, scope) for p in paths]
         if not n_callee:
             fn = self.eval(e.callee, scope)
         copied_in: list = []
         for a in e.args:
             if isinstance(a, InoutArg):
+                paths.append(a.path)
                 trails.append(self.trail(a.path, scope))
             else:
                 copied_in.append(self.eval(a, scope))
 
+        places = [self.place(t, p.span) for t, p in zip(trails, paths)]
         if n_callee:
-            container, key = self.place(trails[0], e.callee.span)
+            container, key = places.pop(0)
             fn = container[key]
         assert isinstance(fn, Func)
-        places = [self.place(t, e.span) for t in trails[n_callee:]]
         # Two places overlap iff one trail is a prefix of the other.
         for i, j in e.overlap_pairs:
             if all(a == b for a, b in zip(trails[i][1], trails[j][1])):
@@ -289,9 +292,10 @@ class _Interp:
         result = self.eval(fn.lit.body, body_scope)
 
         # Copy out, left to right; exclusivity keeps order unobservable.
+        # The body cannot reach the caller's storage, so the places
+        # resolved before the call still stand.
         inout_params = [p for p in fn.lit.params if p.passing == "inout"]
-        for t, p in zip(trails[n_callee:], inout_params):
-            container, key = self.place(t, e.span)
+        for (container, key), p in zip(places, inout_params):
             container[key] = deep_copy(body_scope.vars[p.name])
         return result
 

@@ -70,15 +70,9 @@ class RuntimeStats:
     frees: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "deep_copies": self.deep_copies,
-            "retains": self.retains,
-            "releases": self.releases,
-            "moves": self.moves,
-            "cow_copies": self.cow_copies,
-            "allocs": self.allocs,
-            "frees": self.frees,
-        }
+        """The counters by name, in declaration order: the instance's
+        attributes are exactly its dataclass fields."""
+        return dict(vars(self))
 
     def as_json(self) -> str:
         return json.dumps(self.as_dict(), separators=(",", ":"))

@@ -142,7 +142,7 @@ def _diff_reports():
             continue  # diagnostic corpus entries are covered by criterion 1
         reports.append((name, differential_run(program)))
     for seed in range(1000):
-        reports.append((f"seed {seed}", differential_seed_run(seed, size_budget=50)))
+        reports.append((f"seed {seed}", differential_seed_run(seed)))
     return reports
 
 

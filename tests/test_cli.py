@@ -268,6 +268,8 @@ def test_corpus_golden(capsys):
             assert code == 2, f.name
             assert expected in err, f.name
             assert out == ""
+            # The oracle reports the same trap at the same position.
+            assert run_cli(capsys, "run", str(f), "--oracle") == (code, out, err), f.name
         else:
             assert code == 0, f.name
             assert out == expected + "\n", f.name

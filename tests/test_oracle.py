@@ -108,22 +108,6 @@ def test_generator_exercises_language_features():
         assert count >= 5, (feature, count)
 
 
-def test_flag_gates():
-    for seed in range(40):
-        # inout helpers are function values too, so both gates must be
-        # off before arrows disappear entirely
-        plain = pretty_program(
-            generate_program(
-                GenConfig(seed, 40, enable_closures=False, enable_inout=False)
-            )
-        )
-        assert "->" not in plain and "&" not in plain
-        no_inout = pretty_program(generate_program(GenConfig(seed, 40, enable_inout=False)))
-        assert "&" not in no_inout
-        bare = pretty_program(generate_program(GenConfig(seed, 40, struct_count=0)))
-        assert "struct" not in bare
-
-
 # -- differential harness -------------------------------------------------------
 
 
