@@ -26,20 +26,20 @@ _CONFIGS = (
 def differential_run(program: Program) -> dict:
     """Run one program under the oracle and all four VM configurations.
 
-    Returns {"program", "results": [{"config", "output", "trap",
-    "stats"}], "status"}; status is PASS iff every configuration
-    produced the same formatted value or the same trap kind.
+    Returns {"program", "results": [{"config", "output", "trap", "span",
+    "stats"}], "status"}; trap is the trap kind and span its [start, end]
+    source offsets, both None for a run that does not trap.  status is
+    PASS iff every configuration produced the same formatted value or the
+    same trap kind at the same span.
     """
     source = pretty_program(program)
     tp = check_program(program)
     results: list[dict] = []
 
     try:
-        out: str | None = interpret_eager(tp)
-        trap: str | None = None
+        results.append(_row("oracle", interpret_eager(tp), None, None))
     except RuntimeTrap as t:
-        out, trap = None, t.code
-    results.append({"config": "oracle", "output": out, "trap": trap, "stats": None})
+        results.append(_row("oracle", None, t, None))
 
     base = lower_program(tp)
     optimized = apply_move_optimization(base)
@@ -47,18 +47,22 @@ def differential_run(program: Program) -> dict:
         ir = optimized if opt else base
         try:
             text, stats = execute(ir, cow=cow)
-            results.append(
-                {"config": name, "output": text, "trap": None, "stats": stats.as_dict()}
-            )
+            results.append(_row(name, text, None, stats.as_dict()))
         except RuntimeTrap as t:
-            results.append({"config": name, "output": None, "trap": t.code, "stats": None})
+            results.append(_row(name, None, t, None))
 
-    outcomes = {(r["output"], r["trap"]) for r in results}
+    outcomes = {(r["output"], r["trap"], tuple(r["span"] or ())) for r in results}
     return {
         "program": source,
         "results": results,
         "status": "PASS" if len(outcomes) == 1 else "FAIL",
     }
+
+
+def _row(config: str, output: str | None, trap: RuntimeTrap | None, stats: dict | None) -> dict:
+    span = trap and [trap.span.start, trap.span.end]
+    return {"config": config, "output": output, "trap": trap and trap.code, "span": span,
+            "stats": stats}
 
 
 def differential_seed_run(seed: int) -> dict:

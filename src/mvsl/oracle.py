@@ -42,13 +42,6 @@ class Struct:
         self.fields = fields
 
 
-class Array:
-    __slots__ = ("elems",)
-
-    def __init__(self, elems: list):
-        self.elems = elems
-
-
 class Func:
     """A closure value: the literal plus its captured environment.
 
@@ -93,8 +86,8 @@ def deep_copy(v):
         return v
     if isinstance(v, Struct):
         return Struct(v.name, [deep_copy(f) for f in v.fields])
-    if isinstance(v, Array):
-        return Array([deep_copy(e) for e in v.elems])
+    if isinstance(v, list):
+        return [deep_copy(e) for e in v]
     if isinstance(v, Func):
         return Func(v.lit, {k: deep_copy(x) for k, x in v.env.items()})
     raise AssertionError(f"cannot copy {v!r}")
@@ -109,8 +102,8 @@ def render(v) -> str:
         return repr(v)
     if isinstance(v, Struct):
         return f"{v.name}({', '.join(render(f) for f in v.fields)})"
-    if isinstance(v, Array):
-        return f"[{', '.join(render(e) for e in v.elems)}]"
+    if isinstance(v, list):
+        return f"[{', '.join(render(e) for e in v)}]"
     if isinstance(v, Func):
         return "<function>"
     raise AssertionError(f"cannot render {v!r}")
@@ -190,14 +183,14 @@ class _Interp:
                 assert isinstance(v, Struct)
                 container, key = v.fields, self.structs[v.name].index_of(k)
             else:
-                assert isinstance(v, Array)
-                if not 0 <= k < len(v.elems):
+                assert isinstance(v, list)
+                if not 0 <= k < len(v):
                     raise RuntimeTrap(
                         span,
                         "IndexOutOfBounds",
-                        f"index {k} out of bounds for array of {len(v.elems)} elements",
+                        f"index {k} out of bounds for array of {len(v)} elements",
                     )
-                container, key = v.elems, k
+                container, key = v, k
         return container, key
 
     # -- evaluation --------------------------------------------------------
@@ -209,7 +202,7 @@ class _Interp:
             container, key = self.place(self.trail(e, scope), e.span)
             return deep_copy(container[key])
         if isinstance(e, ArrayLit):
-            return Array([self.eval(x, scope) for x in e.elements])
+            return [self.eval(x, scope) for x in e.elements]
         if isinstance(e, StructInit):
             return Struct(e.name, [self.eval(a, scope) for a in e.args])
         if isinstance(e, FuncLit):

@@ -346,7 +346,7 @@ class _Checker:
                     )
             return StructType(e.name)
         if isinstance(e, Path):
-            ty, _ = self.resolve_path(e, ctx, want_mutable=False)
+            ty, _ = self.resolve_path(e, ctx)
             return ty
         if isinstance(e, FuncLit):
             return self.check_funclit(e, ctx)
@@ -402,7 +402,7 @@ class _Checker:
             # Wildcard discard: value may have any type.
             self.check_expr(e.value, ctx)
         else:
-            target_ty, mutable = self.resolve_path(e.target, ctx, want_mutable=True)
+            target_ty, mutable = self.resolve_path(e.target, ctx)
             if not mutable:
                 raise _err(
                     e.target.span,
@@ -482,7 +482,7 @@ class _Checker:
                         INVALID_INOUT_ARGUMENT,
                         f"argument {i + 1} must be passed inout with '&'",
                     )
-                ty, mutable = self.resolve_path(arg.path, ctx, want_mutable=True)
+                ty, mutable = self.resolve_path(arg.path, ctx)
                 if not mutable:
                     raise _err(
                         arg.span,
@@ -553,9 +553,7 @@ class _Checker:
 
     # -- paths ---------------------------------------------------------------
 
-    def resolve_path(
-        self, p: Path, ctx: TypingContext, want_mutable: bool
-    ) -> tuple[Type, bool]:
+    def resolve_path(self, p: Path, ctx: TypingContext) -> tuple[Type, bool]:
         """Type a path and report whether it is mutable end to end.
 
         Annotates the root binding id on the node.  Wildcard

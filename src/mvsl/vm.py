@@ -1,12 +1,13 @@
 """Virtual machine.
 
 Values form disjoint trees.  Ints, floats, and structs live inline;
-arrays own a refcounted block in a dynamic store keyed by opaque
-storage ids; closures own an environment record of captured values.
-Copying an array under copy-on-write just retains its block; the block
-is duplicated lazily, the first time a mutation reaches it while it is
-shared.  With cow off every copy is a deep copy, so blocks are never
-shared and the counters expose exactly what each strategy costs.
+an array value is its refcounted Block; closures own an environment
+record of captured values.  Copying an array under copy-on-write just
+retains its block and shares it; the block is duplicated lazily, the
+first time a mutation reaches it while it is shared, and the fresh
+block replaces the shared one in the place written.  With cow off every
+copy is a deep copy, so blocks are never shared and the counters expose
+exactly what each strategy costs.
 
 inout arguments travel as Locations: a trail of frame-slot, field, and
 array-element hops, never a machine address.  One walker, VM._place,
@@ -96,19 +97,6 @@ class StructVal:
         self.fields = fields
 
 
-class ArrayVal:
-    """An array handle: a storage id.
-
-    Each live handle is a distinct owner; copy-on-write rewrites
-    handle.sid in place when it duplicates the block under an owner.
-    """
-
-    __slots__ = ("sid",)
-
-    def __init__(self, sid: int):
-        self.sid = sid
-
-
 class FuncVal:
     """A closure: the routine it runs plus its environment record."""
 
@@ -119,11 +107,16 @@ class FuncVal:
         self.env = env
 
 
-Value = object  # int | float | StructVal | ArrayVal | FuncVal
+Value = object  # int | float | StructVal | Block | FuncVal
 
 
 class Block:
-    """One store entry: a reference count r and the elements."""
+    """An array value: a reference count r and the elements.
+
+    Each place holding the block is one reference; a freed block has
+    r == 0.  Trails compare blocks and the debug audit counts them by
+    identity, so Block defines no __eq__.
+    """
 
     __slots__ = ("r", "elems")
 
@@ -143,7 +136,7 @@ class Frame:
 # A location is a trail of hops from a frame slot down to a place:
 #   ("slot", frame, index) — always first;
 #   ("field", name)        — struct field step;
-#   ("elem", sid, index)   — array element step.
+#   ("elem", block, index) — array element step.
 # Two locations overlap iff one trail is a prefix of the other.
 
 
@@ -207,9 +200,13 @@ def format_value(v: Value) -> str:
         return str(v)
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, Block):
+        return f"[{', '.join(format_value(e) for e in v.elems)}]"
+    if isinstance(v, StructVal):
+        return f"{v.name}({', '.join(format_value(f) for f in v.fields)})"
     if isinstance(v, FuncVal):
         return "<function>"
-    raise AssertionError(f"cannot format {v!r} without a store")
+    raise AssertionError(f"cannot format {v!r}")
 
 
 class VM:
@@ -218,8 +215,6 @@ class VM:
         self.cow = cow
         self.debug = debug
         self.stats = RuntimeStats()
-        self.store: dict[int, Block] = {}
-        self.next_sid = 0
         self.frames: list[Frame] = []
         # Struct name -> field name -> index, for user structs and for
         # every routine's environment record.
@@ -233,14 +228,9 @@ class VM:
                     f: i for i, (f, _) in enumerate(routine.env_fields)
                 }
 
-    # -- store management ----------------------------------------------------
-
-    def alloc(self, elems: list) -> int:
-        sid = self.next_sid
-        self.next_sid += 1
-        self.store[sid] = Block(elems)
+    def alloc(self, elems: list) -> Block:
         self.stats.allocs += 1
-        return sid
+        return Block(elems)
 
     # -- value operations -----------------------------------------------------
     #
@@ -256,15 +246,13 @@ class VM:
         if t is FuncVal:
             env = StructVal(v.env.name, [self.copy_value(f) for f in v.env.fields])
             return FuncVal(v.routine, env)
-        if t is ArrayVal:
+        if t is Block:
             if self.cow:
-                self.store[v.sid].r += 1
+                v.r += 1
                 self.stats.retains += 1
-                return ArrayVal(v.sid)
-            block = self.store[v.sid]
-            elems = [self.copy_value(e) for e in block.elems]
+                return v
             self.stats.deep_copies += 1
-            return ArrayVal(self.alloc(elems))
+            return self.alloc([self.copy_value(e) for e in v.elems])
         raise AssertionError(f"cannot copy {v!r}")
 
     def destroy_value(self, v: Value) -> None:
@@ -279,43 +267,27 @@ class VM:
             for f in v.env.fields:
                 self.destroy_value(f)
             return
-        if t is ArrayVal:
-            block = self.store.get(v.sid)
-            assert block is not None and block.r >= 1, "destroy of a dead block"
-            if block.r == 1:
-                for e in block.elems:
+        if t is Block:
+            assert v.r >= 1, "destroy of a dead block"
+            v.r -= 1
+            if v.r == 0:
+                for e in v.elems:
                     self.destroy_value(e)
-                del self.store[v.sid]
                 self.stats.frees += 1
             else:
-                block.r -= 1
                 self.stats.releases += 1
             return
         raise AssertionError(f"cannot destroy {v!r}")
 
-    def cow_dup(self, handle: ArrayVal) -> Block:
-        """Duplicate handle's shared block for mutation: the original
-        loses one reference, the handle is rewritten to a fresh unique
-        block, and the elements are copied element-wise (retaining
-        nested arrays when cow is on)."""
-        old = self.store[handle.sid]
+    def cow_dup(self, old: Block) -> Block:
+        """A fresh unique copy of the shared block old, for mutation: old
+        loses one reference, and the elements are copied element-wise
+        (retaining nested arrays when cow is on)."""
         assert old.r > 1
         old.r -= 1
         self.stats.releases += 1
-        elems = [self.copy_value(e) for e in old.elems]
-        handle.sid = self.alloc(elems)
         self.stats.cow_copies += 1
-        return self.store[handle.sid]
-
-    # -- formatting through the store -----------------------------------------
-
-    def render(self, v: Value) -> str:
-        if isinstance(v, ArrayVal):
-            elems = self.store[v.sid].elems
-            return f"[{', '.join(self.render(e) for e in elems)}]"
-        if isinstance(v, StructVal):
-            return f"{v.name}({', '.join(self.render(f) for f in v.fields)})"
-        return format_value(v)
+        return self.alloc([self.copy_value(e) for e in old.elems])
 
     # -- frame helpers ----------------------------------------------------------
 
@@ -336,9 +308,10 @@ class VM:
 
         A base slot holding a Location is walked through its trail
         first.  ("index", slot) steps consume their slot.  With
-        prepare=True a shared block crossed on the way is duplicated, so
-        the place can be written.  trail, when given, receives the hops
-        walked, each element hop naming the storage id it reached.
+        prepare=True a shared block crossed on the way is replaced by a
+        fresh duplicate, so the place can be written.  trail, when given,
+        receives the hops walked, each element hop naming the block it
+        reached.
         """
         slots = frame.slots
         container, index = slots, base
@@ -364,22 +337,21 @@ class VM:
                     trail.append(hop)
                 continue
             if kind == "index":
-                index = slots[hop[1]]
+                i = slots[hop[1]]
                 slots[hop[1]] = None
-                assert type(index) is int
-                assert type(cur) is ArrayVal
+                assert type(i) is int
+                assert type(cur) is Block
             else:
-                assert type(cur) is ArrayVal and cur.sid == hop[1], (
+                assert cur is hop[1], (
                     "stale location: storage replaced during argument evaluation"
                 )
-                index = hop[2]
-            block = self.store[cur.sid]
-            if prepare and block.r > 1:
-                block = self.cow_dup(cur)
-            self.check_bounds(block, index, span)
-            container = block.elems
+                i = hop[2]
+            if prepare and cur.r > 1:
+                cur = container[index] = self.cow_dup(cur)
+            self.check_bounds(cur, i, span)
+            container, index = cur.elems, i
             if trail is not None:
-                trail.append(("elem", cur.sid, index))
+                trail.append(("elem", cur, i))
         return container, index
 
     # -- instruction execution ------------------------------------------------
@@ -501,7 +473,7 @@ class VM:
                 slots[ins.dst] = ins.value
             elif t is MakeArray:
                 elems = _take_all(slots, ins.operands)
-                slots[ins.dst] = ArrayVal(self.alloc(elems))
+                slots[ins.dst] = self.alloc(elems)
             elif t is MakeClosure:
                 env = StructVal(f"env.{ins.routine_id}", _take_all(slots, ins.operands))
                 slots[ins.dst] = FuncVal(self.ir.routines[ins.routine_id], env)
@@ -515,18 +487,24 @@ class VM:
                 self.audit_refcounts()
         return None
 
-    # -- debug store scan ---------------------------------------------------------
+    # -- debug audit --------------------------------------------------------------
 
     def audit_refcounts(self, pending: Value | None = None) -> None:
-        """Safepoint check: each block's r equals the number of live
-        Values holding its σ.  A frame's env slot borrows the env of the
-        callee's closure value, which is counted where that value lives."""
-        refs: dict[int, int] = {}
+        """Safepoint check: each block reachable from the frames and the
+        pending value has r equal to the number of places holding it, and
+        the reachable blocks are all allocs - frees live ones.  A frame's
+        env slot borrows the env of the callee's closure value, which is
+        counted where that value lives."""
+        refs: dict[Block, int] = {}
 
         def walk(v: Value) -> None:
             t = type(v)
-            if t is ArrayVal:
-                refs[v.sid] = refs.get(v.sid, 0) + 1
+            if t is Block:
+                n = refs.get(v, 0)
+                refs[v] = n + 1
+                if n == 0:
+                    for e in v.elems:
+                        walk(e)
             elif t is StructVal:
                 for f in v.fields:
                     walk(f)
@@ -542,18 +520,19 @@ class VM:
                     walk(v)
         if pending is not None:
             walk(pending)
-        for block in self.store.values():
-            for e in block.elems:
-                walk(e)
-        counted = {sid: block.r for sid, block in self.store.items()}
-        assert refs == counted, f"refcount drift: live {refs} vs counters {counted}"
+        live = self.stats.allocs - self.stats.frees
+        drift = [(n, b.r) for b, n in refs.items() if b.r != n]
+        assert not drift and len(refs) == live, (
+            f"refcount drift: {len(refs)} blocks reachable of {live} live, "
+            f"(references, r) {drift}"
+        )
 
     # -- top level -------------------------------------------------------------
 
     def run(self) -> str:
         entry = self.ir.routines[self.ir.entry]
         result = self.execute_routine(entry, [], [], None)
-        text = self.render(result)
+        text = format_value(result)
         self.destroy_value(result)
         return text
 
@@ -640,11 +619,11 @@ def execute(
     ir: IRProgram, cow: bool = True, debug: bool = False
 ) -> tuple[str, RuntimeStats]:
     """Run ir's entry routine; returns the formatted final value and
-    the run's counters.  Non-trapping runs must leave the store empty
-    with allocs == frees and retains == releases."""
+    the run's counters.  Non-trapping runs must free every block:
+    allocs == frees and retains == releases.  No block is freed twice,
+    so equal counts mean none is left."""
     vm = VM(ir, cow=cow, debug=debug)
     text = vm.run()
-    assert not vm.store, f"store not empty at exit: {sorted(vm.store)}"
     assert vm.stats.allocs == vm.stats.frees, (
         f"leak: allocs {vm.stats.allocs} != frees {vm.stats.frees}"
     )

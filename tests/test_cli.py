@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import mvsl.cli as cli
+import mvsl.difftest as difftest
+from mvsl.diagnostics import RuntimeTrap, Span
 
 from conftest import CORPUS, corpus_expected, corpus_files
 
@@ -182,6 +184,23 @@ def test_diff_fail_exit_3(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "diff", "--seed=0", "--trials=2")
     assert code == 3
     assert all(json.loads(l)["status"] == "FAIL" for l in out.strip().splitlines())
+
+
+def test_diff_fails_on_a_trap_at_another_span(capsys, monkeypatch, trap_file):
+    # Same trap kind as the VM, reported at the whole program instead of
+    # at the subscript: a position disagreement is a FAIL.
+    def misplaced_oracle(tp):
+        raise RuntimeTrap(Span(0, 29), "IndexOutOfBounds", "index 5 out of bounds")
+
+    monkeypatch.setattr(difftest, "interpret_eager", misplaced_oracle)
+    code, out, _ = run_cli(capsys, "diff", trap_file)
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "FAIL"
+    assert {row["trap"] for row in report["results"]} == {"IndexOutOfBounds"}
+    oracle, *vms = report["results"]
+    assert oracle["span"] == [0, 29]
+    assert all(vm["span"] == [25, 29] for vm in vms)
 
 
 def test_diff_type_error_exit_1(capsys, bad_file):

@@ -5,7 +5,8 @@ src/mvsl must be referenced somewhere in src/mvsl outside its own
 definition: code that only its own tests use is deleted, not kept.  The
 public API (mvsl.__all__), dunder names and the console script `entry`
 are exempt.  Likewise every name a module imports must be referenced in
-that module; `__init__.py`, which re-exports the API, is exempt.
+that module; `__init__.py`, which re-exports the API, is exempt.  And
+every function parameter other than `self` must be read by its body.
 """
 
 import ast
@@ -77,9 +78,37 @@ def unused_imports() -> list[str]:
     return unused
 
 
+def unused_parameters() -> list[str]:
+    """module:function.parameter for each parameter, other than self,
+    that its function's body never reads."""
+    unused = []
+    for f in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(f.read_text(), str(f))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, [a.vararg, a.kwarg])]
+            read = {
+                n.id
+                for stmt in fn.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unused += [
+                f"{f.name}:{fn.name}.{p.arg}"
+                for p in params
+                if p.arg != "self" and p.arg not in read
+            ]
+    return unused
+
+
 def test_every_module_level_name_is_used_in_the_package():
     assert unused_names() == []
 
 
 def test_every_import_is_used_in_its_module():
     assert unused_imports() == []
+
+
+def test_every_parameter_is_used():
+    assert unused_parameters() == []

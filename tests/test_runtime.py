@@ -34,7 +34,7 @@ from mvsl.ir import (
     lower_program,
 )
 from mvsl.types import INT
-from mvsl.vm import VM, ArrayVal, Location, StructVal, check_dynamic_overlap, format_value
+from mvsl.vm import VM, Block, Location, StructVal, check_dynamic_overlap, format_value
 
 from conftest import corpus_sources, lower_source, run_source
 
@@ -45,43 +45,54 @@ def fresh_vm(cow=True):
     return VM(lower_source("0"), cow=cow)
 
 
-# -- store primitives ----------------------------------------------------------
+# -- block primitives ----------------------------------------------------------
 
 
 def test_copy_retains_under_cow():
     vm = fresh_vm(cow=True)
-    sid = vm.alloc([1, 2])
-    a = ArrayVal(sid)
+    a = vm.alloc([1, 2])
     b = vm.copy_value(a)
-    assert b.sid == sid
-    assert vm.store[sid].r == 2
+    assert b is a
+    assert a.r == 2
     assert vm.stats.retains == 1 and vm.stats.deep_copies == 0
     vm.destroy_value(b)
-    assert vm.store[sid].r == 1
+    assert a.r == 1
     vm.destroy_value(a)
-    assert sid not in vm.store
+    assert a.r == 0
     assert vm.stats.allocs == vm.stats.frees == 1
 
 
 def test_copy_duplicates_without_cow():
     vm = fresh_vm(cow=False)
-    a = ArrayVal(vm.alloc([1, 2]))
+    a = vm.alloc([1, 2])
     b = vm.copy_value(a)
-    assert b.sid != a.sid
-    assert vm.store[a.sid].r == vm.store[b.sid].r == 1
+    assert b is not a and b.elems == a.elems
+    assert a.r == b.r == 1
     assert vm.stats.deep_copies == 1 and vm.stats.retains == 0
     vm.destroy_value(a)
     vm.destroy_value(b)
-    assert not vm.store
+    assert a.r == b.r == 0
+    assert vm.stats.allocs == vm.stats.frees == 2
 
 
 def test_nested_destroy_releases_inner_blocks():
     vm = fresh_vm()
-    inner = ArrayVal(vm.alloc([7]))
-    outer = ArrayVal(vm.alloc([inner]))
+    inner = vm.alloc([7])
+    outer = vm.alloc([inner])
     vm.destroy_value(outer)
-    assert not vm.store
+    assert inner.r == outer.r == 0
     assert vm.stats.frees == 2
+
+
+def test_second_destroy_of_a_freed_array_is_caught():
+    # Built by running MakeArray, so the test holds whatever an array value is.
+    vm = fresh_vm()
+    frame = vm_module.Frame(Routine(ENTRY_ID, [], [], 2))
+    vm.exec_block([MakeInt(0, 1), MakeArray(1, INT, [0])], frame)
+    a = frame.slots[1]
+    vm.destroy_value(a)
+    with pytest.raises(AssertionError, match="destroy of a dead block"):
+        vm.destroy_value(a)
 
 
 def test_trivial_copy_touches_no_counters():
@@ -328,15 +339,37 @@ def test_refcount_audit_catches_a_leaked_retain(monkeypatch):
 
     def leaky_copy(self, v):
         out = copy_value(self, v)
-        if type(out) is ArrayVal:
-            self.store[out.sid].r += 1
+        if type(out) is Block:
+            out.r += 1
         return out
 
     monkeypatch.setattr(VM, "copy_value", leaky_copy)
-    # without move elision the capture is a copy of a
+    # without move elision the capture is a copy of a: a and the env hold
+    # the block, whose r is one too many
     src = "var a: [Int] = [1, 2] in let f: () -> Int = () -> Int { a[0] } in f()"
-    with pytest.raises(AssertionError, match="refcount drift"):
+    with pytest.raises(AssertionError, match=r"refcount drift: .*\(references, r\) \[\(2, 3\)\]"):
         run_source(src, move_opt=False, debug=True)
+
+
+def test_refcount_audit_catches_a_leaked_free(monkeypatch):
+    # The first destroy is dropped: the array stays live, held by nothing.
+    destroy_value = VM.destroy_value
+    dropped = []
+
+    def dropping_destroy(self, v):
+        if dropped:
+            destroy_value(self, v)
+        else:
+            dropped.append(v)
+
+    monkeypatch.setattr(VM, "destroy_value", dropping_destroy)
+    ir = hand_ir([MakeInt(0, 1), MakeArray(1, INT, [0]), Destroy(1), MakeInt(2, 0), Return(2)], 3)
+    with pytest.raises(AssertionError, match="refcount drift"):
+        execute(ir, debug=True)
+    assert len(dropped) == 1
+    dropped.clear()
+    with pytest.raises(AssertionError):  # leak freedom at exit
+        execute(ir)
 
 
 def test_refcount_audit_generated():
