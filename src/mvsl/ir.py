@@ -4,9 +4,16 @@ Lowering makes every value lifetime explicit: each binding
 initialization, assignment, and by-value argument is a Copy, each
 binding leaving scope gets a Destroy, and function literals become
 global routines taking their environment record as an extra leading
-parameter.  The move optimization then rewrites a Copy into a Move and
-deletes the source's Destroy whenever that Destroy, in the Copy's own
-block, is the source's only later use; it never reorders instructions.
+parameter.  This naive IR is what `--no-move-opt` runs.
+
+The move optimization then walks each block once, backward.  It rewrites
+a Copy into a Move and deletes the source's Destroy whenever that
+Destroy, in the Copy's own block, is the source's only later use.  It
+lends by-value arguments (see _Lending): a call reads a lent argument in
+place, and the callee neither copies nor destroys it.  And a BinaryInstr
+or CondBr reads a scalar operand in place.  The only instruction it
+moves is a Destroy, to just after a call that reads its slot at the
+slot's last use.
 
 Slots are indexes into a routine-local frame.  Instructions form a
 tree: straight-line lists plus CondBr, which carries its branch blocks
@@ -16,7 +23,8 @@ is machine-checked by verify_linearity before and after optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 from .ast import (
     ArrayLit,
@@ -37,7 +45,7 @@ from .ast import (
 )
 from .diagnostics import NO_SPAN, Span
 from .typechecker import StructInfo, TypedProgram
-from .types import INOUT, ArrayType, FuncType, Type
+from .types import BY_VALUE, INOUT, ArrayType, FloatType, FuncType, IntType, StructType, Type
 
 # ---------------------------------------------------------------------------
 # Instructions
@@ -149,6 +157,10 @@ class CallInstr(Instr):
     args: list[int]
     locations: list[int]
     span: Span = NO_SPAN
+    # The callee's type, which fixes the passing convention of each argument.
+    fn_type: FuncType | None = None
+    # The args lent to the call: read in place, never consumed.
+    lent: tuple[int, ...] = ()
 
 
 @dataclass
@@ -158,6 +170,7 @@ class BinaryInstr(Instr):
     lhs: int
     rhs: int
     span: Span = NO_SPAN
+    lent: tuple[int, ...] = ()  # operands read in place, not consumed
 
 
 @dataclass
@@ -166,6 +179,7 @@ class CondBr(Instr):
     then_block: list[Instr]
     else_block: list[Instr]
     span: Span = NO_SPAN
+    lent: tuple[int, ...] = ()  # (cond,) when the condition is read in place
 
 
 @dataclass
@@ -174,9 +188,12 @@ class Return(Instr):
     span: Span = NO_SPAN
 
 
-# Routine parameter passing markers.
+# Routine parameter passing markers.  A lent parameter is a by-value
+# parameter that the caller keeps owning: the routine reads it in place
+# and never consumes it.
 P_ENV = "env"
 P_VALUE = "value"
+P_LENT = "lent"
 P_INOUT = "inout"
 
 
@@ -192,6 +209,17 @@ class Routine:
     # Slots of let bindings and by-value parameters; the VM asserts in
     # debug mode that no store or inout resolution roots in one.
     immutable_slots: frozenset[int] = frozenset()
+    # Facts lowering records for lending (None and empty for the entry):
+    # the literal's type; whether it writes its environment (a store or a
+    # location rooted at the env slot); each by-value parameter slot's
+    # last use, when that is in the body's own block, else None; and the
+    # by-value parameter slots that a borrowed callee path enters through
+    # an index step, where resolving the path may put a duplicate of a
+    # shared block into the slot itself.
+    ty: FuncType | None = None
+    writes_env: bool = False
+    last_uses: dict[int, Instr | None] = field(default_factory=dict)
+    indexed_callee_params: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -222,6 +250,11 @@ class _RoutineBuilder:
         self.params: list[tuple[str, Type | None]] = []
         self.env_fields: list[tuple[str, Type]] | None = None
         self.immutable: set[int] = set()
+        # By-value parameter slot -> its latest use so far, or None when
+        # that is in a nested block.
+        self.last_uses: dict[int, Instr | None] = {}
+        self.indexed_callee_params: set[int] = set()
+        self.writes_env = False
         if fl is not None:
             self.env_slot = self.new_slot()
             self.params.append((P_ENV, None))
@@ -240,6 +273,7 @@ class _RoutineBuilder:
                 else:
                     self.params.append((P_VALUE, pty))
                     self.immutable.add(slot)
+                    self.last_uses[slot] = None
 
     # -- emission helpers ----------------------------------------------------
 
@@ -249,6 +283,13 @@ class _RoutineBuilder:
 
     def emit(self, ins: Instr) -> None:
         self.blocks[-1].append(ins)
+
+    def emit_use(self, ins: Instr, slot: int) -> None:
+        """Emit ins, which uses slot, and record it as the slot's latest
+        use if slot is a by-value parameter."""
+        self.emit(ins)
+        if slot in self.last_uses:
+            self.last_uses[slot] = ins if len(self.blocks) == 1 else None
 
     # -- expression lowering --------------------------------------------------
 
@@ -291,6 +332,8 @@ class _RoutineBuilder:
         base, steps = self.lower_target(e.target)
         v = self.lower_copied(e.value)
         self.emit(StorePath(base, steps, v, e.span))
+        if base == self.env_slot:
+            self.writes_env = True
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
         """Base slot and steps for a write or location path; a root that
@@ -313,10 +356,11 @@ class _RoutineBuilder:
         value, not an inout Location, is a plain Copy."""
         rid = p.root_binding_id
         if not p.accessors and rid in self.slot_map and rid not in self.inout_ids:
-            self.emit(Copy(dst, self.slot_map[rid], p.span))
+            src = self.slot_map[rid]
+            self.emit_use(Copy(dst, src, p.span), src)
             return
         base, steps = self.lower_target(p)
-        self.emit(LoadPath(dst, base, steps, p.span))
+        self.emit_use(LoadPath(dst, base, steps, p.span), base)
 
     def lower_value(self, e: Expr) -> int:
         """Lower an expression; returns a fresh slot owning its value."""
@@ -421,18 +465,23 @@ class _RoutineBuilder:
         places = []
         for p, base, steps in targets:
             loc = self.new_slot()
-            self.emit(ResolveLocation(loc, base, steps, borrow=p is e.callee, span=p.span))
+            self.emit_use(ResolveLocation(loc, base, steps, p is e.callee, p.span), base)
             places.append(loc)
+            if base in self.last_uses and steps and steps[0][0] == "index":
+                # Only a borrowed callee can root at a by-value parameter.
+                self.indexed_callee_params.add(base)
+            if base == self.env_slot:
+                self.writes_env = True
         for i, j in e.overlap_pairs:
             self.emit(OverlapCheck(places[i], places[j], e.span))
         if isinstance(e.callee, Path):
             callee = places.pop(0)
         dst = self.new_slot()
-        self.emit(CallInstr(dst, callee, args, places, e.span))
+        self.emit(CallInstr(dst, callee, args, places, e.span, e.callee.ty))
         return dst
 
-    def finish(self, result: int, value_param_slots: list[int], span: Span) -> Routine:
-        for slot in reversed(value_param_slots):
+    def finish(self, result: int, ty: FuncType | None, span: Span) -> Routine:
+        for slot in reversed(self.last_uses):
             self.emit(Destroy(slot, span))
         self.emit(Return(result, span))
         return Routine(
@@ -442,6 +491,10 @@ class _RoutineBuilder:
             self.n_slots,
             self.env_fields,
             frozenset(self.immutable),
+            ty,
+            self.writes_env,
+            self.last_uses,
+            frozenset(self.indexed_callee_params),
         )
 
 
@@ -456,17 +509,15 @@ class _Lowerer:
         self.next_fn += 1
         b = _RoutineBuilder(self, rid, fl)
         result = b.lower_value(fl.body)
-        value_params = [
-            b.slot_map[pid] for pid in (fl.param_ids or []) if pid not in b.inout_ids
-        ]
-        routine = b.finish(result, value_params, fl.span)
+        assert isinstance(fl.ty, FuncType)
+        routine = b.finish(result, fl.ty, fl.span)
         self.routines[rid] = routine
         return routine
 
     def lower(self) -> IRProgram:
         b = _RoutineBuilder(self, ENTRY_ID, None)
         result = b.lower_value(self.tp.program.entry)
-        routine = b.finish(result, [], self.tp.program.entry.span)
+        routine = b.finish(result, None, self.tp.program.entry.span)
         self.routines[ENTRY_ID] = routine
         return IRProgram(self.routines, ENTRY_ID, self.tp.structs)
 
@@ -482,35 +533,126 @@ def lower_program(tp: TypedProgram) -> IRProgram:
 # Move optimization
 
 
-def _operands(ins: Instr) -> tuple[list[int], list[int], int | None]:
+def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     """The slots ins only reads, the slots it consumes, and the slot it
     produces (or None); the instructions of nested blocks are excluded."""
     t = type(ins)
     if t is Copy:
-        return [ins.src], [], ins.dst
-    if t is Move:
-        return [], [ins.src], ins.dst
-    if t is Destroy:
-        return [], [ins.slot], None
+        return (ins.src,), (), ins.dst
     if t is MakeInt or t is MakeFloat:
-        return [], [], ins.dst
-    if t is MakeArray or t is MakeStruct or t is MakeClosure:
-        return [], ins.operands, ins.dst
-    if t is LoadPath or t is ResolveLocation:
-        return [ins.base], [v for kind, v in ins.steps if kind == "index"], ins.dst
-    if t is StorePath:
-        return [ins.base], [*(v for kind, v in ins.steps if kind == "index"), ins.value], None
-    if t is OverlapCheck:
-        return [ins.a, ins.b], [], None
-    if t is CallInstr:
-        return [], [ins.callee, *ins.args, *ins.locations], ins.dst
+        return (), (), ins.dst
+    if t is Move:
+        return (), (ins.src,), ins.dst
+    if t is Destroy:
+        return (), (ins.slot,), None
     if t is BinaryInstr:
-        return [], [ins.lhs, ins.rhs], ins.dst
+        if ins.lent:
+            return ins.lent, [s for s in (ins.lhs, ins.rhs) if s not in ins.lent], ins.dst
+        return (), (ins.lhs, ins.rhs), ins.dst
+    if t is MakeArray or t is MakeStruct or t is MakeClosure:
+        return (), ins.operands, ins.dst
+    if t is LoadPath or t is ResolveLocation:
+        return (ins.base,), [v for kind, v in ins.steps if kind == "index"], ins.dst
+    if t is StorePath:
+        return (ins.base,), [*(v for kind, v in ins.steps if kind == "index"), ins.value], None
+    if t is CallInstr:
+        if ins.lent:
+            owned = [a for a in ins.args if a not in ins.lent]
+            return ins.lent, [ins.callee, *owned, *ins.locations], ins.dst
+        return (), [ins.callee, *ins.args, *ins.locations], ins.dst
     if t is CondBr:
-        return [], [ins.cond], None
+        if ins.lent:
+            return ins.lent, (), None
+        return (), (ins.cond,), None
+    if t is OverlapCheck:
+        return (ins.a, ins.b), (), None
     if t is Return:
-        return [], [ins.slot], None
+        return (), (ins.slot,), None
     raise AssertionError(f"unknown instruction {ins!r}")
+
+
+def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInfo]) -> bool:
+    """Whether a value of type ty can hold a closure whose type is in
+    writers, through struct fields and array elements."""
+    todo, seen = [ty], set()
+    while todo:
+        t = todo.pop()
+        if type(t) is FuncType:
+            if t in writers:
+                return True
+        elif type(t) is ArrayType:
+            todo.append(t.element)
+        elif type(t) is StructType and t.name not in seen:
+            seen.add(t.name)
+            todo.extend(structs[t.name].field_types)
+    return False
+
+
+# How a call passes each by-value argument (see _Lending).
+_OWN = 0  # the callee owns it
+_LEND = 1  # the callee reads it in place; the caller keeps it and destroys it
+_LEND_SCALAR = 2  # lent, and an Int or Float, which needs no destroy
+_LENDS_NONE: tuple[tuple[int, ...], frozenset[int]] = ((), frozenset())
+
+
+def _owned_params(routine: Routine) -> set[int]:
+    """The by-value parameter slots that routine must own.
+
+    - A parameter whose last use is a Copy in the body's own block is
+      moved there by _elide_moves: the exit Destroy that follows is then
+      the source's only later use.
+    - Resolving a borrowed callee through an index step may replace a
+      shared block in the parameter's slot with a duplicate, which a lent
+      slot, never destroyed, would leak while the caller's block lost a
+      reference.
+    """
+    owned = {slot for slot, ins in routine.last_uses.items() if type(ins) is Copy}
+    return owned.union(routine.indexed_callee_params)
+
+
+class _Lending:
+    """How each function type passes its by-value parameters, in order.
+
+    A parameter is lent unless (a) its type can hold a closure of a type
+    that has a literal writing its environment, because calling such a
+    closure mutates it in place, even through a lent binding; or (b) some
+    literal of the type must own it (_owned_params).  An Int or Float is
+    always lent: it holds no closure, and its copy costs no more than a
+    move.  The facts come from lowering (Routine.ty, writes_env,
+    last_uses and indexed_callee_params), so deciding costs no walk of
+    the IR.
+    """
+
+    def __init__(self, ir: IRProgram):
+        writers = {r.ty for r in ir.routines.values() if r.writes_env}
+        owned: dict[FuncType, set[int]] = {}
+        for r in ir.routines.values():
+            if r.ty is not None:
+                owned.setdefault(r.ty, set()).update(_owned_params(r))
+        # Type -> how it passes each by-value parameter, and the slots of
+        # its literals' lent parameters (slot 0 is the env).
+        self.by_type: dict[FuncType, tuple[tuple[int, ...], frozenset[int]]] = {}
+        for ty, slots in owned.items():
+            mask, lent = [], []
+            for slot, (passing, pty) in enumerate(ty.params, 1):
+                if passing != BY_VALUE:
+                    continue
+                if type(pty) is IntType or type(pty) is FloatType:
+                    how = _LEND_SCALAR
+                elif slot in slots or (writers and _holds_writer(pty, writers, ir.structs)):
+                    how = _OWN
+                else:
+                    how = _LEND
+                mask.append(how)
+                if how:
+                    lent.append(slot)
+            if lent:
+                self.by_type[ty] = (tuple(mask), frozenset(lent))
+
+    def get(self, ty: FuncType | None) -> tuple[tuple[int, ...], frozenset[int]]:
+        """How ty passes its by-value parameters and the slots its literals
+        lend; ((), frozenset()) if it lends none."""
+        return self.by_type.get(ty, _LENDS_NONE)
 
 
 # The value of a slot in _elide_moves's map when its later uses are not
@@ -518,61 +660,170 @@ def _operands(ins: Instr) -> tuple[list[int], list[int], int | None]:
 _USED_ELSEWHERE = -1
 
 
-def _elide_moves(block: list[Instr]) -> tuple[list[Instr], dict[int, int]]:
-    """Rewrite each Copy whose source's only later use is a Destroy in
-    this same block into a Move, and drop that Destroy.
+def _elide_moves(
+    block: list[Instr], lending: _Lending, lent_params: frozenset[int] = frozenset()
+) -> tuple[list[Instr], dict[int, int]]:
+    """Rewrite the Copies of one block, in one backward walk.
 
-    One backward walk keeps, for each slot read after the current
-    instruction, the index of its Destroy when that is its only later
-    use, or _USED_ELSEWHERE for any other use, which includes every read
-    inside a nested CondBr block; an unread slot has no entry.  Returns
-    the rewritten block, which is block itself when nothing changed, and
-    that map as it stands at the top of the block.
+    - A Copy whose source's only later use is a Destroy in this block
+      becomes a Move, and that Destroy is dropped.
+    - A Copy into an argument that the call's type lends is deleted: the
+      call reads the source in place.  Where the Copy was the source's
+      last use, the source's Destroy moves to just after the call.
+    - A Copy into a BinaryInstr operand or a CondBr condition, when it is
+      not the source's last use, is deleted likewise.
+    - Any other argument at a lent position is a temporary, destroyed by
+      the caller just after the call.  An Int or Float needs no destroy,
+      so such a temporary, or a source whose Destroy would follow the
+      call, is handed to the call instead.
+    A Copy is deleted only if nothing writes or consumes its source
+    between it and the instruction that reads it.  The Destroys of
+    lent_params, the routine's lent parameters, are dropped.
+
+    The walk keeps, for each slot read after the current instruction,
+    the index of its Destroy when that is its only later use, or
+    _USED_ELSEWHERE for any other use, which includes every read inside a
+    nested CondBr block; an unread slot has no entry.  Returns the
+    rewritten block, which is block itself when nothing changed, and that
+    map as it stands at the top of the block.
     """
+    n = len(block)
     later: dict[int, int] = {}
-    moves: dict[int, int] = {}  # index of an elided Copy -> index of its Destroy
-    branches: dict[int, CondBr] = {}  # index -> CondBr with rewritten blocks
-    for i in range(len(block) - 1, -1, -1):
+    edits: dict[int, list[Instr]] = {}  # index -> what replaces the instruction there
+    # A temporary that a call at a lent position, a BinaryInstr or a
+    # CondBr reads -> the index of that reader.
+    readers: dict[int, int] = {}
+    # A slot -> the first index after the current one that writes or
+    # consumes it; a reader at that index reads before it writes.
+    clobbered: dict[int, int] = {}
+    renamed: dict[int, int] = {}  # deleted Copy's temporary -> the source read instead
+    # Renamed temporaries whose Copy was the source's last use: the call
+    # takes the source, or the caller destroys it after the call.
+    handed: set[int] = set()
+    # Reader index -> how the call passes each argument, or () if no call.
+    rebuilt: dict[int, tuple[int, ...]] = {}
+    for i in range(n - 1, -1, -1):
         ins = block[i]
-        if isinstance(ins, Copy):
-            j = later.get(ins.src, _USED_ELSEWHERE)
+        t = type(ins)
+        if t is MakeInt:
+            continue  # reads nothing
+        if t is Copy:
+            src = ins.src
+            j = later.get(src, _USED_ELSEWHERE)
+            k = readers.get(ins.dst)
             if j != _USED_ELSEWHERE:
-                moves[i] = j
-        elif isinstance(ins, Destroy) and ins.slot not in later:
-            later[ins.slot] = i
+                edits[j] = []
+                if k is not None and type(block[k]) is CallInstr:
+                    renamed[ins.dst] = src
+                    handed.add(ins.dst)
+                    edits[i] = []
+                    clobbered[src] = k
+                else:
+                    edits[i] = [Move(ins.dst, src, ins.span)]
+                    clobbered[src] = i
+            elif k is not None and clobbered.get(src, n) >= k:
+                renamed[ins.dst] = src
+                edits[i] = []
+                rebuilt.setdefault(k, ())
+        elif t is Destroy:
+            if ins.slot in lent_params:
+                edits[i] = []
+                continue
+            if ins.slot not in later:
+                later[ins.slot] = i
+                continue
+        elif t is BinaryInstr:
+            readers[ins.lhs] = readers[ins.rhs] = i
+            later[ins.lhs] = later[ins.rhs] = _USED_ELSEWHERE
             continue
-        elif isinstance(ins, CondBr):
-            then_block, then_reads = _elide_moves(ins.then_block)
-            else_block, else_reads = _elide_moves(ins.else_block)
-            for slot in (*then_reads, *else_reads):
-                later[slot] = _USED_ELSEWHERE
+        elif t is CallInstr:
+            mask = lending.get(ins.fn_type)[0]
+            if mask:
+                rebuilt[i] = mask
+                for a, how in zip(ins.args, mask):
+                    if how:
+                        readers[a] = i
+        elif t is CondBr:
+            then_block, then_reads = _elide_moves(ins.then_block, lending)
+            else_block, else_reads = _elide_moves(ins.else_block, lending)
+            for reads in (then_reads, else_reads):
+                later.update(dict.fromkeys(reads, _USED_ELSEWHERE))
+                clobbered.update(dict.fromkeys(reads, i))
             if then_block is not ins.then_block or else_block is not ins.else_block:
-                branches[i] = replace(ins, then_block=then_block, else_block=else_block)
+                edits[i] = [CondBr(ins.cond, then_block, else_block, ins.span)]
+            readers[ins.cond] = i
+        elif t is StorePath or (t is ResolveLocation and not ins.borrow):
+            clobbered[ins.base] = i
         reads, consumes, _ = _operands(ins)
         for slot in (*reads, *consumes):
             later[slot] = _USED_ELSEWHERE
-    if not moves and not branches:
+    for k, mask in rebuilt.items():
+        ins = block[k]
+        t = type(ins)
+        if t is CallInstr:
+            args, lent, after, taken = [], [], [], []
+            for a, how in zip(ins.args, mask):
+                src = renamed.get(a, a)
+                args.append(src)
+                if a in renamed and a not in handed:
+                    lent.append(src)  # read in place
+                elif how == _LEND:
+                    lent.append(src)
+                    after.append(Destroy(src, ins.span))
+                elif how:
+                    taken.append(src)  # a scalar: the call takes it
+            for src in taken:
+                if src in lent:  # also read in place: destroy it after all
+                    after.append(Destroy(src, ins.span))
+            if lent or args != ins.args:
+                call = CallInstr(
+                    ins.dst, ins.callee, args, ins.locations, ins.span, ins.fn_type, tuple(lent)
+                )
+                edits[k] = [call, *after]
+        elif t is BinaryInstr:
+            lhs, rhs = renamed.get(ins.lhs), renamed.get(ins.rhs)
+            if lhs is None:
+                lhs, lent = ins.lhs, (rhs,)
+            elif rhs is None:
+                rhs, lent = ins.rhs, (lhs,)
+            else:
+                lent = (lhs, rhs)
+            edits[k] = [BinaryInstr(ins.dst, ins.op, lhs, rhs, ins.span, lent)]
+        else:
+            ins = edits[k][0] if k in edits else ins
+            cond = renamed[ins.cond]
+            edits[k] = [CondBr(cond, ins.then_block, ins.else_block, ins.span, (cond,))]
+    if not edits:
         return block, later
-    dropped = set(moves.values())
     out: list[Instr] = []
-    for i, ins in enumerate(block):
-        if i in moves:
-            out.append(Move(ins.dst, ins.src, ins.span))
-        elif i not in dropped:
-            out.append(branches.get(i, ins))
+    start = 0
+    for i in sorted(edits):
+        out += block[start:i]
+        out += edits[i]
+        start = i + 1
+    out += block[start:]
     return out, later
 
 
 def apply_move_optimization(ir: IRProgram) -> IRProgram:
-    """Return ir with last-use Copies rewritten to Moves.
+    """Return ir with last-use Copies rewritten to Moves, arguments lent
+    where the callee's type lends them, and scalar operands read in place.
 
     ir itself is left unchanged.  The result shares with it every
     routine, block and instruction that the rewrite does not touch.
     """
+    lending = _Lending(ir)
     routines: dict[str, Routine] = {}
     for rid, routine in ir.routines.items():
-        body, _ = _elide_moves(routine.body)
-        routines[rid] = routine if body is routine.body else replace(routine, body=body)
+        params = routine.params
+        lent = lending.get(routine.ty)[1]
+        if lent:
+            params = [(P_LENT, p[1]) if s in lent else p for s, p in enumerate(params)]
+        body, _ = _elide_moves(routine.body, lending, lent)
+        if body is routine.body:
+            routines[rid] = routine
+        else:
+            routines[rid] = replace(routine, params=params, body=body)
     out = IRProgram(routines, ir.entry, ir.structs)
     verify_linearity(out)
     return out
@@ -581,10 +832,13 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
 # ---------------------------------------------------------------------------
 # Linearity verification
 
+# The states of a live slot; a slot that holds nothing has no entry.
+# Every live slot is readable, and only an owned one can be consumed.
 _OWNED = "owned"
-_EMPTY = "empty"
 _LOC = "loc"
 _ENV = "env"
+_LENT = "lent"  # a lent parameter, live for the whole routine
+_PARAM_STATES = {P_ENV: _ENV, P_VALUE: _OWNED, P_LENT: _LENT, P_INOUT: _LOC}
 
 
 class _LinearityError(AssertionError):
@@ -597,11 +851,13 @@ def _lin_fail(rid: str, ins: Instr, msg: str) -> _LinearityError:
 
 def verify_linearity(ir: IRProgram) -> None:
     """Check that every slot is produced once and consumed exactly once
-    along each control-flow path (Copy only reads its source)."""
+    along each control-flow path (Copy only reads its source, and a lent
+    argument or operand is only read).  A lent parameter is readable
+    throughout its routine and never consumed."""
     for routine in ir.routines.values():
         state: dict[int, str] = {}
         for i, (passing, _) in enumerate(routine.params):
-            state[i] = {P_ENV: _ENV, P_VALUE: _OWNED, P_INOUT: _LOC}[passing]
+            state[i] = _PARAM_STATES[passing]
         _verify_block(routine.id, routine.body, state, top=True)
         for slot, st in state.items():
             if st == _OWNED:
@@ -612,31 +868,26 @@ def verify_linearity(ir: IRProgram) -> None:
 
 def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool) -> None:
     for idx, ins in enumerate(block):
-        if type(ins) is Return and (not top or idx != len(block) - 1):
+        t = type(ins)
+        if t is Return and (not top or idx != len(block) - 1):
             raise _lin_fail(rid, ins, "Return must end the routine body")
         reads, consumes, dst = _operands(ins)
         for slot in reads:
-            if state.get(slot, _EMPTY) not in (_OWNED, _LOC, _ENV):
+            if slot not in state:
                 raise _lin_fail(rid, ins, f"slot {slot} not readable")
         for slot in consumes:
-            if state.get(slot, _EMPTY) != _OWNED:
+            if state.pop(slot, None) != _OWNED:
                 raise _lin_fail(rid, ins, f"slot {slot} not owned")
-            state[slot] = _EMPTY
         if dst is not None:
-            if state.get(dst, _EMPTY) != _EMPTY:
+            if dst in state:
                 raise _lin_fail(rid, ins, f"slot {dst} already live")
             state[dst] = _OWNED
-        if type(ins) is CondBr:
-            then_state = dict(state)
+        if t is CondBr:
             else_state = dict(state)
-            _verify_block(rid, ins.then_block, then_state, top=False)
+            _verify_block(rid, ins.then_block, state, top=False)
             _verify_block(rid, ins.else_block, else_state, top=False)
-            live_then = {s: st for s, st in then_state.items() if st != _EMPTY}
-            live_else = {s: st for s, st in else_state.items() if st != _EMPTY}
-            if live_then != live_else:
+            if state != else_state:
                 raise _lin_fail(rid, ins, "branch end states differ")
-            state.clear()
-            state.update(live_then)
     if top and (not block or not isinstance(block[-1], Return)):
         raise _LinearityError(f"linearity violation in {rid}: body must end with Return")
 
@@ -650,6 +901,11 @@ def _fmt_steps(steps: list[Step]) -> str:
     for kind, v in steps:
         out.append(f".{v}" if kind == "field" else f"[%{v}]")
     return "".join(out)
+
+
+def _fmt_read(slot: int, lent: tuple[int, ...]) -> str:
+    """An operand, marked when it is read in place rather than consumed."""
+    return f"lent %{slot}" if slot in lent else f"%{slot}"
 
 
 def _fmt_instr(ins: Instr) -> str:
@@ -681,11 +937,12 @@ def _fmt_instr(ins: Instr) -> str:
     if isinstance(ins, OverlapCheck):
         return f"overlap_check %{ins.a}, %{ins.b}"
     if isinstance(ins, CallInstr):
-        args = ", ".join(f"%{a}" for a in ins.args)
+        args = ", ".join(_fmt_read(a, ins.lent) for a in ins.args)
         locs = ", ".join(f"%{l}" for l in ins.locations)
         return f"call %{ins.callee} ({args})({locs}) -> %{ins.dst}"
     if isinstance(ins, BinaryInstr):
-        return f"binary {ins.op} %{ins.lhs}, %{ins.rhs} -> %{ins.dst}"
+        lhs, rhs = _fmt_read(ins.lhs, ins.lent), _fmt_read(ins.rhs, ins.lent)
+        return f"binary {ins.op} {lhs}, {rhs} -> %{ins.dst}"
     if isinstance(ins, Return):
         return f"return %{ins.slot}"
     raise AssertionError(f"unknown instruction {ins!r}")
@@ -694,7 +951,7 @@ def _fmt_instr(ins: Instr) -> str:
 def _dump_block(block: list[Instr], out: list[str], indent: str) -> None:
     for i, ins in enumerate(block):
         if isinstance(ins, CondBr):
-            out.append(f"{indent}{i}: cond_br %{ins.cond}")
+            out.append(f"{indent}{i}: cond_br {_fmt_read(ins.cond, ins.lent)}")
             out.append(f"{indent}then:")
             _dump_block(ins.then_block, out, indent + "  ")
             out.append(f"{indent}else:")

@@ -16,6 +16,9 @@ resolution duplicates every shared block along the path, so a callee
 always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
 for pairs the type checker could not decide.
+
+A lent argument stays in the caller's slot: the callee's frame holds the
+same value for the duration of the call and never destroys it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .ir import (
     OverlapCheck,
     P_ENV,
     P_INOUT,
-    P_VALUE,
+    P_LENT,
     ResolveLocation,
     Return,
     Routine,
@@ -69,6 +72,7 @@ class RuntimeStats:
     cow_copies: int = 0
     allocs: int = 0
     frees: int = 0
+    closure_copies: int = 0  # environment records copied with their closure
 
     def as_dict(self) -> dict[str, int]:
         """The counters by name, in declaration order: the instance's
@@ -244,6 +248,7 @@ class VM:
         if t is StructVal:
             return StructVal(v.name, [self.copy_value(f) for f in v.fields])
         if t is FuncVal:
+            self.stats.closure_copies += 1
             env = StructVal(v.env.name, [self.copy_value(f) for f in v.env.fields])
             return FuncVal(v.routine, env)
         if t is Block:
@@ -393,7 +398,15 @@ class VM:
             # recorded place is current.
             fn = callee.container[callee.index]
         assert type(fn) is FuncVal
-        args = _take_all(slots, ins.args)
+        lent = ins.lent
+        if lent:
+            # Lent arguments stay in their slots: the caller still owns them.
+            args = [slots[a] for a in ins.args]
+            for a in ins.args:
+                if a not in lent:
+                    slots[a] = None
+        else:
+            args = _take_all(slots, ins.args)
         locations = _take_all(slots, ins.locations)
         # The callee lends its env to the call; an owned callee stays in
         # its slot until the call returns, so its env is counted once.
@@ -410,15 +423,14 @@ class VM:
         ai = li = 0
         for i in range(len(params)):
             passing = params[i][0]
-            if passing == P_VALUE:
-                slots[i] = args[ai]
-                ai += 1
-            elif passing == P_ENV:
+            if passing == P_ENV:
                 slots[i] = env  # borrowed, never destroyed here
-            else:
-                assert passing == P_INOUT
+            elif passing == P_INOUT:
                 slots[i] = locations[li]
                 li += 1
+            else:  # P_VALUE, or P_LENT: read in place, never destroyed here
+                slots[i] = args[ai]
+                ai += 1
         self.frames.append(frame)
         try:
             result = self.exec_block(routine.body, frame)
@@ -428,31 +440,25 @@ class VM:
         return result
 
     def exec_block(self, block: list[Instr], frame: Frame) -> Value | None:
-        # One exact-type test per instruction, most frequent first.
+        # One exact-type test per instruction, most frequent first (counted
+        # over fib(16) through a closure box, the inout divide-and-conquer
+        # fill of 256 elements and generated programs, on the optimized IR).
         slots = frame.slots
         debug = self.debug
         for ins in block:
             t = type(ins)
-            if t is Copy:
-                slots[ins.dst] = self.copy_value(slots[ins.src])
-            elif t is MakeInt:
+            if t is MakeInt:
                 slots[ins.dst] = ins.value
             elif t is BinaryInstr:
-                lhs = slots[ins.lhs]
-                rhs = slots[ins.rhs]
-                slots[ins.lhs] = slots[ins.rhs] = None
-                slots[ins.dst] = apply_binary(ins.op, lhs, rhs, ins.span)
+                # Operands are scalars, which need no destroy, so a consumed
+                # operand's slot is left as it is, like one read in place.
+                slots[ins.dst] = apply_binary(ins.op, slots[ins.lhs], slots[ins.rhs], ins.span)
             elif t is Move:
                 slots[ins.dst] = slots[ins.src]
                 slots[ins.src] = None
                 self.stats.moves += 1
-            elif t is Destroy:
-                v = slots[ins.slot]
-                slots[ins.slot] = None
-                self.destroy_value(v)
             elif t is CondBr:
-                cond = slots[ins.cond]
-                slots[ins.cond] = None
+                cond = slots[ins.cond]  # a scalar, left in its slot
                 assert type(cond) is int
                 self.exec_block(ins.then_block if cond != 0 else ins.else_block, frame)
             elif t is ResolveLocation:
@@ -465,6 +471,12 @@ class VM:
                 if debug:
                     self.audit_refcounts(pending=result)
                 return result
+            elif t is Destroy:
+                v = slots[ins.slot]
+                slots[ins.slot] = None
+                self.destroy_value(v)
+            elif t is Copy:
+                slots[ins.dst] = self.copy_value(slots[ins.src])
             elif t is LoadPath:
                 self.exec_load(frame, ins)
             elif t is StorePath:
@@ -493,8 +505,9 @@ class VM:
         """Safepoint check: each block reachable from the frames and the
         pending value has r equal to the number of places holding it, and
         the reachable blocks are all allocs - frees live ones.  A frame's
-        env slot borrows the env of the callee's closure value, which is
-        counted where that value lives."""
+        env slot borrows the env of the callee's closure value, and its
+        lent parameters borrow the caller's values: each is counted where
+        it lives."""
         refs: dict[Block, int] = {}
 
         def walk(v: Value) -> None:
@@ -512,12 +525,13 @@ class VM:
                 walk(v.env)
 
         for frame in self.frames:
-            slots = frame.slots
-            if frame.routine.params and frame.routine.params[0][0] == P_ENV:
-                slots = slots[1:]
-            for v in slots:
-                if v is not None and type(v) is not Location:
-                    walk(v)
+            params = frame.routine.params
+            for i, v in enumerate(frame.slots):
+                if v is None or type(v) is Location:
+                    continue
+                if i < len(params) and params[i][0] in (P_ENV, P_LENT):
+                    continue
+                walk(v)
         if pending is not None:
             walk(pending)
         live = self.stats.allocs - self.stats.frees

@@ -77,6 +77,7 @@ def test_run_stats_go_to_stderr(capsys, pair_file):
         "cow_copies",
         "allocs",
         "frees",
+        "closure_copies",
     ]
 
 

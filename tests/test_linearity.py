@@ -1,0 +1,122 @@
+"""Lowering and move optimization do work linear in program size.
+
+Each phase runs under sys.settrace on a program of size N and on one of
+size 2N, and the line events executed inside src/mvsl are counted.  The
+count is deterministic, so the gate needs no timer: a phase fails when
+its count grows more than 2.1x per doubling of the program.  Ratios are
+pinned, not counts, since line events differ between CPython versions.
+
+The hand-written series double their source exactly.  Generated programs
+only about double with the size budget, and their mix shifts: at twice
+the budget they lower to about 3 % more instructions per source token.
+So their size is the number of lowered instructions, the work both
+phases walk through.
+
+Blind spot: a C-level builtin counts as one line event whatever it
+costs.  A quadratic `list.index`, `in` on a list, string concatenation
+or dict copy inside a loop looks linear here.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import mvsl
+from mvsl import GenConfig, check_program, generate_program, parse_source, pretty_program
+from mvsl.ir import CondBr, apply_move_optimization, lower_program
+
+PACKAGE = str(Path(mvsl.__file__).resolve().parent)
+N = 200  # at most 400: traced runs are slow
+LIMIT = 2.1  # line events per doubling of the source
+
+
+def line_events(fn, arg):
+    """(line events inside the package while fn(arg) runs, its result)."""
+    count = 0
+
+    def local(frame, event, _arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def tracer(frame, _event, _arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = fn(arg)
+    finally:
+        sys.settrace(previous)
+    return count, result
+
+
+def instructions(ir) -> int:
+    blocks = [routine.body for routine in ir.routines.values()]
+    n = 0
+    while blocks:
+        for ins in blocks.pop():
+            n += 1
+            if isinstance(ins, CondBr):
+                blocks += [ins.then_block, ins.else_block]
+    return n
+
+
+def phase_events(sources: list[str]) -> dict[str, int]:
+    """Line events of each phase, and the lowered instructions, summed
+    over sources."""
+    out = {"lower": 0, "move_opt": 0, "instructions": 0}
+    for src in sources:
+        typed = check_program(parse_source(src))
+        n, base = line_events(lower_program, typed)
+        out["lower"] += n
+        out["move_opt"] += line_events(apply_move_optimization, base)[0]
+        out["instructions"] += instructions(base)
+    return out
+
+
+def binding_chain(n: int) -> list[str]:
+    chain = "".join(f"var x{i}: Int = x{i - 1} + 1 in " for i in range(1, n))
+    return [f"var x0: Int = 1 in {chain}x{n - 1}"]
+
+
+def passing_chain(n: int) -> list[str]:
+    """n functions, each passing its by-value parameters on to the last."""
+    sig = "([Int], Int) -> Int"
+    fns = [f"let f0: {sig} = (a: [Int], k: Int) -> Int {{ a[0] + k }} in "]
+    fns += [
+        f"let f{i}: {sig} = (a: [Int], k: Int) -> Int {{ f{i - 1}(a, k) + k }} in "
+        for i in range(1, n)
+    ]
+    return ["".join(fns) + f"f{n - 1}([1, 2], 3)"]
+
+
+def generated(budget: int) -> list[str]:
+    return [pretty_program(generate_program(GenConfig(s, size_budget=budget))) for s in range(8)]
+
+
+def growth(small: list[str], large: list[str], by_instructions: bool = False) -> dict[str, float]:
+    """Each phase's line-event ratio, scaled to a doubling of the program."""
+    a, b = phase_events(small), phase_events(large)
+    if by_instructions:
+        size = b.pop("instructions") / a.pop("instructions")
+    else:
+        del a["instructions"], b["instructions"]
+        size = sum(map(len, large)) / sum(map(len, small))
+    return {phase: 2 ** (math.log(b[phase] / a[phase]) / math.log(size)) for phase in a}
+
+
+def test_binding_chain_is_linear():
+    ratios = growth(binding_chain(N), binding_chain(2 * N))
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_parameter_passing_chain_is_linear():
+    ratios = growth(passing_chain(N), passing_chain(2 * N))
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_generated_programs_are_linear():
+    ratios = growth(generated(N), generated(2 * N), by_instructions=True)
+    assert all(r <= LIMIT for r in ratios.values()), ratios

@@ -132,6 +132,7 @@ def test_report_shape():
                 "cow_copies",
                 "allocs",
                 "frees",
+                "closure_copies",
             }
 
 
