@@ -2,30 +2,38 @@
 
 Three commands over one source file:
 
-    mvsl run FILE [--stats] [--no-move-opt] [--no-cow] [--oracle] [--dump=ast|ir|types]
+    mvsl run FILE [--stats] [--timings] [--no-move-opt] [--no-cow] [--oracle]
+                  [--dump=ast|ir|types]
     mvsl check FILE
     mvsl diff FILE | mvsl diff [--seed=N] [--trials=N]
 
 `run` prints the program's formatted final value, and nothing else, on
-stdout; stats and diagnostics go to stderr so output stays scriptable.
-Exit codes: 0 success or PASS, 1 syntax/type error, 2 runtime trap,
-3 differential FAIL, 4 usage error.
+stdout; stats, phase timings and diagnostics go to stderr so output stays
+scriptable.  Exit codes: 0 success or PASS, 1 syntax/type error, 2 runtime
+trap, 3 differential FAIL, 4 usage error, 141 stdout closed before the
+output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 
 from .ast import Binding, Chain, Program, dump_ast
 from .diagnostics import RuntimeTrap, SourceError, UsageError
 from .difftest import differential_run, differential_seed_run
 from .ir import apply_move_optimization, dump_ir, lower_program
+from .lexer import tokenize
 from .oracle import interpret_eager
-from .parser import parse_source
+from .parser import parse_program, parse_source
 from .typechecker import check_program
 from .vm import execute
+
+# What a shell reports for a writer killed by a closed pipe: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +48,9 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="execute a program")
     run.add_argument("input")
     run.add_argument("--stats", action="store_true", help="print counter JSON to stderr")
+    run.add_argument(
+        "--timings", action="store_true", help="print each phase's seconds as JSON to stderr"
+    )
     run.add_argument("--no-move-opt", action="store_true", help="keep every copy explicit")
     run.add_argument("--no-cow", action="store_true", help="copy arrays eagerly")
     run.add_argument("--oracle", action="store_true", help="use the naive interpreter")
@@ -87,33 +98,40 @@ def _dump_types(program: Program) -> str:
     return "\n".join(lines)
 
 
+def _timed(timings: dict[str, float], phase: str, f, *args):
+    """f(*args), with its wall time in seconds filed under phase, also
+    when it raises."""
+    t = time.perf_counter()
+    try:
+        return f(*args)
+    finally:
+        timings[phase] = time.perf_counter() - t
+
+
 def _cmd_run(args) -> int:
     if args.oracle and (args.dump == "ir" or args.no_cow or args.no_move_opt):
         raise UsageError("--oracle runs no IR: it takes no --dump=ir, --no-cow or --no-move-opt")
-    if args.dump and (args.stats or args.oracle or args.no_cow):
-        raise UsageError("--dump runs nothing: it takes no --stats, --oracle or --no-cow")
+    if args.dump and (args.stats or args.timings or args.oracle or args.no_cow):
+        raise UsageError(
+            "--dump runs nothing: it takes no --stats, --timings, --oracle or --no-cow"
+        )
     if args.dump in ("ast", "types") and args.no_move_opt:
         raise UsageError(f"--dump={args.dump} lowers nothing: it takes no --no-move-opt")
     source = _read(args.input)
+    timings: dict[str, float] = {}
     try:
-        program = parse_source(source)
-        if args.dump == "ast":
-            print(dump_ast(program))
-            return 0
-        if args.dump == "types":
-            print(_dump_types(program))
-            return 0
-        tp = check_program(program)
+        if args.dump:
+            return _dump(args, source)
+        tokens = _timed(timings, "lex", tokenize, source)
+        program = _timed(timings, "parse", parse_program, tokens, len(source))
+        tp = _timed(timings, "check", check_program, program)
         if args.oracle:
-            print(interpret_eager(tp))
+            print(_timed(timings, "oracle", interpret_eager, tp))
             return 0
-        ir = lower_program(tp)
+        ir = _timed(timings, "lower", lower_program, tp)
         if not args.no_move_opt:
-            ir = apply_move_optimization(ir)
-        if args.dump == "ir":
-            print(dump_ir(ir))
-            return 0
-        text, stats = execute(ir, cow=not args.no_cow)
+            ir = _timed(timings, "move_opt", apply_move_optimization, ir)
+        text, stats = _timed(timings, "execute", execute, ir, not args.no_cow)
         print(text)
         if args.stats:
             print(stats.as_json(), file=sys.stderr)
@@ -124,6 +142,23 @@ def _cmd_run(args) -> int:
     except SourceError as e:
         print(f"{args.input}:{e.render(source)}", file=sys.stderr)
         return 1
+    finally:
+        if args.timings:
+            print(json.dumps(timings, separators=(",", ":")), file=sys.stderr)
+
+
+def _dump(args, source: str) -> int:
+    program = parse_source(source)
+    if args.dump == "ast":
+        print(dump_ast(program))
+    elif args.dump == "types":
+        print(_dump_types(program))
+    else:
+        ir = lower_program(check_program(program))
+        if not args.no_move_opt:
+            ir = apply_move_optimization(ir)
+        print(dump_ir(ir))
+    return 0
 
 
 def _cmd_check(args) -> int:
@@ -175,4 +210,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as in `mvsl run ... | head -1`.
+        # Point stdout at the null device so the flush at exit cannot
+        # fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

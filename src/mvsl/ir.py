@@ -197,7 +197,7 @@ P_LENT = "lent"
 P_INOUT = "inout"
 
 
-@dataclass
+@dataclass(slots=True)
 class Routine:
     id: str
     # (passing, type); the env parameter, when present, is first.
@@ -210,16 +210,31 @@ class Routine:
     # debug mode that no store or inout resolution roots in one.
     immutable_slots: frozenset[int] = frozenset()
     # Facts lowering records for lending (None and empty for the entry):
-    # the literal's type; whether it writes its environment (a store or a
-    # location rooted at the env slot); each by-value parameter slot's
-    # last use, when that is in the body's own block, else None; and the
-    # by-value parameter slots that a borrowed callee path enters through
-    # an index step, where resolving the path may put a duplicate of a
-    # shared block into the slot itself.
+    # the literal's type; whether it writes its environment itself (a
+    # store, an inout argument or an indexed callee path rooted at the
+    # env slot); each by-value parameter slot's last use, when that is in
+    # the body's own block, else None; and the by-value parameter slots
+    # that a borrowed callee path enters through an index step, where
+    # resolving the path may put a duplicate of a shared block into the
+    # slot itself.
     ty: FuncType | None = None
     writes_env: bool = False
     last_uses: dict[int, Instr | None] = field(default_factory=dict)
     indexed_callee_params: frozenset[int] = frozenset()
+    # The closure types this literal calls through a borrowed callee path
+    # rooted at its env slot with no index step: such a call writes the
+    # env only if its type has a literal that writes its own env.
+    env_callee_types: tuple[FuncType, ...] = ()
+    # The frame layout a call fills, derived from params: the slots of
+    # the by-value (and lent) parameters and of the inout parameters, in
+    # order, matching a CallInstr's args and locations.
+    arg_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    loc_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        passing = [p for p, _ in self.params]
+        self.arg_slots = tuple(s for s, p in enumerate(passing) if p in (P_VALUE, P_LENT))
+        self.loc_slots = tuple(s for s, p in enumerate(passing) if p == P_INOUT)
 
 
 @dataclass
@@ -255,6 +270,7 @@ class _RoutineBuilder:
         self.last_uses: dict[int, Instr | None] = {}
         self.indexed_callee_params: set[int] = set()
         self.writes_env = False
+        self.env_callee_types: dict[FuncType, None] = {}  # an ordered set
         if fl is not None:
             self.env_slot = self.new_slot()
             self.params.append((P_ENV, None))
@@ -471,7 +487,13 @@ class _RoutineBuilder:
                 # Only a borrowed callee can root at a by-value parameter.
                 self.indexed_callee_params.add(base)
             if base == self.env_slot:
-                self.writes_env = True
+                if p is e.callee and all(kind == "field" for kind, _ in steps):
+                    assert isinstance(p.ty, FuncType)
+                    self.env_callee_types[p.ty] = None
+                else:
+                    # An index step may put a duplicate of a shared block
+                    # into the env, even on the way to a borrowed callee.
+                    self.writes_env = True
         for i, j in e.overlap_pairs:
             self.emit(OverlapCheck(places[i], places[j], e.span))
         if isinstance(e.callee, Path):
@@ -495,6 +517,7 @@ class _RoutineBuilder:
             self.writes_env,
             self.last_uses,
             frozenset(self.indexed_callee_params),
+            tuple(self.env_callee_types),
         )
 
 
@@ -588,6 +611,24 @@ def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInf
     return False
 
 
+def _writer_types(ir: IRProgram) -> set[FuncType]:
+    """The function types that have a literal writing its environment:
+    one that writes it itself, or one that calls a closure it captured
+    whose type is a writer.  A least fixpoint, one worklist pass."""
+    writers = {r.ty for r in ir.routines.values() if r.writes_env}
+    callers: dict[FuncType, set[FuncType]] = {}
+    for r in ir.routines.values():
+        for ty in r.env_callee_types:
+            callers.setdefault(ty, set()).add(r.ty)
+    todo = list(writers)
+    while todo:
+        for caller in callers.get(todo.pop(), ()):
+            if caller not in writers:
+                writers.add(caller)
+                todo.append(caller)
+    return writers
+
+
 # How a call passes each by-value argument (see _Lending).
 _OWN = 0  # the callee owns it
 _LEND = 1  # the callee reads it in place; the caller keeps it and destroys it
@@ -614,17 +655,17 @@ class _Lending:
     """How each function type passes its by-value parameters, in order.
 
     A parameter is lent unless (a) its type can hold a closure of a type
-    that has a literal writing its environment, because calling such a
-    closure mutates it in place, even through a lent binding; or (b) some
-    literal of the type must own it (_owned_params).  An Int or Float is
-    always lent: it holds no closure, and its copy costs no more than a
-    move.  The facts come from lowering (Routine.ty, writes_env,
-    last_uses and indexed_callee_params), so deciding costs no walk of
-    the IR.
+    that has a literal writing its environment (_writer_types), because
+    calling such a closure mutates it in place, even through a lent
+    binding; or (b) some literal of the type must own it (_owned_params).
+    An Int or Float is always lent: it holds no closure, and its copy
+    costs no more than a move.  The facts come from lowering (Routine.ty, writes_env,
+    env_callee_types, last_uses and indexed_callee_params), so deciding
+    costs no walk of the IR.
     """
 
     def __init__(self, ir: IRProgram):
-        writers = {r.ty for r in ir.routines.values() if r.writes_env}
+        writers = _writer_types(ir)
         owned: dict[FuncType, set[int]] = {}
         for r in ir.routines.values():
             if r.ty is not None:

@@ -17,8 +17,15 @@ always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
 for pairs the type checker could not decide.
 
-A lent argument stays in the caller's slot: the callee's frame holds the
-same value for the duration of the call and never destroys it.
+A call is one hop.  Every routine's frame has a size fixed by lowering,
+and Routine.arg_slots and loc_slots name the slots of its by-value and
+inout parameters.  The caller allocates the callee's frame and writes
+each argument and each Location straight into its slot, and the closure's
+environment into slot 0; then it runs the callee's body.  An owned
+argument leaves the caller's slot empty.  A lent argument stays in the
+caller's slot, which still owns it: the callee's frame holds the same
+value for the duration of the call and never destroys it.  The env is
+lent the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .ir import (
     Move,
     OverlapCheck,
     P_ENV,
-    P_INOUT,
     P_LENT,
     ResolveLocation,
     Return,
@@ -398,46 +404,31 @@ class VM:
             # recorded place is current.
             fn = callee.container[callee.index]
         assert type(fn) is FuncVal
+        routine = fn.routine
+        # The callee's env is lent to the call: an owned callee stays in
+        # its slot until the call returns, so its env is counted once.  A
+        # lent argument stays in the caller's slot, which still owns it.
+        callee_frame = Frame(routine)
+        into = callee_frame.slots
+        into[0] = fn.env
         lent = ins.lent
-        if lent:
-            # Lent arguments stay in their slots: the caller still owns them.
-            args = [slots[a] for a in ins.args]
-            for a in ins.args:
-                if a not in lent:
-                    slots[a] = None
-        else:
-            args = _take_all(slots, ins.args)
-        locations = _take_all(slots, ins.locations)
-        # The callee lends its env to the call; an owned callee stays in
-        # its slot until the call returns, so its env is counted once.
-        result = self.execute_routine(fn.routine, args, locations, fn.env)
+        for a, s in zip(ins.args, routine.arg_slots):
+            into[s] = slots[a]
+            if a not in lent:
+                slots[a] = None
+        for a, s in zip(ins.locations, routine.loc_slots):
+            into[s] = slots[a]
+            slots[a] = None
+        self.frames.append(callee_frame)
+        try:
+            result = self.exec_block(routine.body, callee_frame)
+        finally:
+            self.frames.pop()
+        assert result is not None, "routine body must end in Return"
         slots[ins.callee] = None
         if fn is callee:
             self.destroy_value(callee)
         slots[ins.dst] = result
-
-    def execute_routine(self, routine: Routine, args: list, locations: list, env) -> Value:
-        frame = Frame(routine)
-        slots = frame.slots
-        params = routine.params
-        ai = li = 0
-        for i in range(len(params)):
-            passing = params[i][0]
-            if passing == P_ENV:
-                slots[i] = env  # borrowed, never destroyed here
-            elif passing == P_INOUT:
-                slots[i] = locations[li]
-                li += 1
-            else:  # P_VALUE, or P_LENT: read in place, never destroyed here
-                slots[i] = args[ai]
-                ai += 1
-        self.frames.append(frame)
-        try:
-            result = self.exec_block(routine.body, frame)
-        finally:
-            self.frames.pop()
-        assert result is not None, "routine body must end in Return"
-        return result
 
     def exec_block(self, block: list[Instr], frame: Frame) -> Value | None:
         # One exact-type test per instruction, most frequent first (counted
@@ -452,7 +443,9 @@ class VM:
             elif t is BinaryInstr:
                 # Operands are scalars, which need no destroy, so a consumed
                 # operand's slot is left as it is, like one read in place.
-                slots[ins.dst] = apply_binary(ins.op, slots[ins.lhs], slots[ins.rhs], ins.span)
+                lhs = slots[ins.lhs]
+                ops = _INT_OPS if type(lhs) is int else _FLOAT_OPS
+                slots[ins.dst] = ops[ins.op](lhs, slots[ins.rhs], ins.span)
             elif t is Move:
                 slots[ins.dst] = slots[ins.src]
                 slots[ins.src] = None
@@ -545,7 +538,11 @@ class VM:
 
     def run(self) -> str:
         entry = self.ir.routines[self.ir.entry]
-        result = self.execute_routine(entry, [], [], None)
+        frame = Frame(entry)
+        self.frames.append(frame)
+        result = self.exec_block(entry.body, frame)
+        self.frames.pop()
+        assert result is not None, "routine body must end in Return"
         text = format_value(result)
         self.destroy_value(result)
         return text
@@ -559,74 +556,77 @@ def _take_all(slots: list, indices: list[int]) -> list:
     return values
 
 
-def apply_binary(op: str, lhs: Value, rhs: Value, span: Span) -> Value:
-    """Shared scalar semantics: Int is checked 64-bit two's complement
-    with truncating division; Float is IEEE 754 double (division by
-    zero yields an infinity or nan, never a trap)."""
-    if type(lhs) is int:
-        return _int_binary(op, lhs, rhs, span)
-    return _float_binary(op, lhs, rhs)
+# Scalar semantics, one function per operator, each taking (lhs, rhs,
+# span): Int is checked 64-bit two's complement with truncating division;
+# Float is IEEE 754 double (division by zero yields an infinity or nan,
+# never a trap).  A comparison yields 1 or 0, never a bool.
 
 
-def _int_binary(op: str, a: int, b: int, span: Span) -> int:
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    elif op in ("/", "%"):
-        if b == 0:
-            raise RuntimeTrap(span, DIVISION_BY_ZERO, "division by zero")
-        q = a // b
-        if (a % b != 0) and ((a < 0) != (b < 0)):
-            q += 1  # truncate toward zero
-        r = q if op == "/" else a - b * q
-    else:  # pragma: no cover
-        raise AssertionError(f"unknown operator {op}")
-    if not INT_MIN <= r <= INT_MAX:
-        raise RuntimeTrap(span, INTEGER_OVERFLOW, f"integer overflow in '{op}'")
-    return r
+def _overflow(op: str, span: Span):
+    raise RuntimeTrap(span, INTEGER_OVERFLOW, f"integer overflow in '{op}'")
 
 
-def _float_binary(op: str, a: float, b: float) -> Value:
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    assert op == "/", f"unknown operator {op}"
+def _int_add(a: int, b: int, span: Span) -> int:
+    r = a + b
+    return r if INT_MIN <= r <= INT_MAX else _overflow("+", span)
+
+
+def _int_sub(a: int, b: int, span: Span) -> int:
+    r = a - b
+    return r if INT_MIN <= r <= INT_MAX else _overflow("-", span)
+
+
+def _int_mul(a: int, b: int, span: Span) -> int:
+    r = a * b
+    return r if INT_MIN <= r <= INT_MAX else _overflow("*", span)
+
+
+def _truncated_quotient(a: int, b: int, span: Span) -> int:
+    if b == 0:
+        raise RuntimeTrap(span, DIVISION_BY_ZERO, "division by zero")
+    q = a // b
+    if (a % b != 0) and ((a < 0) != (b < 0)):
+        q += 1  # truncate toward zero
+    return q
+
+
+def _int_div(a: int, b: int, span: Span) -> int:
+    r = _truncated_quotient(a, b, span)  # INT_MIN / -1 overflows
+    return r if INT_MIN <= r <= INT_MAX else _overflow("/", span)
+
+
+def _int_rem(a: int, b: int, span: Span) -> int:
+    # |r| < |b|, so the remainder is always in range.
+    return a - b * _truncated_quotient(a, b, span)
+
+
+def _float_div(a: float, b: float) -> float:
     if b == 0.0:
         if a != a or a == 0.0:
             return float("nan")
         sign = math.copysign(1.0, a) * math.copysign(1.0, b)
         return math.copysign(float("inf"), sign)
     return a / b
+
+
+_COMPARISONS = {
+    "==": lambda a, b, span: 1 if a == b else 0,
+    "!=": lambda a, b, span: 1 if a != b else 0,
+    "<": lambda a, b, span: 1 if a < b else 0,
+    "<=": lambda a, b, span: 1 if a <= b else 0,
+    ">": lambda a, b, span: 1 if a > b else 0,
+    ">=": lambda a, b, span: 1 if a >= b else 0,
+}
+_INT_OPS = {
+    **_COMPARISONS, "+": _int_add, "-": _int_sub, "*": _int_mul, "/": _int_div, "%": _int_rem,
+}
+_FLOAT_OPS = {
+    **_COMPARISONS,
+    "+": lambda a, b, span: a + b,
+    "-": lambda a, b, span: a - b,
+    "*": lambda a, b, span: a * b,
+    "/": lambda a, b, span: _float_div(a, b),
+}
 
 
 def execute(

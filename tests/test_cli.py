@@ -19,16 +19,36 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def spawn_cli(*argv):
-    """Run `python -m mvsl` in a child that imports this checkout's mvsl."""
+def _child_env():
+    """The environment of a child that imports this checkout's mvsl."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def spawn_cli(*argv):
+    """Run `python -m mvsl` in a child that imports this checkout's mvsl."""
     return subprocess.run(
-        [sys.executable, "-m", "mvsl", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "mvsl", *argv], capture_output=True, text=True, env=_child_env()
     )
+
+
+def spawn_cli_closing_stdout(lines, *argv):
+    """Run `python -m mvsl` with stdout a pipe whose reader reads that many
+    lines and then closes it: (exit code, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mvsl", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), err
 
 
 @pytest.fixture()
@@ -79,6 +99,37 @@ def test_run_stats_go_to_stderr(capsys, pair_file):
         "frees",
         "closure_copies",
     ]
+
+
+@pytest.mark.parametrize(
+    "flags, phases",
+    [
+        ([], ["lex", "parse", "check", "lower", "move_opt", "execute"]),
+        (["--no-move-opt"], ["lex", "parse", "check", "lower", "execute"]),
+        (["--oracle"], ["lex", "parse", "check", "oracle"]),
+    ],
+    ids=["vm", "no-move-opt", "oracle"],
+)
+def test_run_timings_go_to_stderr(capsys, pair_file, flags, phases):
+    code, out, err = run_cli(capsys, "run", pair_file, "--timings", *flags)
+    assert code == 0
+    assert out == "Pair(4, 2)\n"
+    timings = json.loads(err)
+    assert list(timings) == phases
+    assert all(type(t) is float and t >= 0 for t in timings.values())
+
+
+def test_run_timings_follow_stats_and_traps(capsys, pair_file, trap_file):
+    code, out, err = run_cli(capsys, "run", pair_file, "--stats", "--timings")
+    stats, timings = map(json.loads, err.splitlines())
+    assert code == 0 and out == "Pair(4, 2)\n"
+    assert "moves" in stats and "execute" in timings
+    # A trap is reported first; the phase that trapped is still timed.
+    code, out, err = run_cli(capsys, "run", trap_file, "--timings")
+    trap, timings = err.splitlines()
+    assert code == 2 and out == ""
+    assert "trap[IndexOutOfBounds]" in trap
+    assert list(json.loads(timings))[-1] == "execute"
 
 
 def test_run_flag_combinations_same_value(capsys, pair_file):
@@ -243,6 +294,7 @@ def test_usage_errors_exit_4(capsys, argv):
         ["run", "{file}", "--dump=ast", "--stats"],
         ["run", "{file}", "--dump=types", "--stats"],
         ["run", "{file}", "--dump=ir", "--stats"],
+        ["run", "{file}", "--dump=ir", "--timings"],
         ["run", "{file}", "--dump=ast", "--oracle"],
         ["run", "{file}", "--dump=types", "--oracle"],
         ["run", "{file}", "--dump=ast", "--no-cow"],
@@ -253,8 +305,8 @@ def test_usage_errors_exit_4(capsys, argv):
     ],
     ids=["diff-seed", "diff-trials", "diff-missing-seed", "oracle-dump-ir", "oracle-no-cow",
          "oracle-no-move-opt", "dump-ast-stats", "dump-types-stats", "dump-ir-stats",
-         "dump-ast-oracle", "dump-types-oracle", "dump-ast-no-cow", "dump-types-no-cow",
-         "dump-ir-no-cow", "dump-ast-no-move-opt", "dump-types-no-move-opt"],
+         "dump-ir-timings", "dump-ast-oracle", "dump-types-oracle", "dump-ast-no-cow",
+         "dump-types-no-cow", "dump-ir-no-cow", "dump-ast-no-move-opt", "dump-types-no-move-opt"],
 )
 def test_ignored_option_combinations_are_usage_errors(capsys, pair_file, flags):
     code, out, err = run_cli(capsys, *(f.format(file=pair_file) for f in flags))
@@ -271,6 +323,28 @@ def test_undecodable_input_is_usage_error(tmp_path, command):
     assert proc.stderr.startswith("usage error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -- a reader that stops early ------------------------------------------------------
+
+
+def test_stdout_closed_after_one_line_exits_quietly(tmp_path):
+    # A dump far larger than a pipe's buffer: the child is still writing
+    # when the reader stops, as in `mvsl run --dump=ir FILE | head -1`.
+    f = tmp_path / "chain.mvs"
+    steps = "".join(f"var x{i}: [Int] = a in x{i}[0] = {i} in\n" for i in range(3000))
+    f.write_text(f"var a: [Int] = [0] in\n{steps}a[0]\n")
+    assert spawn_cli_closing_stdout(1, "run", "--dump=ir", str(f)) == (cli.EXIT_BROKEN_PIPE, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "{file}"], ["run", "{file}", "--dump=ast"], ["check", "{file}"], ["diff", "{file}"]],
+    ids=["run", "dump", "check", "diff"],
+)
+def test_stdout_closed_before_any_output_exits_quietly(pair_file, argv):
+    argv = [a.format(file=pair_file) for a in argv]
+    assert spawn_cli_closing_stdout(0, *argv) == (cli.EXIT_BROKEN_PIPE, "")
 
 
 # -- corpus golden ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from mvsl.ir import (
     lower_program,
     verify_linearity,
 )
-from mvsl.types import INT
+from mvsl.types import INT, StructType
 
 from conftest import corpus_expected, corpus_files, corpus_sources, lower_source
 
@@ -467,6 +467,69 @@ def test_closure_type_that_writes_captures_is_not_lent():
     assert [p for p, _ in opt.routines["@fn0"].params] == ["env", P_VALUE, P_LENT]
     assert entry_call_args_copied(opt) == [[True, False], [True, False]]
     assert execute(opt)[0] == corpus_expected(name)
+
+
+@pytest.mark.parametrize(
+    "name, passing",
+    [("lend_captured_callee.mvs", P_LENT), ("lend_captured_callee_writer.mvs", P_VALUE)],
+)
+def test_calling_a_captured_closure_writes_the_env_only_through_a_writer(name, passing):
+    # use(b, xs) calls b.f, which holds h, and h calls the closure it
+    # captured.  That call writes h's env only if some literal of the
+    # captured closure's type writes its own env, as w does in the
+    # second program: only then must b be copied into use.
+    _, opt = fetch(dict(corpus_sources())[name])
+    (use,) = [r for r in opt.routines.values() if r.ty and isinstance(r.params[1][1], StructType)]
+    assert [p for p, _ in use.params] == ["env", passing, P_VALUE]
+    assert execute(opt)[0] == corpus_expected(name)
+
+
+def test_writer_types_are_a_fixpoint_over_captured_callees():
+    # w writes its capture; h calls w through its env and k calls h, so
+    # their types are writers too.  q calls the closure g it captured,
+    # which writes nothing, so neither type is a writer.
+    src = (
+        "var n: Int = 0 in "
+        "let w: (Int) -> Int = (x: Int) -> Int { n = n + x in n } in "
+        "let h: (Float) -> Int = (y: Float) -> Int { w(1) } in "
+        "let k: ([Int]) -> Int = (a: [Int]) -> Int { h(1.0) + a[0] } in "
+        "let g: ([Float]) -> Int = (a: [Float]) -> Int { 2 } in "
+        "let q: (Int, Int) -> Int = (x: Int, y: Int) -> Int { g([1.0]) } in k([q(1, 2)])"
+    )
+    base, _ = fetch(src)
+    writers = {str(t) for t in ir_module._writer_types(base)}
+    assert writers == {"(Int) -> Int", "(Float) -> Int", "([Int]) -> Int"}
+
+
+def test_frame_layout_matches_params():
+    """A call writes its by-value arguments and its locations straight
+    into the slots Routine.arg_slots and loc_slots name: the by-value (or
+    lent) and inout parameters of params, in order, one per parameter of
+    the literal's type, which follow the env slot."""
+    irs = []
+    for f in corpus_files():
+        if not corpus_expected(f.name).startswith("error["):
+            irs += fetch(f.read_text())
+    for seed in range(50):
+        base = lower_program(check_program(generate_program(GenConfig(seed))))
+        irs += [base, apply_move_optimization(base)]
+    for ir in irs:
+        for r in ir.routines.values():
+            passing = [p for p, _ in r.params]
+            assert r.arg_slots == tuple(s for s, p in enumerate(passing) if p in (P_VALUE, P_LENT))
+            assert r.loc_slots == tuple(s for s, p in enumerate(passing) if p == P_INOUT)
+            if r.ty is None:
+                assert r.params == [], r.id
+                continue
+            assert sorted((0, *r.arg_slots, *r.loc_slots)) == list(range(len(r.ty.params) + 1))
+            for slot, (mode, ty) in enumerate(r.ty.params, 1):
+                assert r.params[slot][1] == ty
+                assert (slot in r.loc_slots) == (mode == "inout"), r.id
+    # (Int, inout [Int], S, inout Int, [Int]) interleaves the two kinds.
+    _, opt = fetch(dict(corpus_sources())["call_frame_layout.mvs"])
+    fn = opt.routines["@fn0"]
+    assert (fn.arg_slots, fn.loc_slots) == ((1, 3, 5), (2, 4))
+    assert [p for p, _ in fn.params] == ["env", P_LENT, P_INOUT, P_LENT, P_INOUT, P_VALUE]
 
 
 @pytest.mark.parametrize("name", ["lend_inout_overlap.mvs", "lend_inout_field.mvs"])

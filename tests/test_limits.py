@@ -201,13 +201,39 @@ def test_long_struct_chain_checks(tmp_path):
     assert run_cli("check", str(f)) == (0, "ok\n", "")
 
 
+# -- call depth -----------------------------------------------------------------------
+
+# A call costs the VM two Python frames (exec_call and the callee body's
+# exec_block) plus one per CondBr arm it is in.  Under pytest and the
+# default recursion limit this recursion reaches 316 calls, where one more
+# Python frame per call stops it near 236; the oracle also stops near 236.
+CALL_DEPTH = 280
+
+
+def closure_recursion(n: int) -> str:
+    """n nested calls of a closure held in a struct; the value is n."""
+    return (
+        "struct F { var fn: (F, Int) -> Int } in\n"
+        "let r: (F, Int) -> Int = (s: F, n: Int) -> Int "
+        "{ if n < 1 then 0 else s.fn(s, n - 1) + 1 } in\n"
+        f"let box: F = F(r) in box.fn(box, {n})\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-move-opt", "--no-cow"]], ids=["opt", "naive"])
+def test_closure_recursion_depth(tmp_path, flags):
+    f = tmp_path / "deep_calls.mvs"
+    f.write_text(closure_recursion(CALL_DEPTH))
+    assert run_cli("run", str(f), *flags) == (0, f"{CALL_DEPTH}\n", "")
+
+
 # -- the command line never ends in a traceback ---------------------------------------------
 
 COMMANDS = [
     ["run"],
     ["run", "--oracle"],
     ["run", "--no-cow", "--no-move-opt"],
-    ["run", "--stats"],
+    ["run", "--stats", "--timings"],
     ["run", "--dump=ast"],
     ["run", "--dump=types"],
     ["run", "--dump=ir"],

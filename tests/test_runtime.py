@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from mvsl import (
     GenConfig,
     RuntimeTrap,
+    Span,
     check_program,
+    differential_run,
     execute,
     generate_program,
     parse_source,
     serialize_array_layout,
 )
+from mvsl import oracle as oracle_module
 from mvsl import vm as vm_module
 from mvsl.ir import (
     ENTRY_ID,
@@ -36,7 +39,7 @@ from mvsl.ir import (
 from mvsl.types import INT
 from mvsl.vm import VM, Block, Location, StructVal, check_dynamic_overlap, format_value
 
-from conftest import corpus_sources, lower_source, run_source
+from conftest import corpus_expected, corpus_sources, lower_source, run_source
 
 PAIR = "struct Pair { var fs: Int; var sn: Int } in "
 
@@ -225,6 +228,51 @@ def test_truncating_division():
     assert out == "-1"
     out, _ = run_source("var a: Int = 7 in var b: Int = 0 - 2 in a % b")
     assert out == "1"
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except RuntimeTrap as t:
+        return ("trap", t.code, t.message)
+    return ("value", type(v), repr(v))
+
+
+@pytest.mark.parametrize(
+    "table, values",
+    [
+        ("_INT_OPS", [-(2**63), -7, -2, -1, 0, 1, 2, 7, 2**62, 2**63 - 1]),
+        ("_FLOAT_OPS", [float("-inf"), -2.5, -0.0, 0.0, 1.0, 3.0, float("inf"), float("nan")]),
+    ],
+    ids=["Int", "Float"],
+)
+def test_binary_operator_table_agrees_with_the_oracle(table, values):
+    # The VM dispatches a BinaryInstr through one table per operand type;
+    # each entry must compute, and trap, exactly as the oracle's _arith.
+    ops = getattr(vm_module, table)
+    assert set(ops) == {"==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/"} | (
+        {"%"} if table == "_INT_OPS" else set()
+    )
+    span = Span(3, 9)
+    for op, f in ops.items():
+        for a in values:
+            for b in values:
+                expected = _outcome(lambda: oracle_module._arith(op, a, b, span))
+                assert _outcome(lambda: f(a, b, span)) == expected, (op, a, b)
+
+
+@pytest.mark.parametrize(
+    "name", ["call_frame_layout.mvs", "lend_captured_callee.mvs", "lend_captured_callee_writer.mvs"]
+)
+def test_call_programs_under_every_config_and_the_debug_audit(name):
+    # The calls fill the callee's frame from lent, owned, scalar and inout
+    # arguments, directly and through a closure held in a struct.
+    source = dict(corpus_sources())[name]
+    for move_opt in (False, True):
+        for cow in (False, True):
+            out, _ = run_source(source, cow=cow, move_opt=move_opt, debug=True)
+            assert out == corpus_expected(name), (move_opt, cow)
+    assert differential_run(parse_source(source))["status"] == "PASS"
 
 
 def test_trap_carries_position():
