@@ -6,10 +6,14 @@ deep copy, and inout arguments are copied in at the call and copied
 back to their source places when it returns.  No storage is shared, no
 copy is elided, nothing is counted.  The VM must agree with this
 interpreter on every program; their implementations share nothing
-beyond the typed AST, which is the point.
+beyond the typed AST, which is the point.  An array whose elements are
+all Ints, or all Floats, is still copied in full, but with one slice,
+and printed in one join.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .ast import (
     ArrayLit,
@@ -81,12 +85,24 @@ class Scope:
         raise AssertionError(f"unbound '{name}' survived the typechecker")
 
 
+def _scalar_type(v: list) -> type | None:
+    """int or float when every element of v is exactly that type, else
+    None: such a list holds nothing to copy further.  The first element
+    is tested alone, so other lists pay one test."""
+    t = type(v[0]) if v else None
+    if (t is int or t is float) and operator.countOf(map(type, v), t) == len(v):
+        return t
+    return None
+
+
 def deep_copy(v):
     if isinstance(v, (int, float)):
         return v
     if isinstance(v, Struct):
         return Struct(v.name, [deep_copy(f) for f in v.fields])
     if isinstance(v, list):
+        if _scalar_type(v) is not None:
+            return v[:]
         return [deep_copy(e) for e in v]
     if isinstance(v, Func):
         return Func(v.lit, {k: deep_copy(x) for k, x in v.env.items()})
@@ -103,23 +119,29 @@ def render(v) -> str:
     if isinstance(v, Struct):
         return f"{v.name}({', '.join(render(f) for f in v.fields)})"
     if isinstance(v, list):
+        t = _scalar_type(v)
+        if t is not None:
+            return f"[{', '.join(map(str if t is int else repr, v))}]"
         return f"[{', '.join(render(e) for e in v)}]"
     if isinstance(v, Func):
         return "<function>"
     raise AssertionError(f"cannot render {v!r}")
 
 
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _arith(op: str, a, b, span: Span):
-    if op in ("==", "!=", "<", "<=", ">", ">="):
-        table = {
-            "==": a == b,
-            "!=": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }
-        return 1 if table[op] else 0
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
+        return 1 if compare(a, b) else 0
     if isinstance(a, int):
         if op == "+":
             r = a + b

@@ -7,7 +7,10 @@ retains its block and shares it; the block is duplicated lazily, the
 first time a mutation reaches it while it is shared, and the fresh
 block replaces the shared one in the place written.  With cow off every
 copy is a deep copy, so blocks are never shared and the counters expose
-exactly what each strategy costs.
+exactly what each strategy costs.  A block whose elements are all Ints,
+or all Floats, holds no blocks: it is deep-copied with one slice, freed
+without visiting its elements and printed in one join, and each such
+copy and free still counts once.
 
 inout arguments travel as Locations: a trail of frame-slot, field, and
 array-element hops, never a machine address.  One walker, VM._place,
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import countOf
 
 from .diagnostics import NO_SPAN, RuntimeTrap, Span
 from .ir import (
@@ -173,6 +177,20 @@ def check_dynamic_overlap(l1: Location, l2: Location, span: Span = NO_SPAN) -> N
     raise RuntimeTrap(span, OVERLAP_VIOLATION, "overlapping inout arguments")
 
 
+def _scalar_type(elems: list) -> type | None:
+    """int or float when every element is exactly that type, else None.
+
+    Such a block holds no other block: a slice of it is a deep copy,
+    freeing it frees nothing more, and it prints in one join.  The first
+    element is tested alone, so a block of aggregates pays one type
+    test; a bool is neither type, so it still reaches the element-wise
+    assertions."""
+    t = type(elems[0]) if elems else None
+    if (t is int or t is float) and countOf(map(type, elems), t) == len(elems):
+        return t
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Array layout serialization
 
@@ -211,6 +229,9 @@ def format_value(v: Value) -> str:
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, Block):
+        t = _scalar_type(v.elems)
+        if t is not None:
+            return f"[{', '.join(map(str if t is int else repr, v.elems))}]"
         return f"[{', '.join(format_value(e) for e in v.elems)}]"
     if isinstance(v, StructVal):
         return f"{v.name}({', '.join(format_value(f) for f in v.fields)})"
@@ -248,6 +269,10 @@ class VM:
     # class has subclasses, and bool never reaches the VM.
 
     def copy_value(self, v: Value) -> Value:
+        """A copy of v that the caller owns.  Under copy-on-write an array
+        is retained; otherwise it is deep-copied, counted once however
+        deep.  A block of scalars is copied in one slice, which is already
+        a full deep copy."""
         t = type(v)
         if t is int or t is float:
             return v
@@ -263,10 +288,18 @@ class VM:
                 self.stats.retains += 1
                 return v
             self.stats.deep_copies += 1
-            return self.alloc([self.copy_value(e) for e in v.elems])
+            return self.alloc(self._copy_elems(v.elems))
         raise AssertionError(f"cannot copy {v!r}")
 
+    def _copy_elems(self, elems: list) -> list:
+        if _scalar_type(elems) is not None:
+            return elems[:]
+        return [self.copy_value(e) for e in elems]
+
     def destroy_value(self, v: Value) -> None:
+        """Drop one reference to v.  A block whose last reference goes is
+        freed, counted once, and its elements are destroyed in turn,
+        unless it holds only scalars, which own nothing."""
         t = type(v)
         if t is int or t is float or v is None:
             return
@@ -282,8 +315,9 @@ class VM:
             assert v.r >= 1, "destroy of a dead block"
             v.r -= 1
             if v.r == 0:
-                for e in v.elems:
-                    self.destroy_value(e)
+                if _scalar_type(v.elems) is None:
+                    for e in v.elems:
+                        self.destroy_value(e)
                 self.stats.frees += 1
             else:
                 self.stats.releases += 1
@@ -293,12 +327,13 @@ class VM:
     def cow_dup(self, old: Block) -> Block:
         """A fresh unique copy of the shared block old, for mutation: old
         loses one reference, and the elements are copied element-wise
-        (retaining nested arrays when cow is on)."""
+        (retaining nested arrays when cow is on), or sliced when they are
+        all scalars."""
         assert old.r > 1
         old.r -= 1
         self.stats.releases += 1
         self.stats.cow_copies += 1
-        return self.alloc([self.copy_value(e) for e in old.elems])
+        return self.alloc(self._copy_elems(old.elems))
 
     # -- frame helpers ----------------------------------------------------------
 
@@ -500,7 +535,8 @@ class VM:
         the reachable blocks are all allocs - frees live ones.  A frame's
         env slot borrows the env of the callee's closure value, and its
         lent parameters borrow the caller's values: each is counted where
-        it lives."""
+        it lives.  A block of scalars holds no block, so its elements are
+        not walked."""
         refs: dict[Block, int] = {}
 
         def walk(v: Value) -> None:
@@ -508,7 +544,7 @@ class VM:
             if t is Block:
                 n = refs.get(v, 0)
                 refs[v] = n + 1
-                if n == 0:
+                if n == 0 and _scalar_type(v.elems) is None:
                     for e in v.elems:
                         walk(e)
             elif t is StructVal:

@@ -1,10 +1,13 @@
 import pathlib
+import sys
 
 import pytest
 
+import mvsl
 from mvsl import apply_move_optimization, check_program, execute, lower_program, parse_source
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+PACKAGE = str(pathlib.Path(mvsl.__file__).resolve().parent)
 
 
 def lower_source(source, move_opt=True):
@@ -15,6 +18,28 @@ def lower_source(source, move_opt=True):
 def run_source(source, cow=True, move_opt=True, debug=False):
     """Full pipeline on a source string; returns (text, stats)."""
     return execute(lower_source(source, move_opt), cow=cow, debug=debug)
+
+
+def line_events(fn, arg):
+    """(line events inside the package while fn(arg) runs, its result)."""
+    count = 0
+
+    def local(frame, event, _arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def tracer(frame, _event, _arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = fn(arg)
+    finally:
+        sys.settrace(previous)
+    return count, result
 
 
 def corpus_files():

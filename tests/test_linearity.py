@@ -18,38 +18,14 @@ or dict copy inside a loop looks linear here.
 """
 
 import math
-import sys
-from pathlib import Path
 
-import mvsl
 from mvsl import GenConfig, check_program, generate_program, parse_source, pretty_program
 from mvsl.ir import CondBr, apply_move_optimization, lower_program
 
-PACKAGE = str(Path(mvsl.__file__).resolve().parent)
+from conftest import line_events
+
 N = 200  # at most 400: traced runs are slow
 LIMIT = 2.1  # line events per doubling of the source
-
-
-def line_events(fn, arg):
-    """(line events inside the package while fn(arg) runs, its result)."""
-    count = 0
-
-    def local(frame, event, _arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def tracer(frame, _event, _arg):
-        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        result = fn(arg)
-    finally:
-        sys.settrace(previous)
-    return count, result
 
 
 def instructions(ir) -> int:

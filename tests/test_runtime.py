@@ -184,6 +184,22 @@ def test_format_floats_round_trip():
     assert format_value(float("inf")) == "inf"
 
 
+STRAY_BOOLS = [[1, 2, True], [True, 1, 2], [1.5, True]]
+
+
+@pytest.mark.parametrize("elems", STRAY_BOOLS)
+def test_a_stray_bool_in_an_array_is_still_caught(elems):
+    # Only arrays of exact ints or exact floats take the one-step paths.
+    with pytest.raises(AssertionError, match="boolean leaked"):
+        format_value(Block(elems))
+    with pytest.raises(AssertionError, match="cannot copy"):
+        fresh_vm(cow=False).copy_value(Block(elems))
+    with pytest.raises(AssertionError, match="cannot destroy"):
+        fresh_vm().destroy_value(Block(elems))
+    with pytest.raises(AssertionError, match="boolean leaked"):
+        oracle_module.render(elems)
+
+
 # -- traps -----------------------------------------------------------------------
 
 
@@ -262,11 +278,20 @@ def test_binary_operator_table_agrees_with_the_oracle(table, values):
 
 
 @pytest.mark.parametrize(
-    "name", ["call_frame_layout.mvs", "lend_captured_callee.mvs", "lend_captured_callee_writer.mvs"]
+    "name",
+    [
+        "call_frame_layout.mvs",
+        "lend_captured_callee.mvs",
+        "lend_captured_callee_writer.mvs",
+        "scalar_arrays.mvs",
+    ],
 )
 def test_call_programs_under_every_config_and_the_debug_audit(name):
     # The calls fill the callee's frame from lent, owned, scalar and inout
     # arguments, directly and through a closure held in a struct.
+    # scalar_arrays.mvs shares an [Int], a [Float] holding -0.0, nan and
+    # inf, an [[Int]] and an [S] with a let copy and then writes each:
+    # deep copies without COW, cow_dup with it.
     source = dict(corpus_sources())[name]
     for move_opt in (False, True):
         for cow in (False, True):
