@@ -127,6 +127,8 @@ class StructInit(Expr):
 class FieldAcc:
     name: str
     span: Span = field(compare=False, default=NO_SPAN)
+    # The field's position in its struct, set by the type checker.
+    offset: int | None = field(compare=False, repr=False, default=None)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from .diagnostics import RuntimeTrap
 from .generator import GenConfig, generate_program
 from .ir import apply_move_optimization, lower_program
 from .oracle import interpret_eager
+from .parser import parse_source
 from .typechecker import check_program
 from .vm import execute
 
@@ -66,5 +67,7 @@ def _row(config: str, output: str | None, trap: RuntimeTrap | None, stats: dict 
 
 
 def differential_seed_run(seed: int) -> dict:
-    """Generate the program for one seed and differential-test it."""
-    return differential_run(generate_program(GenConfig(seed)))
+    """Generate the program for one seed and differential-test it as
+    parsed from its printed form, so that every span, a trap's too,
+    points into the report's program."""
+    return differential_run(parse_source(pretty_program(generate_program(GenConfig(seed)))))

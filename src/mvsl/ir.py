@@ -50,8 +50,10 @@ from .types import BY_VALUE, INOUT, ArrayType, FloatType, FuncType, IntType, Str
 # ---------------------------------------------------------------------------
 # Instructions
 
-# A path step inside an instruction: ("field", name) or ("index", slot).
-Step = tuple[str, object]
+# A path step inside an instruction: ("field", name, offset), where offset
+# is the field's position in its struct or environment record and name is
+# only printed, or ("index", slot).
+Step = tuple[str, str, int] | tuple[str, int]
 
 
 class Instr:
@@ -261,7 +263,7 @@ class _RoutineBuilder:
         self.slot_map: dict[int, int] = {}  # binding id -> slot
         self.inout_ids: set[int] = set()  # binding ids of inout params
         self.env_slot: int | None = None
-        self.env_field_by_id: dict[int, str] = {}
+        self.env_steps: dict[int, Step] = {}  # captured binding id -> its field step
         self.params: list[tuple[str, Type | None]] = []
         self.env_fields: list[tuple[str, Type]] | None = None
         self.immutable: set[int] = set()
@@ -276,8 +278,8 @@ class _RoutineBuilder:
             self.params.append((P_ENV, None))
             self.env_fields = []
             assert fl.captures is not None and fl.param_ids is not None
-            for cap in fl.captures:
-                self.env_field_by_id[cap.binding_id] = cap.name
+            for i, cap in enumerate(fl.captures):
+                self.env_steps[cap.binding_id] = ("field", cap.name, i)
                 self.env_fields.append((cap.name, cap.ty))
             assert isinstance(fl.ty, FuncType)
             for param, pid, (passing, pty) in zip(fl.params, fl.param_ids, fl.ty.params):
@@ -359,10 +361,10 @@ class _RoutineBuilder:
         if base is None:
             base = self.env_slot
             assert base is not None
-            steps.append(("field", self.env_field_by_id[p.root_binding_id]))
+            steps.append(self.env_steps[p.root_binding_id])
         for acc in p.accessors:
             if isinstance(acc, FieldAcc):
-                steps.append(("field", acc.name))
+                steps.append(("field", acc.name, acc.offset))
             else:
                 steps.append(("index", self.lower_value(acc.index)))
         return base, steps
@@ -487,7 +489,7 @@ class _RoutineBuilder:
                 # Only a borrowed callee can root at a by-value parameter.
                 self.indexed_callee_params.add(base)
             if base == self.env_slot:
-                if p is e.callee and all(kind == "field" for kind, _ in steps):
+                if p is e.callee and all(step[0] == "field" for step in steps):
                     assert isinstance(p.ty, FuncType)
                     self.env_callee_types[p.ty] = None
                 else:
@@ -575,9 +577,9 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     if t is MakeArray or t is MakeStruct or t is MakeClosure:
         return (), ins.operands, ins.dst
     if t is LoadPath or t is ResolveLocation:
-        return (ins.base,), [v for kind, v in ins.steps if kind == "index"], ins.dst
+        return (ins.base,), [s[1] for s in ins.steps if s[0] == "index"], ins.dst
     if t is StorePath:
-        return (ins.base,), [*(v for kind, v in ins.steps if kind == "index"), ins.value], None
+        return (ins.base,), [*(s[1] for s in ins.steps if s[0] == "index"), ins.value], None
     if t is CallInstr:
         if ins.lent:
             owned = [a for a in ins.args if a not in ins.lent]
@@ -939,8 +941,8 @@ def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool
 
 def _fmt_steps(steps: list[Step]) -> str:
     out = []
-    for kind, v in steps:
-        out.append(f".{v}" if kind == "field" else f"[%{v}]")
+    for step in steps:
+        out.append(f".{step[1]}" if step[0] == "field" else f"[%{step[1]}]")
     return "".join(out)
 
 

@@ -582,6 +582,7 @@ class _Checker:
                         UNBOUND_NAME,
                         f"struct {ty.name} has no field '{acc.name}'",
                     )
+                acc.offset = idx
                 mutable = mutable and sinfo.field_quals[idx] == "var"
                 ty = sinfo.field_types[idx]
             else:

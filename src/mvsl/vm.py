@@ -1,16 +1,19 @@
 """Virtual machine.
 
 Values form disjoint trees.  Ints, floats, and structs live inline;
-an array value is its refcounted Block; closures own an environment
-record of captured values.  Copying an array under copy-on-write just
-retains its block and shares it; the block is duplicated lazily, the
-first time a mutation reaches it while it is shared, and the fresh
-block replaces the shared one in the place written.  With cow off every
-copy is a deep copy, so blocks are never shared and the counters expose
-exactly what each strategy costs.  A block whose elements are all Ints,
-or all Floats, holds no blocks: it is deep-copied with one slice, freed
-without visiting its elements and printed in one join, and each such
-copy and free still counts once.
+an array value is its refcounted Block; a closure is its own environment
+record, the routine it runs next to the values it captured.  Copying an
+array under copy-on-write just retains its block and shares it; the
+block is duplicated lazily, the first time a mutation reaches it while
+it is shared, and the fresh block replaces the shared one in the place
+written.  With cow off every copy is a deep copy, so blocks are never
+shared and the counters expose exactly what each strategy costs.  A
+block whose elements are all Ints, or all Floats, holds no blocks: it is
+deep-copied with one slice, freed without visiting its elements and
+printed in one join, and each such copy and free still counts once.
+
+The VM runs the layout lowering fixed: a field step carries its offset
+in the struct or environment record, so no field is looked up by name.
 
 inout arguments travel as Locations: a trail of frame-slot, field, and
 array-element hops, never a machine address.  One walker, VM._place,
@@ -23,12 +26,13 @@ for pairs the type checker could not decide.
 A call is one hop.  Every routine's frame has a size fixed by lowering,
 and Routine.arg_slots and loc_slots name the slots of its by-value and
 inout parameters.  The caller allocates the callee's frame and writes
-each argument and each Location straight into its slot, and the closure's
-environment into slot 0; then it runs the callee's body.  An owned
+each argument and each Location straight into its slot, and the closure
+itself into slot 0; then it runs the callee's body.  The callee's frame
+links to the caller's, the only record of the call stack.  An owned
 argument leaves the caller's slot empty.  A lent argument stays in the
 caller's slot, which still owns it: the callee's frame holds the same
-value for the duration of the call and never destroys it.  The env is
-lent the same way.
+value for the duration of the call and never destroys it.  The closure
+is lent the same way.
 """
 
 from __future__ import annotations
@@ -98,11 +102,7 @@ class RuntimeStats:
 
 
 class StructVal:
-    """Struct value; fields laid out in declaration order.
-
-    A closure environment record is a StructVal named env.<routine id>,
-    laid out as that routine's env_fields.
-    """
+    """Struct value; fields laid out in declaration order."""
 
     __slots__ = ("name", "fields")
 
@@ -112,13 +112,15 @@ class StructVal:
 
 
 class FuncVal:
-    """A closure: the routine it runs plus its environment record."""
+    """A closure: the routine it runs plus its captured values, laid out
+    as that routine's env_fields.  The closure is its own environment
+    record: a field step reads its fields as it reads a struct's."""
 
-    __slots__ = ("routine", "env")
+    __slots__ = ("routine", "fields")
 
-    def __init__(self, routine: Routine, env: StructVal):
+    def __init__(self, routine: Routine, fields: list):
         self.routine = routine
-        self.env = env
+        self.fields = fields
 
 
 Value = object  # int | float | StructVal | Block | FuncVal
@@ -140,17 +142,21 @@ class Block:
 
 
 class Frame:
-    __slots__ = ("routine", "slots")
+    """A routine's slots, linked to the frame of the call that made it
+    (None for the entry)."""
 
-    def __init__(self, routine: Routine):
+    __slots__ = ("routine", "slots", "caller")
+
+    def __init__(self, routine: Routine, caller: Frame | None = None):
         self.routine = routine
         self.slots: list = [None] * routine.n_slots
+        self.caller = caller
 
 
 # A location is a trail of hops from a frame slot down to a place:
-#   ("slot", frame, index) — always first;
-#   ("field", name)        — struct field step;
-#   ("elem", block, index) — array element step.
+#   ("slot", frame, index)  — always first;
+#   ("field", name, offset) — struct or environment field step;
+#   ("elem", block, index)  — array element step.
 # Two locations overlap iff one trail is a prefix of the other.
 
 
@@ -246,18 +252,6 @@ class VM:
         self.cow = cow
         self.debug = debug
         self.stats = RuntimeStats()
-        self.frames: list[Frame] = []
-        # Struct name -> field name -> index, for user structs and for
-        # every routine's environment record.
-        self.field_slots: dict[str, dict[str, int]] = {
-            name: {f: i for i, f in enumerate(info.field_names)}
-            for name, info in ir.structs.items()
-        }
-        for rid, routine in ir.routines.items():
-            if routine.env_fields is not None:
-                self.field_slots[f"env.{rid}"] = {
-                    f: i for i, (f, _) in enumerate(routine.env_fields)
-                }
 
     def alloc(self, elems: list) -> Block:
         self.stats.allocs += 1
@@ -280,8 +274,7 @@ class VM:
             return StructVal(v.name, [self.copy_value(f) for f in v.fields])
         if t is FuncVal:
             self.stats.closure_copies += 1
-            env = StructVal(v.env.name, [self.copy_value(f) for f in v.env.fields])
-            return FuncVal(v.routine, env)
+            return FuncVal(v.routine, [self.copy_value(f) for f in v.fields])
         if t is Block:
             if self.cow:
                 v.r += 1
@@ -303,12 +296,8 @@ class VM:
         t = type(v)
         if t is int or t is float or v is None:
             return
-        if t is StructVal:
+        if t is StructVal or t is FuncVal:
             for f in v.fields:
-                self.destroy_value(f)
-            return
-        if t is FuncVal:
-            for f in v.env.fields:
                 self.destroy_value(f)
             return
         if t is Block:
@@ -350,7 +339,7 @@ class VM:
     def _place(self, frame: Frame, base: int, steps, span: Span, prepare: bool, trail=None):
         """Walk from frame slot base through the IR steps to (container,
         index): the place lives at container[index], a frame-slot list,
-        struct field list or block element list.
+        the field list of a struct or closure, or a block's element list.
 
         A base slot holding a Location is walked through its trail
         first.  ("index", slot) steps consume their slot.  With
@@ -376,9 +365,8 @@ class VM:
             cur = container[index]
             kind = hop[0]
             if kind == "field":
-                assert type(cur) is StructVal
-                container = cur.fields
-                index = self.field_slots[cur.name][hop[1]]
+                assert type(cur) is StructVal or type(cur) is FuncVal
+                container, index = cur.fields, hop[2]
                 if trail is not None:
                     trail.append(hop)
                 continue
@@ -440,12 +428,12 @@ class VM:
             fn = callee.container[callee.index]
         assert type(fn) is FuncVal
         routine = fn.routine
-        # The callee's env is lent to the call: an owned callee stays in
-        # its slot until the call returns, so its env is counted once.  A
-        # lent argument stays in the caller's slot, which still owns it.
-        callee_frame = Frame(routine)
+        # The closure is lent to the call: an owned callee stays in its
+        # slot until the call returns, so its captures are counted once.
+        # A lent argument stays in the caller's slot, which still owns it.
+        callee_frame = Frame(routine, frame)
         into = callee_frame.slots
-        into[0] = fn.env
+        into[0] = fn
         lent = ins.lent
         for a, s in zip(ins.args, routine.arg_slots):
             into[s] = slots[a]
@@ -454,11 +442,7 @@ class VM:
         for a, s in zip(ins.locations, routine.loc_slots):
             into[s] = slots[a]
             slots[a] = None
-        self.frames.append(callee_frame)
-        try:
-            result = self.exec_block(routine.body, callee_frame)
-        finally:
-            self.frames.pop()
+        result = self.exec_block(routine.body, callee_frame)
         assert result is not None, "routine body must end in Return"
         slots[ins.callee] = None
         if fn is callee:
@@ -497,7 +481,7 @@ class VM:
                 result = slots[ins.slot]
                 slots[ins.slot] = None
                 if debug:
-                    self.audit_refcounts(pending=result)
+                    self.audit_refcounts(frame, result)
                 return result
             elif t is Destroy:
                 v = slots[ins.slot]
@@ -515,8 +499,8 @@ class VM:
                 elems = _take_all(slots, ins.operands)
                 slots[ins.dst] = self.alloc(elems)
             elif t is MakeClosure:
-                env = StructVal(f"env.{ins.routine_id}", _take_all(slots, ins.operands))
-                slots[ins.dst] = FuncVal(self.ir.routines[ins.routine_id], env)
+                routine = self.ir.routines[ins.routine_id]
+                slots[ins.dst] = FuncVal(routine, _take_all(slots, ins.operands))
             elif t is MakeStruct:
                 slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
             elif t is OverlapCheck:
@@ -524,18 +508,18 @@ class VM:
             else:  # pragma: no cover
                 raise AssertionError(f"unknown instruction {ins!r}")
             if debug:
-                self.audit_refcounts()
+                self.audit_refcounts(frame)
         return None
 
     # -- debug audit --------------------------------------------------------------
 
-    def audit_refcounts(self, pending: Value | None = None) -> None:
-        """Safepoint check: each block reachable from the frames and the
-        pending value has r equal to the number of places holding it, and
-        the reachable blocks are all allocs - frees live ones.  A frame's
-        env slot borrows the env of the callee's closure value, and its
-        lent parameters borrow the caller's values: each is counted where
-        it lives.  A block of scalars holds no block, so its elements are
+    def audit_refcounts(self, frame: Frame, pending: Value | None = None) -> None:
+        """Safepoint check: each block reachable from frame, its callers
+        and the pending value has r equal to the number of places holding
+        it, and the reachable blocks are all allocs - frees live ones.  A
+        frame's env slot borrows the callee's closure value, and its lent
+        parameters borrow the caller's values: each is counted where it
+        lives.  A block of scalars holds no block, so its elements are
         not walked."""
         refs: dict[Block, int] = {}
 
@@ -547,13 +531,11 @@ class VM:
                 if n == 0 and _scalar_type(v.elems) is None:
                     for e in v.elems:
                         walk(e)
-            elif t is StructVal:
+            elif t is StructVal or t is FuncVal:
                 for f in v.fields:
                     walk(f)
-            elif t is FuncVal:
-                walk(v.env)
 
-        for frame in self.frames:
+        while frame is not None:
             params = frame.routine.params
             for i, v in enumerate(frame.slots):
                 if v is None or type(v) is Location:
@@ -561,6 +543,7 @@ class VM:
                 if i < len(params) and params[i][0] in (P_ENV, P_LENT):
                     continue
                 walk(v)
+            frame = frame.caller
         if pending is not None:
             walk(pending)
         live = self.stats.allocs - self.stats.frees
@@ -574,10 +557,7 @@ class VM:
 
     def run(self) -> str:
         entry = self.ir.routines[self.ir.entry]
-        frame = Frame(entry)
-        self.frames.append(frame)
-        result = self.exec_block(entry.body, frame)
-        self.frames.pop()
+        result = self.exec_block(entry.body, Frame(entry))
         assert result is not None, "routine body must end in Return"
         text = format_value(result)
         self.destroy_value(result)

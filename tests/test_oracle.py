@@ -12,6 +12,7 @@ from mvsl import (
     parse_source,
     pretty_program,
 )
+from mvsl import difftest
 from mvsl.ast import IntLit
 from mvsl.ir import apply_move_optimization, lower_program
 
@@ -134,6 +135,19 @@ def test_report_shape():
                 "frees",
                 "closure_copies",
             }
+
+
+def test_seed_run_checks_the_printed_program(monkeypatch):
+    """A seed's program is checked as parsed from its printed form, which
+    round-trips, so its spans, a trap's included, point into the report's
+    program rather than being NO_SPAN."""
+    checked = []
+    run = difftest.differential_run
+    monkeypatch.setattr(difftest, "differential_run", lambda p: checked.append(p) or run(p))
+    for seed in range(200):
+        text = pretty_program(generate_program(GenConfig(seed)))
+        assert differential_seed_run(seed)["program"] == text, seed
+        assert repr(checked.pop()) == repr(check_program(parse_source(text)).program), seed
 
 
 def test_corpus_differential():
