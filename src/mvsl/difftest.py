@@ -24,16 +24,18 @@ _CONFIGS = (
 )
 
 
-def differential_run(program: Program) -> dict:
+def differential_run(program: Program, source: str | None = None) -> dict:
     """Run one program under the oracle and all four VM configurations.
 
     Returns {"program", "results": [{"config", "output", "trap", "span",
-    "stats"}], "status"}; trap is the trap kind and span its [start, end]
-    source offsets, both None for a run that does not trap.  status is
-    PASS iff every configuration produced the same formatted value or the
-    same trap kind at the same span.
+    "stats"}], "status"}; program is source, by default program printed,
+    trap is the trap kind and span its [start, end] source offsets, both
+    None for a run that does not trap.  status is PASS iff every
+    configuration produced the same formatted value or the same trap kind
+    at the same span.
     """
-    source = pretty_program(program)
+    if source is None:
+        source = pretty_program(program)
     tp = check_program(program)
     results: list[dict] = []
 
@@ -70,4 +72,5 @@ def differential_seed_run(seed: int) -> dict:
     """Generate the program for one seed and differential-test it as
     parsed from its printed form, so that every span, a trap's too,
     points into the report's program."""
-    return differential_run(parse_source(pretty_program(generate_program(GenConfig(seed)))))
+    source = pretty_program(generate_program(GenConfig(seed)))
+    return differential_run(parse_source(source), source)

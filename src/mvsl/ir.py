@@ -6,6 +6,14 @@ binding leaving scope gets a Destroy, and function literals become
 global routines taking their environment record as an extra leading
 parameter.  This naive IR is what `--no-move-opt` runs.
 
+Lowering adds no plumbing of its own.  A conditional's arms produce
+their values straight into its result slot; a Move fills it only from
+an arm that ends in a chain, after the Destroys of the chain's
+bindings.  A call reads a callee path of field steps (f, box.fn, a
+captured g) in place, from its base slot through those steps; only a
+callee path with an index step is resolved to a Location, like an inout
+argument.
+
 The move optimization then walks each block once, backward.  It rewrites
 a Copy into a Move and deletes the source's Destroy whenever that
 Destroy, in the Copy's own block, is the source's only later use.  It
@@ -139,8 +147,8 @@ class ResolveLocation(Instr):
     dst: int
     base: int
     steps: list[Step]
-    # True for a call borrowing its callee path: the location may root
-    # at an immutable binding, since invocation is not a mutation.
+    # True for a call's callee path with an index step: the location may
+    # root at an immutable binding, since invocation is not a mutation.
     borrow: bool = False
     span: Span = NO_SPAN
 
@@ -163,6 +171,9 @@ class CallInstr(Instr):
     fn_type: FuncType | None = None
     # The args lent to the call: read in place, never consumed.
     lent: tuple[int, ...] = ()
+    # When set, the callee is not consumed: the call reads the closure in
+    # place, at these field steps from slot callee.
+    callee_steps: list[Step] | None = None
 
 
 @dataclass
@@ -311,8 +322,9 @@ class _RoutineBuilder:
 
     # -- expression lowering --------------------------------------------------
 
-    def lower_chain(self, e: Chain) -> int:
-        """Lower the statements and the tail, then destroy the bindings in reverse."""
+    def lower_chain(self, e: Chain, dst: int | None = None) -> int:
+        """Lower the statements and the tail, then destroy the bindings in
+        reverse.  The tail produces into dst only if no Destroy follows it."""
         live: list[Binding] = []
         for s in e.stmts:
             if isinstance(s, Assign):
@@ -323,7 +335,7 @@ class _RoutineBuilder:
             else:
                 self.lower_binding(s)
                 live.append(s)
-        result = self.lower_value(e.tail)
+        result = self.lower_value(e.tail, None if live else dst)
         for s in reversed(live):
             self.emit(Destroy(self.slot_map[s.binding_id], s.span))
         return result
@@ -380,59 +392,66 @@ class _RoutineBuilder:
         base, steps = self.lower_target(p)
         self.emit_use(LoadPath(dst, base, steps, p.span), base)
 
-    def lower_value(self, e: Expr) -> int:
-        """Lower an expression; returns a fresh slot owning its value."""
+    def lower_value(self, e: Expr, dst: int | None = None) -> int:
+        """Lower an expression; returns the slot owning its value.  That
+        is dst when given and the expression's last instruction can
+        produce into it (see lower_arm), else a fresh slot."""
         if isinstance(e, IntLit):
-            t = self.new_slot()
+            t = self.new_slot() if dst is None else dst
             self.emit(MakeInt(t, e.value, e.span))
             return t
         if isinstance(e, FloatLit):
-            t = self.new_slot()
+            t = self.new_slot() if dst is None else dst
             self.emit(MakeFloat(t, e.value, e.span))
             return t
         if isinstance(e, ArrayLit):
             assert isinstance(e.ty, ArrayType)
             ops = [self.lower_value(x) for x in e.elements]
-            t = self.new_slot()
+            t = self.new_slot() if dst is None else dst
             self.emit(MakeArray(t, e.ty.element, ops, e.span))
             return t
         if isinstance(e, StructInit):
             ops = [self.lower_value(a) for a in e.args]
-            t = self.new_slot()
+            t = self.new_slot() if dst is None else dst
             self.emit(MakeStruct(t, e.name, ops, e.span))
             return t
         if isinstance(e, Path):
-            t = self.new_slot()
+            t = self.new_slot() if dst is None else dst
             self.emit_path_read(e, t)
             return t
         if isinstance(e, FuncLit):
-            return self.lower_funclit(e)
+            return self.lower_funclit(e, dst)
         if isinstance(e, Call):
-            return self.lower_call(e)
+            return self.lower_call(e, dst)
         if isinstance(e, Binary):
             lhs = self.lower_value(e.lhs)
             rhs = self.lower_value(e.rhs)
-            t = self.new_slot()
+            t = self.new_slot() if dst is None else dst
             self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span))
             return t
         if isinstance(e, Chain):
-            return self.lower_chain(e)
+            return self.lower_chain(e, dst)
         if isinstance(e, Cond):
-            result = self.new_slot()
+            result = self.new_slot() if dst is None else dst
             cond = self.lower_value(e.cond)
             then_block: list[Instr] = []
-            self.blocks.append(then_block)
-            r = self.lower_value(e.then)
-            self.emit(Move(result, r, e.then.span))
-            self.blocks.pop()
             else_block: list[Instr] = []
-            self.blocks.append(else_block)
-            r = self.lower_value(e.orelse)
-            self.emit(Move(result, r, e.orelse.span))
-            self.blocks.pop()
+            self.lower_arm(e.then, then_block, result)
+            self.lower_arm(e.orelse, else_block, result)
             self.emit(CondBr(cond, then_block, else_block, e.span))
             return result
         raise AssertionError(f"cannot lower {e!r} as an operand")
+
+    def lower_arm(self, e: Expr, block: list[Instr], result: int) -> None:
+        """Lower a conditional arm into block, producing its value in the
+        conditional's result slot: the arm's last producing instruction
+        writes it, and a Move fills it only when that instruction is
+        followed by the Destroys of a chain's bindings."""
+        self.blocks.append(block)
+        r = self.lower_value(e, result)
+        if r != result:
+            self.emit(Move(result, r, e.span))
+        self.blocks.pop()
 
     def lower_copied(self, e: Expr) -> int:
         """Lower a value that flows into a binding slot, stored place, or
@@ -447,7 +466,7 @@ class _RoutineBuilder:
         self.emit(Destroy(t, e.span))
         return u
 
-    def lower_funclit(self, e: FuncLit) -> int:
+    def lower_funclit(self, e: FuncLit, dst: int | None = None) -> int:
         routine = self.lowerer.lower_routine(e)
         assert e.captures is not None
         ops = []
@@ -455,19 +474,30 @@ class _RoutineBuilder:
             t = self.new_slot()
             self.emit_path_read(Path(cap.name, span=e.span, root_binding_id=cap.binding_id), t)
             ops.append(t)
-        dst = self.new_slot()
+        if dst is None:
+            dst = self.new_slot()
         self.emit(MakeClosure(dst, routine.id, ops, e.span))
         return dst
 
-    def lower_call(self, e: Call) -> int:
+    def lower_call(self, e: Call, dst: int | None = None) -> int:
         assert e.overlap_pairs is not None
         # The call's places, indexed like overlap_pairs: a path callee,
         # borrowed in place so environment mutations persist in the named
-        # closure value, then the inout arguments.  Any other callee is a
-        # temporary the call consumes.
+        # closure value, then the inout arguments.  A callee path of field
+        # steps only is read in place by the call itself: its walk cannot
+        # trap, and it is in no overlap pair, since two paths from one
+        # root have the same type at each common step, so a dynamic pair
+        # with it would compare a field with an index.  Any other callee
+        # is a temporary the call consumes.
         targets: list[tuple[Path, int, list[Step]]] = []
+        callee_steps: list[Step] | None = None
         if isinstance(e.callee, Path):
-            targets.append((e.callee, *self.lower_target(e.callee)))
+            callee, steps = self.lower_target(e.callee)
+            if all(step[0] == "field" for step in steps):
+                callee_steps = steps
+                assert all(0 not in pair for pair in e.overlap_pairs), e.overlap_pairs
+            else:
+                targets.append((e.callee, callee, steps))
         else:
             callee = self.lower_value(e.callee)
         # Arguments evaluate left to right; an inout argument's
@@ -480,6 +510,9 @@ class _RoutineBuilder:
                 targets.append((a.path, *self.lower_target(a.path)))
             else:
                 args.append(self.lower_copied(a))
+        if callee_steps is not None and callee == self.env_slot:
+            assert isinstance(e.callee.ty, FuncType)
+            self.env_callee_types[e.callee.ty] = None
         places = []
         for p, base, steps in targets:
             loc = self.new_slot()
@@ -489,19 +522,19 @@ class _RoutineBuilder:
                 # Only a borrowed callee can root at a by-value parameter.
                 self.indexed_callee_params.add(base)
             if base == self.env_slot:
-                if p is e.callee and all(step[0] == "field" for step in steps):
-                    assert isinstance(p.ty, FuncType)
-                    self.env_callee_types[p.ty] = None
-                else:
-                    # An index step may put a duplicate of a shared block
-                    # into the env, even on the way to a borrowed callee.
-                    self.writes_env = True
+                # An index step may put a duplicate of a shared block into
+                # the env, even on the way to a borrowed callee.
+                self.writes_env = True
+        # overlap_pairs count a callee read in place, which has no slot.
+        shift = callee_steps is not None
         for i, j in e.overlap_pairs:
-            self.emit(OverlapCheck(places[i], places[j], e.span))
-        if isinstance(e.callee, Path):
+            self.emit(OverlapCheck(places[i - shift], places[j - shift], e.span))
+        if callee_steps is None and isinstance(e.callee, Path):
             callee = places.pop(0)
-        dst = self.new_slot()
-        self.emit(CallInstr(dst, callee, args, places, e.span, e.callee.ty))
+        if dst is None:
+            dst = self.new_slot()
+        call = CallInstr(dst, callee, args, places, e.span, e.callee.ty, callee_steps=callee_steps)
+        self.emit_use(call, callee)
         return dst
 
     def finish(self, result: int, ty: FuncType | None, span: Span) -> Routine:
@@ -581,10 +614,10 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     if t is StorePath:
         return (ins.base,), [*(s[1] for s in ins.steps if s[0] == "index"), ins.value], None
     if t is CallInstr:
-        if ins.lent:
-            owned = [a for a in ins.args if a not in ins.lent]
+        owned = [a for a in ins.args if a not in ins.lent] if ins.lent else ins.args
+        if ins.callee_steps is None:
             return ins.lent, [ins.callee, *owned, *ins.locations], ins.dst
-        return (), [ins.callee, *ins.args, *ins.locations], ins.dst
+        return (ins.callee, *ins.lent), [*owned, *ins.locations], ins.dst
     if t is CondBr:
         if ins.lent:
             return ins.lent, (), None
@@ -820,7 +853,8 @@ def _elide_moves(
                     after.append(Destroy(src, ins.span))
             if lent or args != ins.args:
                 call = CallInstr(
-                    ins.dst, ins.callee, args, ins.locations, ins.span, ins.fn_type, tuple(lent)
+                    ins.dst, ins.callee, args, ins.locations, ins.span, ins.fn_type, tuple(lent),
+                    ins.callee_steps,
                 )
                 edits[k] = [call, *after]
         elif t is BinaryInstr:
@@ -982,7 +1016,8 @@ def _fmt_instr(ins: Instr) -> str:
     if isinstance(ins, CallInstr):
         args = ", ".join(_fmt_read(a, ins.lent) for a in ins.args)
         locs = ", ".join(f"%{l}" for l in ins.locations)
-        return f"call %{ins.callee} ({args})({locs}) -> %{ins.dst}"
+        callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps or [])}"
+        return f"call {callee} ({args})({locs}) -> %{ins.dst}"
     if isinstance(ins, BinaryInstr):
         lhs, rhs = _fmt_read(ins.lhs, ins.lent), _fmt_read(ins.rhs, ins.lent)
         return f"binary {ins.op} {lhs}, {rhs} -> %{ins.dst}"

@@ -21,7 +21,10 @@ follows both a Location's trail and an instruction's path steps; a
 resolution duplicates every shared block along the path, so a callee
 always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
-for pairs the type checker could not decide.
+for pairs the type checker could not decide.  A callee path is a
+Location only when it has an index step; a callee path of field steps
+is read at the call, from its base slot through the steps, as native
+code loads a function from a struct field.
 
 A call is one hop.  Every routine's frame has a size fixed by lowering,
 and Routine.arg_slots and loc_slots name the slots of its by-value and
@@ -162,9 +165,10 @@ class Frame:
 
 class Location:
     """A trail plus the place it reached when it was resolved: the value
-    lives at container[index].  Only a call borrowing its callee reads
-    that place, right after the resolution; every other use walks the
-    trail again, since sharing created since then must be duplicated."""
+    lives at container[index].  Only a call whose callee path has an
+    index step reads that place, right after the resolution; every other
+    use walks the trail again, since sharing created since then must be
+    duplicated."""
 
     __slots__ = ("trail", "container", "index")
 
@@ -419,12 +423,22 @@ class VM:
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
         slots = frame.slots
         fn = callee = slots[ins.callee]
-        if type(callee) is Location:
-            # Borrowed callee: the closure value stays in place and its
-            # environment mutations persist there.  Lowering resolves it
-            # after every argument, and only inout resolutions, which find
-            # its blocks already unique, run before the call: its
-            # recorded place is current.
+        steps = ins.callee_steps
+        if steps is not None:
+            # A callee path of field steps, read in place: the closure
+            # stays there and its environment mutations persist there.  A
+            # Location base is walked as a resolution walks it.
+            if type(fn) is Location:
+                container, index = self._place(frame, ins.callee, steps, ins.span, True)
+                fn = container[index]
+            else:
+                for step in steps:
+                    fn = fn.fields[step[2]]
+        elif type(callee) is Location:
+            # A callee path with an index step, borrowed the same way.
+            # Lowering resolves it after every argument, and only inout
+            # resolutions, which find its blocks already unique, run
+            # before the call: its recorded place is current.
             fn = callee.container[callee.index]
         assert type(fn) is FuncVal
         routine = fn.routine
@@ -444,55 +458,64 @@ class VM:
             slots[a] = None
         result = self.exec_block(routine.body, callee_frame)
         assert result is not None, "routine body must end in Return"
-        slots[ins.callee] = None
-        if fn is callee:
-            self.destroy_value(callee)
+        if steps is None:
+            slots[ins.callee] = None
+            if fn is callee:
+                self.destroy_value(callee)
         slots[ins.dst] = result
 
     def exec_block(self, block: list[Instr], frame: Frame) -> Value | None:
-        # One exact-type test per instruction, most frequent first (counted
-        # over fib(16) through a closure box, the inout divide-and-conquer
-        # fill of 256 elements and generated programs, on the optimized IR).
+        # One exact-type test per instruction, in the order of each kind's
+        # mean share of the instructions that one execute pass of the
+        # optimized IR runs in the three benchmark workloads (seed 0):
+        # fib(16) through a closure box (30 341 instructions), the inout
+        # fill of 256 elements (7 683) and the diff_sweep programs
+        # (80 118).  BinaryInstr 26.1 %, MakeInt 24.2, CondBr 8.4, Return
+        # 7.5, CallInstr 7.4, Move 6.8, LoadPath 3.8, Destroy 3.5,
+        # ResolveLocation 3.0, Copy 2.8, StorePath 2.6, each other kind
+        # 1.4 or less.
         slots = frame.slots
         debug = self.debug
         for ins in block:
             t = type(ins)
-            if t is MakeInt:
-                slots[ins.dst] = ins.value
-            elif t is BinaryInstr:
+            if t is BinaryInstr:
                 # Operands are scalars, which need no destroy, so a consumed
                 # operand's slot is left as it is, like one read in place.
                 lhs = slots[ins.lhs]
                 ops = _INT_OPS if type(lhs) is int else _FLOAT_OPS
                 slots[ins.dst] = ops[ins.op](lhs, slots[ins.rhs], ins.span)
-            elif t is Move:
-                slots[ins.dst] = slots[ins.src]
-                slots[ins.src] = None
-                self.stats.moves += 1
+            elif t is MakeInt:
+                slots[ins.dst] = ins.value
             elif t is CondBr:
                 cond = slots[ins.cond]  # a scalar, left in its slot
                 assert type(cond) is int
                 self.exec_block(ins.then_block if cond != 0 else ins.else_block, frame)
-            elif t is ResolveLocation:
-                self.exec_resolve(frame, ins)
-            elif t is CallInstr:
-                self.exec_call(frame, ins)
             elif t is Return:
                 result = slots[ins.slot]
                 slots[ins.slot] = None
                 if debug:
                     self.audit_refcounts(frame, result)
                 return result
+            elif t is CallInstr:
+                self.exec_call(frame, ins)
+            elif t is Move:
+                slots[ins.dst] = slots[ins.src]
+                slots[ins.src] = None
+                self.stats.moves += 1
+            elif t is LoadPath:
+                self.exec_load(frame, ins)
             elif t is Destroy:
                 v = slots[ins.slot]
                 slots[ins.slot] = None
                 self.destroy_value(v)
+            elif t is ResolveLocation:
+                self.exec_resolve(frame, ins)
             elif t is Copy:
                 slots[ins.dst] = self.copy_value(slots[ins.src])
-            elif t is LoadPath:
-                self.exec_load(frame, ins)
             elif t is StorePath:
                 self.exec_store(frame, ins)
+            elif t is MakeStruct:
+                slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
             elif t is MakeFloat:
                 slots[ins.dst] = ins.value
             elif t is MakeArray:
@@ -501,8 +524,6 @@ class VM:
             elif t is MakeClosure:
                 routine = self.ir.routines[ins.routine_id]
                 slots[ins.dst] = FuncVal(routine, _take_all(slots, ins.operands))
-            elif t is MakeStruct:
-                slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
             elif t is OverlapCheck:
                 check_dynamic_overlap(slots[ins.a], slots[ins.b], ins.span)
             else:  # pragma: no cover

@@ -585,6 +585,45 @@ def test_scalar_operands_and_conditions_are_read_in_place():
     assert execute(opt)[0] == "16"
 
 
+def arm_result(arm):
+    """The slot a conditional arm leaves its value in: its last
+    instruction's, or that of both arms of a nested conditional."""
+    last = arm[-1]
+    assert type(last) is not Move, last
+    if type(last) is CondBr:
+        slot = arm_result(last.then_block)
+        assert arm_result(last.else_block) == slot
+        return slot
+    return ir_module._operands(last)[2]
+
+
+@pytest.mark.parametrize("move_opt", [False, True], ids=["naive", "optimized"])
+def test_conditional_arms_produce_into_the_result_slot(move_opt):
+    # Literals, binaries, calls and a nested conditional produce straight
+    # into the conditional's result slot: no arm ends in a Move.
+    src = (
+        "let f: (Int) -> Int = (x: Int) -> Int { x * 3 } in var c: Int = 2 in "
+        "(if c < 2 then 7 else c + 1) + (if c > 5 then f(c) else (if c > 0 then f(1) else 4))"
+    )
+    ir = lower_source(src, move_opt=move_opt)
+    conds = [ins for ins in ir.routines[ir.entry].body if type(ins) is CondBr]
+    assert len(conds) == 2
+    for cond in conds:
+        assert arm_result(cond.then_block) == arm_result(cond.else_block) is not None
+        assert Move not in map(type, walk([cond]))
+    assert execute(ir)[0] == "6"
+
+
+def test_a_chain_arm_moves_its_value_past_its_destroys():
+    # The tail of a chain arm is followed by its bindings' Destroys, so a
+    # Move fills the result slot after them.
+    ir = lower_source("var c: Int = 1 in if c then (var x: Int = 5 in x) else 2", move_opt=False)
+    cond = next(ins for ins in ir.routines[ir.entry].body if type(ins) is CondBr)
+    assert [type(ins) for ins in cond.then_block[-2:]] == [Destroy, Move]
+    assert cond.then_block[-1].dst == cond.else_block[-1].dst
+    assert execute(ir)[0] == "5"
+
+
 class _NoLending:
     def get(self, ty):
         return (), frozenset()

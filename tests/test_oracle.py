@@ -143,11 +143,29 @@ def test_seed_run_checks_the_printed_program(monkeypatch):
     program rather than being NO_SPAN."""
     checked = []
     run = difftest.differential_run
-    monkeypatch.setattr(difftest, "differential_run", lambda p: checked.append(p) or run(p))
+    monkeypatch.setattr(
+        difftest, "differential_run", lambda p, *source: checked.append(p) or run(p, *source)
+    )
     for seed in range(200):
         text = pretty_program(generate_program(GenConfig(seed)))
         assert differential_seed_run(seed)["program"] == text, seed
         assert repr(checked.pop()) == repr(check_program(parse_source(text)).program), seed
+
+
+def test_seed_run_prints_its_program_once(monkeypatch):
+    # The printed program is parsed and is the report's program: one print.
+    printed = 0
+    pretty = difftest.pretty_program
+
+    def counting_pretty(program):
+        nonlocal printed
+        printed += 1
+        return pretty(program)
+
+    monkeypatch.setattr(difftest, "pretty_program", counting_pretty)
+    for seed in range(20):
+        differential_seed_run(seed)
+        assert printed == seed + 1, seed
 
 
 def test_corpus_differential():

@@ -281,6 +281,7 @@ def test_binary_operator_table_agrees_with_the_oracle(table, values):
     "name",
     [
         "call_frame_layout.mvs",
+        "callee_in_place.mvs",
         "lend_captured_callee.mvs",
         "lend_captured_callee_writer.mvs",
         "scalar_arrays.mvs",
@@ -289,13 +290,19 @@ def test_binary_operator_table_agrees_with_the_oracle(table, values):
 def test_call_programs_under_every_config_and_the_debug_audit(name):
     # The calls fill the callee's frame from lent, owned, scalar and inout
     # arguments, directly and through a closure held in a struct.
+    # callee_in_place.mvs calls through every form of callee path and
+    # ends in the trap of an indexed callee, which comes before its
+    # argument's.
     # scalar_arrays.mvs shares an [Int], a [Float] holding -0.0, nan and
     # inf, an [[Int]] and an [S] with a let copy and then writes each:
     # deep copies without COW, cow_dup with it.
     source = dict(corpus_sources())[name]
     for move_opt in (False, True):
         for cow in (False, True):
-            out, _ = run_source(source, cow=cow, move_opt=move_opt, debug=True)
+            try:
+                out, _ = run_source(source, cow=cow, move_opt=move_opt, debug=True)
+            except RuntimeTrap as t:
+                out = f"trap[{t.code}]: {t.message}"
             assert out == corpus_expected(name), (move_opt, cow)
     assert differential_run(parse_source(source))["status"] == "PASS"
 
@@ -554,6 +561,28 @@ def test_dispatch_uses_exact_types(monkeypatch):
     out, _ = execute(ir)
     assert out == "987"
     assert calls <= 50_000
+
+
+def test_a_field_callee_is_read_in_place(monkeypatch):
+    # box.fn and s.fn are field steps: the call reads the closure there,
+    # so fib(16) builds no Location, and the arms of the conditional
+    # produce into its result slot, so the only Moves are the entry's 3.
+    made = 0
+    init = Location.__init__
+
+    def counting_init(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
+
+    ir = lower_source(FIB_BOX)
+    monkeypatch.setattr(Location, "__init__", counting_init)
+    out, stats = execute(ir)
+    assert (out, made, stats.moves) == ("987", 0, 3)
+    # An inout argument still travels as a Location.
+    execute(lower_source("var a: [Int] = [1] in let f: (inout Int) -> Int = "
+                         "(x: inout Int) -> Int { x } in f(&a[0])"))
+    assert made == 1
 
 
 # -- place checks on hand-built IR ---------------------------------------------------
