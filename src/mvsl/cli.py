@@ -11,7 +11,9 @@ Three commands over one source file:
 stdout; stats, phase timings and diagnostics go to stderr so output stays
 scriptable.  Exit codes: 0 success or PASS, 1 syntax/type error, 2 runtime
 trap, 3 differential FAIL, 4 usage error, 141 stdout closed before the
-output was written.
+output was written.  A diff FAIL is a disagreement, or a configuration
+that crashed (a leak, an internal error or a RecursionError), which its
+result reports in a "crash" field instead of a traceback.
 """
 
 from __future__ import annotations

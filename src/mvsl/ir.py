@@ -6,6 +6,13 @@ binding leaving scope gets a Destroy, and function literals become
 global routines taking their environment record as an extra leading
 parameter.  This naive IR is what `--no-move-opt` runs.
 
+A literal operand of a BinaryInstr, or a literal subscript of a path
+step, costs no instruction: it is a constant of its routine
+(Routine.consts), one slot per distinct value, which every frame of the
+routine holds from the start.  dump_ir prints it as #value.  Nothing
+writes or clears a constant slot, so an instruction that would consume
+one only reads it.
+
 Lowering adds no plumbing of its own.  A conditional's arms produce
 their values straight into its result slot; a Move fills it only from
 an arm that ends in a chain, after the Destroys of the chain's
@@ -18,10 +25,14 @@ The move optimization then walks each block once, backward.  It rewrites
 a Copy into a Move and deletes the source's Destroy whenever that
 Destroy, in the Copy's own block, is the source's only later use.  It
 lends by-value arguments (see _Lending): a call reads a lent argument in
-place, and the callee neither copies nor destroys it.  And a BinaryInstr
-or CondBr reads a scalar operand in place.  The only instruction it
-moves is a Destroy, to just after a call that reads its slot at the
-slot's last use.
+place, and the callee neither copies nor destroys it.  A BinaryInstr
+or CondBr reads a scalar operand in place.  And a value is produced
+where it is moved to: a Move whose source the instruction above it
+produces, Destroys aside, goes, and that instruction writes the Move's
+destination, so a computed initializer lands in its binding's slot.
+The naive IR keeps its Copy and Destroy: they are the naive strategy's
+cost.  The only instruction the optimization moves is a Destroy, to just
+after a call that reads its slot at the slot's last use.
 
 Slots are indexes into a routine-local frame.  Instructions form a
 tree: straight-line lists plus CondBr, which carries its branch blocks
@@ -60,8 +71,10 @@ from .types import BY_VALUE, INOUT, ArrayType, FloatType, FuncType, IntType, Str
 
 # A path step inside an instruction: ("field", name, offset), where offset
 # is the field's position in its struct or environment record and name is
-# only printed, or ("index", slot).
+# only printed, or ("index", slot), where slot may be a constant slot.
 Step = tuple[str, str, int] | tuple[str, int]
+# A routine's constants: slot -> its Int or Float value.
+Consts = dict[int, int | float]
 
 
 class Instr:
@@ -238,6 +251,13 @@ class Routine:
     # rooted at its env slot with no index step: such a call writes the
     # env only if its type has a literal that writes its own env.
     env_callee_types: tuple[FuncType, ...] = ()
+    # The routine's constants, {slot: Int or Float}: a literal operand of
+    # a BinaryInstr or a literal subscript of a path step.  No instruction
+    # makes them; every frame of the routine starts with them in place,
+    # and nothing writes or clears those slots.
+    consts: Consts = field(default_factory=dict)
+    # A new frame's slots: None, or the constant in a constant slot.
+    template: list = field(init=False, repr=False, compare=False)
     # The frame layout a call fills, derived from params: the slots of
     # the by-value (and lent) parameters and of the inout parameters, in
     # order, matching a CallInstr's args and locations.
@@ -248,6 +268,9 @@ class Routine:
         passing = [p for p, _ in self.params]
         self.arg_slots = tuple(s for s, p in enumerate(passing) if p in (P_VALUE, P_LENT))
         self.loc_slots = tuple(s for s, p in enumerate(passing) if p == P_INOUT)
+        self.template = [None] * self.n_slots
+        for slot, value in self.consts.items():
+            self.template[slot] = value
 
 
 @dataclass
@@ -284,6 +307,8 @@ class _RoutineBuilder:
         self.indexed_callee_params: set[int] = set()
         self.writes_env = False
         self.env_callee_types: dict[FuncType, None] = {}  # an ordered set
+        self.consts: Consts = {}
+        self.const_slots: dict[str, int] = {}  # repr of a constant -> its slot
         if fl is not None:
             self.env_slot = self.new_slot()
             self.params.append((P_ENV, None))
@@ -378,7 +403,7 @@ class _RoutineBuilder:
             if isinstance(acc, FieldAcc):
                 steps.append(("field", acc.name, acc.offset))
             else:
-                steps.append(("index", self.lower_value(acc.index)))
+                steps.append(("index", self.lower_operand(acc.index)))
         return base, steps
 
     def emit_path_read(self, p: Path, dst: int) -> None:
@@ -424,8 +449,8 @@ class _RoutineBuilder:
         if isinstance(e, Call):
             return self.lower_call(e, dst)
         if isinstance(e, Binary):
-            lhs = self.lower_value(e.lhs)
-            rhs = self.lower_value(e.rhs)
+            lhs = self.lower_operand(e.lhs)
+            rhs = self.lower_operand(e.rhs)
             t = self.new_slot() if dst is None else dst
             self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span))
             return t
@@ -441,6 +466,19 @@ class _RoutineBuilder:
             self.emit(CondBr(cond, then_block, else_block, e.span))
             return result
         raise AssertionError(f"cannot lower {e!r} as an operand")
+
+    def lower_operand(self, e: Expr) -> int:
+        """Lower a Binary operand or a subscript.  A literal is a constant
+        slot of the routine, one per distinct value, and costs no
+        instruction; anything else is lowered as a value."""
+        if type(e) is not IntLit and type(e) is not FloatLit:
+            return self.lower_value(e)
+        key = repr(e.value)  # keeps 1 and 1.0, and 0.0 and -0.0, apart
+        slot = self.const_slots.get(key)
+        if slot is None:
+            slot = self.const_slots[key] = self.new_slot()
+            self.consts[slot] = e.value
+        return slot
 
     def lower_arm(self, e: Expr, block: list[Instr], result: int) -> None:
         """Lower a conditional arm into block, producing its value in the
@@ -553,6 +591,7 @@ class _RoutineBuilder:
             self.last_uses,
             frozenset(self.indexed_callee_params),
             tuple(self.env_callee_types),
+            self.consts,
         )
 
 
@@ -736,6 +775,14 @@ class _Lending:
 _USED_ELSEWHERE = -1
 
 
+def _with_dst(ins: Instr, dst: int) -> Instr:
+    """A copy of ins that produces into dst; dataclasses.replace costs
+    twice as much."""
+    out = object.__new__(type(ins))
+    out.__dict__ = {**ins.__dict__, "dst": dst}
+    return out
+
+
 def _elide_moves(
     block: list[Instr], lending: _Lending, lent_params: frozenset[int] = frozenset()
 ) -> tuple[list[Instr], dict[int, int]]:
@@ -752,6 +799,11 @@ def _elide_moves(
       the caller just after the call.  An Int or Float needs no destroy,
       so such a temporary, or a source whose Destroy would follow the
       call, is handed to the call instead.
+    - A Move, or a Copy that became one, whose source the closest
+      instruction above it other than a Destroy produces, is deleted,
+      and that producer writes the Move's destination instead.  A chain
+      of such Moves collapses into its first producer.  A CondBr
+      produces nothing itself, so its arms are left alone.
     A Copy is deleted only if nothing writes or consumes its source
     between it and the instruction that reads it.  The Destroys of
     lent_params, the routine's lent parameters, are dropped.
@@ -778,63 +830,84 @@ def _elide_moves(
     handed: set[int] = set()
     # Reader index -> how the call passes each argument, or () if no call.
     rebuilt: dict[int, tuple[int, ...]] = {}
+    # The latest Move, (source, destination, index), while only Destroys
+    # lie between it and the current instruction: if that instruction
+    # produces the source, it produces into the destination instead, and
+    # the Move goes.  The Destroys free other slots, so they commute.
+    pending: tuple[int, int, int] | None = None
     for i in range(n - 1, -1, -1):
         ins = block[i]
         t = type(ins)
-        if t is MakeInt:
-            continue  # reads nothing
-        if t is Copy:
-            src = ins.src
-            j = later.get(src, _USED_ELSEWHERE)
-            k = readers.get(ins.dst)
-            if j != _USED_ELSEWHERE:
-                edits[j] = []
-                if k is not None and type(block[k]) is CallInstr:
-                    renamed[ins.dst] = src
-                    handed.add(ins.dst)
-                    edits[i] = []
-                    clobbered[src] = k
-                else:
-                    edits[i] = [Move(ins.dst, src, ins.span)]
-                    clobbered[src] = i
-            elif k is not None and clobbered.get(src, n) >= k:
-                renamed[ins.dst] = src
-                edits[i] = []
-                rebuilt.setdefault(k, ())
-        elif t is Destroy:
+        if t is Destroy:
             if ins.slot in lent_params:
                 edits[i] = []
-                continue
-            if ins.slot not in later:
+            elif ins.slot in later:
+                later[ins.slot] = _USED_ELSEWHERE
+            else:
                 later[ins.slot] = i
-                continue
+            continue
+        if t is MakeInt or t is MakeFloat:
+            dst = ins.dst  # reads nothing
         elif t is BinaryInstr:
             readers[ins.lhs] = readers[ins.rhs] = i
             later[ins.lhs] = later[ins.rhs] = _USED_ELSEWHERE
-            continue
-        elif t is CallInstr:
-            mask = lending.get(ins.fn_type)[0]
-            if mask:
-                rebuilt[i] = mask
-                for a, how in zip(ins.args, mask):
-                    if how:
-                        readers[a] = i
-        elif t is CondBr:
-            then_block, then_reads = _elide_moves(ins.then_block, lending)
-            else_block, else_reads = _elide_moves(ins.else_block, lending)
-            for reads in (then_reads, else_reads):
-                later.update(dict.fromkeys(reads, _USED_ELSEWHERE))
-                clobbered.update(dict.fromkeys(reads, i))
-            if then_block is not ins.then_block or else_block is not ins.else_block:
-                edits[i] = [CondBr(ins.cond, then_block, else_block, ins.span)]
-            readers[ins.cond] = i
-        elif t is StorePath or (t is ResolveLocation and not ins.borrow):
-            clobbered[ins.base] = i
-        reads, consumes, _ = _operands(ins)
-        for slot in (*reads, *consumes):
-            later[slot] = _USED_ELSEWHERE
+            dst = ins.dst
+        else:
+            if t is Copy:
+                src = ins.src
+                j = later.get(src, _USED_ELSEWHERE)
+                k = readers.get(ins.dst)
+                if j != _USED_ELSEWHERE:
+                    edits[j] = []
+                    if k is not None and type(block[k]) is CallInstr:
+                        renamed[ins.dst] = src
+                        handed.add(ins.dst)
+                        edits[i] = []
+                        clobbered[src] = k
+                    else:
+                        edits[i] = [Move(ins.dst, src, ins.span)]
+                        clobbered[src] = i
+                elif k is not None and clobbered.get(src, n) >= k:
+                    renamed[ins.dst] = src
+                    edits[i] = []
+                    rebuilt.setdefault(k, ())
+            elif t is CallInstr:
+                mask = lending.get(ins.fn_type)[0]
+                if mask:
+                    rebuilt[i] = mask
+                    for a, how in zip(ins.args, mask):
+                        if how:
+                            readers[a] = i
+            elif t is CondBr:
+                then_block, then_reads = _elide_moves(ins.then_block, lending)
+                else_block, else_reads = _elide_moves(ins.else_block, lending)
+                for reads in (then_reads, else_reads):
+                    later.update(dict.fromkeys(reads, _USED_ELSEWHERE))
+                    clobbered.update(dict.fromkeys(reads, i))
+                if then_block is not ins.then_block or else_block is not ins.else_block:
+                    edits[i] = [CondBr(ins.cond, then_block, else_block, ins.span)]
+                readers[ins.cond] = i
+            elif t is StorePath or (t is ResolveLocation and not ins.borrow):
+                clobbered[ins.base] = i
+            reads, consumes, dst = _operands(ins)
+            for slot in (*reads, *consumes):
+                later[slot] = _USED_ELSEWHERE
+        if pending is not None:
+            made, to, at = pending
+            pending = None
+            if dst == made:
+                ins = edits[i][0] if i in edits else ins
+                edits[i] = [_with_dst(ins, to)]
+                edits[at] = []
+                if type(ins) is Move:
+                    pending = ins.src, to, i
+                continue
+        if t is Move:
+            pending = ins.src, ins.dst, i
+        elif t is Copy and edits.get(i):
+            pending = src, ins.dst, i
     for k, mask in rebuilt.items():
-        ins = block[k]
+        ins = edits[k][0] if k in edits else block[k]
         t = type(ins)
         if t is CallInstr:
             args, lent, after, taken = [], [], [], []
@@ -867,7 +940,6 @@ def _elide_moves(
                 lent = (lhs, rhs)
             edits[k] = [BinaryInstr(ins.dst, ins.op, lhs, rhs, ins.span, lent)]
         else:
-            ins = edits[k][0] if k in edits else ins
             cond = renamed[ins.cond]
             edits[k] = [CondBr(cond, ins.then_block, ins.else_block, ins.span, (cond,))]
     if not edits:
@@ -915,6 +987,7 @@ _OWNED = "owned"
 _LOC = "loc"
 _ENV = "env"
 _LENT = "lent"  # a lent parameter, live for the whole routine
+_CONST = "const"  # a constant, live for the whole routine; consuming it reads it
 _PARAM_STATES = {P_ENV: _ENV, P_VALUE: _OWNED, P_LENT: _LENT, P_INOUT: _LOC}
 
 
@@ -930,9 +1003,10 @@ def verify_linearity(ir: IRProgram) -> None:
     """Check that every slot is produced once and consumed exactly once
     along each control-flow path (Copy only reads its source, and a lent
     argument or operand is only read).  A lent parameter is readable
-    throughout its routine and never consumed."""
+    throughout its routine and never consumed; so is a constant, and an
+    instruction that would consume one only reads it."""
     for routine in ir.routines.values():
-        state: dict[int, str] = {}
+        state = dict.fromkeys(routine.consts, _CONST)
         for i, (passing, _) in enumerate(routine.params):
             state[i] = _PARAM_STATES[passing]
         _verify_block(routine.id, routine.body, state, top=True)
@@ -953,7 +1027,10 @@ def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool
             if slot not in state:
                 raise _lin_fail(rid, ins, f"slot {slot} not readable")
         for slot in consumes:
-            if state.pop(slot, None) != _OWNED:
+            st = state.get(slot)
+            if st == _OWNED:
+                del state[slot]
+            elif st != _CONST:
                 raise _lin_fail(rid, ins, f"slot {slot} not owned")
         if dst is not None:
             if dst in state:
@@ -973,19 +1050,22 @@ def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool
 # Dump
 
 
-def _fmt_steps(steps: list[Step]) -> str:
-    out = []
-    for step in steps:
-        out.append(f".{step[1]}" if step[0] == "field" else f"[%{step[1]}]")
-    return "".join(out)
-
-
-def _fmt_read(slot: int, lent: tuple[int, ...]) -> str:
-    """An operand, marked when it is read in place rather than consumed."""
+def _fmt_read(slot: int, consts: Consts, lent: tuple[int, ...] = ()) -> str:
+    """An operand: a constant as #value, or a slot, marked when it is
+    read in place rather than consumed."""
+    if slot in consts:
+        return f"#{consts[slot]!r}"
     return f"lent %{slot}" if slot in lent else f"%{slot}"
 
 
-def _fmt_instr(ins: Instr) -> str:
+def _fmt_steps(steps: list[Step], consts: Consts) -> str:
+    out = []
+    for step in steps:
+        out.append(f".{step[1]}" if step[0] == "field" else f"[{_fmt_read(step[1], consts)}]")
+    return "".join(out)
+
+
+def _fmt_instr(ins: Instr, consts: Consts) -> str:
     if isinstance(ins, MakeInt):
         return f"make_int {ins.value} -> %{ins.dst}"
     if isinstance(ins, MakeFloat):
@@ -1006,39 +1086,41 @@ def _fmt_instr(ins: Instr) -> str:
     if isinstance(ins, Destroy):
         return f"destroy %{ins.slot}"
     if isinstance(ins, LoadPath):
-        return f"load_path %{ins.base}{_fmt_steps(ins.steps)} -> %{ins.dst}"
+        return f"load_path %{ins.base}{_fmt_steps(ins.steps, consts)} -> %{ins.dst}"
     if isinstance(ins, StorePath):
-        return f"store_path %{ins.base}{_fmt_steps(ins.steps)} <- %{ins.value}"
+        return f"store_path %{ins.base}{_fmt_steps(ins.steps, consts)} <- %{ins.value}"
     if isinstance(ins, ResolveLocation):
-        return f"resolve_location %{ins.base}{_fmt_steps(ins.steps)} -> %{ins.dst}"
+        return f"resolve_location %{ins.base}{_fmt_steps(ins.steps, consts)} -> %{ins.dst}"
     if isinstance(ins, OverlapCheck):
         return f"overlap_check %{ins.a}, %{ins.b}"
     if isinstance(ins, CallInstr):
-        args = ", ".join(_fmt_read(a, ins.lent) for a in ins.args)
+        args = ", ".join(_fmt_read(a, consts, ins.lent) for a in ins.args)
         locs = ", ".join(f"%{l}" for l in ins.locations)
-        callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps or [])}"
+        callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps or [], consts)}"
         return f"call {callee} ({args})({locs}) -> %{ins.dst}"
     if isinstance(ins, BinaryInstr):
-        lhs, rhs = _fmt_read(ins.lhs, ins.lent), _fmt_read(ins.rhs, ins.lent)
+        lhs, rhs = _fmt_read(ins.lhs, consts, ins.lent), _fmt_read(ins.rhs, consts, ins.lent)
         return f"binary {ins.op} {lhs}, {rhs} -> %{ins.dst}"
     if isinstance(ins, Return):
         return f"return %{ins.slot}"
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
-def _dump_block(block: list[Instr], out: list[str], indent: str) -> None:
+def _dump_block(block: list[Instr], consts: Consts, out: list[str], indent: str) -> None:
     for i, ins in enumerate(block):
         if isinstance(ins, CondBr):
-            out.append(f"{indent}{i}: cond_br {_fmt_read(ins.cond, ins.lent)}")
+            out.append(f"{indent}{i}: cond_br {_fmt_read(ins.cond, consts, ins.lent)}")
             out.append(f"{indent}then:")
-            _dump_block(ins.then_block, out, indent + "  ")
+            _dump_block(ins.then_block, consts, out, indent + "  ")
             out.append(f"{indent}else:")
-            _dump_block(ins.else_block, out, indent + "  ")
+            _dump_block(ins.else_block, consts, out, indent + "  ")
         else:
-            out.append(f"{indent}{i}: {_fmt_instr(ins)}")
+            out.append(f"{indent}{i}: {_fmt_instr(ins, consts)}")
 
 
 def dump_ir(ir: IRProgram) -> str:
+    """The program as text, one routine after another, the entry first.
+    A constant operand prints as #value; its slot is counted in slots."""
     out: list[str] = []
     for rid in sorted(ir.routines, key=lambda r: (r != ir.entry, r)):
         routine = ir.routines[rid]
@@ -1046,5 +1128,5 @@ def dump_ir(ir: IRProgram) -> str:
         for passing, ty in routine.params:
             params.append("env" if passing == P_ENV else f"{passing} {ty}")
         out.append(f"routine {rid}({', '.join(params)}) slots={routine.n_slots}")
-        _dump_block(routine.body, out, "  ")
+        _dump_block(routine.body, routine.consts, out, "  ")
     return "\n".join(out)

@@ -22,7 +22,6 @@ from .ast import (
     Call,
     Chain,
     Cond,
-    Expr,
     FieldAcc,
     FloatLit,
     FuncLit,
@@ -96,35 +95,37 @@ def _scalar_type(v: list) -> type | None:
 
 
 def deep_copy(v):
-    if isinstance(v, (int, float)):
+    t = type(v)
+    if t is int or t is float:
         return v
-    if isinstance(v, Struct):
+    if t is Struct:
         return Struct(v.name, [deep_copy(f) for f in v.fields])
-    if isinstance(v, list):
+    if t is list:
         if _scalar_type(v) is not None:
             return v[:]
         return [deep_copy(e) for e in v]
-    if isinstance(v, Func):
+    if t is Func:
         return Func(v.lit, {k: deep_copy(x) for k, x in v.env.items()})
-    raise AssertionError(f"cannot copy {v!r}")
+    raise AssertionError(f"cannot copy {v!r}")  # a bool among them
 
 
 def render(v) -> str:
-    if isinstance(v, bool):
-        raise AssertionError("boolean leaked into a value")
-    if isinstance(v, int):
+    t = type(v)
+    if t is int:
         return str(v)
-    if isinstance(v, float):
+    if t is float:
         return repr(v)
-    if isinstance(v, Struct):
+    if t is Struct:
         return f"{v.name}({', '.join(render(f) for f in v.fields)})"
-    if isinstance(v, list):
-        t = _scalar_type(v)
-        if t is not None:
-            return f"[{', '.join(map(str if t is int else repr, v))}]"
+    if t is list:
+        st = _scalar_type(v)
+        if st is not None:
+            return f"[{', '.join(map(str if st is int else repr, v))}]"
         return f"[{', '.join(render(e) for e in v)}]"
-    if isinstance(v, Func):
+    if t is Func:
         return "<function>"
+    if t is bool:
+        raise AssertionError("boolean leaked into a value")
     raise AssertionError(f"cannot render {v!r}")
 
 
@@ -142,7 +143,7 @@ def _arith(op: str, a, b, span: Span):
     compare = _COMPARISONS.get(op)
     if compare is not None:
         return 1 if compare(a, b) else 0
-    if isinstance(a, int):
+    if type(a) is int:
         if op == "+":
             r = a + b
         elif op == "-":
@@ -187,10 +188,10 @@ class _Interp:
         owner = scope.owner(p.root)
         hops: list = [(id(owner), p.root)]
         for acc in p.accessors:
-            if isinstance(acc, FieldAcc):
+            if type(acc) is FieldAcc:
                 hops.append(("f", acc.name))
             else:
-                hops.append(("i", self.eval(acc.index, scope)))
+                hops.append(("i", _EVAL[type(acc.index)](self, acc.index, scope)))
         return owner, tuple(hops)
 
     def place(self, trail: tuple[dict, tuple], span: Span) -> tuple:
@@ -202,10 +203,10 @@ class _Interp:
         for kind, k in hops[1:]:
             v = container[key]
             if kind == "f":
-                assert isinstance(v, Struct)
+                assert type(v) is Struct
                 container, key = v.fields, self.structs[v.name].index_of(k)
             else:
-                assert isinstance(v, list)
+                assert type(v) is list
                 if not 0 <= k < len(v):
                     raise RuntimeTrap(
                         span,
@@ -216,51 +217,59 @@ class _Interp:
         return container, key
 
     # -- evaluation --------------------------------------------------------
+    #
+    # An expression is evaluated by _EVAL[type(e)](self, e, scope): one
+    # handler per kind of expression, keyed by exact type, since no AST
+    # class has subclasses; a kind with no entry raises KeyError.  Each
+    # handler calls the table itself, not a dispatching method, so a node
+    # costs one Python frame and deep programs recurse no deeper than
+    # under a ladder of isinstance tests.
 
-    def eval(self, e: Expr, scope: Scope):
-        if isinstance(e, IntLit) or isinstance(e, FloatLit):
-            return e.value
-        if isinstance(e, Path):
-            container, key = self.place(self.trail(e, scope), e.span)
-            return deep_copy(container[key])
-        if isinstance(e, ArrayLit):
-            return [self.eval(x, scope) for x in e.elements]
-        if isinstance(e, StructInit):
-            return Struct(e.name, [self.eval(a, scope) for a in e.args])
-        if isinstance(e, FuncLit):
-            assert e.captures is not None
-            env = {}
-            for cap in e.captures:
-                env[cap.name] = deep_copy(scope.owner(cap.name)[cap.name])
-            return Func(e, env)
-        if isinstance(e, Binary):
-            lhs = self.eval(e.lhs, scope)
-            rhs = self.eval(e.rhs, scope)
-            return _arith(e.op, lhs, rhs, e.span)
-        if isinstance(e, Cond):
-            c = self.eval(e.cond, scope)
-            return self.eval(e.then if c != 0 else e.orelse, scope)
-        if isinstance(e, Chain):
-            # One scope: a later binding of a name replaces the earlier.
-            inner = Scope({}, scope)
-            for s in e.stmts:
-                if isinstance(s, Binding):
-                    v = self.eval(s.init, inner)
-                    if s.name != "_":
-                        inner.vars[s.name] = v
-                elif s.target.root == "_" and not s.target.accessors:
-                    self.eval(s.value, inner)
-                else:
-                    # Subscripts of the target run before the value; bounds
-                    # are checked by the write itself.
-                    t = self.trail(s.target, inner)
-                    v = self.eval(s.value, inner)
-                    container, key = self.place(t, s.span)
-                    container[key] = v
-            return self.eval(e.tail, inner)
-        if isinstance(e, Call):
-            return self.call(e, scope)
-        raise AssertionError(f"cannot evaluate {e!r}")
+    def eval_path(self, e: Path, scope: Scope):
+        container, key = self.place(self.trail(e, scope), e.span)
+        return deep_copy(container[key])
+
+    def eval_array(self, e: ArrayLit, scope: Scope):
+        return [_EVAL[type(x)](self, x, scope) for x in e.elements]
+
+    def eval_struct(self, e: StructInit, scope: Scope):
+        return Struct(e.name, [_EVAL[type(a)](self, a, scope) for a in e.args])
+
+    def eval_funclit(self, e: FuncLit, scope: Scope):
+        assert e.captures is not None
+        env = {}
+        for cap in e.captures:
+            env[cap.name] = deep_copy(scope.owner(cap.name)[cap.name])
+        return Func(e, env)
+
+    def eval_binary(self, e: Binary, scope: Scope):
+        lhs = _EVAL[type(e.lhs)](self, e.lhs, scope)
+        rhs = _EVAL[type(e.rhs)](self, e.rhs, scope)
+        return _arith(e.op, lhs, rhs, e.span)
+
+    def eval_cond(self, e: Cond, scope: Scope):
+        c = _EVAL[type(e.cond)](self, e.cond, scope)
+        arm = e.then if c != 0 else e.orelse
+        return _EVAL[type(arm)](self, arm, scope)
+
+    def eval_chain(self, e: Chain, scope: Scope):
+        # One scope: a later binding of a name replaces the earlier.
+        inner = Scope({}, scope)
+        for s in e.stmts:
+            if type(s) is Binding:
+                v = _EVAL[type(s.init)](self, s.init, inner)
+                if s.name != "_":
+                    inner.vars[s.name] = v
+            elif s.target.root == "_" and not s.target.accessors:
+                _EVAL[type(s.value)](self, s.value, inner)
+            else:
+                # Subscripts of the target run before the value; bounds
+                # are checked by the write itself.
+                t = self.trail(s.target, inner)
+                v = _EVAL[type(s.value)](self, s.value, inner)
+                container, key = self.place(t, s.span)
+                container[key] = v
+        return _EVAL[type(e.tail)](self, e.tail, inner)
 
     def call(self, e: Call, scope: Scope):
         assert e.overlap_pairs is not None
@@ -271,24 +280,24 @@ class _Interp:
         # then the call itself.  A path callee is read in place so
         # capture mutations persist in the named closure; any other
         # callee is a temporary.
-        paths = [e.callee] if isinstance(e.callee, Path) else []
+        paths = [e.callee] if type(e.callee) is Path else []
         n_callee = len(paths)
         trails = [self.trail(p, scope) for p in paths]
         if not n_callee:
-            fn = self.eval(e.callee, scope)
+            fn = _EVAL[type(e.callee)](self, e.callee, scope)
         copied_in: list = []
         for a in e.args:
-            if isinstance(a, InoutArg):
+            if type(a) is InoutArg:
                 paths.append(a.path)
                 trails.append(self.trail(a.path, scope))
             else:
-                copied_in.append(self.eval(a, scope))
+                copied_in.append(_EVAL[type(a)](self, a, scope))
 
         places = [self.place(t, p.span) for t, p in zip(trails, paths)]
         if n_callee:
             container, key = places.pop(0)
             fn = container[key]
-        assert isinstance(fn, Func)
+        assert type(fn) is Func
         # Two places overlap iff one trail is a prefix of the other.
         for i, j in e.overlap_pairs:
             if all(a == b for a, b in zip(trails[i][1], trails[j][1])):
@@ -304,7 +313,8 @@ class _Interp:
         ii = iter(inout_vals)
         for p in fn.lit.params:
             body_scope.vars[p.name] = next(ii) if p.passing == "inout" else next(vi)
-        result = self.eval(fn.lit.body, body_scope)
+        body = fn.lit.body
+        result = _EVAL[type(body)](self, body, body_scope)
 
         # Copy out, left to right; exclusivity keeps order unobservable.
         # The body cannot reach the caller's storage, so the places
@@ -315,9 +325,24 @@ class _Interp:
         return result
 
 
+_EVAL = {
+    IntLit: lambda interp, e, scope: e.value,
+    FloatLit: lambda interp, e, scope: e.value,
+    Path: _Interp.eval_path,
+    Binary: _Interp.eval_binary,
+    Call: _Interp.call,
+    Cond: _Interp.eval_cond,
+    Chain: _Interp.eval_chain,
+    ArrayLit: _Interp.eval_array,
+    StructInit: _Interp.eval_struct,
+    FuncLit: _Interp.eval_funclit,
+}
+
+
 def interpret_eager(tp: TypedProgram) -> str:
     """Run the program under literal copy-everywhere semantics and
     return its formatted final value; traps raise RuntimeTrap."""
     interp = _Interp(tp.structs)
-    result = interp.eval(tp.program.entry, Scope({}, None))
+    entry = tp.program.entry
+    result = _EVAL[type(entry)](interp, entry, Scope({}, None))
     return render(result)

@@ -26,6 +26,12 @@ Location only when it has an index step; a callee path of field steps
 is read at the call, from its base slot through the steps, as native
 code loads a function from a struct field.
 
+A routine's constants sit in its frames from the start: a frame's slots
+are a copy of Routine.template, so an instruction reads a constant
+operand as it reads any slot, with no test.  Nothing clears a constant
+slot: a BinaryInstr leaves its scalar operands where they are, and so
+does an index step.
+
 A call is one hop.  Every routine's frame has a size fixed by lowering,
 and Routine.arg_slots and loc_slots name the slots of its by-value and
 inout parameters.  The caller allocates the callee's frame and writes
@@ -146,13 +152,14 @@ class Block:
 
 class Frame:
     """A routine's slots, linked to the frame of the call that made it
-    (None for the entry)."""
+    (None for the entry).  The slots start as a copy of the routine's
+    template: empty, except for its constants."""
 
     __slots__ = ("routine", "slots", "caller")
 
     def __init__(self, routine: Routine, caller: Frame | None = None):
         self.routine = routine
-        self.slots: list = [None] * routine.n_slots
+        self.slots: list = routine.template[:]
         self.caller = caller
 
 
@@ -346,7 +353,9 @@ class VM:
         the field list of a struct or closure, or a block's element list.
 
         A base slot holding a Location is walked through its trail
-        first.  ("index", slot) steps consume their slot.  With
+        first.  An ("index", slot) step reads its slot and leaves it as
+        it is: an Int needs no destroy, and a constant slot must keep its
+        value for the routine's next use.  With
         prepare=True a shared block crossed on the way is replaced by a
         fresh duplicate, so the place can be written.  trail, when given,
         receives the hops walked, each element hop naming the block it
@@ -376,7 +385,6 @@ class VM:
                 continue
             if kind == "index":
                 i = slots[hop[1]]
-                slots[hop[1]] = None
                 assert type(i) is int
                 assert type(cur) is Block
             else:
@@ -468,24 +476,23 @@ class VM:
         # One exact-type test per instruction, in the order of each kind's
         # mean share of the instructions that one execute pass of the
         # optimized IR runs in the three benchmark workloads (seed 0):
-        # fib(16) through a closure box (30 341 instructions), the inout
-        # fill of 256 elements (7 683) and the diff_sweep programs
-        # (80 118).  BinaryInstr 26.1 %, MakeInt 24.2, CondBr 8.4, Return
-        # 7.5, CallInstr 7.4, Move 6.8, LoadPath 3.8, Destroy 3.5,
-        # ResolveLocation 3.0, Copy 2.8, StorePath 2.6, each other kind
-        # 1.4 or less.
+        # fib(16) through a closure box (22 356 instructions), the inout
+        # fill of 256 elements (5 892) and the diff_sweep programs
+        # (53 163).  BinaryInstr 36.0 %, CondBr 11.4, Return 10.4,
+        # CallInstr 10.2, LoadPath 5.5, MakeInt 5.1, Destroy 5.1,
+        # ResolveLocation 4.1, Copy 3.7, StorePath 3.7, MakeStruct 1.8,
+        # Move 1.1, each other kind 0.9 or less.
         slots = frame.slots
         debug = self.debug
         for ins in block:
             t = type(ins)
             if t is BinaryInstr:
                 # Operands are scalars, which need no destroy, so a consumed
-                # operand's slot is left as it is, like one read in place.
+                # operand's slot is left as it is, like one read in place;
+                # a constant operand's slot must keep its value anyway.
                 lhs = slots[ins.lhs]
                 ops = _INT_OPS if type(lhs) is int else _FLOAT_OPS
                 slots[ins.dst] = ops[ins.op](lhs, slots[ins.rhs], ins.span)
-            elif t is MakeInt:
-                slots[ins.dst] = ins.value
             elif t is CondBr:
                 cond = slots[ins.cond]  # a scalar, left in its slot
                 assert type(cond) is int
@@ -498,12 +505,10 @@ class VM:
                 return result
             elif t is CallInstr:
                 self.exec_call(frame, ins)
-            elif t is Move:
-                slots[ins.dst] = slots[ins.src]
-                slots[ins.src] = None
-                self.stats.moves += 1
             elif t is LoadPath:
                 self.exec_load(frame, ins)
+            elif t is MakeInt:
+                slots[ins.dst] = ins.value
             elif t is Destroy:
                 v = slots[ins.slot]
                 slots[ins.slot] = None
@@ -516,14 +521,18 @@ class VM:
                 self.exec_store(frame, ins)
             elif t is MakeStruct:
                 slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
-            elif t is MakeFloat:
-                slots[ins.dst] = ins.value
+            elif t is Move:
+                slots[ins.dst] = slots[ins.src]
+                slots[ins.src] = None
+                self.stats.moves += 1
             elif t is MakeArray:
                 elems = _take_all(slots, ins.operands)
                 slots[ins.dst] = self.alloc(elems)
             elif t is MakeClosure:
                 routine = self.ir.routines[ins.routine_id]
                 slots[ins.dst] = FuncVal(routine, _take_all(slots, ins.operands))
+            elif t is MakeFloat:
+                slots[ins.dst] = ins.value
             elif t is OverlapCheck:
                 check_dynamic_overlap(slots[ins.a], slots[ins.b], ins.span)
             else:  # pragma: no cover

@@ -9,6 +9,10 @@ from mvsl import apply_move_optimization, check_program, execute, lower_program,
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 PACKAGE = str(pathlib.Path(mvsl.__file__).resolve().parent)
 
+# The benchmark's workload builder, so tests run the benchmark's programs.
+sys.path.append(str(CORPUS.parent / "perfbench"))
+import workloads  # noqa: E402
+
 
 def lower_source(source, move_opt=True):
     ir = lower_program(check_program(parse_source(source)))

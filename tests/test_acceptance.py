@@ -93,13 +93,20 @@ def test_criterion_2_layout_reproduction():
 
 def test_criterion_3_move_elision():
     def body():
-        src = "let f: ([Int]) -> Int = (a: [Int]) -> Int { a[0] } in let x: [Int] = [1, 2] in f(x)"
+        # f owns its parameter; a load between x's array literal and its
+        # last use, and between f's result and y's, keeps those two reads
+        # Moves rather than producing the values in place.
+        src = (
+            "let f: ([Int]) -> [Int] = (a: [Int]) -> [Int] { a } in let x: [Int] = [1, 2] in "
+            "let k: Int = x[1] in let y: [Int] = f(x) in let n: Int = y[0] in "
+            "let z: [Int] = y in z[1] + n + k"
+        )
         out, stats = run_source(src, cow=True, move_opt=True)
-        assert out == "1"
+        assert out == "5"
         assert stats.deep_copies == 0
         assert stats.moves >= 2
         out, naive = run_source(src, cow=False, move_opt=False)
-        assert out == "1"
+        assert out == "5"
         assert naive.deep_copies >= 2
 
     _verdict(3, "last-use copies elide to moves with zero deep copies", body)

@@ -8,6 +8,8 @@ import pytest
 
 import mvsl.cli as cli
 import mvsl.difftest as difftest
+import mvsl.vm as vm_module
+from mvsl import parse_source
 from mvsl.diagnostics import RuntimeTrap, Span
 
 from conftest import CORPUS, corpus_expected, corpus_files
@@ -179,7 +181,8 @@ def test_dump_ir_without_move_opt(capsys, pair_file):
     code, opt_out, _ = run_cli(capsys, "run", pair_file, "--dump=ir")
     code_noopt, noopt_out, err = run_cli(capsys, "run", pair_file, "--dump=ir", "--no-move-opt")
     assert code == code_noopt == 0 and err == ""
-    assert "move" in opt_out and "move" not in noopt_out
+    # Optimized, the struct is made in the result slot: no copy is left.
+    assert "copy" in noopt_out and "copy" not in opt_out
 
 
 def test_dump_does_not_execute(capsys, trap_file):
@@ -253,6 +256,44 @@ def test_diff_fails_on_a_trap_at_another_span(capsys, monkeypatch, trap_file):
     oracle, *vms = report["results"]
     assert oracle["span"] == [0, 29]
     assert all(vm["span"] == [25, 29] for vm in vms)
+
+
+def test_a_leak_is_a_fail_row_not_an_exception(capsys, monkeypatch):
+    # A VM that never frees a block fails execute's leak assertion on
+    # every configuration; the harness reports it and raises nothing.
+    monkeypatch.setattr(vm_module.VM, "destroy_value", lambda self, v: None)
+    path = CORPUS / "array_of_pairs.mvs"
+    report = difftest.differential_run(parse_source(path.read_text()))
+    assert report["status"] == "FAIL"
+    oracle, *vms = report["results"]
+    assert oracle == {"config": "oracle", "output": corpus_expected(path.name), "trap": None,
+                      "span": None, "stats": None}
+    for row in vms:
+        assert (row["output"], row["trap"], row["span"], row["stats"]) == (None,) * 4
+        assert row["crash"].startswith("AssertionError: leak: allocs "), row
+    code, out, _ = run_cli(capsys, "diff", str(path))
+    assert code == 3
+    assert json.loads(out) == report
+
+
+@pytest.mark.parametrize("where", ["interpret_eager", "lower_program"])
+def test_a_crash_in_the_oracle_or_in_lowering_is_a_fail(capsys, monkeypatch, pair_file, where):
+    def crash(*_args):
+        raise RecursionError("maximum recursion depth exceeded\nwhile calling a Python object")
+
+    monkeypatch.setattr(difftest, where, crash)
+    code, out, _ = run_cli(capsys, "diff", pair_file)
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "FAIL"
+    crashed = [row["config"] for row in report["results"] if "crash" in row]
+    assert crashed == (["oracle"] if where == "interpret_eager" else [
+        "vm cow=off move_opt=off", "vm cow=on move_opt=off",
+        "vm cow=off move_opt=on", "vm cow=on move_opt=on",
+    ])
+    assert {row.get("crash") for row in report["results"]} >= {
+        "RecursionError: maximum recursion depth exceeded"
+    }
 
 
 def test_diff_type_error_exit_1(capsys, bad_file):

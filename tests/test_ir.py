@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from mvsl import (
     dump_ir,
     execute,
     generate_program,
+    interpret_eager,
     parse_source,
 )
 from mvsl import ir as ir_module
@@ -131,14 +133,45 @@ def fetch(src):
 
 
 def test_last_use_becomes_move():
-    src = "let f: ([Int]) -> Int = (a: [Int]) -> Int { a[0] } in let x: [Int] = [1, 2] in f(x)"
+    # x, y, k and n are read at their last uses, each by a Copy that
+    # becomes a Move: another instruction runs between each of them and
+    # the one that made its source, so no source can be produced in the
+    # Move's place.
+    src = (
+        "let f: ([Int]) -> [Int] = (a: [Int]) -> [Int] { a } in let x: [Int] = [1, 2] in "
+        "let k: Int = x[1] in let y: [Int] = f(x) in let n: Int = y[0] in "
+        "let z: [Int] = y in z[1] + n + k"
+    )
     base, opt = fetch(src)
     base_copies = [i for i in base.routines[base.entry].body if isinstance(i, Copy)]
     opt_copies = [i for i in opt.routines[opt.entry].body if isinstance(i, Copy)]
     opt_moves = [i for i in opt.routines[opt.entry].body if isinstance(i, Move)]
     assert len(base_copies) >= 2
     assert len(opt_copies) == 0
-    assert len(opt_moves) >= 2
+    assert len(opt_moves) == 4
+    assert execute(opt)[0] == execute(base)[0] == "5"
+
+
+def test_initializer_is_produced_into_its_binding():
+    # In the optimized IR a computed initializer is produced straight into
+    # its binding's slot, and a chain of Moves collapses into its first
+    # producer; the naive IR keeps the Copy into the slot and the Destroy
+    # of the temporary.
+    src = "var a: Int = 3 in let s: Int = a * 2 + 1 in let t: Int = s in t"
+    base, opt = fetch(src)
+    assert [type(i) for i in base.routines[base.entry].body] == [
+        MakeInt, Copy, Destroy, Copy, BinaryInstr, BinaryInstr, Copy, Destroy, Copy, Copy,
+        Destroy, Destroy, Destroy, Return,
+    ]
+    assert dump_ir(opt).splitlines()[1:] == [
+        "  0: make_int 3 -> %3",
+        "  1: binary * %3, #2 -> %5",
+        "  2: binary + %5, #1 -> %9",
+        "  3: return %9",
+    ]
+    for ir in (base, opt):
+        assert execute(ir)[0] == "7"
+    assert execute(opt)[1].moves == 0
 
 
 def test_repeated_use_keeps_first_copy():
@@ -153,7 +186,7 @@ def test_repeated_use_keeps_first_copy():
     ):
         _, opt = fetch(src)
         body = opt.routines[opt.entry].body
-        x = body[[type(i) for i in body].index(MakeArray) + 1].dst  # the Move into x
+        x = body[[type(i) for i in body].index(MakeArray)].dst  # made in x's slot
         # the first read of x stays a copy, the last one moves
         assert [type(i) for i in body if getattr(i, "src", None) == x] == [Copy, Move]
         # and the runtime agrees: one deep copy with cow off
@@ -236,9 +269,14 @@ def check_rewrites(old, new):
     """Account for every instruction of routine old that the optimization
     replaced or deleted in routine new.
 
-    - A deleted Copy became a Move of the same slots, or a rebuilt reader
-      (call, binary or branch) reads its source in place of its
-      destination, which nothing in new names.
+    - A deleted Copy or Move whose source nothing in new names was
+      retargeted: the producer of its source writes its destination
+      instead, or, down a chain of them, the chain's last destination.
+      The producer is its old self with that destination, or else also
+      rewritten by one of the rules below.
+    - Any other deleted Copy became a Move of the same slots, or a
+      rebuilt reader (call, binary or branch) reads its source in place
+      of its destination, which nothing in new names.
     - A new Destroy directly follows, among Destroys, a rebuilt call that
       lends its slot.
     - A deleted Destroy is that of a Move's source, of a lent parameter,
@@ -249,33 +287,54 @@ def check_rewrites(old, new):
     old_ids, new_ids = {id(i) for i in old_ins}, {id(i) for i in new_ins}
     fresh = [i for i in new_ins if id(i) not in old_ids]
     gone = [i for i in old_ins if id(i) not in new_ids]
-    assert all(isinstance(i, (Move, CondBr, CallInstr, BinaryInstr, Destroy)) for i in fresh)
-    assert all(isinstance(i, (Copy, CondBr, CallInstr, BinaryInstr, Destroy)) for i in gone)
-    moves = Counter((i.dst, i.src) for i in fresh if isinstance(i, Move))
-    copies = [i for i in gone if isinstance(i, Copy)]
-    assert moves <= Counter((c.dst, c.src) for c in copies)
-    renamed = {c.dst: c.src for c in copies if (c.dst, c.src) not in moves}
-    assert len(copies) == moves.total() + len(renamed)
     named = set()
     for ins in new_ins:
         reads, consumes, dst = ir_module._operands(ins)
         named.update(reads, consumes, [dst])
-    assert not named & renamed.keys()
-    # Each rebuilt reader is its old self with the renamed operands.
+    retargets = [i for i in gone if isinstance(i, (Copy, Move)) and i.src not in named]
+    into = {i.src: i.dst for i in retargets}
+
+    def final(slot):
+        while slot in into:
+            slot = into[slot]
+        return slot
+
+    retarget_ids = {id(i) for i in retargets}
+    others = [i for i in gone if id(i) not in retarget_ids]
     kinds = (CallInstr, BinaryInstr, CondBr)
+    plain = (Copy, Move, Destroy, *kinds)
+    # A retargeted producer that no other rule rewrites.
+    producers = [i for i in others if not isinstance(i, plain)]
+    assert all(i.dst in into for i in producers)
+    assert Counter(repr(replace(i, dst=final(i.dst))) for i in producers) == Counter(
+        repr(i) for i in fresh if not isinstance(i, plain)
+    )
+    # A Copy becomes a Move or is read in place; an original Move, or a
+    # Copy that is not a last use, changes only by retargeting.
+    copies = [i for i in others if isinstance(i, Copy)]
+    old_moves = [i for i in others if isinstance(i, Move)]
+    assert all(i.dst in into for i in old_moves)
+    renamed = {c.dst: c.src for c in copies if c.dst not in named and c.dst not in into}
+    assert Counter((i.dst, i.src) for i in fresh if isinstance(i, (Copy, Move))) == Counter(
+        (final(c.dst), c.src) for c in copies + old_moves if c.dst not in renamed
+    )
+    # A fresh Copy is a retargeted one that is not its source's last use.
+    assert all(i.dst in into.values() for i in fresh if isinstance(i, Copy))
+    # Each rebuilt reader is its old self with the renamed operands.
     old_readers = [i for i in gone if isinstance(i, kinds)]
     new_readers = [i for i in fresh if isinstance(i, kinds)]
     assert len(old_readers) == len(new_readers)
     for o, n in zip(old_readers, new_readers):
         assert type(o) is type(n)
         if isinstance(o, CallInstr):
-            assert (n.dst, n.callee, n.locations) == (o.dst, o.callee, o.locations)
+            assert (n.dst, n.callee, n.locations) == (final(o.dst), o.callee, o.locations)
             assert n.args == [renamed.get(a, a) for a in o.args]
-            assert n.lent or n.args != o.args, n  # rebuilt to lend or to take a source
+            # rebuilt to lend, to take a source, or to produce elsewhere
+            assert n.lent or n.args != o.args or n.dst != o.dst, n
         elif isinstance(o, BinaryInstr):
-            assert (n.dst, n.op) == (o.dst, o.op)
+            assert (n.dst, n.op) == (final(o.dst), o.op)
             assert (n.lhs, n.rhs) == (renamed.get(o.lhs, o.lhs), renamed.get(o.rhs, o.rhs))
-            assert n.lent
+            assert n.lent or n.dst != o.dst
         else:
             assert n.cond == renamed.get(o.cond, o.cond)
             nested = (n.then_block, n.else_block) != (o.then_block, o.else_block)
@@ -297,9 +356,13 @@ def check_rewrites(old, new):
             assert isinstance(call, CallInstr) and id(call) not in old_ids, ins
             assert ins.slot in call.lent, ins
             after_call.append(ins.slot)
+    # A Copy that became a Move, even one retargeted away later, took
+    # its source's Destroy; an original Move had none.
     lent_params = {s for s, (p, _) in enumerate(new.params) if p == P_LENT}
     handed = [s for s in after_call + taken if s in renamed.values()]
-    expected = Counter(src for _, src in moves.elements())
+    expected = Counter(i.src for i in fresh if isinstance(i, Move))
+    expected -= Counter(i.src for i in old_moves)
+    expected.update(i.src for i in retargets if isinstance(i, Copy))
     expected.update(s for s in handed)
     expected.update(i.slot for i in gone if isinstance(i, Destroy) and i.slot in lent_params)
     assert Counter(i.slot for i in gone if isinstance(i, Destroy)) == expected
@@ -354,8 +417,8 @@ def test_move_elision_work_is_linear(monkeypatch):
         calls = 0
         body = apply_move_optimization(copy_chain(n)).routines[ENTRY_ID].body
         work[n] = calls
-        assert sum(isinstance(i, Move) for i in body) == n
-        assert not any(isinstance(i, (Copy, Destroy)) for i in body)
+        # each Copy becomes a Move, and the chain collapses into its producer
+        assert body == [MakeInt(n, 0), Return(n)]
     assert work[1000] <= 2.5 * work[500]
 
 
@@ -436,6 +499,93 @@ def test_fib_closure_parameters_are_lent():
     assert execute(base)[1].closure_copies == 3196
 
 
+def test_fib_literals_are_constant_operands():
+    # Each literal operand is a constant of @fn0, filled in when its frame
+    # is made: an inner call runs 3 + 5 instructions and a leaf 3 + 2 + 1
+    # (11 and 8 when each literal was a make_int).
+    _, opt = fetch(FIB_BOX)
+    text = dump_ir(opt)
+    assert text[text.index("routine @fn0"):].splitlines()[1:] == [
+        "  0: binary < lent %2, #2 -> %6",
+        "  1: cond_br %6",
+        "  then:",
+        "    0: binary < lent %2, #1 -> %9",
+        "    1: cond_br %9",
+        "    then:",
+        "      0: make_int 0 -> %3",
+        "    else:",
+        "      0: make_int 1 -> %3",
+        "  else:",
+        "    0: binary - lent %2, #1 -> %12",
+        "    1: call %1.fn (lent %1, %12)() -> %14",
+        "    2: binary - lent %2, #2 -> %17",
+        "    3: call %1.fn (lent %1, %17)() -> %19",
+        "    4: binary + %14, %19 -> %3",
+        "  2: return %3",
+    ]
+    fn = opt.routines["@fn0"]
+    cond = fn.body[1]
+    assert len(fn.body) + len(cond.else_block) == 8  # an inner call
+    assert len(fn.body) + len(cond.then_block) + len(cond.then_block[1].then_block) == 6
+    # One slot per distinct constant, in the frame template.
+    assert [fn.template[s] for s in sorted(fn.consts)] == [2, 1]
+    # The naive IR consumes a constant as it would a temporary: it is
+    # only read, and verify_linearity accepts both forms.
+    base, _ = fetch(FIB_BOX)
+    assert "binary < %4, #2 -> %6" in dump_ir(base)
+
+
+@pytest.mark.parametrize("move_opt", [False, True], ids=["naive", "optimized"])
+def test_literal_subscripts_are_constant_steps(move_opt):
+    # Loads, stores and inout resolutions take a literal subscript as a
+    # constant step: no make_int, and one slot for both uses of 1.
+    src = (
+        "var a: [Int] = [5, 6] in let f: (inout Int) -> Int = (x: inout Int) -> Int { x } in "
+        "a[1] = a[0] + f(&a[1]) in a"
+    )
+    ir = lower_source(src, move_opt=move_opt)
+    text = dump_ir(ir)
+    assert "load_path %0[#0]" in text
+    assert "resolve_location %0[#1]" in text
+    assert "store_path %0[#1]" in text
+    assert not re.search(r"make_int [01] ", text)
+    entry = ir.routines[ir.entry]
+    assert sorted(entry.consts.values()) == [0, 1]
+    for cow in (True, False):
+        assert execute(ir, cow=cow, debug=True)[0] == "[5, 11]"
+
+
+@pytest.mark.parametrize(
+    "src, outcome",
+    [
+        (
+            "var x: Int = 1 in x + 9223372036854775807",
+            "1:19: trap[IntegerOverflow]: integer overflow in '+'",
+        ),
+        ("1 / 0", "1:1: trap[DivisionByZero]: division by zero"),
+        ("var a: [Int] = [1] in a[0] % 0", "1:23: trap[DivisionByZero]: division by zero"),
+        ("0.0 / 0.0", "nan"),
+        ("var a: [Int] = [1] in a[1]", "1:23: trap[IndexOutOfBounds]: index 1 out of bounds for "
+         "array of 1 elements"),
+    ],
+)
+def test_constant_operands_keep_traps_and_values(src, outcome):
+    # A constant operand or subscript traps with the kind, position and
+    # message of the oracle, which still evaluates each literal.
+    typed = check_program(parse_source(src))
+    outcomes = set()
+    for run in [lambda: interpret_eager(typed)] + [
+        lambda ir=ir, cow=cow: execute(ir, cow=cow)[0]
+        for ir in fetch(src)
+        for cow in (True, False)
+    ]:
+        try:
+            outcomes.add(run())
+        except RuntimeTrap as t:
+            outcomes.add(t.render(src))
+    assert outcomes == {outcome}
+
+
 def test_returned_parameter_stays_owned():
     # The literal moves a into its result, so the parameter stays owned,
     # and the counters are those of move elision alone.
@@ -448,7 +598,7 @@ def test_returned_parameter_stays_owned():
     assert fn.params[1][0] == P_VALUE
     assert [type(i) for i in fn.body] == [Move, Return]
     counts = {cow: tuple(execute(opt, cow=cow)[1].as_dict().values()) for cow in (True, False)}
-    assert counts == {True: (0, 1, 1, 7, 0, 1, 1, 0), False: (1, 0, 0, 7, 0, 2, 2, 0)}
+    assert counts == {True: (0, 1, 1, 3, 0, 1, 1, 0), False: (1, 0, 0, 3, 0, 2, 2, 0)}
 
 
 def entry_call_args_copied(opt):

@@ -1,10 +1,15 @@
-"""Lowering, move optimization and the VM do work linear in program size.
+"""The front end, lowering, move optimization and the VM do work linear
+in program size.
 
 Each phase runs under sys.settrace on a program of size N and on one of
 size 2N, and the line events executed inside src/mvsl are counted.  The
 count is deterministic, so the gate needs no timer: a phase fails when
 its count grows more than 2.1x per doubling of the program.  Ratios are
 pinned, not counts, since line events differ between CPython versions.
+
+Lexing, parsing and checking are gated on the binding chain and on a
+long array literal: tokenize, then parse_source, which lexes again, then
+check_program.  The oracle is not gated yet.
 
 The VM's run is gated on the binding chain only.  Generated programs do
 about 2.3x the executed work per doubling of their lowered instructions,
@@ -27,7 +32,14 @@ or dict copy inside a loop looks linear here.
 
 import math
 
-from mvsl import GenConfig, check_program, generate_program, parse_source, pretty_program
+from mvsl import (
+    GenConfig,
+    check_program,
+    generate_program,
+    parse_source,
+    pretty_program,
+    tokenize,
+)
 from mvsl.ir import CondBr, apply_move_optimization, lower_program
 from mvsl.vm import VM, execute
 
@@ -64,6 +76,34 @@ def phase_events(sources: list[str], run: bool) -> dict[str, int]:
         if run:
             out["execute"] += line_events(execute, optimized)[0]
     return out
+
+
+def front_end_events(sources: list[str]) -> dict[str, int]:
+    """Line events of lexing, parsing and checking, summed over sources."""
+    out = {"lex": 0, "parse": 0, "check": 0}
+    for src in sources:
+        out["lex"] += line_events(tokenize, src)[0]
+        n, program = line_events(parse_source, src)
+        out["parse"] += n
+        out["check"] += line_events(check_program, program)[0]
+    return out
+
+
+def per_doubling(a: dict[str, int], b: dict[str, int], size: float) -> dict[str, float]:
+    """Each phase's line-event ratio b / a, scaled to a doubling of the
+    program, which grew size times from a to b."""
+    return {phase: 2 ** (math.log(b[phase] / a[phase]) / math.log(size)) for phase in a}
+
+
+def front_end_growth(small: list[str], large: list[str]) -> dict[str, float]:
+    size = sum(map(len, large)) / sum(map(len, small))
+    return per_doubling(front_end_events(small), front_end_events(large), size)
+
+
+def array_literal(n: int) -> list[str]:
+    """One array literal of n elements, half Ints and half nested sums."""
+    elements = ", ".join(f"{i}" if i % 2 else f"({i} + 1)" for i in range(n))
+    return [f"var a: [Int] = [{elements}] in a[0]"]
 
 
 def binding_chain(n: int) -> list[str]:
@@ -103,7 +143,7 @@ def growth(
     else:
         del a["instructions"], b["instructions"]
         size = sum(map(len, large)) / sum(map(len, small))
-    return {phase: 2 ** (math.log(b[phase] / a[phase]) / math.log(size)) for phase in a}
+    return per_doubling(a, b, size)
 
 
 def test_binding_chain_is_linear():
@@ -124,3 +164,13 @@ def test_generated_programs_are_linear():
 def test_vm_setup_is_independent_of_declarations():
     small, large = (line_events(VM, lower_source(declarations(n)))[0] for n in (N, 2 * N))
     assert small == large, (small, large)
+
+
+def test_front_end_is_linear_on_the_binding_chain():
+    ratios = front_end_growth(binding_chain(N), binding_chain(2 * N))
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_front_end_is_linear_on_a_long_array_literal():
+    ratios = front_end_growth(array_literal(N), array_literal(2 * N))
+    assert all(r <= LIMIT for r in ratios.values()), ratios

@@ -1,3 +1,5 @@
+import builtins
+
 import pytest
 
 from mvsl import (
@@ -13,10 +15,11 @@ from mvsl import (
     pretty_program,
 )
 from mvsl import difftest
+from mvsl import oracle as oracle_module
 from mvsl.ast import IntLit
 from mvsl.ir import apply_move_optimization, lower_program
 
-from conftest import corpus_sources
+from conftest import corpus_sources, workloads
 
 PAIR = "struct Pair { var fs: Int; var sn: Int } in "
 
@@ -26,6 +29,26 @@ def oracle(source):
 
 
 # -- the eager interpreter ----------------------------------------------------
+
+
+def test_oracle_dispatches_on_exact_types(monkeypatch):
+    # eval dispatches through a table keyed by type(e), and values and
+    # statements are tested with type(x) is C: one differential_run of the
+    # cow_inout benchmark program makes no isinstance call in the oracle
+    # (63 695 with the isinstance ladders).
+    calls = 0
+
+    def counting_isinstance(obj, cls):
+        nonlocal calls
+        calls += 1
+        return builtins.isinstance(obj, cls)
+
+    source = workloads.cow_source(list(range(256)))
+    monkeypatch.setattr(oracle_module, "isinstance", counting_isinstance, raising=False)
+    report = differential_run(parse_source(source))
+    assert report["status"] == "PASS"
+    assert report["results"][0]["output"] == workloads.cow_expected(list(range(256)))
+    assert calls == 0
 
 
 def test_copy_listing():
