@@ -25,11 +25,15 @@ The move optimization then walks each block once, backward.  It rewrites
 a Copy into a Move and deletes the source's Destroy whenever that
 Destroy, in the Copy's own block, is the source's only later use.  It
 lends by-value arguments (see _Lending): a call reads a lent argument in
-place, and the callee neither copies nor destroys it.  A BinaryInstr
-or CondBr reads a scalar operand in place.  And a value is produced
-where it is moved to: a Move whose source the instruction above it
-produces, Destroys aside, goes, and that instruction writes the Move's
-destination, so a computed initializer lands in its binding's slot.
+place, and the callee neither copies nor destroys it.  It lends a call
+an inout parameter passed on whole (&x): the callee gets the caller's
+Location, which is not resolved again.  A BinaryInstr, a CondBr or an
+index step reads a scalar binding in place, and at the binding's last
+use consumes its slot, which an Int or Float leaves as it is.  And a
+value is produced where it is moved to: a Move whose source the
+instruction above it produces, Destroys aside, goes, and that
+instruction writes the Move's destination, so a computed initializer
+lands in its binding's slot.
 The naive IR keeps its Copy and Destroy: they are the naive strategy's
 cost.  The only instruction the optimization moves is a Destroy, to just
 after a call that reads its slot at the slot's last use.
@@ -145,6 +149,7 @@ class LoadPath(Instr):
     base: int
     steps: list[Step]
     span: Span = NO_SPAN
+    lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
 
 
 @dataclass
@@ -153,6 +158,7 @@ class StorePath(Instr):
     steps: list[Step]
     value: int
     span: Span = NO_SPAN
+    lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
 
 
 @dataclass
@@ -164,6 +170,7 @@ class ResolveLocation(Instr):
     # root at an immutable binding, since invocation is not a mutation.
     borrow: bool = False
     span: Span = NO_SPAN
+    lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
 
 
 @dataclass
@@ -182,7 +189,10 @@ class CallInstr(Instr):
     span: Span = NO_SPAN
     # The callee's type, which fixes the passing convention of each argument.
     fn_type: FuncType | None = None
-    # The args lent to the call: read in place, never consumed.
+    # The args and locations lent to the call: read in place, never
+    # consumed.  A lent location is an inout parameter of the caller that
+    # it passes on whole (&x): the callee gets the caller's Location, which
+    # stays in the caller's slot.
     lent: tuple[int, ...] = ()
     # When set, the callee is not consumed: the call reads the closure in
     # place, at these field steps from slot callee.
@@ -649,14 +659,23 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     if t is MakeArray or t is MakeStruct or t is MakeClosure:
         return (), ins.operands, ins.dst
     if t is LoadPath or t is ResolveLocation:
+        if ins.lent:
+            return (ins.base, *ins.lent), _owned_subscripts(ins), ins.dst
         return (ins.base,), [s[1] for s in ins.steps if s[0] == "index"], ins.dst
     if t is StorePath:
+        if ins.lent:
+            return (ins.base, *ins.lent), [*_owned_subscripts(ins), ins.value], None
         return (ins.base,), [*(s[1] for s in ins.steps if s[0] == "index"), ins.value], None
     if t is CallInstr:
-        owned = [a for a in ins.args if a not in ins.lent] if ins.lent else ins.args
+        lent = ins.lent
+        if not lent:
+            if ins.callee_steps is None:
+                return (), [ins.callee, *ins.args, *ins.locations], ins.dst
+            return (ins.callee,), [*ins.args, *ins.locations], ins.dst
+        owned = [a for a in (*ins.args, *ins.locations) if a not in lent]
         if ins.callee_steps is None:
-            return ins.lent, [ins.callee, *owned, *ins.locations], ins.dst
-        return (ins.callee, *ins.lent), [*owned, *ins.locations], ins.dst
+            return lent, [ins.callee, *owned], ins.dst
+        return (ins.callee, *lent), owned, ins.dst
     if t is CondBr:
         if ins.lent:
             return ins.lent, (), None
@@ -666,6 +685,11 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     if t is Return:
         return (), (ins.slot,), None
     raise AssertionError(f"unknown instruction {ins!r}")
+
+
+def _owned_subscripts(ins: LoadPath | StorePath | ResolveLocation) -> list[int]:
+    """The subscript slots of ins's index steps that it consumes."""
+    return [s[1] for s in ins.steps if s[0] == "index" and s[1] not in ins.lent]
 
 
 def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInfo]) -> bool:
@@ -775,16 +799,26 @@ class _Lending:
 _USED_ELSEWHERE = -1
 
 
-def _with_dst(ins: Instr, dst: int) -> Instr:
-    """A copy of ins that produces into dst; dataclasses.replace costs
-    twice as much."""
+def _with(ins: Instr, **changes) -> Instr:
+    """A copy of ins with changes made to its fields; dataclasses.replace
+    costs twice as much."""
     out = object.__new__(type(ins))
-    out.__dict__ = {**ins.__dict__, "dst": dst}
+    out.__dict__ = {**ins.__dict__, **changes}
     return out
 
 
+def _lent_reads(slots: Sequence[int], renamed: dict[int, int], handed: set[int]) -> tuple[int, ...]:
+    """The sources that an instruction reading slots, some of them deleted
+    Copies' temporaries, reads in place: each renamed temporary's source,
+    unless the Copy was the source's last use, which hands it over."""
+    return tuple([renamed[s] for s in slots if s in renamed and s not in handed])
+
+
 def _elide_moves(
-    block: list[Instr], lending: _Lending, lent_params: frozenset[int] = frozenset()
+    block: list[Instr],
+    lending: _Lending,
+    loc_params: tuple[int, ...] = (),
+    lent_params: frozenset[int] = frozenset(),
 ) -> tuple[list[Instr], dict[int, int]]:
     """Rewrite the Copies of one block, in one backward walk.
 
@@ -793,12 +827,19 @@ def _elide_moves(
     - A Copy into an argument that the call's type lends is deleted: the
       call reads the source in place.  Where the Copy was the source's
       last use, the source's Destroy moves to just after the call.
-    - A Copy into a BinaryInstr operand or a CondBr condition, when it is
-      not the source's last use, is deleted likewise.
+    - A Copy into a BinaryInstr operand, a CondBr condition or the
+      subscript of an index step is deleted likewise: the instruction
+      reads the source in place, or, at the source's last use, consumes
+      it, and the source's Destroy is dropped.  These are Ints or Floats,
+      which need no destroy.
     - Any other argument at a lent position is a temporary, destroyed by
       the caller just after the call.  An Int or Float needs no destroy,
       so such a temporary, or a source whose Destroy would follow the
       call, is handed to the call instead.
+    - A ResolveLocation of one of loc_params, the routine's inout
+      parameters, with no steps is deleted: the call it feeds is lent the
+      parameter's own Location.  No OverlapCheck reads it, since any
+      other place of the call with the same root overlaps it statically.
     - A Move, or a Copy that became one, whose source the closest
       instruction above it other than a Destroy produces, is deleted,
       and that producer writes the Move's destination instead.  A chain
@@ -818,17 +859,21 @@ def _elide_moves(
     n = len(block)
     later: dict[int, int] = {}
     edits: dict[int, list[Instr]] = {}  # index -> what replaces the instruction there
-    # A temporary that a call at a lent position, a BinaryInstr or a
-    # CondBr reads -> the index of that reader.
+    # A temporary that a call at a lent position or as a location, a
+    # BinaryInstr, a CondBr or an index step reads -> the index of that
+    # reader.
     readers: dict[int, int] = {}
     # A slot -> the first index after the current one that writes or
     # consumes it; a reader at that index reads before it writes.
     clobbered: dict[int, int] = {}
-    renamed: dict[int, int] = {}  # deleted Copy's temporary -> the source read instead
-    # Renamed temporaries whose Copy was the source's last use: the call
-    # takes the source, or the caller destroys it after the call.
+    # Deleted Copy's temporary -> the source read instead; deleted
+    # ResolveLocation's location -> the inout parameter lent instead.
+    renamed: dict[int, int] = {}
+    # Renamed temporaries whose Copy was the source's last use: the
+    # reader takes the source, or a call's caller destroys it after it.
     handed: set[int] = set()
-    # Reader index -> how the call passes each argument, or () if no call.
+    # Reader index -> how the call passes each argument, or () if no call
+    # or a call that lends none.
     rebuilt: dict[int, tuple[int, ...]] = {}
     # The latest Move, (source, destination, index), while only Destroys
     # lie between it and the current instruction: if that instruction
@@ -859,11 +904,14 @@ def _elide_moves(
                 k = readers.get(ins.dst)
                 if j != _USED_ELSEWHERE:
                     edits[j] = []
-                    if k is not None and type(block[k]) is CallInstr:
+                    if k is not None:
                         renamed[ins.dst] = src
                         handed.add(ins.dst)
                         edits[i] = []
-                        clobbered[src] = k
+                        # Any reader but a call consumes src at k, so it
+                        # cannot read src in place for another operand.
+                        clobbered[src] = k if type(block[k]) is CallInstr else k - 1
+                        rebuilt.setdefault(k, ())
                     else:
                         edits[i] = [Move(ins.dst, src, ins.span)]
                         clobbered[src] = i
@@ -878,17 +926,29 @@ def _elide_moves(
                     for a, how in zip(ins.args, mask):
                         if how:
                             readers[a] = i
+                for a in ins.locations:
+                    readers[a] = i
             elif t is CondBr:
-                then_block, then_reads = _elide_moves(ins.then_block, lending)
-                else_block, else_reads = _elide_moves(ins.else_block, lending)
+                then_block, then_reads = _elide_moves(ins.then_block, lending, loc_params)
+                else_block, else_reads = _elide_moves(ins.else_block, lending, loc_params)
                 for reads in (then_reads, else_reads):
                     later.update(dict.fromkeys(reads, _USED_ELSEWHERE))
                     clobbered.update(dict.fromkeys(reads, i))
                 if then_block is not ins.then_block or else_block is not ins.else_block:
                     edits[i] = [CondBr(ins.cond, then_block, else_block, ins.span)]
                 readers[ins.cond] = i
-            elif t is StorePath or (t is ResolveLocation and not ins.borrow):
-                clobbered[ins.base] = i
+            elif t is LoadPath or t is StorePath or t is ResolveLocation:
+                for step in ins.steps:
+                    if step[0] == "index":
+                        readers[step[1]] = i
+                if t is StorePath:
+                    clobbered[ins.base] = i
+                elif t is ResolveLocation and not ins.borrow:
+                    clobbered[ins.base] = i
+                    if not ins.steps and ins.base in loc_params:
+                        renamed[ins.dst] = ins.base
+                        edits[i] = []
+                        rebuilt.setdefault(readers[ins.dst], ())
             reads, consumes, dst = _operands(ins)
             for slot in (*reads, *consumes):
                 later[slot] = _USED_ELSEWHERE
@@ -897,7 +957,7 @@ def _elide_moves(
             pending = None
             if dst == made:
                 ins = edits[i][0] if i in edits else ins
-                edits[i] = [_with_dst(ins, to)]
+                edits[i] = [_with(ins, dst=to)]
                 edits[at] = []
                 if type(ins) is Move:
                     pending = ins.src, to, i
@@ -911,7 +971,7 @@ def _elide_moves(
         t = type(ins)
         if t is CallInstr:
             args, lent, after, taken = [], [], [], []
-            for a, how in zip(ins.args, mask):
+            for a, how in zip(ins.args, mask or (_OWN,) * len(ins.args)):
                 src = renamed.get(a, a)
                 args.append(src)
                 if a in renamed and a not in handed:
@@ -924,24 +984,31 @@ def _elide_moves(
             for src in taken:
                 if src in lent:  # also read in place: destroy it after all
                     after.append(Destroy(src, ins.span))
+            locations = ins.locations
+            if locations:
+                locations = [renamed.get(a, a) for a in locations]
+                lent += [a for a in locations if a in loc_params]
             if lent or args != ins.args:
                 call = CallInstr(
-                    ins.dst, ins.callee, args, ins.locations, ins.span, ins.fn_type, tuple(lent),
+                    ins.dst, ins.callee, args, locations, ins.span, ins.fn_type, tuple(lent),
                     ins.callee_steps,
                 )
                 edits[k] = [call, *after]
         elif t is BinaryInstr:
-            lhs, rhs = renamed.get(ins.lhs), renamed.get(ins.rhs)
-            if lhs is None:
-                lhs, lent = ins.lhs, (rhs,)
-            elif rhs is None:
-                rhs, lent = ins.rhs, (lhs,)
-            else:
-                lent = (lhs, rhs)
+            lhs, rhs = renamed.get(ins.lhs, ins.lhs), renamed.get(ins.rhs, ins.rhs)
+            lent = _lent_reads((ins.lhs, ins.rhs), renamed, handed)
             edits[k] = [BinaryInstr(ins.dst, ins.op, lhs, rhs, ins.span, lent)]
-        else:
+        elif t is CondBr:
             cond = renamed[ins.cond]
-            edits[k] = [CondBr(cond, ins.then_block, ins.else_block, ins.span, (cond,))]
+            lent = _lent_reads((ins.cond,), renamed, handed)
+            edits[k] = [CondBr(cond, ins.then_block, ins.else_block, ins.span, lent)]
+        else:
+            subs = [step[1] for step in ins.steps if step[0] == "index"]
+            steps = [
+                ("index", renamed.get(step[1], step[1])) if step[0] == "index" else step
+                for step in ins.steps
+            ]
+            edits[k] = [_with(ins, steps=steps, lent=_lent_reads(subs, renamed, handed))]
     if not edits:
         return block, later
     out: list[Instr] = []
@@ -968,7 +1035,7 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
         lent = lending.get(routine.ty)[1]
         if lent:
             params = [(P_LENT, p[1]) if s in lent else p for s, p in enumerate(params)]
-        body, _ = _elide_moves(routine.body, lending, lent)
+        body, _ = _elide_moves(routine.body, lending, routine.loc_slots, lent)
         if body is routine.body:
             routines[rid] = routine
         else:
@@ -1058,10 +1125,10 @@ def _fmt_read(slot: int, consts: Consts, lent: tuple[int, ...] = ()) -> str:
     return f"lent %{slot}" if slot in lent else f"%{slot}"
 
 
-def _fmt_steps(steps: list[Step], consts: Consts) -> str:
+def _fmt_steps(steps: list[Step], consts: Consts, lent: tuple[int, ...] = ()) -> str:
     out = []
     for step in steps:
-        out.append(f".{step[1]}" if step[0] == "field" else f"[{_fmt_read(step[1], consts)}]")
+        out.append(f".{step[1]}" if step[0] == "field" else f"[{_fmt_read(step[1], consts, lent)}]")
     return "".join(out)
 
 
@@ -1086,16 +1153,17 @@ def _fmt_instr(ins: Instr, consts: Consts) -> str:
     if isinstance(ins, Destroy):
         return f"destroy %{ins.slot}"
     if isinstance(ins, LoadPath):
-        return f"load_path %{ins.base}{_fmt_steps(ins.steps, consts)} -> %{ins.dst}"
+        return f"load_path %{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)} -> %{ins.dst}"
     if isinstance(ins, StorePath):
-        return f"store_path %{ins.base}{_fmt_steps(ins.steps, consts)} <- %{ins.value}"
+        return f"store_path %{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)} <- %{ins.value}"
     if isinstance(ins, ResolveLocation):
-        return f"resolve_location %{ins.base}{_fmt_steps(ins.steps, consts)} -> %{ins.dst}"
+        path = f"%{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)}"
+        return f"resolve_location {path} -> %{ins.dst}"
     if isinstance(ins, OverlapCheck):
         return f"overlap_check %{ins.a}, %{ins.b}"
     if isinstance(ins, CallInstr):
         args = ", ".join(_fmt_read(a, consts, ins.lent) for a in ins.args)
-        locs = ", ".join(f"%{l}" for l in ins.locations)
+        locs = ", ".join(_fmt_read(l, consts, ins.lent) for l in ins.locations)
         callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps or [], consts)}"
         return f"call {callee} ({args})({locs}) -> %{ins.dst}"
     if isinstance(ins, BinaryInstr):

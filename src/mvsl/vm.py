@@ -26,6 +26,16 @@ Location only when it has an index step; a callee path of field steps
 is read at the call, from its base slot through the steps, as native
 code loads a function from a struct field.
 
+An inout parameter passed on whole (&x) is forwarded, as native code
+passes the same pointer on: the move-optimized IR lends the call the
+parameter's own Location, which the callee's frame holds while the
+caller's slot keeps it, so a second call in the same arm finds it
+too.  Nothing can share a block on its trail while the caller runs, so
+a new resolution would walk the same trail and duplicate nothing; with
+debug on, VM.audit_location checks exactly that at each such call.
+The naive IR resolves the parameter again, so the differential harness
+compares the two.
+
 A routine's constants sit in its frames from the start: a frame's slots
 are a copy of Routine.template, so an instruction reads a constant
 operand as it reads any slot, with no test.  Nothing clears a constant
@@ -463,7 +473,10 @@ class VM:
                 slots[a] = None
         for a, s in zip(ins.locations, routine.loc_slots):
             into[s] = slots[a]
-            slots[a] = None
+            if a not in lent:
+                slots[a] = None
+            elif self.debug:
+                self.audit_location(frame, a, ins.span)
         result = self.exec_block(routine.body, callee_frame)
         assert result is not None, "routine body must end in Return"
         if steps is None:
@@ -477,11 +490,11 @@ class VM:
         # mean share of the instructions that one execute pass of the
         # optimized IR runs in the three benchmark workloads (seed 0):
         # fib(16) through a closure box (22 356 instructions), the inout
-        # fill of 256 elements (5 892) and the diff_sweep programs
-        # (53 163).  BinaryInstr 36.0 %, CondBr 11.4, Return 10.4,
-        # CallInstr 10.2, LoadPath 5.5, MakeInt 5.1, Destroy 5.1,
-        # ResolveLocation 4.1, Copy 3.7, StorePath 3.7, MakeStruct 1.8,
-        # Move 1.1, each other kind 0.9 or less.
+        # fill of 256 elements (4 870) and the diff_sweep programs
+        # (52 604).  BinaryInstr 38.6 %, CondBr 12.0, Return 11.0,
+        # CallInstr 10.8, LoadPath 5.9, MakeInt 5.4, Destroy 5.4,
+        # StorePath 4.0, MakeStruct 2.1, ResolveLocation 1.3, each other
+        # kind 0.9 or less.
         slots = frame.slots
         debug = self.debug
         for ins in block:
@@ -513,24 +526,24 @@ class VM:
                 v = slots[ins.slot]
                 slots[ins.slot] = None
                 self.destroy_value(v)
-            elif t is ResolveLocation:
-                self.exec_resolve(frame, ins)
-            elif t is Copy:
-                slots[ins.dst] = self.copy_value(slots[ins.src])
             elif t is StorePath:
                 self.exec_store(frame, ins)
             elif t is MakeStruct:
                 slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
+            elif t is ResolveLocation:
+                self.exec_resolve(frame, ins)
+            elif t is MakeClosure:
+                routine = self.ir.routines[ins.routine_id]
+                slots[ins.dst] = FuncVal(routine, _take_all(slots, ins.operands))
+            elif t is MakeArray:
+                elems = _take_all(slots, ins.operands)
+                slots[ins.dst] = self.alloc(elems)
+            elif t is Copy:
+                slots[ins.dst] = self.copy_value(slots[ins.src])
             elif t is Move:
                 slots[ins.dst] = slots[ins.src]
                 slots[ins.src] = None
                 self.stats.moves += 1
-            elif t is MakeArray:
-                elems = _take_all(slots, ins.operands)
-                slots[ins.dst] = self.alloc(elems)
-            elif t is MakeClosure:
-                routine = self.ir.routines[ins.routine_id]
-                slots[ins.dst] = FuncVal(routine, _take_all(slots, ins.operands))
             elif t is MakeFloat:
                 slots[ins.dst] = ins.value
             elif t is OverlapCheck:
@@ -542,6 +555,22 @@ class VM:
         return None
 
     # -- debug audit --------------------------------------------------------------
+
+    def audit_location(self, frame: Frame, slot: int, span: Span) -> None:
+        """Check that the Location in frame's slot, an inout parameter lent
+        to a call as it is, is what resolving it again would give: the
+        same trail to the same place, with no block on the way shared, so
+        that the walk would duplicate nothing."""
+        loc = frame.slots[slot]
+        trail: list = []
+        container, index = self._place(frame, slot, (), span, False, trail)
+        shared = [hop[2] for hop in trail if hop[0] == "elem" and hop[1].r != 1]
+        assert tuple(trail) == loc.trail and container is loc.container and index == loc.index, (
+            "stale location: a lent inout parameter no longer reaches its place"
+        )
+        assert not shared, (
+            f"stale location: a lent inout parameter crosses shared blocks at {shared}"
+        )
 
     def audit_refcounts(self, frame: Frame, pending: Value | None = None) -> None:
         """Safepoint check: each block reachable from frame, its callers

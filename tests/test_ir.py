@@ -44,7 +44,7 @@ from mvsl.ir import (
 )
 from mvsl.types import INT, StructType
 
-from conftest import corpus_expected, corpus_files, corpus_sources, lower_source
+from conftest import corpus_expected, corpus_files, corpus_sources, lower_source, workloads
 
 PAIR = "struct Pair { var fs: Int; var sn: Int } in "
 
@@ -133,10 +133,11 @@ def fetch(src):
 
 
 def test_last_use_becomes_move():
-    # x, y, k and n are read at their last uses, each by a Copy that
-    # becomes a Move: another instruction runs between each of them and
-    # the one that made its source, so no source can be produced in the
-    # Move's place.
+    # x and y are read at their last uses, each by a Copy that becomes a
+    # Move: another instruction runs between each of them and the one
+    # that made its source, so no source can be produced in the Move's
+    # place.  n and k are Int operands at their last uses: each binary
+    # consumes its binding's slot, with no Move into a temporary.
     src = (
         "let f: ([Int]) -> [Int] = (a: [Int]) -> [Int] { a } in let x: [Int] = [1, 2] in "
         "let k: Int = x[1] in let y: [Int] = f(x) in let n: Int = y[0] in "
@@ -148,15 +149,24 @@ def test_last_use_becomes_move():
     opt_moves = [i for i in opt.routines[opt.entry].body if isinstance(i, Move)]
     assert len(base_copies) >= 2
     assert len(opt_copies) == 0
-    assert len(opt_moves) == 4
+    assert len(opt_moves) == 2
+    assert dump_ir(opt).splitlines()[8:13] == [
+        "  7: load_path %8[#0] -> %11",
+        "  8: move %8 -> %13",
+        "  9: load_path %13[#1] -> %14",
+        "  10: binary + %14, %11 -> %16",
+        "  11: binary + %16, %6 -> %18",
+    ]
     assert execute(opt)[0] == execute(base)[0] == "5"
+    assert execute(opt)[1].moves == 3  # and @fn0's return of its parameter
 
 
 def test_initializer_is_produced_into_its_binding():
     # In the optimized IR a computed initializer is produced straight into
     # its binding's slot, and a chain of Moves collapses into its first
     # producer; the naive IR keeps the Copy into the slot and the Destroy
-    # of the temporary.
+    # of the temporary.  a's last use is an operand, which consumes a's
+    # own slot.
     src = "var a: Int = 3 in let s: Int = a * 2 + 1 in let t: Int = s in t"
     base, opt = fetch(src)
     assert [type(i) for i in base.routines[base.entry].body] == [
@@ -164,8 +174,8 @@ def test_initializer_is_produced_into_its_binding():
         Destroy, Destroy, Destroy, Return,
     ]
     assert dump_ir(opt).splitlines()[1:] == [
-        "  0: make_int 3 -> %3",
-        "  1: binary * %3, #2 -> %5",
+        "  0: make_int 3 -> %0",
+        "  1: binary * %0, #2 -> %5",
         "  2: binary + %5, #1 -> %9",
         "  3: return %9",
     ]
@@ -275,13 +285,16 @@ def check_rewrites(old, new):
       The producer is its old self with that destination, or else also
       rewritten by one of the rules below.
     - Any other deleted Copy became a Move of the same slots, or a
-      rebuilt reader (call, binary or branch) reads its source in place
-      of its destination, which nothing in new names.
+      rebuilt reader (call, binary, branch or path) reads its source in
+      place of its destination, which nothing in new names.
+    - A deleted ResolveLocation of an inout parameter with no steps is
+      passed on: a rebuilt call lends the parameter in place of its
+      destination.
     - A new Destroy directly follows, among Destroys, a rebuilt call that
       lends its slot.
     - A deleted Destroy is that of a Move's source, of a lent parameter,
-      or of a renamed source handed to the call: destroyed after it, or
-      taken by it.
+      or of a renamed source handed to its reader: destroyed after a
+      call, or taken by the reader.
     """
     old_ins, new_ins = list(walk(old.body)), list(walk(new.body))
     old_ids, new_ids = {id(i) for i in old_ins}, {id(i) for i in new_ins}
@@ -300,8 +313,15 @@ def check_rewrites(old, new):
         return slot
 
     retarget_ids = {id(i) for i in retargets}
-    others = [i for i in gone if id(i) not in retarget_ids]
-    kinds = (CallInstr, BinaryInstr, CondBr)
+    loc_params = {s for s, (p, _) in enumerate(old.params) if p == P_INOUT}
+    passed_on = [
+        i for i in gone if isinstance(i, ResolveLocation) and not i.steps and i.base in loc_params
+    ]
+    forwarded = {i.dst: i.base for i in passed_on}
+    assert not forwarded.keys() & named
+    skipped = retarget_ids | {id(i) for i in passed_on}
+    others = [i for i in gone if id(i) not in skipped]
+    kinds = (CallInstr, BinaryInstr, CondBr, LoadPath, StorePath, ResolveLocation)
     plain = (Copy, Move, Destroy, *kinds)
     # A retargeted producer that no other rule rewrites.
     producers = [i for i in others if not isinstance(i, plain)]
@@ -321,28 +341,43 @@ def check_rewrites(old, new):
     # A fresh Copy is a retargeted one that is not its source's last use.
     assert all(i.dst in into.values() for i in fresh if isinstance(i, Copy))
     # Each rebuilt reader is its old self with the renamed operands.
-    old_readers = [i for i in gone if isinstance(i, kinds)]
+    old_readers = [i for i in others if isinstance(i, kinds)]
     new_readers = [i for i in fresh if isinstance(i, kinds)]
     assert len(old_readers) == len(new_readers)
+    taken = []
     for o, n in zip(old_readers, new_readers):
         assert type(o) is type(n)
         if isinstance(o, CallInstr):
-            assert (n.dst, n.callee, n.locations) == (final(o.dst), o.callee, o.locations)
+            assert (n.dst, n.callee) == (final(o.dst), o.callee)
+            assert n.locations == [forwarded.get(a, a) for a in o.locations]
             assert n.args == [renamed.get(a, a) for a in o.args]
+            assert {forwarded[a] for a in o.locations if a in forwarded} <= set(n.lent)
             # rebuilt to lend, to take a source, or to produce elsewhere
             assert n.lent or n.args != o.args or n.dst != o.dst, n
-        elif isinstance(o, BinaryInstr):
+            continue
+        if isinstance(o, BinaryInstr):
             assert (n.dst, n.op) == (final(o.dst), o.op)
             assert (n.lhs, n.rhs) == (renamed.get(o.lhs, o.lhs), renamed.get(o.rhs, o.rhs))
-            assert n.lent or n.dst != o.dst
-        else:
+            changed = n.dst != o.dst or (n.lhs, n.rhs) != (o.lhs, o.rhs)
+        elif isinstance(o, CondBr):
             assert n.cond == renamed.get(o.cond, o.cond)
             nested = (n.then_block, n.else_block) != (o.then_block, o.else_block)
-            assert n.lent or nested
+            changed = nested or n.cond != o.cond
+        else:
+            steps = [("index", renamed.get(s[1], s[1])) if s[0] == "index" else s for s in o.steps]
+            expect = replace(o, steps=steps, lent=n.lent)
+            if not isinstance(o, StorePath):
+                expect = replace(expect, dst=final(o.dst))
+            assert expect == n
+            changed = n.steps != o.steps or expect != replace(o, lent=n.lent)
+        assert n.lent or changed, n
+        # Each source handed to a reader is consumed there, once.
+        consumed = ir_module._operands(n)[1]
+        taken += {renamed[a] for a in ir_module._operands(o)[1] if renamed.get(a) in consumed}
     renamed_reads = {a for o in old_readers for a in ir_module._operands(o)[1]} & renamed.keys()
     assert renamed_reads == renamed.keys()
     # New Destroys follow the call that lends their slots.
-    after_call, taken = [], []
+    after_call = []
     for block in blocks(new.body):
         for k, ins in enumerate(block):
             if isinstance(ins, CallInstr) and id(ins) not in old_ids:
@@ -735,6 +770,86 @@ def test_scalar_operands_and_conditions_are_read_in_place():
     assert execute(opt)[0] == "16"
 
 
+def test_subscripts_are_read_in_place():
+    # A scalar binding subscripts a load, a store and an inout resolution
+    # in place; at its last use the path consumes the binding's own slot.
+    src = (
+        "var a: [Int] = [5, 6] in var j: Int = 1 in let f: (inout Int) -> Int = "
+        "(x: inout Int) -> Int { x } in a[j] = a[j] + f(&a[j]) in a[j]"
+    )
+    base, opt = fetch(src)
+    assert routine_dump(opt, ENTRY_ID)[5:12] == [
+        "  4: make_closure @fn0 () -> %6",
+        "  5: load_path %0[lent %4] -> %9",
+        "  6: resolve_location %0[lent %4] -> %12",
+        "  7: call %6 ()(%12) -> %13",
+        "  8: binary + %9, %13 -> %15",
+        "  9: store_path %0[lent %4] <- %15",
+        "  10: load_path %0[%4] -> %16",  # j's last use
+    ]
+    assert not [i for i in opt.routines[opt.entry].body if type(i) in (Copy, Move)]
+    for ir in (base, opt):
+        for cow in (True, False):
+            assert execute(ir, cow=cow, debug=True)[0] == "12"
+
+
+def test_a_subscript_written_by_a_later_argument_keeps_its_copy():
+    # g(&j) writes j after &a[j]'s subscript is evaluated and before the
+    # resolution reads it, so the resolution reads the copy.
+    src = (
+        "struct U {} in let g: (inout Int) -> Int = (n: inout Int) -> Int { n = 0 in 0 } in "
+        "let f: (inout Int, Int) -> U = (x: inout Int, z: Int) -> U { x = 9 in U() } in "
+        "var a: [Int] = [5, 6] in var j: Int = 1 in _ = f(&a[j], g(&j)) in a"
+    )
+    base, opt = fetch(src)
+    assert any(type(i) is Copy for i in opt.routines[opt.entry].body)
+    for ir in (base, opt):
+        assert execute(ir)[0] == "[5, 9]"
+
+
+def routine_dump(ir, rid):
+    text = dump_ir(ir)
+    return text[text.index(f"routine {rid}"):].split("\nroutine ")[0].splitlines()
+
+
+def test_fill_passes_its_inout_parameter_on_and_reads_lo_in_place():
+    # Each recursive call is lent fill's own Location for x, with no
+    # resolution, and the leaf indexes with lo in place, with no copy.
+    _, opt = fetch(workloads.cow_source([1, 2, 3, 4]))
+    assert routine_dump(opt, "@fn0") == [
+        "routine @fn0(env, lent G, inout [Int], lent [Int], lent Int, lent Int) slots=37",
+        "  0: binary - lent %5, lent %4 -> %9",
+        "  1: binary < %9, #2 -> %11",
+        "  2: cond_br %11",
+        "  then:",
+        "    0: load_path %3[lent %4] -> %13",
+        "    1: binary * %13, #3 -> %16",
+        "    2: binary + %16, lent %4 -> %19",
+        "    3: store_path %2[lent %4] <- %19",
+        "    4: make_struct U () -> %6",
+        "  else:",
+        "    0: binary + lent %4, lent %5 -> %23",
+        "    1: binary / %23, #2 -> %20",
+        "    2: call %1.fn (lent %1, lent %3, lent %4, lent %20)(lent %2) -> %30",
+        "    3: destroy %30",
+        "    4: call %1.fn (lent %1, lent %3, %20, lent %5)(lent %2) -> %6",
+        "  3: return %6",
+    ]
+    fill = opt.routines["@fn0"]
+    assert not [i for i in walk(fill.body) if type(i) in (Copy, ResolveLocation)]
+
+
+def test_the_naive_fill_still_resolves_and_copies():
+    # The naive IR, which the *_noopt configs run, re-resolves x for each
+    # call and copies lo for each subscript, so the differential harness
+    # checks the lent Location against a fresh resolution.
+    base, _ = fetch(workloads.cow_source([1, 2, 3, 4]))
+    text = "\n".join(routine_dump(base, "@fn0"))
+    assert text.count("resolve_location %2 -> ") == 2
+    assert text.count("copy %4 -> %12") == text.count("copy %4 -> %14") == 1
+    assert "load_path %3[%14] -> %13" in text and "store_path %2[%12] <- " in text
+
+
 def arm_result(arm):
     """The slot a conditional arm leaves its value in: its last
     instruction's, or that of both arms of a nested conditional."""
@@ -802,7 +917,14 @@ def test_owned_parameters_are_those_move_elision_moves():
                 continue
             body, _ = ir_module._elide_moves(routine.body, _NoLending())
             values = {s for s, (p, _) in enumerate(routine.params) if p == P_VALUE}
-            moved = {i.src for i in body if isinstance(i, Move) and i.src in values}
+            # Moved, or handed to the operand or subscript that reads it.
+            moved = {
+                slot
+                for i in body
+                if not isinstance(i, Destroy)
+                for slot in ir_module._operands(i)[1]
+                if slot in values
+            }
             owned = ir_module._owned_params(routine)
             assert moved == owned - routine.indexed_callee_params, routine.id
             checked += bool(moved)

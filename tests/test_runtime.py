@@ -1,4 +1,5 @@
 import builtins
+import functools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from mvsl import (
     parse_source,
     serialize_array_layout,
 )
+from mvsl import difftest
 from mvsl import oracle as oracle_module
 from mvsl import vm as vm_module
 from mvsl.ir import (
@@ -282,6 +284,7 @@ def test_binary_operator_table_agrees_with_the_oracle(table, values):
     [
         "call_frame_layout.mvs",
         "callee_in_place.mvs",
+        "inout_forwarding.mvs",
         "lend_captured_callee.mvs",
         "lend_captured_callee_writer.mvs",
         "scalar_arrays.mvs",
@@ -293,6 +296,9 @@ def test_call_programs_under_every_config_and_the_debug_audit(name):
     # callee_in_place.mvs calls through every form of callee path and
     # ends in the trap of an indexed callee, which comes before its
     # argument's.
+    # inout_forwarding.mvs passes inout parameters on whole, so the debug
+    # runs of the move-optimized IR check each lent Location against a
+    # fresh resolution.
     # scalar_arrays.mvs shares an [Int], a [Float] holding -0.0, nan and
     # inf, an [[Int]] and an [S] with a let copy and then writes each:
     # deep copies without COW, cow_dup with it.
@@ -667,3 +673,30 @@ STALE_PREFIX = [
 def test_stale_location_is_caught(use):
     with pytest.raises(AssertionError, match="stale location"):
         execute(hand_ir([*STALE_PREFIX, use, Return(7)], 8))
+
+
+def test_a_lent_location_is_checked_against_a_fresh_resolution(monkeypatch):
+    # With debug on, a call lent an inout parameter's Location walks its
+    # trail again.  A block on the trail that has become shared would be
+    # duplicated by a fresh resolution, so the lent Location is stale: a
+    # run that shares one is a FAIL row of the harness, with the assertion
+    # as its crash, not a traceback.  Only the move-optimized IR lends.
+    source = dict(corpus_sources())["inout_forwarding.mvs"]
+    monkeypatch.setattr(difftest, "execute", functools.partial(execute, debug=True))
+    assert differential_run(parse_source(source))["status"] == "PASS"
+    call = VM.exec_call
+
+    def sharing(self, frame, ins):
+        for a in ins.locations:
+            if a in ins.lent:
+                next(hop for hop in frame.slots[a].trail if hop[0] == "elem")[1].r += 1
+        return call(self, frame, ins)
+
+    monkeypatch.setattr(VM, "exec_call", sharing)
+    report = differential_run(parse_source(source))
+    assert report["status"] == "FAIL"
+    for row in report["results"]:
+        if "move_opt=on" in row["config"]:
+            assert row["crash"].startswith("AssertionError: stale location"), row
+        else:
+            assert row["trap"] == "OverlapViolation", row

@@ -23,7 +23,7 @@ from conftest import workloads
 
 # Before literals became constant operands and initializers were produced
 # in their binding's slot: 30 341, 7 683 and 80 118.
-EXPECTED = {"fib_closure": 22356, "cow_inout": 5892, "diff_sweep": 53163}
+EXPECTED = {"fib_closure": 22356, "cow_inout": 4870, "diff_sweep": 52604}
 
 
 RUN_BLOCK = vm_module.VM.exec_block
