@@ -21,11 +21,13 @@ captured g) in place, from its base slot through those steps; only a
 callee path with an index step is resolved to a Location, like an inout
 argument.
 
-The move optimization then walks each block once, backward.  It rewrites
-a Copy into a Move and deletes the source's Destroy whenever that
-Destroy, in the Copy's own block, is the source's only later use.  It
-lends by-value arguments (see _Lending): a call reads a lent argument in
-place, and the callee neither copies nor destroys it.  It lends a call
+The move optimization first decides, from one walk of each literal's
+naive IR, which by-value parameters each function type lends (see
+_Lending); lowering records nothing for it.  Then it walks each block
+once, backward.  It rewrites a Copy into a Move and deletes the source's
+Destroy whenever that Destroy, in the Copy's own block, is the source's
+only later use.  It lends by-value arguments: a call reads a lent
+argument in place, and the callee neither copies nor destroys it.  It lends a call
 an inout parameter passed on whole (&x): the callee gets the caller's
 Location, which is not resolved again.  A BinaryInstr, a CondBr or an
 index step reads a scalar binding in place, and at the binding's last
@@ -245,22 +247,9 @@ class Routine:
     # Slots of let bindings and by-value parameters; the VM asserts in
     # debug mode that no store or inout resolution roots in one.
     immutable_slots: frozenset[int] = frozenset()
-    # Facts lowering records for lending (None and empty for the entry):
-    # the literal's type; whether it writes its environment itself (a
-    # store, an inout argument or an indexed callee path rooted at the
-    # env slot); each by-value parameter slot's last use, when that is in
-    # the body's own block, else None; and the by-value parameter slots
-    # that a borrowed callee path enters through an index step, where
-    # resolving the path may put a duplicate of a shared block into the
-    # slot itself.
+    # The literal's type (None for the entry), by which move-opt decides
+    # how a call passes each by-value argument (see _Lending).
     ty: FuncType | None = None
-    writes_env: bool = False
-    last_uses: dict[int, Instr | None] = field(default_factory=dict)
-    indexed_callee_params: frozenset[int] = frozenset()
-    # The closure types this literal calls through a borrowed callee path
-    # rooted at its env slot with no index step: such a call writes the
-    # env only if its type has a literal that writes its own env.
-    env_callee_types: tuple[FuncType, ...] = ()
     # The routine's constants, {slot: Int or Float}: a literal operand of
     # a BinaryInstr or a literal subscript of a path step.  No instruction
     # makes them; every frame of the routine starts with them in place,
@@ -311,12 +300,6 @@ class _RoutineBuilder:
         self.params: list[tuple[str, Type | None]] = []
         self.env_fields: list[tuple[str, Type]] | None = None
         self.immutable: set[int] = set()
-        # By-value parameter slot -> its latest use so far, or None when
-        # that is in a nested block.
-        self.last_uses: dict[int, Instr | None] = {}
-        self.indexed_callee_params: set[int] = set()
-        self.writes_env = False
-        self.env_callee_types: dict[FuncType, None] = {}  # an ordered set
         self.consts: Consts = {}
         self.const_slots: dict[str, int] = {}  # repr of a constant -> its slot
         if fl is not None:
@@ -337,7 +320,6 @@ class _RoutineBuilder:
                 else:
                     self.params.append((P_VALUE, pty))
                     self.immutable.add(slot)
-                    self.last_uses[slot] = None
 
     # -- emission helpers ----------------------------------------------------
 
@@ -347,13 +329,6 @@ class _RoutineBuilder:
 
     def emit(self, ins: Instr) -> None:
         self.blocks[-1].append(ins)
-
-    def emit_use(self, ins: Instr, slot: int) -> None:
-        """Emit ins, which uses slot, and record it as the slot's latest
-        use if slot is a by-value parameter."""
-        self.emit(ins)
-        if slot in self.last_uses:
-            self.last_uses[slot] = ins if len(self.blocks) == 1 else None
 
     # -- expression lowering --------------------------------------------------
 
@@ -381,12 +356,7 @@ class _RoutineBuilder:
         self.slot_map[e.binding_id] = slot
         if e.qualifier == "let":
             self.immutable.add(slot)
-        if isinstance(e.init, Path):
-            self.emit_path_read(e.init, slot)
-        else:
-            t = self.lower_value(e.init)
-            self.emit(Copy(slot, t, e.init.span))
-            self.emit(Destroy(t, e.init.span))
+        self.lower_copied(e.init, slot)
 
     def lower_assign(self, e: Assign) -> None:
         if e.target.root == "_" and not e.target.accessors:
@@ -397,8 +367,6 @@ class _RoutineBuilder:
         base, steps = self.lower_target(e.target)
         v = self.lower_copied(e.value)
         self.emit(StorePath(base, steps, v, e.span))
-        if base == self.env_slot:
-            self.writes_env = True
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
         """Base slot and steps for a write or location path; a root that
@@ -422,10 +390,10 @@ class _RoutineBuilder:
         rid = p.root_binding_id
         if not p.accessors and rid in self.slot_map and rid not in self.inout_ids:
             src = self.slot_map[rid]
-            self.emit_use(Copy(dst, src, p.span), src)
+            self.emit(Copy(dst, src, p.span))
             return
         base, steps = self.lower_target(p)
-        self.emit_use(LoadPath(dst, base, steps, p.span), base)
+        self.emit(LoadPath(dst, base, steps, p.span))
 
     def lower_value(self, e: Expr, dst: int | None = None) -> int:
         """Lower an expression; returns the slot owning its value.  That
@@ -501,15 +469,15 @@ class _RoutineBuilder:
             self.emit(Move(result, r, e.span))
         self.blocks.pop()
 
-    def lower_copied(self, e: Expr) -> int:
+    def lower_copied(self, e: Expr, dst: int | None = None) -> int:
         """Lower a value that flows into a binding slot, stored place, or
-        by-value argument: the flow is an explicit Copy.  Path reads
-        already copy; computed values are copied out of their temporary
-        and the temporary destroyed."""
+        by-value argument, into dst when given: the flow is an explicit
+        Copy.  Path reads already copy; computed values are copied out of
+        their temporary and the temporary destroyed."""
         if isinstance(e, Path):
-            return self.lower_value(e)
+            return self.lower_value(e, dst)
         t = self.lower_value(e)
-        u = self.new_slot()
+        u = self.new_slot() if dst is None else dst
         self.emit(Copy(u, t, e.span))
         self.emit(Destroy(t, e.span))
         return u
@@ -558,21 +526,11 @@ class _RoutineBuilder:
                 targets.append((a.path, *self.lower_target(a.path)))
             else:
                 args.append(self.lower_copied(a))
-        if callee_steps is not None and callee == self.env_slot:
-            assert isinstance(e.callee.ty, FuncType)
-            self.env_callee_types[e.callee.ty] = None
         places = []
         for p, base, steps in targets:
             loc = self.new_slot()
-            self.emit_use(ResolveLocation(loc, base, steps, p is e.callee, p.span), base)
+            self.emit(ResolveLocation(loc, base, steps, p is e.callee, p.span))
             places.append(loc)
-            if base in self.last_uses and steps and steps[0][0] == "index":
-                # Only a borrowed callee can root at a by-value parameter.
-                self.indexed_callee_params.add(base)
-            if base == self.env_slot:
-                # An index step may put a duplicate of a shared block into
-                # the env, even on the way to a borrowed callee.
-                self.writes_env = True
         # overlap_pairs count a callee read in place, which has no slot.
         shift = callee_steps is not None
         for i, j in e.overlap_pairs:
@@ -582,12 +540,13 @@ class _RoutineBuilder:
         if dst is None:
             dst = self.new_slot()
         call = CallInstr(dst, callee, args, places, e.span, e.callee.ty, callee_steps=callee_steps)
-        self.emit_use(call, callee)
+        self.emit(call)
         return dst
 
     def finish(self, result: int, ty: FuncType | None, span: Span) -> Routine:
-        for slot in reversed(self.last_uses):
-            self.emit(Destroy(slot, span))
+        for slot in range(len(self.params) - 1, -1, -1):
+            if self.params[slot][0] == P_VALUE:
+                self.emit(Destroy(slot, span))
         self.emit(Return(result, span))
         return Routine(
             self.id,
@@ -597,10 +556,6 @@ class _RoutineBuilder:
             self.env_fields,
             frozenset(self.immutable),
             ty,
-            self.writes_env,
-            self.last_uses,
-            frozenset(self.indexed_callee_params),
-            tuple(self.env_callee_types),
             self.consts,
         )
 
@@ -709,24 +664,6 @@ def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInf
     return False
 
 
-def _writer_types(ir: IRProgram) -> set[FuncType]:
-    """The function types that have a literal writing its environment:
-    one that writes it itself, or one that calls a closure it captured
-    whose type is a writer.  A least fixpoint, one worklist pass."""
-    writers = {r.ty for r in ir.routines.values() if r.writes_env}
-    callers: dict[FuncType, set[FuncType]] = {}
-    for r in ir.routines.values():
-        for ty in r.env_callee_types:
-            callers.setdefault(ty, set()).add(r.ty)
-    todo = list(writers)
-    while todo:
-        for caller in callers.get(todo.pop(), ()):
-            if caller not in writers:
-                writers.add(caller)
-                todo.append(caller)
-    return writers
-
-
 # How a call passes each by-value argument (see _Lending).
 _OWN = 0  # the callee owns it
 _LEND = 1  # the callee reads it in place; the caller keeps it and destroys it
@@ -734,40 +671,84 @@ _LEND_SCALAR = 2  # lent, and an Int or Float, which needs no destroy
 _LENDS_NONE: tuple[tuple[int, ...], frozenset[int]] = ((), frozenset())
 
 
-def _owned_params(routine: Routine) -> set[int]:
-    """The by-value parameter slots that routine must own.
+def _lending_facts(routine: Routine) -> tuple[bool, list[FuncType], set[int]]:
+    """What _Lending needs of one literal, read off its naive IR in one
+    walk: whether it writes its environment itself (a store or a Location
+    rooted at the env slot, 0, since even an index step on the way to a
+    borrowed callee may put a duplicate of a shared block there), the
+    closure types it calls through a field path from slot 0, and the
+    by-value parameter slots it must own:
 
-    - A parameter whose last use is a Copy in the body's own block is
-      moved there by _elide_moves: the exit Destroy that follows is then
-      the source's only later use.
-    - Resolving a borrowed callee through an index step may replace a
-      shared block in the parameter's slot with a duplicate, which a lent
+    - one whose last use in the body's own block, not in a CondBr arm, is
+      a Copy, which _elide_moves turns into a Move: the exit Destroy that
+      follows is then the source's only later use;
+    - one that a borrowed callee path enters through an index step (only
+      a borrowed callee can root at a by-value parameter): resolving it
+      may put a duplicate of a shared block into the slot, which a lent
       slot, never destroyed, would leak while the caller's block lost a
       reference.
     """
-    owned = {slot for slot, ins in routine.last_uses.items() if type(ins) is Copy}
-    return owned.union(routine.indexed_callee_params)
+    params = {s for s, (passing, _) in enumerate(routine.params) if passing == P_VALUE}
+    writes_env = False
+    env_callees: list[FuncType] = []
+    owned: set[int] = set()
+    last: dict[int, Instr | None] = {}  # parameter -> its last use, None in an arm
+    todo = [(ins, True) for ins in reversed(routine.body)]
+    while todo:
+        ins, top = todo.pop()
+        t = type(ins)
+        if t is Destroy:
+            continue  # only the exit Destroys name a parameter
+        if t is StorePath or t is ResolveLocation:
+            writes_env = writes_env or ins.base == 0
+            if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
+                owned.add(ins.base)
+        elif t is CallInstr:
+            if ins.callee_steps is not None and ins.callee == 0:
+                env_callees.append(ins.fn_type)
+        elif t is CondBr:
+            todo += [(x, False) for x in reversed(ins.else_block)]
+            todo += [(x, False) for x in reversed(ins.then_block)]
+        reads, consumes, _ = _operands(ins)
+        for slot in (*reads, *consumes):
+            if slot in params:
+                last[slot] = ins if top else None
+    owned.update(slot for slot, ins in last.items() if type(ins) is Copy)
+    return writes_env, env_callees, owned
 
 
 class _Lending:
     """How each function type passes its by-value parameters, in order.
 
-    A parameter is lent unless (a) its type can hold a closure of a type
-    that has a literal writing its environment (_writer_types), because
-    calling such a closure mutates it in place, even through a lent
-    binding; or (b) some literal of the type must own it (_owned_params).
-    An Int or Float is always lent: it holds no closure, and its copy
-    costs no more than a move.  The facts come from lowering (Routine.ty, writes_env,
-    env_callee_types, last_uses and indexed_callee_params), so deciding
-    costs no walk of the IR.
+    A parameter is lent unless (a) its type can hold a closure of a
+    writer type, because calling such a closure mutates it in place, even
+    through a lent binding; or (b) some literal of the type must own it.
+    A writer type has a literal that writes its environment itself, or
+    that calls a captured closure of a writer type: a least fixpoint, one
+    worklist pass.  An Int or Float is always lent: it holds no closure,
+    and its copy costs no more than a move.  The facts come from one walk
+    of each literal's naive IR (_lending_facts).
     """
 
     def __init__(self, ir: IRProgram):
-        writers = _writer_types(ir)
+        writers: set[FuncType] = set()
+        callers: dict[FuncType, set[FuncType]] = {}
         owned: dict[FuncType, set[int]] = {}
         for r in ir.routines.values():
-            if r.ty is not None:
-                owned.setdefault(r.ty, set()).update(_owned_params(r))
+            if r.ty is None:
+                continue
+            writes_env, env_callees, owned_params = _lending_facts(r)
+            if writes_env:
+                writers.add(r.ty)
+            for ty in env_callees:
+                callers.setdefault(ty, set()).add(r.ty)
+            owned.setdefault(r.ty, set()).update(owned_params)
+        todo = list(writers)
+        while todo:
+            for caller in callers.get(todo.pop(), ()):
+                if caller not in writers:
+                    writers.add(caller)
+                    todo.append(caller)
         # Type -> how it passes each by-value parameter, and the slots of
         # its literals' lent parameters (slot 0 is the env).
         self.by_type: dict[FuncType, tuple[tuple[int, ...], frozenset[int]]] = {}
@@ -797,14 +778,6 @@ class _Lending:
 # The value of a slot in _elide_moves's map when its later uses are not
 # just one Destroy in the block being walked.
 _USED_ELSEWHERE = -1
-
-
-def _with(ins: Instr, **changes) -> Instr:
-    """A copy of ins with changes made to its fields; dataclasses.replace
-    costs twice as much."""
-    out = object.__new__(type(ins))
-    out.__dict__ = {**ins.__dict__, **changes}
-    return out
 
 
 def _lent_reads(slots: Sequence[int], renamed: dict[int, int], handed: set[int]) -> tuple[int, ...]:
@@ -935,7 +908,7 @@ def _elide_moves(
                     later.update(dict.fromkeys(reads, _USED_ELSEWHERE))
                     clobbered.update(dict.fromkeys(reads, i))
                 if then_block is not ins.then_block or else_block is not ins.else_block:
-                    edits[i] = [CondBr(ins.cond, then_block, else_block, ins.span)]
+                    edits[i] = [replace(ins, then_block=then_block, else_block=else_block)]
                 readers[ins.cond] = i
             elif t is LoadPath or t is StorePath or t is ResolveLocation:
                 for step in ins.steps:
@@ -957,7 +930,7 @@ def _elide_moves(
             pending = None
             if dst == made:
                 ins = edits[i][0] if i in edits else ins
-                edits[i] = [_with(ins, dst=to)]
+                edits[i] = [replace(ins, dst=to)]
                 edits[at] = []
                 if type(ins) is Move:
                     pending = ins.src, to, i
@@ -966,6 +939,9 @@ def _elide_moves(
             pending = ins.src, ins.dst, i
         elif t is Copy and edits.get(i):
             pending = src, ins.dst, i
+    # Rewritten instructions are built by dataclasses.replace, through
+    # their constructor: on CPython 3.11 an instance given a whole new
+    # __dict__ instead reads its fields more slowly in the VM.
     for k, mask in rebuilt.items():
         ins = edits[k][0] if k in edits else block[k]
         t = type(ins)
@@ -989,26 +965,23 @@ def _elide_moves(
                 locations = [renamed.get(a, a) for a in locations]
                 lent += [a for a in locations if a in loc_params]
             if lent or args != ins.args:
-                call = CallInstr(
-                    ins.dst, ins.callee, args, locations, ins.span, ins.fn_type, tuple(lent),
-                    ins.callee_steps,
-                )
+                call = replace(ins, args=args, locations=locations, lent=tuple(lent))
                 edits[k] = [call, *after]
         elif t is BinaryInstr:
             lhs, rhs = renamed.get(ins.lhs, ins.lhs), renamed.get(ins.rhs, ins.rhs)
             lent = _lent_reads((ins.lhs, ins.rhs), renamed, handed)
-            edits[k] = [BinaryInstr(ins.dst, ins.op, lhs, rhs, ins.span, lent)]
+            edits[k] = [replace(ins, lhs=lhs, rhs=rhs, lent=lent)]
         elif t is CondBr:
             cond = renamed[ins.cond]
             lent = _lent_reads((ins.cond,), renamed, handed)
-            edits[k] = [CondBr(cond, ins.then_block, ins.else_block, ins.span, lent)]
+            edits[k] = [replace(ins, cond=cond, lent=lent)]
         else:
             subs = [step[1] for step in ins.steps if step[0] == "index"]
             steps = [
                 ("index", renamed.get(step[1], step[1])) if step[0] == "index" else step
                 for step in ins.steps
             ]
-            edits[k] = [_with(ins, steps=steps, lent=_lent_reads(subs, renamed, handed))]
+            edits[k] = [replace(ins, steps=steps, lent=_lent_reads(subs, renamed, handed))]
     if not edits:
         return block, later
     out: list[Instr] = []

@@ -522,15 +522,21 @@ class _Checker:
 
         Identical paths are an error even when their subscripts are
         dynamic.  A clash of two inout arguments is reported before a
-        clash with the callee.
+        clash with the callee.  Places with different roots are disjoint,
+        so each place is compared only with the later places of its root,
+        in (i, j) order.
         """
         shapes = [shape_of_path(p) for p in places]
+        same_root: dict[int, list[int]] = {}
+        for i, shape in enumerate(shapes):
+            same_root.setdefault(shape.root, []).append(i)
         pending: list[tuple[int, int]] = []
         callee_clash: int | None = None
-        for i in range(len(places)):
-            for j in range(i + 1, len(places)):
-                verdict = paths_overlap(shapes[i], shapes[j])
-                if verdict == OVERLAP or shapes[i] == shapes[j]:
+        for i, shape in enumerate(shapes):
+            group = same_root[shape.root]
+            for j in group[group.index(i) + 1 :]:
+                verdict = paths_overlap(shape, shapes[j])
+                if verdict == OVERLAP or shape == shapes[j]:
                     if i >= n_callee:
                         raise _err(
                             call.span,

@@ -672,17 +672,31 @@ def test_calling_a_captured_closure_writes_the_env_only_through_a_writer(name, p
 def test_writer_types_are_a_fixpoint_over_captured_callees():
     # w writes its capture; h calls w through its env and k calls h, so
     # their types are writers too.  q calls the closure g it captured,
-    # which writes nothing, so neither type is a writer.
+    # which writes nothing, so neither type is a writer.  p takes one
+    # closure of each type and uses none: it must own exactly those of a
+    # writer type.
+    types = ["(Int) -> Int", "(Float) -> Int", "([Int]) -> Int", "([Float]) -> Int",
+             "(Int, Int) -> Int"]
+    probe = f"({', '.join(types)}) -> Int"
+    params = ", ".join(f"c{i}: {t}" for i, t in enumerate(types))
     src = (
         "var n: Int = 0 in "
         "let w: (Int) -> Int = (x: Int) -> Int { n = n + x in n } in "
         "let h: (Float) -> Int = (y: Float) -> Int { w(1) } in "
         "let k: ([Int]) -> Int = (a: [Int]) -> Int { h(1.0) + a[0] } in "
         "let g: ([Float]) -> Int = (a: [Float]) -> Int { 2 } in "
-        "let q: (Int, Int) -> Int = (x: Int, y: Int) -> Int { g([1.0]) } in k([q(1, 2)])"
+        "let q: (Int, Int) -> Int = (x: Int, y: Int) -> Int { g([1.0]) } in "
+        f"let p: {probe} = ({params}) -> Int {{ 0 }} in k([q(1, 2)])"
     )
     base, _ = fetch(src)
-    writers = {str(t) for t in ir_module._writer_types(base)}
+    facts = {str(r.ty): ir_module._lending_facts(r) for r in base.routines.values() if r.ty}
+    assert facts["(Int) -> Int"][:2] == (True, [])
+    assert facts["(Float) -> Int"][0] is False
+    assert [str(t) for t in facts["(Float) -> Int"][1]] == ["(Int) -> Int"]
+    assert [str(t) for t in facts["(Int, Int) -> Int"][1]] == ["([Float]) -> Int"]
+    (ty,) = [r.ty for r in base.routines.values() if str(r.ty) == probe]
+    mask, _ = ir_module._Lending(base).get(ty)
+    writers = {str(pty) for (_, pty), how in zip(ty.params, mask) if how == ir_module._OWN}
     assert writers == {"(Int) -> Int", "(Float) -> Int", "([Int]) -> Int"}
 
 
@@ -895,9 +909,14 @@ class _NoLending:
 
 
 def test_owned_parameters_are_those_move_elision_moves():
-    # Rule (b) reads the last uses that lowering records, instead of
-    # running move elision first: the two must agree.
+    # Rule (b) reads each parameter's last use off the naive IR, instead
+    # of running move elision first: the two must agree.  A use in a
+    # CondBr arm is not in the body's own block.
     sources = [
+        "let f: ([Int], Int) -> [Int] = (a: [Int], n: Int) -> [Int] "
+        "{ let k: Int = if n then a[0] else 0 in a } in f([1], 0)",
+        "let f: ([Int], Int) -> Int = (a: [Int], n: Int) -> Int "
+        "{ let b: [Int] = a in if n then a[0] else b[0] } in f([1], 0)",
         "let f: ([Int]) -> [Int] = (a: [Int]) -> [Int] { a } in f([1])",
         "let f: ([Int]) -> Int = (a: [Int]) -> Int { a[0] } in f([1])",
         "let f: ([Int]) -> Int = (a: [Int]) -> Int { let b = a in b[0] } in f([1])",
@@ -925,8 +944,13 @@ def test_owned_parameters_are_those_move_elision_moves():
                 for slot in ir_module._operands(i)[1]
                 if slot in values
             }
-            owned = ir_module._owned_params(routine)
-            assert moved == owned - routine.indexed_callee_params, routine.id
+            indexed = {
+                i.base
+                for i in walk(routine.body)
+                if type(i) is ResolveLocation and i.steps and i.steps[0][0] == "index"
+            }
+            owned = ir_module._lending_facts(routine)[2]
+            assert moved == owned - indexed, routine.id
             checked += bool(moved)
     assert checked >= 3
 
@@ -962,11 +986,13 @@ def test_borrowed_callee_through_an_index_keeps_the_parameter_owned(src, out, pa
     # fs[0](1) resolves its callee through an index step, which duplicates
     # a shared block into the parameter's own slot: lent, the duplicate
     # would leak and the caller's block would lose a reference.
-    _, opt = fetch(src)
+    base, opt = fetch(src)
     # f is the literal whose parameter is not g's Int
     (fn,) = [r for r in opt.routines.values() if r.ty and r.params[1][1] != INT]
     assert fn.params[1][0] == passing
-    assert fn.indexed_callee_params == ({1} if passing == P_VALUE else set())
+    # fs's only use is the resolution, so it is owned for that alone.
+    owned = ir_module._lending_facts(base.routines[fn.id])[2]
+    assert owned == ({1} if passing == P_VALUE else set())
     for cow in (True, False):
         assert execute(opt, cow=cow, debug=True)[0] == out
 

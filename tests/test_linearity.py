@@ -9,7 +9,10 @@ pinned, not counts, since line events differ between CPython versions.
 
 Lexing, parsing and checking are gated on the binding chain and on a
 long array literal: tokenize, then parse_source, which lexes again, then
-check_program.  The oracle is not gated yet.
+check_program.  Every phase from lexing to the VM's run is gated on many
+struct declarations and closures, on one call with many by-value
+arguments and on one call with many inout arguments, each rooted at its
+own binding.  The oracle is not gated yet.
 
 The VM's run is gated on the binding chain and on the long array
 literal, the shape of the cow_inout workload's array.  Generated programs do
@@ -134,6 +137,29 @@ def declarations(n: int) -> str:
     return f"{structs}var x: Int = 1 in {closures}x"
 
 
+def by_value_call(n: int) -> list[str]:
+    """One call with n by-value arguments, arrays and Ints in turn."""
+    types = ["[Int]" if i % 2 else "Int" for i in range(n)]
+    params = ", ".join(f"a{i}: {t}" for i, t in enumerate(types))
+    args = ", ".join(f"[{i}]" if i % 2 else f"{i}" for i in range(n))
+    sig = f"({', '.join(types)}) -> Int"
+    return [f"let f: {sig} = ({params}) -> Int {{ a0 + a1[0] }} in f({args})"]
+
+
+def inout_call(n: int) -> list[str]:
+    """One call with n inout arguments, each rooted at its own binding."""
+    bindings = "".join(f"var x{i}: Int = {i} in " for i in range(n))
+    params = ", ".join(f"a{i}: inout Int" for i in range(n))
+    sig = f"({', '.join(['inout Int'] * n)}) -> Int"
+    args = ", ".join(f"&x{i}" for i in range(n))
+    return [f"{bindings}let f: {sig} = ({params}) -> Int {{ a0 + a1 }} in f({args})"]
+
+
+def all_phases_growth(small: list[str], large: list[str]) -> dict[str, float]:
+    """Each phase's ratio per doubling, lexing through the VM's run."""
+    return {**front_end_growth(small, large), **growth(small, large, run=True)}
+
+
 def growth(
     small: list[str], large: list[str], by_instructions: bool = False, run: bool = False
 ) -> dict[str, float]:
@@ -179,4 +205,20 @@ def test_front_end_is_linear_on_a_long_array_literal():
 
 def test_lowering_and_the_vm_are_linear_on_a_long_array_literal():
     ratios = growth(array_literal(N), array_literal(2 * N), run=True)
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_every_phase_is_linear_on_declarations():
+    ratios = all_phases_growth([declarations(N)], [declarations(2 * N)])
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_every_phase_is_linear_on_a_call_with_many_by_value_arguments():
+    ratios = all_phases_growth(by_value_call(N), by_value_call(2 * N))
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_every_phase_is_linear_on_a_call_with_many_inout_arguments():
+    # The exclusivity check compares only places with a common root.
+    ratios = all_phases_growth(inout_call(N), inout_call(2 * N))
     assert all(r <= LIMIT for r in ratios.values()), ratios
