@@ -1,10 +1,11 @@
 """Intermediate representation and lowering.
 
-Lowering makes every value lifetime explicit: each binding
-initialization, assignment, and by-value argument is a Copy, each
-binding leaving scope gets a Destroy, and function literals become
-global routines taking their environment record as an extra leading
-parameter.  This naive IR is what `--no-move-opt` runs.
+Lowering makes every value lifetime explicit: each read of a place (a
+binding, or a path through one) is a Copy or a LoadPath, each binding
+leaving scope gets a Destroy, and function literals become global
+routines taking their environment record as an extra leading
+parameter.  This naive IR is what `--no-move-opt` runs: it copies only
+where the eager semantics copies, at a place read.
 
 A literal operand of a BinaryInstr, or a literal subscript of a path
 step, costs no instruction: it is a constant of its routine
@@ -13,13 +14,14 @@ routine holds from the start.  dump_ir prints it as #value.  Nothing
 writes or clears a constant slot, so an instruction that would consume
 one only reads it.
 
-Lowering adds no plumbing of its own.  A conditional's arms produce
-their values straight into its result slot; a Move fills it only from
-an arm that ends in a chain, after the Destroys of the chain's
-bindings.  A call reads a callee path of field steps (f, box.fn, a
-captured g) in place, from its base slot through those steps; only a
-callee path with an index step is resolved to a Location, like an inout
-argument.
+Lowering adds no plumbing of its own, and emits no Move.  Each computed
+value is produced in the slot where it lands: an initializer in its
+binding's slot, a conditional's arms in its result slot, a chain's tail
+in the chain's destination, ahead of the Destroys of the chain's
+bindings, which free other slots.  A call reads a callee path of field
+steps (f, box.fn, a captured g) in place, from its base slot through
+those steps; only a callee path with an index step is resolved to a
+Location, like an inout argument.
 
 The move optimization first decides, from one walk of each literal's
 naive IR, which by-value parameters each function type lends (see
@@ -32,13 +34,14 @@ an inout parameter passed on whole (&x): the callee gets the caller's
 Location, which is not resolved again.  A BinaryInstr, a CondBr or an
 index step reads a scalar binding in place, and at the binding's last
 use consumes its slot, which an Int or Float leaves as it is.  And a
-value is produced where it is moved to: a Move whose source the
-instruction above it produces, Destroys aside, goes, and that
-instruction writes the Move's destination, so a computed initializer
-lands in its binding's slot.
-The naive IR keeps its Copy and Destroy: they are the naive strategy's
-cost.  The only instruction the optimization moves is a Destroy, to just
-after a call that reads its slot at the slot's last use.
+value is produced where it is moved to: when a Copy becomes a Move and
+the instruction above it, Destroys aside, produces its source, the Move
+goes and that instruction writes its destination, as the tail of
+`let a = [1] in a` does.
+The naive IR keeps its Copies and Destroys: they are the naive
+strategy's cost.  The only instruction the optimization moves is a
+Destroy, to just after a call that reads its slot at the slot's last
+use.
 
 Slots are indexes into a routine-local frame.  Instructions form a
 tree: straight-line lists plus CondBr, which carries its branch blocks
@@ -333,8 +336,8 @@ class _RoutineBuilder:
     # -- expression lowering --------------------------------------------------
 
     def lower_chain(self, e: Chain, dst: int | None = None) -> int:
-        """Lower the statements and the tail, then destroy the bindings in
-        reverse.  The tail produces into dst only if no Destroy follows it."""
+        """Lower the statements, then the tail into dst, then destroy the
+        bindings in reverse; those Destroys free other slots than dst."""
         live: list[Binding] = []
         for s in e.stmts:
             if isinstance(s, Assign):
@@ -345,7 +348,7 @@ class _RoutineBuilder:
             else:
                 self.lower_binding(s)
                 live.append(s)
-        result = self.lower_value(e.tail, None if live else dst)
+        result = self.lower_value(e.tail, dst)
         for s in reversed(live):
             self.emit(Destroy(self.slot_map[s.binding_id], s.span))
         return result
@@ -356,7 +359,7 @@ class _RoutineBuilder:
         self.slot_map[e.binding_id] = slot
         if e.qualifier == "let":
             self.immutable.add(slot)
-        self.lower_copied(e.init, slot)
+        self.lower_value(e.init, slot)
 
     def lower_assign(self, e: Assign) -> None:
         if e.target.root == "_" and not e.target.accessors:
@@ -365,7 +368,7 @@ class _RoutineBuilder:
             return
         # Subscripts of the target evaluate before the value, left to right.
         base, steps = self.lower_target(e.target)
-        v = self.lower_copied(e.value)
+        v = self.lower_value(e.value)
         self.emit(StorePath(base, steps, v, e.span))
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
@@ -396,9 +399,8 @@ class _RoutineBuilder:
         self.emit(LoadPath(dst, base, steps, p.span))
 
     def lower_value(self, e: Expr, dst: int | None = None) -> int:
-        """Lower an expression; returns the slot owning its value.  That
-        is dst when given and the expression's last instruction can
-        produce into it (see lower_arm), else a fresh slot."""
+        """Lower an expression; returns the slot owning its value: dst
+        when given, where the value is produced, else a fresh slot."""
         if isinstance(e, IntLit):
             t = self.new_slot() if dst is None else dst
             self.emit(MakeInt(t, e.value, e.span))
@@ -460,27 +462,10 @@ class _RoutineBuilder:
 
     def lower_arm(self, e: Expr, block: list[Instr], result: int) -> None:
         """Lower a conditional arm into block, producing its value in the
-        conditional's result slot: the arm's last producing instruction
-        writes it, and a Move fills it only when that instruction is
-        followed by the Destroys of a chain's bindings."""
+        conditional's result slot."""
         self.blocks.append(block)
-        r = self.lower_value(e, result)
-        if r != result:
-            self.emit(Move(result, r, e.span))
+        self.lower_value(e, result)
         self.blocks.pop()
-
-    def lower_copied(self, e: Expr, dst: int | None = None) -> int:
-        """Lower a value that flows into a binding slot, stored place, or
-        by-value argument, into dst when given: the flow is an explicit
-        Copy.  Path reads already copy; computed values are copied out of
-        their temporary and the temporary destroyed."""
-        if isinstance(e, Path):
-            return self.lower_value(e, dst)
-        t = self.lower_value(e)
-        u = self.new_slot() if dst is None else dst
-        self.emit(Copy(u, t, e.span))
-        self.emit(Destroy(t, e.span))
-        return u
 
     def lower_funclit(self, e: FuncLit, dst: int | None = None) -> int:
         routine = self.lowerer.lower_routine(e)
@@ -525,7 +510,7 @@ class _RoutineBuilder:
             if isinstance(a, InoutArg):
                 targets.append((a.path, *self.lower_target(a.path)))
             else:
-                args.append(self.lower_copied(a))
+                args.append(self.lower_value(a))
         places = []
         for p, base, steps in targets:
             loc = self.new_slot()
@@ -813,10 +798,11 @@ def _elide_moves(
       parameters, with no steps is deleted: the call it feeds is lent the
       parameter's own Location.  No OverlapCheck reads it, since any
       other place of the call with the same root overlaps it statically.
-    - A Move, or a Copy that became one, whose source the closest
-      instruction above it other than a Destroy produces, is deleted,
-      and that producer writes the Move's destination instead.  A chain
-      of such Moves collapses into its first producer.  A CondBr
+    - A Copy that became a Move, whose source the closest instruction
+      above it other than a Destroy produces, is deleted, and that
+      producer writes the Move's destination instead, as for a binding
+      read at its last use right after it is made.  A chain of such
+      Moves collapses into its first producer.  A CondBr
       produces nothing itself, so its arms are left alone.
     A Copy is deleted only if nothing writes or consumes its source
     between it and the instruction that reads it.  The Destroys of
@@ -848,10 +834,11 @@ def _elide_moves(
     # Reader index -> how the call passes each argument, or () if no call
     # or a call that lends none.
     rebuilt: dict[int, tuple[int, ...]] = {}
-    # The latest Move, (source, destination, index), while only Destroys
-    # lie between it and the current instruction: if that instruction
-    # produces the source, it produces into the destination instead, and
-    # the Move goes.  The Destroys free other slots, so they commute.
+    # The latest Copy that became a Move, (source, destination, index),
+    # while only Destroys lie between it and the current instruction: if
+    # that instruction produces the source, it produces into the
+    # destination instead, and the Move goes.  The Destroys free other
+    # slots, so they commute.
     pending: tuple[int, int, int] | None = None
     for i in range(n - 1, -1, -1):
         ins = block[i]
@@ -935,9 +922,7 @@ def _elide_moves(
                 if type(ins) is Move:
                     pending = ins.src, to, i
                 continue
-        if t is Move:
-            pending = ins.src, ins.dst, i
-        elif t is Copy and edits.get(i):
+        if t is Copy and edits.get(i):
             pending = src, ins.dst, i
     # Rewritten instructions are built by dataclasses.replace, through
     # their constructor: on CPython 3.11 an instance given a whole new

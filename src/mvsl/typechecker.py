@@ -23,7 +23,9 @@ at runtime.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import merge
 
 from .ast import (
     BINARY_PREC,
@@ -523,18 +525,33 @@ class _Checker:
         Identical paths are an error even when their subscripts are
         dynamic.  A clash of two inout arguments is reported before a
         clash with the callee.  Places with different roots are disjoint,
-        so each place is compared only with the later places of its root,
-        in (i, j) order.
+        and so are places whose first steps are different fields or
+        different literal subscripts.  So each place is filed under its
+        root and first step, None when that step is a dynamic subscript
+        or missing, and compared with the later places of its own file
+        and of its root's None file, or, if it is a None place, with every
+        later place of its root.  Each place's comparisons run in
+        ascending order, so the pairs and diagnostics come in (i, j) order.
         """
         shapes = [shape_of_path(p) for p in places]
+        keys = [
+            (s.root, s.steps[0] if s.steps and s.steps[0][0] != "dyn" else None) for s in shapes
+        ]
+        files: dict[tuple[int, object], list[int]] = {}  # (root, first step) -> places
         same_root: dict[int, list[int]] = {}
-        for i, shape in enumerate(shapes):
-            same_root.setdefault(shape.root, []).append(i)
+        for i, key in enumerate(keys):
+            files.setdefault(key, []).append(i)
+            same_root.setdefault(key[0], []).append(i)
         pending: list[tuple[int, int]] = []
         callee_clash: int | None = None
-        for i, shape in enumerate(shapes):
-            group = same_root[shape.root]
-            for j in group[group.index(i) + 1 :]:
+        for i, (shape, (root, first)) in enumerate(zip(shapes, keys)):
+            if first is None:
+                group = same_root[root]
+                later = group[bisect_right(group, i) :]
+            else:
+                own, dyn = files[root, first], files.get((root, None), [])
+                later = merge(own[bisect_right(own, i) :], dyn[bisect_right(dyn, i) :])
+            for j in later:
                 verdict = paths_overlap(shape, shapes[j])
                 if verdict == OVERLAP or shape == shapes[j]:
                     if i >= n_callee:

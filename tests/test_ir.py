@@ -13,6 +13,7 @@ from mvsl import (
     generate_program,
     interpret_eager,
     parse_source,
+    pretty_program,
 )
 from mvsl import ir as ir_module
 from mvsl.diagnostics import ParseError, TypeCheckError
@@ -151,33 +152,34 @@ def test_last_use_becomes_move():
     assert len(opt_copies) == 0
     assert len(opt_moves) == 2
     assert dump_ir(opt).splitlines()[8:13] == [
-        "  7: load_path %8[#0] -> %11",
-        "  8: move %8 -> %13",
-        "  9: load_path %13[#1] -> %14",
-        "  10: binary + %14, %11 -> %16",
-        "  11: binary + %16, %6 -> %18",
+        "  7: load_path %6[#0] -> %8",
+        "  8: move %6 -> %10",
+        "  9: load_path %10[#1] -> %11",
+        "  10: binary + %11, %8 -> %13",
+        "  11: binary + %13, %4 -> %15",
     ]
     assert execute(opt)[0] == execute(base)[0] == "5"
     assert execute(opt)[1].moves == 3  # and @fn0's return of its parameter
 
 
 def test_initializer_is_produced_into_its_binding():
-    # In the optimized IR a computed initializer is produced straight into
-    # its binding's slot, and a chain of Moves collapses into its first
-    # producer; the naive IR keeps the Copy into the slot and the Destroy
-    # of the temporary.  a's last use is an operand, which consumes a's
+    # Lowering produces a computed initializer straight into its
+    # binding's slot, so the naive IR copies only where a place is read:
+    # a, s and t.  In the optimized IR a chain of Moves collapses into its
+    # first producer, and a's last use is an operand, which consumes a's
     # own slot.
     src = "var a: Int = 3 in let s: Int = a * 2 + 1 in let t: Int = s in t"
     base, opt = fetch(src)
-    assert [type(i) for i in base.routines[base.entry].body] == [
-        MakeInt, Copy, Destroy, Copy, BinaryInstr, BinaryInstr, Copy, Destroy, Copy, Copy,
-        Destroy, Destroy, Destroy, Return,
+    body = base.routines[base.entry].body
+    assert [type(i) for i in body] == [
+        MakeInt, Copy, BinaryInstr, BinaryInstr, Copy, Copy, Destroy, Destroy, Destroy, Return,
     ]
+    assert [i.dst for i in body[:4]] == [0, 2, 4, 1]  # a, a's copy, a * 2, s
     assert dump_ir(opt).splitlines()[1:] == [
         "  0: make_int 3 -> %0",
-        "  1: binary * %0, #2 -> %5",
-        "  2: binary + %5, #1 -> %9",
-        "  3: return %9",
+        "  1: binary * %0, #2 -> %4",
+        "  2: binary + %4, #1 -> %7",
+        "  3: return %7",
     ]
     for ir in (base, opt):
         assert execute(ir)[0] == "7"
@@ -187,11 +189,11 @@ def test_initializer_is_produced_into_its_binding():
 def test_repeated_use_keeps_first_copy():
     # x feeds two bindings, then two fields of one struct
     for src, base_copies in (
-        ("let x: [Int] = [1, 2] in let y: [Int] = x in let z: [Int] = x in y[0] + z[1]", 3),
+        ("let x: [Int] = [1, 2] in let y: [Int] = x in let z: [Int] = x in y[0] + z[1]", 2),
         (
             "struct W { var a: [Int]; var b: [Int] } in let x: [Int] = [1, 2] in "
             "let w: W = W(x, x) in w.a[0] + w.b[1]",
-            5,
+            2,
         ),
     ):
         _, opt = fetch(src)
@@ -225,7 +227,7 @@ def test_repeated_argument_is_lent():
         _, stats = execute(opt, cow=cow)
         assert (stats.deep_copies, stats.retains) == (0, 0)
     _, stats_base = execute(lower_source(src, move_opt=False), cow=False)
-    assert stats_base.deep_copies == 3
+    assert stats_base.deep_copies == 2
 
 
 def test_trivial_type_unchanged_semantics():
@@ -530,8 +532,9 @@ def test_fib_closure_parameters_are_lent():
     assert [c.lent for c in calls] == [(1,), (1,)]
     out, stats = execute(opt)
     assert (out, stats.closure_copies) == ("987", 0)
-    # naively every one of the 3193 calls copies the box's closure
-    assert execute(base)[1].closure_copies == 3196
+    # naively every one of the 3193 calls copies the box's closure, and
+    # F(fib) copies fib
+    assert execute(base)[1].closure_copies == 3194
 
 
 def test_fib_literals_are_constant_operands():
@@ -552,10 +555,10 @@ def test_fib_literals_are_constant_operands():
         "      0: make_int 1 -> %3",
         "  else:",
         "    0: binary - lent %2, #1 -> %12",
-        "    1: call %1.fn (lent %1, %12)() -> %14",
-        "    2: binary - lent %2, #2 -> %17",
-        "    3: call %1.fn (lent %1, %17)() -> %19",
-        "    4: binary + %14, %19 -> %3",
+        "    1: call %1.fn (lent %1, %12)() -> %13",
+        "    2: binary - lent %2, #2 -> %16",
+        "    3: call %1.fn (lent %1, %16)() -> %17",
+        "    4: binary + %13, %17 -> %3",
         "  2: return %3",
     ]
     fn = opt.routines["@fn0"]
@@ -779,8 +782,8 @@ def test_scalar_operands_and_conditions_are_read_in_place():
     _, opt = fetch("var c: Int = 1 in var n: Int = 4 in if c then (c = n * n in c) else n - 1")
     text = dump_ir(opt)
     assert "cond_br lent %0" in text
-    assert "binary * lent %2, lent %2" in text
-    assert "binary - lent %2" in text
+    assert "binary * lent %1, lent %1" in text
+    assert "binary - lent %1" in text
     assert execute(opt)[0] == "16"
 
 
@@ -793,13 +796,13 @@ def test_subscripts_are_read_in_place():
     )
     base, opt = fetch(src)
     assert routine_dump(opt, ENTRY_ID)[5:12] == [
-        "  4: make_closure @fn0 () -> %6",
-        "  5: load_path %0[lent %4] -> %9",
-        "  6: resolve_location %0[lent %4] -> %12",
-        "  7: call %6 ()(%12) -> %13",
-        "  8: binary + %9, %13 -> %15",
-        "  9: store_path %0[lent %4] <- %15",
-        "  10: load_path %0[%4] -> %16",  # j's last use
+        "  4: make_closure @fn0 () -> %4",
+        "  5: load_path %0[lent %3] -> %6",
+        "  6: resolve_location %0[lent %3] -> %9",
+        "  7: call %4 ()(%9) -> %10",
+        "  8: binary + %6, %10 -> %11",
+        "  9: store_path %0[lent %3] <- %11",
+        "  10: load_path %0[%3] -> %12",  # j's last use
     ]
     assert not [i for i in opt.routines[opt.entry].body if type(i) in (Copy, Move)]
     for ir in (base, opt):
@@ -831,22 +834,22 @@ def test_fill_passes_its_inout_parameter_on_and_reads_lo_in_place():
     # resolution, and the leaf indexes with lo in place, with no copy.
     _, opt = fetch(workloads.cow_source([1, 2, 3, 4]))
     assert routine_dump(opt, "@fn0") == [
-        "routine @fn0(env, lent G, inout [Int], lent [Int], lent Int, lent Int) slots=37",
+        "routine @fn0(env, lent G, inout [Int], lent [Int], lent Int, lent Int) slots=34",
         "  0: binary - lent %5, lent %4 -> %9",
         "  1: binary < %9, #2 -> %11",
         "  2: cond_br %11",
         "  then:",
         "    0: load_path %3[lent %4] -> %13",
         "    1: binary * %13, #3 -> %16",
-        "    2: binary + %16, lent %4 -> %19",
-        "    3: store_path %2[lent %4] <- %19",
+        "    2: binary + %16, lent %4 -> %18",
+        "    3: store_path %2[lent %4] <- %18",
         "    4: make_struct U () -> %6",
         "  else:",
-        "    0: binary + lent %4, lent %5 -> %23",
-        "    1: binary / %23, #2 -> %20",
-        "    2: call %1.fn (lent %1, lent %3, lent %4, lent %20)(lent %2) -> %30",
-        "    3: destroy %30",
-        "    4: call %1.fn (lent %1, lent %3, %20, lent %5)(lent %2) -> %6",
+        "    0: binary + lent %4, lent %5 -> %22",
+        "    1: binary / %22, #2 -> %19",
+        "    2: call %1.fn (lent %1, lent %3, lent %4, lent %19)(lent %2) -> %28",
+        "    3: destroy %28",
+        "    4: call %1.fn (lent %1, lent %3, %19, lent %5)(lent %2) -> %6",
         "  3: return %6",
     ]
     fill = opt.routines["@fn0"]
@@ -865,9 +868,10 @@ def test_the_naive_fill_still_resolves_and_copies():
 
 
 def arm_result(arm):
-    """The slot a conditional arm leaves its value in: its last
-    instruction's, or that of both arms of a nested conditional."""
-    last = arm[-1]
+    """The slot a conditional arm leaves its value in: that of its last
+    instruction ahead of the Destroys that end a chain arm, or that of
+    both arms of a nested conditional."""
+    last = next(ins for ins in reversed(arm) if type(ins) is not Destroy)
     assert type(last) is not Move, last
     if type(last) is CondBr:
         slot = arm_result(last.then_block)
@@ -893,14 +897,47 @@ def test_conditional_arms_produce_into_the_result_slot(move_opt):
     assert execute(ir)[0] == "6"
 
 
-def test_a_chain_arm_moves_its_value_past_its_destroys():
-    # The tail of a chain arm is followed by its bindings' Destroys, so a
-    # Move fills the result slot after them.
-    ir = lower_source("var c: Int = 1 in if c then (var x: Int = 5 in x) else 2", move_opt=False)
-    cond = next(ins for ins in ir.routines[ir.entry].body if type(ins) is CondBr)
-    assert [type(ins) for ins in cond.then_block[-2:]] == [Destroy, Move]
-    assert cond.then_block[-1].dst == cond.else_block[-1].dst
-    assert execute(ir)[0] == "5"
+def test_lowering_copies_only_at_a_place_read():
+    # Lowering builds each computed value in the slot where it lands, so
+    # the naive IR holds no Move, and no Copy of a temporary into a
+    # binding, a stored place or an argument: a Copy followed by the
+    # Destroy of its own source at the same span.  (A binding read just
+    # before its scope-end Destroy, as in let a = [1] in a, is a place
+    # read: the Copy has the path's span, the Destroy the binding's.)
+    # A chain arm writes the conditional's result slot ahead of its
+    # bindings' Destroys.  Seeds are parsed from their printed form, so
+    # that their spans are real; neither they nor the corpus have a chain
+    # arm with a binding.
+    arms = [
+        ("var c: Int = 1 in if c then (var x: Int = 5 in x) else 2", "5"),
+        (
+            "var c: Int = 0 in let f: (Int) -> [Int] = (n: Int) -> [Int] { [n] } in "
+            "if c then (let a: [Int] = [1] in let b: [Int] = a in b) "
+            "else (var y: [Int] = f(2) in y[0] = y[0] + 1 in if c < 1 then (let z = y in z) else y)",
+            "[3]",
+        ),
+    ]
+    irs = []
+    for source, out in arms:
+        irs.append(lower_source(source, move_opt=False))
+        assert execute(irs[-1], cow=False)[0] == out
+    irs += [lower_source(s, move_opt=False) for n, s in corpus_sources()
+            if not corpus_expected(n).startswith("error[")]
+    for seed in range(100):
+        source = pretty_program(generate_program(GenConfig(seed)))
+        irs.append(lower_source(source, move_opt=False))
+    chain_arms = 0
+    for ir in irs:
+        assert Move not in map(type, all_instrs(ir))
+        for r in ir.routines.values():
+            for block in blocks(r.body):
+                for a, b in zip(block, block[1:]):
+                    assert not (type(a) is Copy and b == Destroy(a.src, a.span)), (r.id, a)
+                for cond in (ins for ins in block if type(ins) is CondBr):
+                    then, orelse = cond.then_block, cond.else_block
+                    assert arm_result(then) == arm_result(orelse) is not None
+                    chain_arms += (type(then[-1]) is Destroy) + (type(orelse[-1]) is Destroy)
+    assert chain_arms == 4
 
 
 class _NoLending:
