@@ -23,21 +23,22 @@ steps (f, box.fn, a captured g) in place, from its base slot through
 those steps; only a callee path with an index step is resolved to a
 Location, like an inout argument.
 
-The move optimization first decides, from one walk of each literal's
-naive IR, which by-value parameters each function type lends (see
-_Lending); lowering records nothing for it.  Then it walks each block
-once, backward.  It rewrites a Copy into a Move and deletes the source's
-Destroy whenever that Destroy, in the Copy's own block, is the source's
-only later use.  It lends by-value arguments: a call reads a lent
-argument in place, and the callee neither copies nor destroys it.  It lends a call
-an inout parameter passed on whole (&x): the callee gets the caller's
-Location, which is not resolved again.  A BinaryInstr, a CondBr or an
+The move optimization first decides last use, in one backward walk of
+each routine's naive IR (_last_uses), then which by-value parameters
+each function type lends (see _Lending); lowering records nothing for
+either.  Then it rewrites each block, deciding backward and emitting
+forward (_elide_moves).  It rewrites a Copy into a Move and deletes the
+source's Destroy whenever that Destroy, in the Copy's own block, is the
+source's only later use.  It lends by-value arguments: a call reads a
+lent argument in place, and the callee neither copies nor destroys it.
+It lends a call an inout parameter passed on whole (&x): the callee
+gets the caller's Location, which is not resolved again.  A BinaryInstr, a CondBr or an
 index step reads a scalar binding in place, and at the binding's last
 use consumes its slot, which an Int or Float leaves as it is.  And a
 value is produced where it is moved to: when a Copy becomes a Move and
-the instruction above it, Destroys aside, produces its source, the Move
-goes and that instruction writes its destination, as the tail of
-`let a = [1] in a` does.
+the instruction emitted above it, Destroys aside, produces its source,
+the Move goes and that instruction writes its destination, as the tail
+of `let a = [1] in a` does.
 The naive IR keeps its Copies and Destroys: they are the naive
 strategy's cost.  The only instruction the optimization moves is a
 Destroy, to just after a call that reads its slot at the slot's last
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from operator import is_
 
 from .ast import (
     ArrayLit,
@@ -583,29 +585,11 @@ def lower_program(tp: TypedProgram) -> IRProgram:
 def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     """The slots ins only reads, the slots it consumes, and the slot it
     produces (or None); the instructions of nested blocks are excluded."""
-    t = type(ins)
-    if t is Copy:
-        return (ins.src,), (), ins.dst
-    if t is MakeInt or t is MakeFloat:
-        return (), (), ins.dst
-    if t is Move:
-        return (), (ins.src,), ins.dst
-    if t is Destroy:
-        return (), (ins.slot,), None
+    t = type(ins)  # the kinds by how often each reaches here in generated programs
     if t is BinaryInstr:
         if ins.lent:
             return ins.lent, [s for s in (ins.lhs, ins.rhs) if s not in ins.lent], ins.dst
         return (), (ins.lhs, ins.rhs), ins.dst
-    if t is MakeArray or t is MakeStruct or t is MakeClosure:
-        return (), ins.operands, ins.dst
-    if t is LoadPath or t is ResolveLocation:
-        if ins.lent:
-            return (ins.base, *ins.lent), _owned_subscripts(ins), ins.dst
-        return (ins.base,), [s[1] for s in ins.steps if s[0] == "index"], ins.dst
-    if t is StorePath:
-        if ins.lent:
-            return (ins.base, *ins.lent), [*_owned_subscripts(ins), ins.value], None
-        return (ins.base,), [*(s[1] for s in ins.steps if s[0] == "index"), ins.value], None
     if t is CallInstr:
         lent = ins.lent
         if not lent:
@@ -616,20 +600,30 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
         if ins.callee_steps is None:
             return lent, [ins.callee, *owned], ins.dst
         return (ins.callee, *lent), owned, ins.dst
+    if t is Destroy:
+        return (), (ins.slot,), None
+    if t is LoadPath or t is ResolveLocation or t is StorePath:
+        owned = [s[1] for s in ins.steps if s[0] == "index" and s[1] not in ins.lent]
+        if t is StorePath:
+            return (ins.base, *ins.lent), [*owned, ins.value], None
+        return (ins.base, *ins.lent), owned, ins.dst
     if t is CondBr:
         if ins.lent:
             return ins.lent, (), None
         return (), (ins.cond,), None
-    if t is OverlapCheck:
-        return (ins.a, ins.b), (), None
+    if t is Copy:
+        return (ins.src,), (), ins.dst
     if t is Return:
         return (), (ins.slot,), None
+    if t is MakeArray or t is MakeStruct or t is MakeClosure:
+        return (), ins.operands, ins.dst
+    if t is MakeInt or t is MakeFloat:
+        return (), (), ins.dst
+    if t is Move:
+        return (), (ins.src,), ins.dst
+    if t is OverlapCheck:
+        return (ins.a, ins.b), (), None
     raise AssertionError(f"unknown instruction {ins!r}")
-
-
-def _owned_subscripts(ins: LoadPath | StorePath | ResolveLocation) -> list[int]:
-    """The subscript slots of ins's index steps that it consumes."""
-    return [s[1] for s in ins.steps if s[0] == "index" and s[1] not in ins.lent]
 
 
 def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInfo]) -> bool:
@@ -656,7 +650,47 @@ _LEND_SCALAR = 2  # lent, and an Int or Float, which needs no destroy
 _LENDS_NONE: tuple[tuple[int, ...], frozenset[int]] = ((), frozenset())
 
 
-def _lending_facts(routine: Routine) -> tuple[bool, list[FuncType], set[int]]:
+def _last_uses(
+    block: list[Instr], moves: dict[int, int], arm_uses: dict[int, set[int]]
+) -> dict[int, int | None]:
+    """Decide last use in one backward walk of a block of naive IR and of
+    its CondBrs' arms, before anything is lent.  Records in moves each
+    Copy, by id, whose source's only later use is the source's Destroy in
+    the same block, mapped to that Destroy's index, and in arm_uses each
+    CondBr, by id, mapped to the slots its arms read, consume or destroy.
+    Returns a dict whose keys are those slots for block itself.
+    """
+    # A slot used below the current instruction -> the index of its
+    # Destroy when that is its only later use, else None.
+    later: dict[int, int | None] = {}
+    i = len(block)
+    for ins in reversed(block):
+        i -= 1
+        t = type(ins)
+        if t is BinaryInstr:
+            later[ins.lhs] = later[ins.rhs] = None
+        elif t is Destroy:
+            later[ins.slot] = i
+        elif t is Copy:
+            j = later.get(ins.src)
+            if j is not None:
+                moves[id(ins)] = j
+            later[ins.src] = None
+        elif t is not MakeInt and t is not MakeFloat:
+            if t is CondBr:
+                used = _last_uses(ins.then_block, moves, arm_uses).keys()
+                used |= _last_uses(ins.else_block, moves, arm_uses).keys()
+                arm_uses[id(ins)] = used
+                later.update(dict.fromkeys(used))
+            reads, consumes, _ = _operands(ins)
+            for slot in reads:
+                later[slot] = None
+            for slot in consumes:
+                later[slot] = None
+    return later
+
+
+def _lending_facts(routine: Routine, moves: dict) -> tuple[bool, list[FuncType], set[int]]:
     """What _Lending needs of one literal, read off its naive IR in one
     walk: whether it writes its environment itself (a store or a Location
     rooted at the env slot, 0, since even an index step on the way to a
@@ -664,9 +698,8 @@ def _lending_facts(routine: Routine) -> tuple[bool, list[FuncType], set[int]]:
     closure types it calls through a field path from slot 0, and the
     by-value parameter slots it must own:
 
-    - one whose last use in the body's own block, not in a CondBr arm, is
-      a Copy, which _elide_moves turns into a Move: the exit Destroy that
-      follows is then the source's only later use;
+    - one copied by a Copy in moves (see _last_uses), its last use, which
+      _elide_moves turns into a Move (only the exit Destroys name a parameter);
     - one that a borrowed callee path enters through an index step (only
       a borrowed callee can root at a by-value parameter): resolving it
       may put a duplicate of a shared block into the slot, which a lent
@@ -677,28 +710,22 @@ def _lending_facts(routine: Routine) -> tuple[bool, list[FuncType], set[int]]:
     writes_env = False
     env_callees: list[FuncType] = []
     owned: set[int] = set()
-    last: dict[int, Instr | None] = {}  # parameter -> its last use, None in an arm
-    todo = [(ins, True) for ins in reversed(routine.body)]
+    todo = [routine.body]
     while todo:
-        ins, top = todo.pop()
-        t = type(ins)
-        if t is Destroy:
-            continue  # only the exit Destroys name a parameter
-        if t is StorePath or t is ResolveLocation:
-            writes_env = writes_env or ins.base == 0
-            if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
-                owned.add(ins.base)
-        elif t is CallInstr:
-            if ins.callee_steps is not None and ins.callee == 0:
-                env_callees.append(ins.fn_type)
-        elif t is CondBr:
-            todo += [(x, False) for x in reversed(ins.else_block)]
-            todo += [(x, False) for x in reversed(ins.then_block)]
-        reads, consumes, _ = _operands(ins)
-        for slot in (*reads, *consumes):
-            if slot in params:
-                last[slot] = ins if top else None
-    owned.update(slot for slot, ins in last.items() if type(ins) is Copy)
+        for ins in todo.pop():
+            t = type(ins)
+            if t is Copy:
+                if ins.src in params and id(ins) in moves:
+                    owned.add(ins.src)
+            elif t is StorePath or t is ResolveLocation:
+                writes_env = writes_env or ins.base == 0
+                if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
+                    owned.add(ins.base)
+            elif t is CallInstr:
+                if ins.callee_steps is not None and ins.callee == 0:
+                    env_callees.append(ins.fn_type)
+            elif t is CondBr:
+                todo += [ins.else_block, ins.then_block]
     return writes_env, env_callees, owned
 
 
@@ -712,17 +739,17 @@ class _Lending:
     that calls a captured closure of a writer type: a least fixpoint, one
     worklist pass.  An Int or Float is always lent: it holds no closure,
     and its copy costs no more than a move.  The facts come from one walk
-    of each literal's naive IR (_lending_facts).
+    of each literal's naive IR (_lending_facts) and from _last_uses.
     """
 
-    def __init__(self, ir: IRProgram):
+    def __init__(self, ir: IRProgram, moves: dict[int, int]):
         writers: set[FuncType] = set()
         callers: dict[FuncType, set[FuncType]] = {}
         owned: dict[FuncType, set[int]] = {}
         for r in ir.routines.values():
             if r.ty is None:
                 continue
-            writes_env, env_callees, owned_params = _lending_facts(r)
+            writes_env, env_callees, owned_params = _lending_facts(r, moves)
             if writes_env:
                 writers.add(r.ty)
             for ty in env_callees:
@@ -760,11 +787,6 @@ class _Lending:
         return self.by_type.get(ty, _LENDS_NONE)
 
 
-# The value of a slot in _elide_moves's map when its later uses are not
-# just one Destroy in the block being walked.
-_USED_ELSEWHERE = -1
-
-
 def _lent_reads(slots: Sequence[int], renamed: dict[int, int], handed: set[int]) -> tuple[int, ...]:
     """The sources that an instruction reading slots, some of them deleted
     Copies' temporaries, reads in place: each renamed temporary's source,
@@ -775,13 +797,18 @@ def _lent_reads(slots: Sequence[int], renamed: dict[int, int], handed: set[int])
 def _elide_moves(
     block: list[Instr],
     lending: _Lending,
+    moves: dict[int, int],
+    arm_uses: dict[int, set[int]],
     loc_params: tuple[int, ...] = (),
     lent_params: frozenset[int] = frozenset(),
-) -> tuple[list[Instr], dict[int, int]]:
-    """Rewrite the Copies of one block, in one backward walk.
+) -> list[Instr]:
+    """Rewrite the Copies of one block: decide in one backward walk, from
+    moves and arm_uses as _last_uses keyed them by these very instructions'
+    ids, then emit the block in one forward walk, rewriting each reader.
 
-    - A Copy whose source's only later use is a Destroy in this block
-      becomes a Move, and that Destroy is dropped.
+    - A Copy in moves becomes a Move, and its source's Destroy is dropped.
+      The Destroys of lent_params, the routine's lent parameters, are
+      dropped, and their Copies stay.
     - A Copy into an argument that the call's type lends is deleted: the
       call reads the source in place.  Where the Copy was the source's
       last use, the source's Destroy moves to just after the call.
@@ -798,26 +825,15 @@ def _elide_moves(
       parameters, with no steps is deleted: the call it feeds is lent the
       parameter's own Location.  No OverlapCheck reads it, since any
       other place of the call with the same root overlaps it statically.
-    - A Copy that became a Move, whose source the closest instruction
-      above it other than a Destroy produces, is deleted, and that
-      producer writes the Move's destination instead, as for a binding
-      read at its last use right after it is made.  A chain of such
-      Moves collapses into its first producer.  A CondBr
-      produces nothing itself, so its arms are left alone.
+    - A Move folds into the closest instruction emitted above it, Destroys
+      aside, if that produces its source: it writes the Move's destination
+      instead, as for a binding read at its last use right after it is
+      made.  Chains of Moves collapse; a CondBr produces nothing.
     A Copy is deleted only if nothing writes or consumes its source
-    between it and the instruction that reads it.  The Destroys of
-    lent_params, the routine's lent parameters, are dropped.
-
-    The walk keeps, for each slot read after the current instruction,
-    the index of its Destroy when that is its only later use, or
-    _USED_ELSEWHERE for any other use, which includes every read inside a
-    nested CondBr block; an unread slot has no entry.  Returns the
-    rewritten block, which is block itself when nothing changed, and that
-    map as it stands at the top of the block.
+    between it and the instruction that reads it.  Returns the rewritten
+    block, which is block itself when nothing changed.
     """
     n = len(block)
-    later: dict[int, int] = {}
-    edits: dict[int, list[Instr]] = {}  # index -> what replaces the instruction there
     # A temporary that a call at a lent position or as a location, a
     # BinaryInstr, a CondBr or an index step reads -> the index of that
     # reader.
@@ -831,152 +847,133 @@ def _elide_moves(
     # Renamed temporaries whose Copy was the source's last use: the
     # reader takes the source, or a call's caller destroys it after it.
     handed: set[int] = set()
-    # Reader index -> how the call passes each argument, or () if no call
-    # or a call that lends none.
-    rebuilt: dict[int, tuple[int, ...]] = {}
-    # The latest Copy that became a Move, (source, destination, index),
-    # while only Destroys lie between it and the current instruction: if
-    # that instruction produces the source, it produces into the
-    # destination instead, and the Move goes.  The Destroys free other
-    # slots, so they commute.
-    pending: tuple[int, int, int] | None = None
-    for i in range(n - 1, -1, -1):
-        ins = block[i]
+    skip: set[int] = set()  # indexes of the instructions deleted
+    masks: dict[int, tuple[int, ...]] = {}  # a call's index -> how it passes its arguments
+    rewrites = False  # a call lends a non-scalar, or a CondBr's arms may change
+    i = n
+    for ins in reversed(block):
+        i -= 1
         t = type(ins)
-        if t is Destroy:
-            if ins.slot in lent_params:
-                edits[i] = []
-            elif ins.slot in later:
-                later[ins.slot] = _USED_ELSEWHERE
-            else:
-                later[ins.slot] = i
-            continue
-        if t is MakeInt or t is MakeFloat:
-            dst = ins.dst  # reads nothing
-        elif t is BinaryInstr:
+        if t is BinaryInstr:
             readers[ins.lhs] = readers[ins.rhs] = i
-            later[ins.lhs] = later[ins.rhs] = _USED_ELSEWHERE
-            dst = ins.dst
-        else:
-            if t is Copy:
-                src = ins.src
-                j = later.get(src, _USED_ELSEWHERE)
-                k = readers.get(ins.dst)
-                if j != _USED_ELSEWHERE:
-                    edits[j] = []
-                    if k is not None:
-                        renamed[ins.dst] = src
-                        handed.add(ins.dst)
-                        edits[i] = []
-                        # Any reader but a call consumes src at k, so it
-                        # cannot read src in place for another operand.
-                        clobbered[src] = k if type(block[k]) is CallInstr else k - 1
-                        rebuilt.setdefault(k, ())
-                    else:
-                        edits[i] = [Move(ins.dst, src, ins.span)]
-                        clobbered[src] = i
-                elif k is not None and clobbered.get(src, n) >= k:
+        elif t is Destroy:
+            if ins.slot in lent_params:
+                skip.add(i)
+        elif t is Copy:
+            src = ins.src
+            j = moves.get(id(ins))
+            k = readers.get(ins.dst)
+            if j is not None and src not in lent_params:
+                skip.add(j)
+                if k is None:
+                    clobbered[src] = i  # a Move
+                else:
                     renamed[ins.dst] = src
-                    edits[i] = []
-                    rebuilt.setdefault(k, ())
-            elif t is CallInstr:
-                mask = lending.get(ins.fn_type)[0]
-                if mask:
-                    rebuilt[i] = mask
-                    for a, how in zip(ins.args, mask):
-                        if how:
-                            readers[a] = i
-                for a in ins.locations:
+                    handed.add(ins.dst)
+                    skip.add(i)
+                    # Any reader but a call consumes src at k, so it
+                    # cannot read src in place for another operand.
+                    clobbered[src] = k if type(block[k]) is CallInstr else k - 1
+            elif k is not None and clobbered.get(src, n) >= k:
+                renamed[ins.dst] = src
+                skip.add(i)
+        elif t is CallInstr:
+            masks[i] = mask = lending.get(ins.fn_type)[0]
+            rewrites = rewrites or _LEND in mask
+            for a, how in zip(ins.args, mask):
+                if how:
                     readers[a] = i
-            elif t is CondBr:
-                then_block, then_reads = _elide_moves(ins.then_block, lending, loc_params)
-                else_block, else_reads = _elide_moves(ins.else_block, lending, loc_params)
-                for reads in (then_reads, else_reads):
-                    later.update(dict.fromkeys(reads, _USED_ELSEWHERE))
-                    clobbered.update(dict.fromkeys(reads, i))
-                if then_block is not ins.then_block or else_block is not ins.else_block:
-                    edits[i] = [replace(ins, then_block=then_block, else_block=else_block)]
-                readers[ins.cond] = i
-            elif t is LoadPath or t is StorePath or t is ResolveLocation:
-                for step in ins.steps:
-                    if step[0] == "index":
-                        readers[step[1]] = i
-                if t is StorePath:
-                    clobbered[ins.base] = i
-                elif t is ResolveLocation and not ins.borrow:
-                    clobbered[ins.base] = i
-                    if not ins.steps and ins.base in loc_params:
-                        renamed[ins.dst] = ins.base
-                        edits[i] = []
-                        rebuilt.setdefault(readers[ins.dst], ())
-            reads, consumes, dst = _operands(ins)
-            for slot in (*reads, *consumes):
-                later[slot] = _USED_ELSEWHERE
-        if pending is not None:
-            made, to, at = pending
-            pending = None
-            if dst == made:
-                ins = edits[i][0] if i in edits else ins
-                edits[i] = [replace(ins, dst=to)]
-                edits[at] = []
-                if type(ins) is Move:
-                    pending = ins.src, to, i
-                continue
-        if t is Copy and edits.get(i):
-            pending = src, ins.dst, i
+            for a in ins.locations:
+                readers[a] = i
+        elif t is CondBr:
+            rewrites = True
+            assert id(ins) in arm_uses, "arm_uses does not come from _last_uses over this IR"
+            clobbered.update(dict.fromkeys(arm_uses[id(ins)], i))
+            readers[ins.cond] = i
+        elif t is LoadPath or t is StorePath or t is ResolveLocation:
+            for step in ins.steps:
+                if step[0] == "index":
+                    readers[step[1]] = i
+            if t is StorePath:
+                clobbered[ins.base] = i
+            elif t is ResolveLocation and not ins.borrow:
+                clobbered[ins.base] = i
+                if not ins.steps and ins.base in loc_params:
+                    renamed[ins.dst] = ins.base
+                    skip.add(i)
+    if not (rewrites or skip or renamed):  # every Move drops a Destroy
+        return block
     # Rewritten instructions are built by dataclasses.replace, through
     # their constructor: on CPython 3.11 an instance given a whole new
     # __dict__ instead reads its fields more slowly in the VM.
-    for k, mask in rebuilt.items():
-        ins = edits[k][0] if k in edits else block[k]
-        t = type(ins)
-        if t is CallInstr:
-            args, lent, after, taken = [], [], [], []
-            for a, how in zip(ins.args, mask or (_OWN,) * len(ins.args)):
-                src = renamed.get(a, a)
-                args.append(src)
-                if a in renamed and a not in handed:
-                    lent.append(src)  # read in place
-                elif how == _LEND:
-                    lent.append(src)
-                    after.append(Destroy(src, ins.span))
-                elif how:
-                    taken.append(src)  # a scalar: the call takes it
-            for src in taken:
-                if src in lent:  # also read in place: destroy it after all
-                    after.append(Destroy(src, ins.span))
-            locations = ins.locations
-            if locations:
-                locations = [renamed.get(a, a) for a in locations]
-                lent += [a for a in locations if a in loc_params]
-            if lent or args != ins.args:
-                call = replace(ins, args=args, locations=locations, lent=tuple(lent))
-                edits[k] = [call, *after]
-        elif t is BinaryInstr:
-            lhs, rhs = renamed.get(ins.lhs, ins.lhs), renamed.get(ins.rhs, ins.rhs)
-            lent = _lent_reads((ins.lhs, ins.rhs), renamed, handed)
-            edits[k] = [replace(ins, lhs=lhs, rhs=rhs, lent=lent)]
-        elif t is CondBr:
-            cond = renamed[ins.cond]
-            lent = _lent_reads((ins.cond,), renamed, handed)
-            edits[k] = [replace(ins, cond=cond, lent=lent)]
-        else:
-            subs = [step[1] for step in ins.steps if step[0] == "index"]
-            steps = [
-                ("index", renamed.get(step[1], step[1])) if step[0] == "index" else step
-                for step in ins.steps
-            ]
-            edits[k] = [replace(ins, steps=steps, lent=_lent_reads(subs, renamed, handed))]
-    if not edits:
-        return block, later
     out: list[Instr] = []
-    start = 0
-    for i in sorted(edits):
-        out += block[start:i]
-        out += edits[i]
-        start = i + 1
-    out += block[start:]
-    return out, later
+    # The index in out of the latest emitted instruction other than a
+    # Destroy, or -1 after a deleted one: a Move of the slot it produces
+    # folds into it.  The Destroys in between free other slots.
+    at = -1
+    for i, ins in enumerate(block):
+        t = type(ins)
+        if t is BinaryInstr:
+            if ins.lhs in renamed or ins.rhs in renamed:
+                lent = _lent_reads((ins.lhs, ins.rhs), renamed, handed)
+                lhs, rhs = renamed.get(ins.lhs, ins.lhs), renamed.get(ins.rhs, ins.rhs)
+                ins = replace(ins, lhs=lhs, rhs=rhs, lent=lent)
+        elif t is Destroy:
+            if i not in skip:
+                out.append(ins)
+            continue
+        elif i in skip:
+            at = -1
+            continue
+        elif t is Copy:
+            if id(ins) in moves and ins.src not in lent_params:
+                if at >= 0 and getattr(out[at], "dst", None) == ins.src:
+                    out[at] = replace(out[at], dst=ins.dst)
+                    continue
+                ins = Move(ins.dst, ins.src, ins.span)
+        elif t is CallInstr:
+            mask = masks[i]
+            after: list[Instr] = []
+            if renamed or _LEND in mask:
+                args, lent, taken = [], [], []
+                for a, how in zip(ins.args, mask or (_OWN,) * len(ins.args)):
+                    src = renamed.get(a, a)
+                    args.append(src)
+                    if a in renamed and a not in handed:
+                        lent.append(src)  # read in place
+                    elif how == _LEND:
+                        lent.append(src)
+                        after.append(Destroy(src, ins.span))
+                    elif how:
+                        taken.append(src)  # a scalar: the call takes it
+                # A scalar taken that is also read in place is destroyed after all.
+                after += [Destroy(src, ins.span) for src in taken if src in lent]
+                locations = [renamed.get(a, a) for a in ins.locations]
+                lent += [a for a in locations if a in loc_params]
+                if lent or args != ins.args:
+                    ins = replace(ins, args=args, locations=locations, lent=tuple(lent))
+            at = len(out)
+            out.append(ins)
+            out += after
+            continue
+        elif t is CondBr:
+            then = _elide_moves(ins.then_block, lending, moves, arm_uses, loc_params)
+            orelse = _elide_moves(ins.else_block, lending, moves, arm_uses, loc_params)
+            if ins.cond in renamed or then is not ins.then_block or orelse is not ins.else_block:
+                lent = _lent_reads((ins.cond,), renamed, handed)
+                cond = renamed.get(ins.cond, ins.cond)
+                ins = replace(ins, cond=cond, then_block=then, else_block=orelse, lent=lent)
+        elif renamed and (t is LoadPath or t is StorePath or t is ResolveLocation):
+            subs = [step[1] for step in ins.steps if step[0] == "index"]
+            if any(s in renamed for s in subs):
+                steps = [
+                    ("index", renamed.get(step[1], step[1])) if step[0] == "index" else step
+                    for step in ins.steps
+                ]
+                ins = replace(ins, steps=steps, lent=_lent_reads(subs, renamed, handed))
+        at = len(out)
+        out.append(ins)
+    return block if len(out) == n and all(map(is_, out, block)) else out
 
 
 def apply_move_optimization(ir: IRProgram) -> IRProgram:
@@ -986,14 +983,18 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
     ir itself is left unchanged.  The result shares with it every
     routine, block and instruction that the rewrite does not touch.
     """
-    lending = _Lending(ir)
+    moves: dict[int, int] = {}
+    arm_uses: dict[int, set[int]] = {}
+    for routine in ir.routines.values():
+        _last_uses(routine.body, moves, arm_uses)
+    lending = _Lending(ir, moves)
     routines: dict[str, Routine] = {}
     for rid, routine in ir.routines.items():
         params = routine.params
         lent = lending.get(routine.ty)[1]
         if lent:
             params = [(P_LENT, p[1]) if s in lent else p for s, p in enumerate(params)]
-        body, _ = _elide_moves(routine.body, lending, routine.loc_slots, lent)
+        body = _elide_moves(routine.body, lending, moves, arm_uses, routine.loc_slots, lent)
         if body is routine.body:
             routines[rid] = routine
         else:
@@ -1042,7 +1043,13 @@ def verify_linearity(ir: IRProgram) -> None:
                 )
 
 
-def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool) -> None:
+def _verify_block(
+    rid: str, block: list[Instr], state: dict[int, str], top: bool, undo: dict | None = None
+) -> None:
+    """Verify block from state, which it updates.  undo, when given,
+    gets each slot's state before the block first changed it (None for
+    no entry), so that a CondBr can check its arms against each other in
+    time linear in the slots they touch, not in the slots live."""
     for idx, ins in enumerate(block):
         t = type(ins)
         if t is Return and (not top or idx != len(block) - 1):
@@ -1054,19 +1061,38 @@ def _verify_block(rid: str, block: list[Instr], state: dict[int, str], top: bool
         for slot in consumes:
             st = state.get(slot)
             if st == _OWNED:
+                if undo is not None and slot not in undo:
+                    undo[slot] = st
                 del state[slot]
             elif st != _CONST:
                 raise _lin_fail(rid, ins, f"slot {slot} not owned")
         if dst is not None:
             if dst in state:
                 raise _lin_fail(rid, ins, f"slot {dst} already live")
+            if undo is not None and dst not in undo:
+                undo[dst] = None
             state[dst] = _OWNED
         if t is CondBr:
-            else_state = dict(state)
-            _verify_block(rid, ins.then_block, state, top=False)
-            _verify_block(rid, ins.else_block, else_state, top=False)
-            if state != else_state:
+            # Run the then arm, note its end state of each slot it
+            # touched and roll it back; then run the else arm in place.
+            then_undo: dict[int, str | None] = {}
+            else_undo: dict[int, str | None] = {}
+            _verify_block(rid, ins.then_block, state, False, then_undo)
+            then_end = {slot: state.get(slot) for slot in then_undo}
+            for slot, st in then_undo.items():
+                if st is None:
+                    state.pop(slot, None)
+                else:
+                    state[slot] = st
+            _verify_block(rid, ins.else_block, state, False, else_undo)
+            # A slot that only the else arm touched ends the then arm as
+            # it was at the branch.
+            then_end = {**else_undo, **then_end}
+            if any(state.get(slot) != st for slot, st in then_end.items()):
                 raise _lin_fail(rid, ins, "branch end states differ")
+            if undo is not None:
+                for slot, st in else_undo.items():
+                    undo.setdefault(slot, st)
     if top and (not block or not isinstance(block[-1], Return)):
         raise _LinearityError(f"linearity violation in {rid}: body must end with Return")
 

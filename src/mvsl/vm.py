@@ -285,9 +285,9 @@ class VM:
 
     def copy_value(self, v: Value) -> Value:
         """A copy of v that the caller owns.  Under copy-on-write an array
-        is retained; otherwise it is deep-copied, counted once however
-        deep.  A block of scalars is copied in one slice, which is already
-        a full deep copy."""
+        is retained; otherwise it is deep-copied, and deep_copies counts
+        each block copied, the nested ones too.  A block of scalars is
+        copied in one slice, which is already a full deep copy."""
         t = type(v)
         if t is int or t is float:
             return v

@@ -45,7 +45,14 @@ from mvsl.ir import (
 )
 from mvsl.types import INT, StructType
 
-from conftest import corpus_expected, corpus_files, corpus_sources, lower_source, workloads
+from conftest import (
+    corpus_expected,
+    corpus_files,
+    corpus_sources,
+    line_events,
+    lower_source,
+    workloads,
+)
 
 PAIR = "struct Pair { var fs: Int; var sn: Int } in "
 
@@ -439,23 +446,14 @@ def copy_chain(n):
     return single_routine(body, n + 1)
 
 
-def test_move_elision_work_is_linear(monkeypatch):
-    calls = 0
-    operands = ir_module._operands
-
-    def counted(ins):
-        nonlocal calls
-        calls += 1
-        return operands(ins)
-
-    monkeypatch.setattr(ir_module, "_operands", counted)
+def test_move_elision_work_is_linear():
+    # Line events, since move elision reads a Copy or a Destroy without
+    # calling _operands.
     work = {}
     for n in (500, 1000):
-        calls = 0
-        body = apply_move_optimization(copy_chain(n)).routines[ENTRY_ID].body
-        work[n] = calls
+        work[n], opt = line_events(apply_move_optimization, copy_chain(n))
         # each Copy becomes a Move, and the chain collapses into its producer
-        assert body == [MakeInt(n, 0), Return(n)]
+        assert opt.routines[ENTRY_ID].body == [MakeInt(n, 0), Return(n)]
     assert work[1000] <= 2.5 * work[500]
 
 
@@ -672,6 +670,15 @@ def test_calling_a_captured_closure_writes_the_env_only_through_a_writer(name, p
     assert execute(opt)[0] == corpus_expected(name)
 
 
+def last_uses(ir):
+    """The last uses _last_uses records over every routine of ir, as
+    apply_move_optimization decides them: (moves, arm_uses)."""
+    moves, arm_uses = {}, {}
+    for routine in ir.routines.values():
+        ir_module._last_uses(routine.body, moves, arm_uses)
+    return moves, arm_uses
+
+
 def test_writer_types_are_a_fixpoint_over_captured_callees():
     # w writes its capture; h calls w through its env and k calls h, so
     # their types are writers too.  q calls the closure g it captured,
@@ -692,13 +699,14 @@ def test_writer_types_are_a_fixpoint_over_captured_callees():
         f"let p: {probe} = ({params}) -> Int {{ 0 }} in k([q(1, 2)])"
     )
     base, _ = fetch(src)
-    facts = {str(r.ty): ir_module._lending_facts(r) for r in base.routines.values() if r.ty}
+    moves, _ = last_uses(base)
+    facts = {str(r.ty): ir_module._lending_facts(r, moves) for r in base.routines.values() if r.ty}
     assert facts["(Int) -> Int"][:2] == (True, [])
     assert facts["(Float) -> Int"][0] is False
     assert [str(t) for t in facts["(Float) -> Int"][1]] == ["(Int) -> Int"]
     assert [str(t) for t in facts["(Int, Int) -> Int"][1]] == ["([Float]) -> Int"]
     (ty,) = [r.ty for r in base.routines.values() if str(r.ty) == probe]
-    mask, _ = ir_module._Lending(base).get(ty)
+    mask, _ = ir_module._Lending(base, moves).get(ty)
     writers = {str(pty) for (_, pty), how in zip(ty.params, mask) if how == ir_module._OWN}
     assert writers == {"(Int) -> Int", "(Float) -> Int", "([Int]) -> Int"}
 
@@ -946,9 +954,10 @@ class _NoLending:
 
 
 def test_owned_parameters_are_those_move_elision_moves():
-    # Rule (b) reads each parameter's last use off the naive IR, instead
-    # of running move elision first: the two must agree.  A use in a
-    # CondBr arm is not in the body's own block.
+    # Rule (b) and move elision read each parameter's last use from the
+    # same walk (_last_uses), and rule (b) runs before the rewrite: what
+    # it owns must be what the rewrite moves.  A use in a CondBr arm is
+    # not in the body's own block.
     sources = [
         "let f: ([Int], Int) -> [Int] = (a: [Int], n: Int) -> [Int] "
         "{ let k: Int = if n then a[0] else 0 in a } in f([1], 0)",
@@ -968,10 +977,11 @@ def test_owned_parameters_are_those_move_elision_moves():
     bases += list(base_programs())
     checked = 0
     for base in bases:
+        moves, arm_uses = last_uses(base)
         for routine in base.routines.values():
             if routine.ty is None:
                 continue
-            body, _ = ir_module._elide_moves(routine.body, _NoLending())
+            body = ir_module._elide_moves(routine.body, _NoLending(), moves, arm_uses)
             values = {s for s, (p, _) in enumerate(routine.params) if p == P_VALUE}
             # Moved, or handed to the operand or subscript that reads it.
             moved = {
@@ -986,7 +996,7 @@ def test_owned_parameters_are_those_move_elision_moves():
                 for i in walk(routine.body)
                 if type(i) is ResolveLocation and i.steps and i.steps[0][0] == "index"
             }
-            owned = ir_module._lending_facts(routine)[2]
+            owned = ir_module._lending_facts(routine, moves)[2]
             assert moved == owned - indexed, routine.id
             checked += bool(moved)
     assert checked >= 3
@@ -1028,7 +1038,7 @@ def test_borrowed_callee_through_an_index_keeps_the_parameter_owned(src, out, pa
     (fn,) = [r for r in opt.routines.values() if r.ty and r.params[1][1] != INT]
     assert fn.params[1][0] == passing
     # fs's only use is the resolution, so it is owned for that alone.
-    owned = ir_module._lending_facts(base.routines[fn.id])[2]
+    owned = ir_module._lending_facts(base.routines[fn.id], last_uses(base)[0])[2]
     assert owned == ({1} if passing == P_VALUE else set())
     for cow in (True, False):
         assert execute(opt, cow=cow, debug=True)[0] == out
