@@ -16,7 +16,7 @@ from __future__ import annotations
 class Span:
     """Half-open offset range [start, end) into the source text.
 
-    A plain slot class, since one is built per token and per AST node.
+    A plain slot class, since one is built per AST node.
     It compares, hashes and prints by value.  It must stay hashable: the
     AST and IR dataclasses use NO_SPAN as a field default, and
     @dataclass rejects an unhashable default as mutable.
@@ -38,12 +38,6 @@ class Span:
 
     def __repr__(self) -> str:
         return f"Span(start={self.start!r}, end={self.end!r})"
-
-    def merge(self, other: Span) -> Span:
-        return Span(
-            self.start if self.start <= other.start else other.start,
-            self.end if self.end >= other.end else other.end,
-        )
 
 
 # Placeholder for nodes built programmatically rather than parsed.

@@ -4,6 +4,12 @@ Tokens tile the input: every token's span covers its lexeme exactly and
 the gaps between consecutive tokens hold only whitespace and // line
 comments.  Offsets index the decoded source text.
 
+The token stream is laid out as three parallel lists, one entry per
+token: its kind, its lexeme and its start offset (its end is the start
+plus the lexeme's length).  No Token or Span is built while lexing; the
+parser reads the lists by index, and `Tokens` builds a Token only for a
+caller that indexes or iterates it.
+
 One master regular expression does the scanning.  Each match is one
 token, or whitespace or a comment, followed by any whitespace after it.
 Comments are an alternative of their own, not part of a repeated prefix
@@ -15,6 +21,7 @@ cannot backtrack, since nothing in the pattern follows it.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
 
 from .ast import Token, TokenKind
 from .diagnostics import ParseError, Span
@@ -55,17 +62,65 @@ _GROUP_KINDS = {
     "op": TokenKind.OP,
     "punct": TokenKind.PUNCT,
 }
+# The same kinds by group number, as m.lastindex gives it: indexing a
+# list is cheaper than looking m.lastgroup up in a dict.
+_KIND_BY_GROUP = [None] + [
+    _GROUP_KINDS[name] for name in sorted(_TOKEN.groupindex, key=_TOKEN.groupindex.__getitem__)
+]
 _WORD_KINDS = {kw: TokenKind.KEYWORD for kw in KEYWORDS} | {"_": TokenKind.UNDERSCORE}
+
+
+def _token(kind: TokenKind, lexeme: str, start: int) -> Token:
+    return Token(kind, lexeme, Span(start, start + len(lexeme)))
+
+
+class Tokens(Sequence[Token]):
+    """The token stream as three parallel lists: `kinds`, `lexemes` and
+    `starts`.  As a sequence of Token it builds each Token, with its
+    Span, only when indexed or iterated; a slice is a Tokens.  It
+    compares equal to a Tokens or a list holding the same Tokens."""
+
+    __slots__ = ("kinds", "lexemes", "starts")
+
+    def __init__(self, kinds: list[TokenKind], lexemes: list[str], starts: list[int]):
+        self.kinds = kinds
+        self.lexemes = lexemes
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Tokens(self.kinds[index], self.lexemes[index], self.starts[index])
+        return _token(self.kinds[index], self.lexemes[index], self.starts[index])
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(_token, self.kinds, self.lexemes, self.starts)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Tokens, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Tokens({list(self)!r})"
 
 
 def _unexpected(source: str, i: int) -> ParseError:
     return ParseError(Span(i, i + 1), f"unexpected character {source[i]!r}")
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split source into tokens; raises ParseError on a bad character."""
-    tokens: list[Token] = []
-    append = tokens.append
+def tokenize(source: str) -> Tokens:
+    """Split source into tokens, returned as one Tokens (three parallel
+    lists); raises ParseError on a bad character."""
+    kinds: list[TokenKind] = []
+    lexemes: list[str] = []
+    starts: list[int] = []
+    add_kind = kinds.append
+    add_lexeme = lexemes.append
+    add_start = starts.append
+    kind_by_group = _KIND_BY_GROUP
     ident = TokenKind.IDENT
     pos = 0
     for m in _TOKEN.finditer(source):
@@ -73,8 +128,8 @@ def tokenize(source: str) -> list[Token]:
         if start != pos:
             break  # nothing matched at pos
         pos = m.end()
-        group = m.lastgroup
-        kind = _GROUP_KINDS[group]
+        group = m.lastindex
+        kind = kind_by_group[group]
         if kind is None:
             continue
         text = m.group(group)
@@ -83,7 +138,9 @@ def tokenize(source: str) -> list[Token]:
             if text[0] > "\x7f" and not text[0].isalpha():
                 raise _unexpected(source, start)
             kind = _WORD_KINDS.get(text, ident)
-        append(Token(kind, text, Span(start, start + len(text))))
+        add_kind(kind)
+        add_lexeme(text)
+        add_start(start)
     if pos != len(source):
         raise _unexpected(source, pos)
-    return tokens
+    return Tokens(kinds, lexemes, starts)

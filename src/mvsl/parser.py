@@ -76,7 +76,7 @@ from .ast import (
     TypeExpr,
 )
 from .diagnostics import ParseError, Span
-from .lexer import tokenize
+from .lexer import Tokens, tokenize
 
 _INT_MAX = 2**63 - 1
 # Digits of _INT_MAX: a literal with more significant digits is out of
@@ -88,15 +88,30 @@ _INT_MAX_DIGITS = len(str(_INT_MAX))
 # later pass more; the default recursion limit is 1000.
 MAX_NESTING = 150
 
+# The token kinds as module globals: in Python 3.11 reading a member off
+# its enum class costs over ten times a global lookup, and the parser
+# tests a kind several times per token.
+KEYWORD, IDENT, INT, FLOAT = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.INT, TokenKind.FLOAT
+PUNCT, OP, ARROW, AMP = TokenKind.PUNCT, TokenKind.OP, TokenKind.ARROW, TokenKind.AMP
+UNDERSCORE, EOF = TokenKind.UNDERSCORE, TokenKind.EOF
+
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source_len: int):
-        # The EOF sentinel ends the list, so the cursor never runs off it:
-        # nothing advances past EOF, and lookahead beyond the current
-        # token only happens when that token is not EOF.
-        self.tokens = tokens + [Token(TokenKind.EOF, "", Span(source_len, source_len))]
+    """The cursor is an index into the lexer's parallel lists plus the
+    current token's kind and lexeme.  A Span is built only for an AST
+    node, from the offsets of its first and last token, and for a
+    ParseError."""
+
+    def __init__(self, tokens: Tokens, source_len: int):
+        # The EOF sentinel ends the lists, so the cursor never runs off
+        # them: nothing advances past EOF, and lookahead beyond the
+        # current token only happens when that token is not EOF.
+        self.kinds = tokens.kinds + [EOF]
+        self.lexemes = tokens.lexemes + [""]
+        self.starts = tokens.starts + [source_len]
         self.pos = 0
-        self.tok = self.tokens[0]
+        self.kind = self.kinds[0]
+        self.lexeme = self.lexemes[0]
         self.struct_names: set[str] = set()
         self.depth = 0
 
@@ -105,115 +120,120 @@ class _Parser:
         when the level closes."""
         depth = self.depth
         if depth > MAX_NESTING:
-            raise ParseError(self.tok.span, f"nesting too deep (limit {MAX_NESTING})")
+            here = self.span(self.pos, self.pos)
+            raise ParseError(here, f"nesting too deep (limit {MAX_NESTING})")
         self.depth = depth + 1
         return depth
 
     # -- cursor helpers ----------------------------------------------------
 
-    def peek(self, ahead: int) -> Token:
-        return self.tokens[self.pos + ahead]
+    def end(self, i: int) -> int:
+        """The end offset of token i."""
+        return self.starts[i] + len(self.lexemes[i])
+
+    def span(self, first: int, last: int) -> Span:
+        """The span from the start of token first to the end of token last."""
+        return Span(self.starts[first], self.starts[last] + len(self.lexemes[last]))
 
     def at(self, kind: TokenKind, lexeme: str | None = None) -> bool:
-        t = self.tok
-        return t.kind is kind and (lexeme is None or t.lexeme == lexeme)
+        return self.kind is kind and (lexeme is None or self.lexeme == lexeme)
 
-    def advance(self) -> Token:
-        t = self.tok
-        self.pos += 1
-        self.tok = self.tokens[self.pos]
-        return t
+    def advance(self) -> int:
+        """Step past the current token; returns its index."""
+        i = self.pos
+        self.pos = i + 1
+        self.kind = self.kinds[i + 1]
+        self.lexeme = self.lexemes[i + 1]
+        return i
 
-    def match(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        t = self.tok
-        if t.kind is kind and (lexeme is None or t.lexeme == lexeme):
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
-            return t
-        return None
-
-    def here(self) -> Span:
-        return self.tok.span
+    def match(self, kind: TokenKind, lexeme: str | None = None) -> bool:
+        if self.kind is kind and (lexeme is None or self.lexeme == lexeme):
+            self.advance()
+            return True
+        return False
 
     def fail(self, what: str) -> ParseError:
-        t = self.tok
-        found = "end of input" if t.kind is TokenKind.EOF else f"'{t.lexeme}'"
-        return ParseError(t.span, f"expected {what}, found {found}")
+        found = "end of input" if self.kind is EOF else f"'{self.lexeme}'"
+        return ParseError(self.span(self.pos, self.pos), f"expected {what}, found {found}")
 
-    def expect(self, kind: TokenKind, lexeme: str | None, what: str) -> Token:
-        t = self.match(kind, lexeme)
-        if t is None:
-            raise self.fail(what)
-        return t
+    def expect(self, kind: TokenKind, lexeme: str | None, what: str) -> int:
+        """Step past a token of this kind and lexeme; returns its index."""
+        if self.kind is kind and (lexeme is None or self.lexeme == lexeme):
+            return self.advance()
+        raise self.fail(what)
 
     # -- program and declarations ------------------------------------------
 
     def parse_program(self) -> Program:
         structs = []
-        while self.at(TokenKind.KEYWORD, "struct"):
+        while self.at(KEYWORD, "struct"):
             structs.append(self.struct_decl())
-            self.expect(TokenKind.KEYWORD, "in", "'in' after struct declaration")
+            self.expect(KEYWORD, "in", "'in' after struct declaration")
         entry = self.expr()
-        if self.tok.kind is not TokenKind.EOF:
+        if self.kind is not EOF:
             raise self.fail("end of input")
         return Program(structs, entry)
 
     def struct_decl(self) -> StructDecl:
-        start = self.expect(TokenKind.KEYWORD, "struct", "'struct'").span
-        name_tok = self.expect(TokenKind.IDENT, None, "struct name")
-        if name_tok.lexeme in self.struct_names:
-            raise ParseError(name_tok.span, f"duplicate struct '{name_tok.lexeme}'")
-        self.expect(TokenKind.PUNCT, "{", "'{'")
+        start = self.expect(KEYWORD, "struct", "'struct'")
+        name_at = self.expect(IDENT, None, "struct name")
+        name = self.lexemes[name_at]
+        if name in self.struct_names:
+            raise ParseError(self.span(name_at, name_at), f"duplicate struct '{name}'")
+        self.expect(PUNCT, "{", "'{'")
         fields: list[FieldDecl] = []
         seen: set[str] = set()
-        if not self.at(TokenKind.PUNCT, "}"):
+        if not self.at(PUNCT, "}"):
             while True:
                 fields.append(self.field_decl(seen))
-                if not self.match(TokenKind.PUNCT, ";"):
+                if not self.match(PUNCT, ";"):
                     break
-        end = self.expect(TokenKind.PUNCT, "}", "'}' or ';'").span
-        self.struct_names.add(name_tok.lexeme)
-        return StructDecl(name_tok.lexeme, fields, start.merge(end))
+        end = self.expect(PUNCT, "}", "'}' or ';'")
+        self.struct_names.add(name)
+        return StructDecl(name, fields, self.span(start, end))
 
     def field_decl(self, seen: set[str]) -> FieldDecl:
-        qual = self.tok
-        if qual.kind is not TokenKind.KEYWORD or qual.lexeme not in ("var", "let"):
+        qual = self.lexeme
+        if self.kind is not KEYWORD or qual not in ("var", "let"):
             raise self.fail("'var' or 'let' field")
-        self.advance()
-        name_tok = self.expect(TokenKind.IDENT, None, "field name")
-        if name_tok.lexeme in seen:
-            raise ParseError(name_tok.span, f"duplicate field '{name_tok.lexeme}'")
-        seen.add(name_tok.lexeme)
-        self.expect(TokenKind.PUNCT, ":", "':'")
+        start = self.starts[self.advance()]
+        name_at = self.expect(IDENT, None, "field name")
+        name = self.lexemes[name_at]
+        if name in seen:
+            raise ParseError(self.span(name_at, name_at), f"duplicate field '{name}'")
+        seen.add(name)
+        self.expect(PUNCT, ":", "':'")
         te = self.type_expr()
-        return FieldDecl(qual.lexeme, name_tok.lexeme, te, qual.span.merge(te.span))
+        return FieldDecl(qual, name, te, Span(start, te.span.end))
 
     # -- types ---------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
         depth = self.descend()
-        t = self.tok
-        if t.kind is TokenKind.IDENT:
+        kind = self.kind
+        lexeme = self.lexeme
+        first = self.pos
+        if kind is IDENT:
             self.advance()
-            te: TypeExpr = NamedTE(t.lexeme, t.span)
-        elif t.kind is TokenKind.PUNCT and t.lexeme == "[":
+            te: TypeExpr = NamedTE(lexeme, self.span(first, first))
+        elif kind is PUNCT and lexeme == "[":
             self.advance()
             elem = self.type_expr()
-            end = self.expect(TokenKind.PUNCT, "]", "']'").span
-            te = ArrayTE(elem, t.span.merge(end))
-        elif t.kind is TokenKind.PUNCT and t.lexeme == "(":
+            end = self.expect(PUNCT, "]", "']'")
+            te = ArrayTE(elem, self.span(first, end))
+        elif kind is PUNCT and lexeme == "(":
             self.advance()
             params: list[tuple[str, TypeExpr]] = []
-            if not self.at(TokenKind.PUNCT, ")"):
+            if not self.at(PUNCT, ")"):
                 while True:
-                    passing = "inout" if self.match(TokenKind.KEYWORD, "inout") else "byValue"
+                    passing = "inout" if self.match(KEYWORD, "inout") else "byValue"
                     params.append((passing, self.type_expr()))
-                    if not self.match(TokenKind.PUNCT, ","):
+                    if not self.match(PUNCT, ","):
                         break
-            self.expect(TokenKind.PUNCT, ")", "')' or ','")
-            self.expect(TokenKind.ARROW, None, "'->'")
+            self.expect(PUNCT, ")", "')' or ','")
+            self.expect(ARROW, None, "'->'")
             ret = self.type_expr()
-            te = FuncTE(params, ret, t.span.merge(ret.span))
+            te = FuncTE(params, ret, Span(self.starts[first], ret.span.end))
         else:
             raise self.fail("a type")
         self.depth = depth
@@ -224,60 +244,60 @@ class _Parser:
     def expr(self) -> Expr:
         stmts: list[Binding | Assign] = []
         while True:
-            t = self.tok
-            if t.kind is TokenKind.KEYWORD and t.lexeme in ("var", "let"):
+            if self.kind is KEYWORD and self.lexeme in ("var", "let"):
                 stmts.append(self.binding())
                 continue
             e = self.operand()
-            if not self.at(TokenKind.OP, "="):
-                return Chain(stmts, e, stmts[0].span.merge(e.span)) if stmts else e
+            if not self.at(OP, "="):
+                return Chain(stmts, e, Span(stmts[0].span.start, e.span.end)) if stmts else e
             if not isinstance(e, Path):
-                raise ParseError(self.here(), "assignment target must be a path")
+                raise ParseError(self.span(self.pos, self.pos), "assignment target must be a path")
             self.advance()
             value = self.operand()
-            self.expect(TokenKind.KEYWORD, "in", "'in' after assignment")
-            stmts.append(Assign(e, value, e.span.merge(value.span)))
+            self.expect(KEYWORD, "in", "'in' after assignment")
+            stmts.append(Assign(e, value, Span(e.span.start, value.span.end)))
 
     def binding(self) -> Binding:
-        qual = self.advance()  # var or let
-        name_tok = self.tok
-        if name_tok.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
+        qual = self.lexeme  # var or let
+        start = self.starts[self.advance()]
+        if self.kind is not IDENT and self.kind is not UNDERSCORE:
             raise self.fail("binding name")
+        name = self.lexeme
         self.advance()
         annotation: TypeExpr | None = None
-        if self.match(TokenKind.PUNCT, ":"):
+        if self.match(PUNCT, ":"):
             annotation = self.type_expr()
-        if self.at(TokenKind.PUNCT, "{"):
+        if self.at(PUNCT, "{"):
             # Sugar for a zero-parameter function literal.
             if not isinstance(annotation, FuncTE) or annotation.params:
                 raise self.fail("'='")
             open_brace = self.advance()
             fn_body = self.expr()
-            end = self.expect(TokenKind.PUNCT, "}", "'}'").span
-            init: Expr = FuncLit([], annotation.ret, fn_body, open_brace.span.merge(end))
+            end = self.expect(PUNCT, "}", "'}'")
+            init: Expr = FuncLit([], annotation.ret, fn_body, self.span(open_brace, end))
         else:
-            self.expect(TokenKind.OP, "=", "'='")
+            self.expect(OP, "=", "'='")
             init = self.operand()
-        self.expect(TokenKind.KEYWORD, "in", "'in' after binding")
-        return Binding(qual.lexeme, name_tok.lexeme, annotation, init, qual.span.merge(init.span))
+        self.expect(KEYWORD, "in", "'in' after binding")
+        return Binding(qual, name, annotation, init, Span(start, init.span.end))
 
     def operand(self) -> Expr:
         depth = self.depth  # descend(), inlined on this hot path
         if depth > MAX_NESTING:
             self.descend()
         self.depth = depth + 1
-        if self.at(TokenKind.KEYWORD, "if"):
-            start = self.advance().span
+        if self.kind is KEYWORD and self.lexeme == "if":
+            start = self.starts[self.advance()]
             cond = self.operand()
-            self.expect(TokenKind.KEYWORD, "then", "'then'")
+            self.expect(KEYWORD, "then", "'then'")
             then = self.operand()
-            self.expect(TokenKind.KEYWORD, "else", "'else'")
+            self.expect(KEYWORD, "else", "'else'")
             orelse = self.operand()
             self.depth = depth
-            return Cond(cond, then, orelse, start.merge(orelse.span))
+            return Cond(cond, then, orelse, Span(start, orelse.span.end))
         e = self.postfix()
-        t = self.tok
-        prec = BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+        op = self.lexeme
+        prec = BINARY_PREC.get(op) if self.kind is OP else None
         if prec is not None:
             # Binary operators, grouped with an operator stack: once an
             # operand is read, every stacked operator that binds at least
@@ -289,63 +309,69 @@ class _Parser:
                 # The operands after an operator nest one level deeper.
                 self.descend()
                 self.advance()
-                ops.append((t.lexeme, prec))
+                ops.append((op, prec))
                 operands.append(self.postfix())
-                t = self.tok
-                prec = BINARY_PREC.get(t.lexeme) if t.kind is TokenKind.OP else None
+                op = self.lexeme
+                prec = BINARY_PREC.get(op) if self.kind is OP else None
                 while ops and (prec is None or ops[-1][1] >= prec):
                     rhs = operands.pop()
                     lhs = operands.pop()
-                    operands.append(Binary(ops.pop()[0], lhs, rhs, lhs.span.merge(rhs.span)))
+                    operands.append(
+                        Binary(ops.pop()[0], lhs, rhs, Span(lhs.span.start, rhs.span.end))
+                    )
             e = operands[0]
         self.depth = depth
         return e
 
     def postfix(self) -> Expr:
         e = self.primary()
-        while True:
-            t = self.tok
-            if t.kind is not TokenKind.PUNCT:
-                return e
-            if t.lexeme == "(":
+        while self.kind is PUNCT:
+            lexeme = self.lexeme
+            if lexeme == "(":
                 e = self.call(e)
-            elif t.lexeme == "." or t.lexeme == "[":
+            elif lexeme == "." or lexeme == "[":
                 if not isinstance(e, Path):
-                    what = "field access" if t.lexeme == "." else "indexing"
-                    raise ParseError(t.span, f"{what} requires a path")
-                self.accessor(e)
+                    what = "field access" if lexeme == "." else "indexing"
+                    raise ParseError(self.span(self.pos, self.pos), f"{what} requires a path")
+                self.accessors(e)
             else:
-                return e
+                break
+        return e
 
-    def accessor(self, p: Path) -> None:
-        """Parse one `.name` or `[operand]` accessor, at its '.' or '[',
-        onto the end of p."""
-        t = self.advance()
-        if t.lexeme == ".":
-            name_tok = self.expect(TokenKind.IDENT, None, "field name")
-            p.accessors.append(FieldAcc(name_tok.lexeme, t.span.merge(name_tok.span)))
-            p.span = p.span.merge(name_tok.span)
-        else:
-            idx = self.operand()
-            end = self.expect(TokenKind.PUNCT, "]", "']'").span
-            p.accessors.append(IndexAcc(idx, idx.span.merge(end)))
-            p.span = p.span.merge(end)
+    def accessors(self, p: Path) -> None:
+        """Parse the run of `.name` and `[operand]` accessors at the
+        cursor, which is at a '.' or '[', onto the end of p."""
+        end = p.span.end
+        while self.kind is PUNCT:
+            if self.lexeme == ".":
+                start = self.starts[self.advance()]
+                name_at = self.expect(IDENT, None, "field name")
+                end = self.end(name_at)
+                p.accessors.append(FieldAcc(self.lexemes[name_at], Span(start, end)))
+            elif self.lexeme == "[":
+                self.advance()
+                idx = self.operand()
+                end = self.end(self.expect(PUNCT, "]", "']'"))
+                p.accessors.append(IndexAcc(idx, Span(idx.span.start, end)))
+            else:
+                break
+        p.span = Span(p.span.start, end)
 
     def call(self, callee: Expr) -> Expr:
-        self.expect(TokenKind.PUNCT, "(", "'('")
+        self.advance()  # the "(" postfix found
         args: list[Expr | InoutArg] = []
-        if not self.at(TokenKind.PUNCT, ")"):
+        if not self.at(PUNCT, ")"):
             while True:
-                amp = self.match(TokenKind.AMP)
-                if amp is not None:
+                if self.kind is AMP:
+                    start = self.starts[self.advance()]
                     p = self.inout_path()
-                    args.append(InoutArg(p, amp.span.merge(p.span)))
+                    args.append(InoutArg(p, Span(start, p.span.end)))
                 else:
                     args.append(self.operand())
-                if not self.match(TokenKind.PUNCT, ","):
+                if not self.match(PUNCT, ","):
                     break
-        end = self.expect(TokenKind.PUNCT, ")", "')' or ','").span
-        span = callee.span.merge(end)
+        end = self.expect(PUNCT, ")", "')' or ','")
+        span = Span(callee.span.start, self.end(end))
         if (
             isinstance(callee, Path)
             and not callee.accessors
@@ -360,91 +386,97 @@ class _Parser:
         return Call(callee, args, span)
 
     def inout_path(self) -> Path:
-        root = self.tok
-        if root.kind not in (TokenKind.IDENT, TokenKind.UNDERSCORE):
+        if self.kind is not IDENT and self.kind is not UNDERSCORE:
             raise self.fail("a path after '&'")
-        self.advance()
-        p = Path(root.lexeme, [], root.span)
-        while self.at(TokenKind.PUNCT, ".") or self.at(TokenKind.PUNCT, "["):
-            self.accessor(p)
+        root = self.advance()
+        p = Path(self.lexemes[root], [], self.span(root, root))
+        if self.kind is PUNCT and (self.lexeme == "." or self.lexeme == "["):
+            self.accessors(p)
         return p
 
     def primary(self) -> Expr:
-        t = self.tok
-        kind = t.kind
-        if kind is TokenKind.IDENT:
+        kind = self.kind
+        lexeme = self.lexeme
+        first = self.pos
+        if kind is IDENT or kind is UNDERSCORE:
             self.advance()
-            return Path(t.lexeme, [], t.span)
-        if kind is TokenKind.INT:
+            return Path(lexeme, [], self.span(first, first))
+        if kind is INT:
             self.advance()
-            digits = t.lexeme.lstrip("0") or "0"
+            digits = lexeme.lstrip("0") or "0"
             value = int(digits) if len(digits) <= _INT_MAX_DIGITS else _INT_MAX + 1
             if value > _INT_MAX:
-                raise ParseError(t.span, "integer literal out of range")
-            return IntLit(value, t.span)
-        if kind is TokenKind.FLOAT:
+                raise ParseError(self.span(first, first), "integer literal out of range")
+            return IntLit(value, self.span(first, first))
+        if kind is FLOAT:
             self.advance()
-            value = float(t.lexeme)
+            value = float(lexeme)
             if value != value or value in (float("inf"), float("-inf")):
-                raise ParseError(t.span, "float literal out of range")
-            return FloatLit(value, t.span)
-        if kind is TokenKind.UNDERSCORE:
-            self.advance()
-            return Path("_", [], t.span)
-        if kind is TokenKind.PUNCT and t.lexeme == "[":
+                raise ParseError(self.span(first, first), "float literal out of range")
+            return FloatLit(value, self.span(first, first))
+        if kind is PUNCT and lexeme == "[":
             self.advance()
             elements = [self.operand()]
-            while self.match(TokenKind.PUNCT, ","):
+            while self.match(PUNCT, ","):
                 elements.append(self.operand())
-            end = self.expect(TokenKind.PUNCT, "]", "']' or ','").span
-            return ArrayLit(elements, t.span.merge(end))
-        if kind is TokenKind.PUNCT and t.lexeme == "(":
+            end = self.expect(PUNCT, "]", "']' or ','")
+            return ArrayLit(elements, self.span(first, end))
+        if kind is PUNCT and lexeme == "(":
             # Function literal when the parenthesis opens a parameter list
             # (empty, or IDENT ':'), otherwise a grouping.
-            nxt = self.peek(1)
-            if (nxt.kind is TokenKind.PUNCT and nxt.lexeme == ")") or (
-                nxt.kind is TokenKind.IDENT
-                and self.peek(2).kind is TokenKind.PUNCT
-                and self.peek(2).lexeme == ":"
+            kinds, lexemes = self.kinds, self.lexemes
+            if (kinds[first + 1] is PUNCT and lexemes[first + 1] == ")") or (
+                kinds[first + 1] is IDENT
+                and kinds[first + 2] is PUNCT
+                and lexemes[first + 2] == ":"
             ):
                 return self.func_lit()
             self.advance()
             inner = self.expr()
-            self.expect(TokenKind.PUNCT, ")", "')'")
+            self.expect(PUNCT, ")", "')'")
             return inner
         raise self.fail("an expression")
 
     def func_lit(self) -> FuncLit:
         depth = self.descend()
-        start = self.expect(TokenKind.PUNCT, "(", "'('").span
+        start = self.expect(PUNCT, "(", "'('")
         params: list[Param] = []
         seen: set[str] = set()
-        if not self.at(TokenKind.PUNCT, ")"):
+        if not self.at(PUNCT, ")"):
             while True:
-                name_tok = self.expect(TokenKind.IDENT, None, "parameter name")
-                if name_tok.lexeme in seen:
-                    raise ParseError(name_tok.span, f"duplicate parameter '{name_tok.lexeme}'")
-                seen.add(name_tok.lexeme)
-                self.expect(TokenKind.PUNCT, ":", "':'")
-                passing = "inout" if self.match(TokenKind.KEYWORD, "inout") else "byValue"
+                name_at = self.expect(IDENT, None, "parameter name")
+                name = self.lexemes[name_at]
+                if name in seen:
+                    raise ParseError(self.span(name_at, name_at), f"duplicate parameter '{name}'")
+                seen.add(name)
+                self.expect(PUNCT, ":", "':'")
+                passing = "inout" if self.match(KEYWORD, "inout") else "byValue"
                 te = self.type_expr()
-                params.append(Param(name_tok.lexeme, passing, te, name_tok.span.merge(te.span)))
-                if not self.match(TokenKind.PUNCT, ","):
+                params.append(Param(name, passing, te, Span(self.starts[name_at], te.span.end)))
+                if not self.match(PUNCT, ","):
                     break
-        self.expect(TokenKind.PUNCT, ")", "')' or ','")
-        self.expect(TokenKind.ARROW, None, "'->'")
+        self.expect(PUNCT, ")", "')' or ','")
+        self.expect(ARROW, None, "'->'")
         ret = self.type_expr()
-        self.expect(TokenKind.PUNCT, "{", "'{'")
+        self.expect(PUNCT, "{", "'{'")
         body = self.expr()
-        end = self.expect(TokenKind.PUNCT, "}", "'}'").span
+        end = self.expect(PUNCT, "}", "'}'")
         self.depth = depth
-        return FuncLit(params, ret, body, start.merge(end))
+        return FuncLit(params, ret, body, self.span(start, end))
 
 
-def parse_program(tokens: list[Token], source_len: int = 0) -> Program:
-    """Parse a token stream into a Program; raises ParseError."""
+def parse_program(tokens: Tokens | list[Token], source_len: int = 0) -> Program:
+    """Parse a token stream, as `tokenize` returns it or as a list of
+    Token, into a Program; raises ParseError.  A list is laid out as the
+    lexer's three lists first, so a Token's span must cover its lexeme.
+    The end-of-input token sits at source_len, by default the end of the
+    last token."""
+    if not isinstance(tokens, Tokens):
+        tokens = Tokens(
+            [t.kind for t in tokens], [t.lexeme for t in tokens], [t.span.start for t in tokens]
+        )
     if tokens and source_len == 0:
-        source_len = tokens[-1].span.end
+        source_len = tokens.starts[-1] + len(tokens.lexemes[-1])
     return _Parser(tokens, source_len).parse_program()
 
 

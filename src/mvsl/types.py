@@ -55,6 +55,17 @@ class FuncType(Type):
     params: tuple[tuple[str, Type], ...]
     ret: Type
 
+    def __hash__(self) -> int:
+        # Computed once: move-opt looks each call's type up in a dict,
+        # and the structural hash walks every nested type.  Equality
+        # stays structural, so equal types still hash alike.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.params, self.ret))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __str__(self) -> str:
         parts = []
         for passing, ty in self.params:

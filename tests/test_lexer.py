@@ -1,13 +1,16 @@
+import gc
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsl import ParseError, parse_source, tokenize
-from mvsl.ast import TokenKind
+from mvsl import ParseError, Span, parse_program, parse_source, tokenize
+from mvsl.ast import Token, TokenKind
 
-from conftest import lexable_corpus_sources
+import workloads
+from bench import count_nodes
+from conftest import corpus_sources, lexable_corpus_sources
 
 
 def kinds(source):
@@ -136,3 +139,57 @@ def test_tokens_tile_any_input(pieces, tail):
         parse_source(source)
     except ParseError:
         pass
+
+
+def test_tokens_is_a_sequence_of_token():
+    toks = tokenize("var x: Int = 4 in x")
+    listed = list(toks)
+    assert len(toks) == len(listed) == 8
+    assert toks[-1] == listed[7] == Token(TokenKind.IDENT, "x", Span(18, 19))
+    assert toks[-8] == toks[0] == Token(TokenKind.KEYWORD, "var", Span(0, 3))
+    for bad in (8, -9):
+        with pytest.raises(IndexError):
+            toks[bad]
+    assert toks[1:3] == listed[1:3]
+    assert toks[::-3] == listed[::-3]
+    assert toks[5:2] == []
+    assert toks == listed and listed == toks
+    assert toks != listed[:-1] and toks != listed[::-1]
+    assert list(reversed(toks)) == listed[::-1]
+
+
+def test_parsing_a_token_list_gives_the_same_tree():
+    # parse_program takes a list of Token as well as what tokenize returns.
+    def outcome(tokens, n):
+        try:
+            return repr(parse_program(tokens, n))
+        except ParseError as e:
+            return repr((e.message, e.span))
+
+    for name, source in corpus_sources():
+        try:
+            toks = tokenize(source)
+        except ParseError:
+            continue
+        n = len(source)
+        assert outcome(list(toks), n) == outcome(toks, n), name
+        assert outcome(list(toks), 0) == outcome(toks, 0), name
+
+
+def _live(cls) -> int:
+    return sum(1 for o in gc.get_objects() if o.__class__ is cls)
+
+
+def test_front_end_builds_no_object_per_token():
+    # Counts, not times: lexing a 256-element array literal builds no
+    # Token or Span, and parsing builds at most one Span per AST node
+    # (the benchmark's parser.nodes).
+    source = workloads.cow_source(list(range(256)))
+    gc.collect()
+    tokens_before, spans_before = _live(Token), _live(Span)
+    toks = tokenize(source)
+    assert len(toks) > 256 * 2
+    assert (_live(Token) - tokens_before, _live(Span) - spans_before) == (0, 0)
+    program = parse_program(toks, len(source))
+    assert _live(Span) - spans_before <= count_nodes(program)
+    assert _live(Token) == tokens_before

@@ -12,7 +12,7 @@ from mvsl.typechecker import (
     AccessPathShape,
     paths_overlap,
 )
-from mvsl.types import INT, FuncType, StructType
+from mvsl.types import BY_VALUE, FLOAT, INOUT, INT, ArrayType, FuncType, StructType
 
 from conftest import corpus_expected
 
@@ -342,3 +342,15 @@ def test_corpus_type_outcomes(corpus):
             assert e.value.code == code, name
         else:
             check(source)
+
+
+def test_function_types_compare_and_hash_structurally():
+    # FuncType keeps its hash once computed; equality stays structural.
+    def make(ret):
+        return FuncType(((BY_VALUE, ArrayType(INT)), (INOUT, StructType("P"))), ret)
+
+    a, b = make(INT), make(INT)
+    assert a == b and a is not b and hash(a) == hash(b) == hash(make(INT))
+    assert {a: 1}[b] == 1
+    assert a != make(FLOAT) and hash(a) == hash(a)
+    assert repr(a) == repr(make(INT))
