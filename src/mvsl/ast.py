@@ -1,4 +1,4 @@
-"""Tokens, surface syntax trees, and the pretty printer.
+"""The kinds of token, surface syntax trees, and the pretty printer.
 
 AST nodes are dataclasses that compare structurally; spans never take
 part in equality so `parse(pretty(tree)) == tree` is a meaningful
@@ -28,31 +28,6 @@ class TokenKind(enum.Enum):
     UNDERSCORE = "underscore"
     # The parser's end-of-input sentinel; the lexer never produces it.
     EOF = "end-of-input"
-
-
-class Token:
-    """One lexeme and its span; a plain slot class that compares, hashes
-    and prints by value."""
-
-    __slots__ = ("kind", "lexeme", "span")
-
-    def __init__(self, kind: TokenKind, lexeme: str, span: Span):
-        self.kind = kind
-        self.lexeme = lexeme
-        self.span = span
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Token:
-            return NotImplemented
-        return (
-            self.kind is other.kind and self.lexeme == other.lexeme and self.span == other.span
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.lexeme, self.span))
-
-    def __repr__(self) -> str:
-        return f"Token(kind={self.kind!r}, lexeme={self.lexeme!r}, span={self.span!r})"
 
 
 # ---------------------------------------------------------------------------

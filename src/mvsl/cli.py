@@ -198,7 +198,7 @@ def _cmd_diff(args) -> int:
     return 0 if all(r["status"] == "PASS" for r in reports) else 3
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "run":

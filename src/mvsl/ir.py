@@ -337,7 +337,7 @@ class _RoutineBuilder:
 
     # -- expression lowering --------------------------------------------------
 
-    def lower_chain(self, e: Chain, dst: int | None = None) -> int:
+    def lower_chain(self, e: Chain, dst: int | None) -> int:
         """Lower the statements, then the tail into dst, then destroy the
         bindings in reverse; those Destroys free other slots than dst."""
         live: list[Binding] = []
@@ -469,7 +469,7 @@ class _RoutineBuilder:
         self.lower_value(e, result)
         self.blocks.pop()
 
-    def lower_funclit(self, e: FuncLit, dst: int | None = None) -> int:
+    def lower_funclit(self, e: FuncLit, dst: int | None) -> int:
         routine = self.lowerer.lower_routine(e)
         assert e.captures is not None
         ops = []
@@ -482,7 +482,7 @@ class _RoutineBuilder:
         self.emit(MakeClosure(dst, routine.id, ops, e.span))
         return dst
 
-    def lower_call(self, e: Call, dst: int | None = None) -> int:
+    def lower_call(self, e: Call, dst: int | None) -> int:
         assert e.overlap_pairs is not None
         # The call's places, indexed like overlap_pairs: a path callee,
         # borrowed in place so environment mutations persist in the named
@@ -799,7 +799,7 @@ def _elide_moves(
     lending: _Lending,
     moves: dict[int, int],
     arm_uses: dict[int, set[int]],
-    loc_params: tuple[int, ...] = (),
+    loc_params: tuple[int, ...],
     lent_params: frozenset[int] = frozenset(),
 ) -> list[Instr]:
     """Rewrite the Copies of one block: decide in one backward walk, from
@@ -1101,7 +1101,7 @@ def _verify_block(
 # Dump
 
 
-def _fmt_read(slot: int, consts: Consts, lent: tuple[int, ...] = ()) -> str:
+def _fmt_read(slot: int, consts: Consts, lent: tuple[int, ...]) -> str:
     """An operand: a constant as #value, or a slot, marked when it is
     read in place rather than consumed."""
     if slot in consts:

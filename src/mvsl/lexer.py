@@ -1,14 +1,13 @@
 """Lexer.
 
-Tokens tile the input: every token's span covers its lexeme exactly and
-the gaps between consecutive tokens hold only whitespace and // line
-comments.  Offsets index the decoded source text.
+Tokens tile the input: each lexeme is the source text at its start
+offset, and the gaps between consecutive tokens hold only whitespace
+and // line comments.  Offsets index the decoded source text.
 
-The token stream is laid out as three parallel lists, one entry per
-token: its kind, its lexeme and its start offset (its end is the start
-plus the lexeme's length).  No Token or Span is built while lexing; the
-parser reads the lists by index, and `Tokens` builds a Token only for a
-caller that indexes or iterates it.
+The token stream is three parallel lists held by one `Tokens`, one entry
+per token: its kind, its lexeme and its start offset (its end is the
+start plus the lexeme's length).  Lexing builds no object per token, and
+the parser reads the lists by index.
 
 One master regular expression does the scanning.  Each match is one
 token, or whitespace or a comment, followed by any whitespace after it.
@@ -21,9 +20,8 @@ cannot backtrack, since nothing in the pattern follows it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
 
-from .ast import Token, TokenKind
+from .ast import TokenKind
 from .diagnostics import ParseError, Span
 
 KEYWORDS = frozenset({"var", "let", "struct", "in", "inout", "if", "then", "else"})
@@ -70,15 +68,9 @@ _KIND_BY_GROUP = [None] + [
 _WORD_KINDS = {kw: TokenKind.KEYWORD for kw in KEYWORDS} | {"_": TokenKind.UNDERSCORE}
 
 
-def _token(kind: TokenKind, lexeme: str, start: int) -> Token:
-    return Token(kind, lexeme, Span(start, start + len(lexeme)))
-
-
-class Tokens(Sequence[Token]):
-    """The token stream as three parallel lists: `kinds`, `lexemes` and
-    `starts`.  As a sequence of Token it builds each Token, with its
-    Span, only when indexed or iterated; a slice is a Tokens.  It
-    compares equal to a Tokens or a list holding the same Tokens."""
+class Tokens:
+    """The token stream as three parallel lists, one entry per token:
+    `kinds`, `lexemes` and `starts` (start offsets)."""
 
     __slots__ = ("kinds", "lexemes", "starts")
 
@@ -90,30 +82,14 @@ class Tokens(Sequence[Token]):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Tokens(self.kinds[index], self.lexemes[index], self.starts[index])
-        return _token(self.kinds[index], self.lexemes[index], self.starts[index])
-
-    def __iter__(self) -> Iterator[Token]:
-        return map(_token, self.kinds, self.lexemes, self.starts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Tokens, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Tokens({list(self)!r})"
-
 
 def _unexpected(source: str, i: int) -> ParseError:
     return ParseError(Span(i, i + 1), f"unexpected character {source[i]!r}")
 
 
 def tokenize(source: str) -> Tokens:
-    """Split source into tokens, returned as one Tokens (three parallel
-    lists); raises ParseError on a bad character."""
+    """Split source into tokens, returned as the three parallel lists of
+    one Tokens; raises ParseError on a bad character."""
     kinds: list[TokenKind] = []
     lexemes: list[str] = []
     starts: list[int] = []

@@ -22,6 +22,10 @@ Grammar, one production per comment below its parse function:
     func-lit  -> "(" [param ("," param)*] ")" "->" type "{" expr "}"
     param     -> IDENT ":" ["inout"] type
 
+The parser reads the lexer's three lists by index (see `_Parser`).  A
+path's root and its run of accessors are one function, `path`, which
+builds the path's span once, after the run.
+
 A chain of statements is one Chain node, built by the loop in `expr`.
 The three binary levels are one loop in `operand` over the precedence
 table `ast.BINARY_PREC` with an operator stack, instead of one function
@@ -71,7 +75,6 @@ from .ast import (
     Program,
     StructDecl,
     StructInit,
-    Token,
     TokenKind,
     TypeExpr,
 )
@@ -135,8 +138,8 @@ class _Parser:
         """The span from the start of token first to the end of token last."""
         return Span(self.starts[first], self.starts[last] + len(self.lexemes[last]))
 
-    def at(self, kind: TokenKind, lexeme: str | None = None) -> bool:
-        return self.kind is kind and (lexeme is None or self.lexeme == lexeme)
+    def at(self, kind: TokenKind, lexeme: str) -> bool:
+        return self.kind is kind and self.lexeme == lexeme
 
     def advance(self) -> int:
         """Step past the current token; returns its index."""
@@ -146,8 +149,8 @@ class _Parser:
         self.lexeme = self.lexemes[i + 1]
         return i
 
-    def match(self, kind: TokenKind, lexeme: str | None = None) -> bool:
-        if self.kind is kind and (lexeme is None or self.lexeme == lexeme):
+    def match(self, kind: TokenKind, lexeme: str) -> bool:
+        if self.kind is kind and self.lexeme == lexeme:
             self.advance()
             return True
         return False
@@ -333,15 +336,26 @@ class _Parser:
                 if not isinstance(e, Path):
                     what = "field access" if lexeme == "." else "indexing"
                     raise ParseError(self.span(self.pos, self.pos), f"{what} requires a path")
-                self.accessors(e)
+                self.accessors(e, e.span.start)
             else:
                 break
         return e
 
-    def accessors(self, p: Path) -> None:
+    def path(self) -> Path:
+        """Parse a path: the root name at the cursor and its run of
+        accessors."""
+        root = self.advance()
+        if self.kind is PUNCT and (self.lexeme == "." or self.lexeme == "["):
+            p = Path(self.lexemes[root])
+            self.accessors(p, self.starts[root])
+            return p
+        return Path(self.lexemes[root], [], self.span(root, root))
+
+    def accessors(self, p: Path, begin: int) -> None:
         """Parse the run of `.name` and `[operand]` accessors at the
-        cursor, which is at a '.' or '[', onto the end of p."""
-        end = p.span.end
+        cursor, which is at a '.' or '[', onto the end of p, whose span
+        starts at begin and ends with the run."""
+        end = 0
         while self.kind is PUNCT:
             if self.lexeme == ".":
                 start = self.starts[self.advance()]
@@ -355,7 +369,7 @@ class _Parser:
                 p.accessors.append(IndexAcc(idx, Span(idx.span.start, end)))
             else:
                 break
-        p.span = Span(p.span.start, end)
+        p.span = Span(begin, end)
 
     def call(self, callee: Expr) -> Expr:
         self.advance()  # the "(" postfix found
@@ -364,7 +378,9 @@ class _Parser:
             while True:
                 if self.kind is AMP:
                     start = self.starts[self.advance()]
-                    p = self.inout_path()
+                    if self.kind is not IDENT and self.kind is not UNDERSCORE:
+                        raise self.fail("a path after '&'")
+                    p = self.path()
                     args.append(InoutArg(p, Span(start, p.span.end)))
                 else:
                     args.append(self.operand())
@@ -385,22 +401,12 @@ class _Parser:
             return StructInit(callee.root, plain, span)
         return Call(callee, args, span)
 
-    def inout_path(self) -> Path:
-        if self.kind is not IDENT and self.kind is not UNDERSCORE:
-            raise self.fail("a path after '&'")
-        root = self.advance()
-        p = Path(self.lexemes[root], [], self.span(root, root))
-        if self.kind is PUNCT and (self.lexeme == "." or self.lexeme == "["):
-            self.accessors(p)
-        return p
-
     def primary(self) -> Expr:
         kind = self.kind
         lexeme = self.lexeme
         first = self.pos
         if kind is IDENT or kind is UNDERSCORE:
-            self.advance()
-            return Path(lexeme, [], self.span(first, first))
+            return self.path()
         if kind is INT:
             self.advance()
             digits = lexeme.lstrip("0") or "0"
@@ -465,18 +471,10 @@ class _Parser:
         return FuncLit(params, ret, body, self.span(start, end))
 
 
-def parse_program(tokens: Tokens | list[Token], source_len: int = 0) -> Program:
-    """Parse a token stream, as `tokenize` returns it or as a list of
-    Token, into a Program; raises ParseError.  A list is laid out as the
-    lexer's three lists first, so a Token's span must cover its lexeme.
-    The end-of-input token sits at source_len, by default the end of the
-    last token."""
-    if not isinstance(tokens, Tokens):
-        tokens = Tokens(
-            [t.kind for t in tokens], [t.lexeme for t in tokens], [t.span.start for t in tokens]
-        )
-    if tokens and source_len == 0:
-        source_len = tokens.starts[-1] + len(tokens.lexemes[-1])
+def parse_program(tokens: Tokens, source_len: int) -> Program:
+    """Parse the token stream that `tokenize` returns for a source of
+    source_len characters into a Program; raises ParseError.  The
+    end-of-input token sits at source_len."""
     return _Parser(tokens, source_len).parse_program()
 
 

@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 from operator import countOf
 
-from .diagnostics import NO_SPAN, RuntimeTrap, Span
+from .diagnostics import RuntimeTrap, Span
 from .ir import (
     BinaryInstr,
     CallInstr,
@@ -189,13 +189,13 @@ class Location:
 
     __slots__ = ("trail", "container", "index")
 
-    def __init__(self, trail: tuple, container: list | None = None, index: int | None = None):
+    def __init__(self, trail: tuple, container: list | None, index: int | None):
         self.trail = trail
         self.container = container
         self.index = index
 
 
-def check_dynamic_overlap(l1: Location, l2: Location, span: Span = NO_SPAN) -> None:
+def check_dynamic_overlap(l1: Location, l2: Location, span: Span) -> None:
     """Trap iff the locations denote the same place or one contains the
     other; trails that differ at any common hop are disjoint."""
     for a, b in zip(l1.trail, l2.trail):
@@ -268,7 +268,7 @@ def format_value(v: Value) -> str:
 
 
 class VM:
-    def __init__(self, ir: IRProgram, cow: bool = True, debug: bool = False):
+    def __init__(self, ir: IRProgram, cow: bool, debug: bool):
         self.ir = ir
         self.cow = cow
         self.debug = debug

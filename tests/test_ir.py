@@ -981,7 +981,7 @@ def test_owned_parameters_are_those_move_elision_moves():
         for routine in base.routines.values():
             if routine.ty is None:
                 continue
-            body = ir_module._elide_moves(routine.body, _NoLending(), moves, arm_uses)
+            body = ir_module._elide_moves(routine.body, _NoLending(), moves, arm_uses, ())
             values = {s for s, (p, _) in enumerate(routine.params) if p == P_VALUE}
             # Moved, or handed to the operand or subscript that reads it.
             moved = {

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 
@@ -6,33 +7,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsl import ParseError, Span, parse_program, parse_source, tokenize
-from mvsl.ast import Token, TokenKind
+from mvsl.ast import Path, TokenKind
 
 import workloads
 from bench import count_nodes
-from conftest import corpus_sources, lexable_corpus_sources
+from conftest import lexable_corpus_sources
 
 
 def kinds(source):
-    return [t.kind for t in tokenize(source)]
+    return tokenize(source).kinds
 
 
 def lexemes(source):
-    return [t.lexeme for t in tokenize(source)]
+    return tokenize(source).lexemes
 
 
 def test_binding_tokens():
     toks = tokenize("var x: Int = 4 in x")
-    assert [t.lexeme for t in toks] == ["var", "x", ":", "Int", "=", "4", "in", "x"]
-    assert toks[0].kind == TokenKind.KEYWORD
-    assert toks[1].kind == TokenKind.IDENT
-    assert toks[5].kind == TokenKind.INT
-    assert toks[6].kind == TokenKind.KEYWORD
+    assert toks.lexemes == ["var", "x", ":", "Int", "=", "4", "in", "x"]
+    assert toks.starts == [0, 4, 5, 7, 11, 13, 15, 18]
+    assert toks.kinds[0] == TokenKind.KEYWORD
+    assert toks.kinds[1] == TokenKind.IDENT
+    assert toks.kinds[5] == TokenKind.INT
+    assert toks.kinds[6] == TokenKind.KEYWORD
 
 
 def test_inout_argument_tokens():
     toks = tokenize("&p.fs")
-    assert [(t.kind, t.lexeme) for t in toks] == [
+    assert list(zip(toks.kinds, toks.lexemes)) == [
         (TokenKind.AMP, "&"),
         (TokenKind.IDENT, "p"),
         (TokenKind.PUNCT, "."),
@@ -56,9 +58,9 @@ def test_arrow_is_not_minus():
 
 
 def test_float_needs_digits_both_sides():
-    assert [t.kind for t in tokenize("1.5")] == [TokenKind.FLOAT]
+    assert kinds("1.5") == [TokenKind.FLOAT]
     # "1." lexes as an int then a dot; the parser rejects it later.
-    assert [t.kind for t in tokenize("1.x")] == [
+    assert kinds("1.x") == [
         TokenKind.INT,
         TokenKind.PUNCT,
         TokenKind.IDENT,
@@ -75,15 +77,16 @@ def test_only_ascii_digits_form_numbers(source, start):
 
 def test_comments_and_whitespace_skipped():
     assert lexemes("x // trailing comment\n  y") == ["x", "y"]
-    assert tokenize("// only a comment") == []
-    assert tokenize("") == []
+    for source in ("// only a comment", ""):
+        toks = tokenize(source)
+        assert len(toks) == 0
+        assert (toks.kinds, toks.lexemes, toks.starts) == ([], [], [])
 
 
 def test_wildcard_token():
-    toks = tokenize("_ = f(x)")
-    assert toks[0].kind == TokenKind.UNDERSCORE
+    assert kinds("_ = f(x)")[0] == TokenKind.UNDERSCORE
     # but an underscore inside an identifier is part of the name
-    assert tokenize("a_b")[0].kind == TokenKind.IDENT
+    assert kinds("a_b") == [TokenKind.IDENT]
 
 
 def test_spans_cover_lexemes_exactly():
@@ -91,14 +94,16 @@ def test_spans_cover_lexemes_exactly():
     # and every gap holds only whitespace or comments.
     for name, source in lexable_corpus_sources():
         toks = tokenize(source)
+        assert len(toks) == len(toks.kinds) == len(toks.lexemes) == len(toks.starts), name
         pos = 0
-        for t in toks:
-            assert t.span.start < t.span.end, name
-            assert t.span.start >= pos, name
-            assert source[t.span.start : t.span.end] == t.lexeme, name
-            gap = source[pos : t.span.start]
+        for lexeme, start in zip(toks.lexemes, toks.starts):
+            end = start + len(lexeme)
+            assert start < end, name
+            assert start >= pos, name
+            assert source[start:end] == lexeme, name
+            gap = source[pos:start]
             assert all(c in " \t\r\n" for c in gap) or "//" in gap, name
-            pos = t.span.end
+            pos = end
 
 
 # The language's characters and keywords, plus non-ASCII letters and
@@ -128,52 +133,19 @@ def test_tokens_tile_any_input(pieces, tail):
     except ParseError:
         pass
     else:
+        assert len(toks) == len(toks.kinds) == len(toks.lexemes) == len(toks.starts)
         pos = 0
-        for t in toks:
-            assert pos <= t.span.start < t.span.end
-            assert source[t.span.start : t.span.end] == t.lexeme
-            assert _GAP.fullmatch(source, pos, t.span.start)
-            pos = t.span.end
+        for lexeme, start in zip(toks.lexemes, toks.starts):
+            end = start + len(lexeme)
+            assert pos <= start < end
+            assert source[start:end] == lexeme
+            assert _GAP.fullmatch(source, pos, start)
+            pos = end
         assert _LAST_GAP.fullmatch(source, pos)
     try:
         parse_source(source)
     except ParseError:
         pass
-
-
-def test_tokens_is_a_sequence_of_token():
-    toks = tokenize("var x: Int = 4 in x")
-    listed = list(toks)
-    assert len(toks) == len(listed) == 8
-    assert toks[-1] == listed[7] == Token(TokenKind.IDENT, "x", Span(18, 19))
-    assert toks[-8] == toks[0] == Token(TokenKind.KEYWORD, "var", Span(0, 3))
-    for bad in (8, -9):
-        with pytest.raises(IndexError):
-            toks[bad]
-    assert toks[1:3] == listed[1:3]
-    assert toks[::-3] == listed[::-3]
-    assert toks[5:2] == []
-    assert toks == listed and listed == toks
-    assert toks != listed[:-1] and toks != listed[::-1]
-    assert list(reversed(toks)) == listed[::-1]
-
-
-def test_parsing_a_token_list_gives_the_same_tree():
-    # parse_program takes a list of Token as well as what tokenize returns.
-    def outcome(tokens, n):
-        try:
-            return repr(parse_program(tokens, n))
-        except ParseError as e:
-            return repr((e.message, e.span))
-
-    for name, source in corpus_sources():
-        try:
-            toks = tokenize(source)
-        except ParseError:
-            continue
-        n = len(source)
-        assert outcome(list(toks), n) == outcome(toks, n), name
-        assert outcome(list(toks), 0) == outcome(toks, 0), name
 
 
 def _live(cls) -> int:
@@ -182,14 +154,59 @@ def _live(cls) -> int:
 
 def test_front_end_builds_no_object_per_token():
     # Counts, not times: lexing a 256-element array literal builds no
-    # Token or Span, and parsing builds at most one Span per AST node
-    # (the benchmark's parser.nodes).
+    # Span, and parsing builds at most one Span per AST node (the
+    # benchmark's parser.nodes).
     source = workloads.cow_source(list(range(256)))
     gc.collect()
-    tokens_before, spans_before = _live(Token), _live(Span)
+    spans_before = _live(Span)
     toks = tokenize(source)
     assert len(toks) > 256 * 2
-    assert (_live(Token) - tokens_before, _live(Span) - spans_before) == (0, 0)
+    assert _live(Span) == spans_before
     program = parse_program(toks, len(source))
     assert _live(Span) - spans_before <= count_nodes(program)
-    assert _live(Token) == tokens_before
+
+
+def _spanned_nodes(program) -> list:
+    """The tree's nodes that keep a span, with its accessors."""
+    nodes, stack = [], [program]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif dataclasses.is_dataclass(x) and type(x).__module__ == "mvsl.ast":
+            if hasattr(x, "span"):
+                nodes.append(x)
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+    return nodes
+
+
+def test_parser_builds_one_span_per_node(monkeypatch):
+    # A path's span is built once, after its run of accessors: none is
+    # built for the root alone and then replaced.  (A struct
+    # initializer's callee and the root of `(a).b` still build one that
+    # is dropped, so the program has neither.)
+    source = """
+        struct P { var a: [Int]; var f: Int } in
+        struct S { var p: P; var ps: [P] } in
+        let inc: (inout Int) -> Int = (x: inout Int) -> Int { x = x + 1 in x } in
+        (s: inout S, k: Int) -> Int {
+            s.p.a[k] = s.ps[k].a[0] + inc(&s.ps[k].f) in
+            s.p.f = inc(&s.p.a[s.p.f - 3]) in
+            s.ps[0].a[k] + s.p.f
+        }
+    """
+    toks = tokenize(source)
+    built = []
+    init = Span.__init__
+
+    def counting_init(self, start, end):
+        built.append(self)
+        init(self, start, end)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    program = parse_program(toks, len(source))
+    monkeypatch.undo()
+    nodes = _spanned_nodes(program)
+    assert sum(isinstance(n, Path) and len(n.accessors) > 1 for n in nodes) >= 8
+    assert len(built) == len(nodes)
+    assert {id(s) for s in built} == {id(n.span) for n in nodes}

@@ -231,7 +231,10 @@ def test_generated_programs_are_linear():
 
 
 def test_vm_setup_is_independent_of_declarations():
-    small, large = (line_events(VM, lower_source(declarations(n)))[0] for n in (N, 2 * N))
+    def setup(ir):
+        return VM(ir, cow=True, debug=False)
+
+    small, large = (line_events(setup, lower_source(declarations(n)))[0] for n in (N, 2 * N))
     assert small == large, (small, large)
 
 

@@ -5,8 +5,10 @@ src/mvsl must be referenced somewhere in src/mvsl outside its own
 definition: code that only its own tests use is deleted, not kept.  The
 public API (mvsl.__all__), dunder names and the console script `entry`
 are exempt.  Likewise every name a module imports must be referenced in
-that module; `__init__.py`, which re-exports the API, is exempt.  And
-every function parameter other than `self` must be read by its body.
+that module; `__init__.py`, which re-exports the API, is exempt.  Every
+function parameter other than `self` must be read by its body, and a
+default that every call in the package supplies is dropped, unless the
+function is public API.
 """
 
 import ast
@@ -102,6 +104,52 @@ def unused_parameters() -> list[str]:
     return unused
 
 
+def _supplied(call: ast.Call, params: list[str]) -> set[str] | None:
+    """The parameters a call passes, or None if it passes *args or **kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return None
+    return {*params[: len(call.args)], *(k.arg for k in call.keywords)}
+
+
+def unused_defaults() -> list[str]:
+    """module:function.parameter for each default of a function or method
+    that every call in the package supplies.  A call names a module-level
+    function by its name, a method by its attribute name and a class's
+    __init__ by the class name.  Functions in mvsl.__all__ keep their
+    defaults."""
+    trees = {f.name: ast.parse(f.read_text(), str(f)) for f in sorted(PACKAGE.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(name, []).append(n)
+    unused = []
+    for mod, tree in trees.items():
+        # (label, name its calls use, definition, leading self parameters)
+        defs = [(fn.name, fn.name, fn, 0) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [
+            (f"{c.name}.{fn.name}", c.name if fn.name == "__init__" else fn.name, fn, 1)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef)
+            for fn in c.body
+            if isinstance(fn, ast.FunctionDef)
+        ]
+        for label, name, fn, skip in defs:
+            if fn.name in EXEMPT:
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args)][skip:]
+            defaulted = params[len(params) - len(a.defaults) :]
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            passed = [_supplied(c, params) for c in calls.get(name, [])]
+            if passed and None not in passed:
+                unused += [f"{mod}:{label}.{p}" for p in defaulted if all(p in s for s in passed)]
+    return unused
+
+
 def test_every_module_level_name_is_used_in_the_package():
     assert unused_names() == []
 
@@ -112,3 +160,7 @@ def test_every_import_is_used_in_its_module():
 
 def test_every_parameter_is_used():
     assert unused_parameters() == []
+
+
+def test_every_default_is_used():
+    assert unused_defaults() == []

@@ -18,6 +18,7 @@ from mvsl import (
     serialize_array_layout,
 )
 from mvsl import difftest
+from mvsl.diagnostics import NO_SPAN
 from mvsl import oracle as oracle_module
 from mvsl import vm as vm_module
 from mvsl.ir import (
@@ -47,7 +48,7 @@ PAIR = "struct Pair { var fs: Int; var sn: Int } in "
 
 
 def fresh_vm(cow=True):
-    return VM(lower_source("0"), cow=cow)
+    return VM(lower_source("0"), cow=cow, debug=False)
 
 
 # -- block primitives ----------------------------------------------------------
@@ -363,15 +364,15 @@ def test_disjoint_rows_ok():
 
 
 def test_check_dynamic_overlap_unit():
-    same = Location((("slot", 0, 3), ("elem", 7, 2)))
-    sibling = Location((("slot", 0, 3), ("elem", 7, 1)))
-    deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")))
-    check_dynamic_overlap(same, sibling)  # distinct elements: fine
+    same = Location((("slot", 0, 3), ("elem", 7, 2)), None, None)
+    sibling = Location((("slot", 0, 3), ("elem", 7, 1)), None, None)
+    deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")), None, None)
+    check_dynamic_overlap(same, sibling, NO_SPAN)  # distinct elements: fine
     with pytest.raises(RuntimeTrap):
-        check_dynamic_overlap(same, same)
+        check_dynamic_overlap(same, same, NO_SPAN)
     with pytest.raises(RuntimeTrap):
-        check_dynamic_overlap(same, deeper)  # prefix containment
-    check_dynamic_overlap(sibling, deeper)
+        check_dynamic_overlap(same, deeper, NO_SPAN)  # prefix containment
+    check_dynamic_overlap(sibling, deeper, NO_SPAN)
 
 
 # -- whole-run invariants -----------------------------------------------------------

@@ -32,7 +32,7 @@ def floats(n: int) -> list:
 
 def vm_copy(elems: list):
     """copy_value without copy-on-write: one fresh block."""
-    vm = VM(lower_source("0"), cow=False)
+    vm = VM(lower_source("0"), cow=False, debug=False)
     block = Block(elems)
     n, copy = line_events(vm.copy_value, block)
     assert copy is not block and copy.elems is not elems and copy.elems == elems
@@ -42,7 +42,7 @@ def vm_copy(elems: list):
 
 def vm_cow_dup(elems: list):
     """cow_dup of a block with two references."""
-    vm = VM(lower_source("0"))
+    vm = VM(lower_source("0"), cow=True, debug=False)
     block = Block(elems)
     block.r = 2
     n, copy = line_events(vm.cow_dup, block)
@@ -53,7 +53,7 @@ def vm_cow_dup(elems: list):
 
 def vm_destroy(elems: list):
     """destroy_value of a block's last reference."""
-    vm = VM(lower_source("0"), cow=False)
+    vm = VM(lower_source("0"), cow=False, debug=False)
     block = Block(elems)
     n, _ = line_events(vm.destroy_value, block)
     assert block.r == 0 and vm.stats.frees == 1
