@@ -177,10 +177,10 @@ class Call(Expr):
     # The places of a call are the paths it borrows for its duration:
     # its callee when that is a path, then its inout arguments, left to
     # right.  The law of exclusivity is one rule over this list, and
-    # overlap_pairs holds the pairs of its indexes whose overlap could
-    # not be decided statically and must be checked at runtime.  Filled
-    # by the type checker.
-    overlap_pairs: list[tuple[int, int]] | None = field(compare=False, default=None)
+    # checked_places holds the sorted indexes of the places checked at
+    # runtime, in one pass: those of each root with two or more places,
+    # one of them dynamically subscripted.  Filled by the type checker.
+    checked_places: list[int] | None = field(compare=False, default=None)
 
 
 @dataclass

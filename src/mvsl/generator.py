@@ -8,8 +8,8 @@ nonzero literals, products of literals only, reductions mod small
 primes inside loops-in-spirit like counters), and the bound is kept far
 below the 64-bit range.  Array subscripts are literals, or reads of
 variables whose concrete value is statically known, so they are always
-in bounds and inout pairs that need a runtime overlap check are
-concretely disjoint.
+in bounds and the places of a call that need a runtime overlap check
+are concretely disjoint.
 
 Candidate places are tuples (variable, *steps), where each step is a
 field name, a literal subscript or an Int variable read as a subscript;

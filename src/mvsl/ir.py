@@ -182,8 +182,7 @@ class ResolveLocation(Instr):
 
 @dataclass
 class OverlapCheck(Instr):
-    a: int
-    b: int
+    locations: list[int]
     span: Span = NO_SPAN
 
 
@@ -483,22 +482,19 @@ class _RoutineBuilder:
         return dst
 
     def lower_call(self, e: Call, dst: int | None) -> int:
-        assert e.overlap_pairs is not None
-        # The call's places, indexed like overlap_pairs: a path callee,
+        assert e.checked_places is not None
+        # The call's places, indexed like checked_places: a path callee,
         # borrowed in place so environment mutations persist in the named
         # closure value, then the inout arguments.  A callee path of field
         # steps only is read in place by the call itself: its walk cannot
-        # trap, and it is in no overlap pair, since two paths from one
-        # root have the same type at each common step, so a dynamic pair
-        # with it would compare a field with an index.  Any other callee
-        # is a temporary the call consumes.
+        # trap, and it is never checked, so it stands in places as its
+        # base slot.  Any other callee is a temporary the call consumes.
         targets: list[tuple[Path, int, list[Step]]] = []
         callee_steps: list[Step] | None = None
         if isinstance(e.callee, Path):
             callee, steps = self.lower_target(e.callee)
             if all(step[0] == "field" for step in steps):
                 callee_steps = steps
-                assert all(0 not in pair for pair in e.overlap_pairs), e.overlap_pairs
             else:
                 targets.append((e.callee, callee, steps))
         else:
@@ -506,23 +502,21 @@ class _RoutineBuilder:
         # Arguments evaluate left to right; an inout argument's
         # contribution is its subscript temporaries.  All places are then
         # resolved adjacent to the call, so no user code runs between a
-        # resolution and the call it feeds.
+        # resolution and the call it feeds, and checked together, once.
         args: list[int] = []
         for a in e.args:
             if isinstance(a, InoutArg):
                 targets.append((a.path, *self.lower_target(a.path)))
             else:
                 args.append(self.lower_value(a))
-        places = []
+        places = [callee] if callee_steps is not None else []
         for p, base, steps in targets:
             loc = self.new_slot()
             self.emit(ResolveLocation(loc, base, steps, p is e.callee, p.span))
             places.append(loc)
-        # overlap_pairs count a callee read in place, which has no slot.
-        shift = callee_steps is not None
-        for i, j in e.overlap_pairs:
-            self.emit(OverlapCheck(places[i - shift], places[j - shift], e.span))
-        if callee_steps is None and isinstance(e.callee, Path):
+        if e.checked_places:
+            self.emit(OverlapCheck([places[i] for i in e.checked_places], e.span))
+        if isinstance(e.callee, Path):
             callee = places.pop(0)
         if dst is None:
             dst = self.new_slot()
@@ -622,7 +616,7 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     if t is Move:
         return (), (ins.src,), ins.dst
     if t is OverlapCheck:
-        return (ins.a, ins.b), (), None
+        return ins.locations, (), None
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
@@ -1144,7 +1138,7 @@ def _fmt_instr(ins: Instr, consts: Consts) -> str:
         path = f"%{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)}"
         return f"resolve_location {path} -> %{ins.dst}"
     if isinstance(ins, OverlapCheck):
-        return f"overlap_check %{ins.a}, %{ins.b}"
+        return "overlap_check " + ", ".join(f"%{loc}" for loc in ins.locations)
     if isinstance(ins, CallInstr):
         args = ", ".join(_fmt_read(a, consts, ins.lent) for a in ins.args)
         locs = ", ".join(_fmt_read(l, consts, ins.lent) for l in ins.locations)

@@ -272,7 +272,6 @@ class _Interp:
         return _EVAL[type(e.tail)](self, e.tail, inner)
 
     def call(self, e: Call, scope: Scope):
-        assert e.overlap_pairs is not None
         # Phases match the compiled form: callee subscripts, arguments
         # left to right (an inout argument contributes its subscripts),
         # then the call's places, the callee first, are resolved with
@@ -298,9 +297,11 @@ class _Interp:
             container, key = places.pop(0)
             fn = container[key]
         assert type(fn) is Func
-        # Two places overlap iff one trail is a prefix of the other.
-        for i, j in e.overlap_pairs:
-            if all(a == b for a, b in zip(trails[i][1], trails[j][1])):
+        # Two places overlap iff one trail is a prefix of the other, and
+        # sorted, a trail that is a prefix of any other is one of the next.
+        if len(trails) > 1:
+            hops = sorted(t[1] for t in trails)
+            if any(b[: len(a)] == a for a, b in zip(hops, hops[1:])):
                 raise RuntimeTrap(e.span, "OverlapViolation", "overlapping inout arguments")
 
         # Copy in.

@@ -16,16 +16,14 @@ Enforces, over parsed programs:
 
 Checking annotates the AST in place: every expression gets a `ty`,
 bindings get unique ids, paths learn their root binding, function
-literals their capture lists, and calls the pairs of their places (a
-path callee, then the inout arguments) whose overlap must be re-checked
-at runtime.
+literals their capture lists, and calls the indexes of their places (a
+path callee, then the inout arguments) whose overlap must be checked at
+runtime.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import merge
 
 from .ast import (
     BINARY_PREC,
@@ -219,13 +217,8 @@ def paths_overlap(p1: AccessPathShape, p2: AccessPathShape) -> str:
     if p1.root != p2.root:
         return DISJOINT
     maybe = False
-    for s1, s2 in zip(p1.steps, p2.steps):
-        k1, v1 = s1
-        k2, v2 = s2
-        if k1 == "field" and k2 == "field":
-            if v1 != v2:
-                return DISJOINT
-        elif k1 == "lit" and k2 == "lit":
+    for (k1, v1), (k2, v2) in zip(p1.steps, p2.steps):
+        if k1 == k2 != "dyn":
             if v1 != v2:
                 return DISJOINT
         else:
@@ -512,67 +505,69 @@ class _Checker:
                         TYPE_MISMATCH,
                         f"argument has type {ty}, parameter expects {pty}",
                     )
-        e.overlap_pairs = self.check_exclusivity(e, places, n_callee)
+        e.checked_places = self.check_exclusivity(e, places, n_callee)
         return callee_ty.ret
 
-    def check_exclusivity(
-        self, call: Call, places: list[Path], n_callee: int
-    ) -> list[tuple[int, int]]:
-        """Reject statically overlapping pairs of the call's places, the
-        first n_callee of them its borrowed callee; return the pairs that
-        need a runtime check.
+    def check_exclusivity(self, call: Call, places: list[Path], n_callee: int) -> list[int]:
+        """Reject a call whose places clash statically, the first n_callee
+        of them its borrowed callee; return the sorted indexes of the
+        places to check at runtime.
 
-        Identical paths are an error even when their subscripts are
-        dynamic.  A clash of two inout arguments is reported before a
-        clash with the callee.  Places with different roots are disjoint,
-        and so are places whose first steps are different fields or
-        different literal subscripts.  So each place is filed under its
-        root and first step, None when that step is a dynamic subscript
-        or missing, and compared with the later places of its own file
-        and of its root's None file, or, if it is a None place, with every
-        later place of its root.  Each place's comparisons run in
-        ascending order, so the pairs and diagnostics come in (i, j) order.
+        Two places clash when they are spelled identically, even with
+        dynamic subscripts, or when one is a prefix of the other made
+        only of fields and literal subscripts.  Filed in a trie of their
+        steps, the arguments give their first clash in (i, j) order in
+        time linear in their length; it is reported before a clash with
+        the callee.  Every place of a root with two or more, one of them
+        dynamically subscripted, is checked at runtime, and that check is
+        exact.  A callee of field steps only is not: it is read in place,
+        and two paths from one root have the same type at each common
+        step, so it is statically disjoint from every other place.
         """
         shapes = [shape_of_path(p) for p in places]
-        keys = [
-            (s.root, s.steps[0] if s.steps and s.steps[0][0] != "dyn" else None) for s in shapes
-        ]
-        files: dict[tuple[int, object], list[int]] = {}  # (root, first step) -> places
-        same_root: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            files.setdefault(key, []).append(i)
-            same_root.setdefault(key[0], []).append(i)
-        pending: list[tuple[int, int]] = []
-        callee_clash: int | None = None
-        for i, (shape, (root, first)) in enumerate(zip(shapes, keys)):
-            if first is None:
-                group = same_root[root]
-                later = group[bisect_right(group, i) :]
-            else:
-                own, dyn = files[root, first], files.get((root, None), [])
-                later = merge(own[bisect_right(own, i) :], dyn[bisect_right(dyn, i) :])
-            for j in later:
-                verdict = paths_overlap(shape, shapes[j])
-                if verdict == OVERLAP or shape == shapes[j]:
-                    if i >= n_callee:
-                        raise _err(
-                            call.span,
-                            OVERLAPPING_INOUT,
-                            f"inout arguments '{pretty_expr(places[i])}' and "
-                            f"'{pretty_expr(places[j])}' overlap",
-                        )
-                    if callee_clash is None:
-                        callee_clash = j
-                elif verdict == MAYBE_OVERLAP:
-                    pending.append((i, j))
-        if callee_clash is not None:
+        trie: dict[object, int] = {}  # a root, or (node, step) -> node
+        ends: dict[int, int] = {}  # node -> first argument ending there
+        through: dict[int, int] = {}  # node -> first argument passing through
+        clashes: list[tuple[int, int]] = []  # (first earlier argument, argument)
+        for j in range(n_callee, len(places)):
+            node = trie.setdefault(shapes[j].root, len(trie))
+            static, earlier = True, []
+            for step in shapes[j].steps:
+                if static and node in ends:
+                    earlier.append(ends[node])  # a prefix of fields and literals
+                through.setdefault(node, j)
+                node = trie.setdefault((node, step), len(trie))
+                static = static and step[0] != "dyn"
+            if node in ends:
+                earlier.append(ends[node])  # spelled identically
+            if static and node in through:
+                earlier.append(through[node])  # a prefix of it
+            ends.setdefault(node, j)
+            if earlier:
+                clashes.append((min(earlier), j))
+        if clashes:
+            i, j = min(clashes)
             raise _err(
                 call.span,
                 OVERLAPPING_INOUT,
-                f"inout argument '{pretty_expr(places[callee_clash])}' overlaps "
-                f"the call target '{pretty_expr(places[0])}'",
+                f"inout arguments '{pretty_expr(places[i])}' and "
+                f"'{pretty_expr(places[j])}' overlap",
             )
-        return pending
+        # No argument has the type of the callee, so none is spelled alike.
+        for j in range(n_callee, len(places)):
+            if n_callee and paths_overlap(shapes[0], shapes[j]) == OVERLAP:
+                raise _err(
+                    call.span,
+                    OVERLAPPING_INOUT,
+                    f"inout argument '{pretty_expr(places[j])}' overlaps "
+                    f"the call target '{pretty_expr(places[0])}'",
+                )
+        groups: dict[int, list[int]] = {}  # root -> places, but a callee read in place
+        for i, shape in enumerate(shapes):
+            if i >= n_callee or any(kind != "field" for kind, _ in shape.steps):
+                groups.setdefault(shape.root, []).append(i)
+        dynamic = {s.root for s in shapes if any(kind == "dyn" for kind, _ in s.steps)}
+        return sorted(i for root in dynamic if len(groups[root]) > 1 for i in groups[root])
 
     # -- paths ---------------------------------------------------------------
 

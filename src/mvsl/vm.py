@@ -21,10 +21,10 @@ follows both a Location's trail and an instruction's path steps; a
 resolution duplicates every shared block along the path, so a callee
 always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
-for pairs the type checker could not decide.  A callee path is a
-Location only when it has an index step; a callee path of field steps
-is read at the call, from its base slot through the steps, as native
-code loads a function from a struct field.
+in one pass over the places the type checker could not decide.  A
+callee path is a Location only when it has an index step; a callee path
+of field steps is read at the call, from its base slot through the
+steps, as native code loads a function from a struct field.
 
 An inout parameter passed on whole (&x) is forwarded, as native code
 passes the same pointer on: the move-optimized IR lends the call the
@@ -195,13 +195,20 @@ class Location:
         self.index = index
 
 
-def check_dynamic_overlap(l1: Location, l2: Location, span: Span) -> None:
-    """Trap iff the locations denote the same place or one contains the
-    other; trails that differ at any common hop are disjoint."""
-    for a, b in zip(l1.trail, l2.trail):
-        if a != b:
-            return
-    raise RuntimeTrap(span, OVERLAP_VIOLATION, "overlapping inout arguments")
+def check_dynamic_overlap(locations: list[Location], span: Span) -> None:
+    """Trap iff two locations denote the same place or one contains the
+    other: filed in one trie of hops, where the key None marks an end,
+    one trail ends where another ends or passes through."""
+    trie: dict = {}
+    for loc in locations:
+        node = trie
+        for hop in loc.trail:
+            node = node.setdefault(hop, {})
+            if None in node:
+                break
+        if node:
+            raise RuntimeTrap(span, OVERLAP_VIOLATION, "overlapping inout arguments")
+        node[None] = True
 
 
 def _scalar_type(elems: list) -> type | None:
@@ -547,7 +554,7 @@ class VM:
             elif t is MakeFloat:
                 slots[ins.dst] = ins.value
             elif t is OverlapCheck:
-                check_dynamic_overlap(slots[ins.a], slots[ins.b], ins.span)
+                check_dynamic_overlap([slots[loc] for loc in ins.locations], ins.span)
             else:  # pragma: no cover
                 raise AssertionError(f"unknown instruction {ins!r}")
             if debug:

@@ -13,10 +13,12 @@ check_program.  Every phase from lexing to the oracle's run is gated on
 many struct declarations and closures, on one call with many by-value
 arguments, on one call with many inout arguments, each rooted at its own
 binding, on one call with many inout arguments that subscript one
-array with literals, which the exclusivity check decides by their first
-step without comparing every pair, and on a chain of conditional
-bindings, each testing the one before, so that every earlier binding is
-live at each CondBr.
+array with literals, which the exclusivity check files in a trie of
+steps without comparing every pair, on one call with many inout
+arguments that subscript one array dynamically, whose places lowering
+hands to one OverlapCheck that the VM, like the oracle, runs in one pass
+over their trails, and on a chain of conditional bindings, each testing
+the one before, so that every earlier binding is live at each CondBr.
 
 The VM's and the oracle's runs are gated on the binding chain and on the
 long array literal, the shape of the cow_inout workload's array.  The
@@ -189,6 +191,15 @@ def subscript_call(n: int) -> list[str]:
             f"let f: {sig} = ({params}) -> Int {{ a0 + a1 }} in f({args})"]
 
 
+def dynamic_subscript_call(n: int) -> list[str]:
+    """One call with n inout arguments, &a[k + 0] to &a[k + n - 1]."""
+    params = ", ".join(f"a{i}: inout Int" for i in range(n))
+    sig = f"({', '.join(['inout Int'] * n)}) -> Int"
+    args = ", ".join(f"&a[k + {i}]" for i in range(n))
+    return [f"var a: [Int] = [{', '.join(['0'] * n)}] in var k: Int = 0 in "
+            f"let f: {sig} = ({params}) -> Int {{ a0 + a1 }} in f({args})"]
+
+
 def all_phases_growth(small: list[str], large: list[str]) -> dict[str, float]:
     """Each phase's ratio per doubling, lexing through the oracle's run."""
     return {**front_end_growth(small, large), **growth(small, large, run=True)}
@@ -270,6 +281,12 @@ def test_every_phase_is_linear_on_a_call_with_many_inout_arguments():
 
 
 def test_every_phase_is_linear_on_a_call_with_many_literal_subscripts():
-    # The exclusivity check files places by their root and first step.
+    # The exclusivity check files places in a trie of their steps.
     ratios = all_phases_growth(subscript_call(N), subscript_call(2 * N))
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_every_phase_is_linear_on_a_call_with_many_dynamic_subscripts():
+    # The call checks all its places at runtime in one pass, not pair by pair.
+    ratios = all_phases_growth(dynamic_subscript_call(N), dynamic_subscript_call(2 * N))
     assert all(r <= LIMIT for r in ratios.values()), ratios

@@ -16,6 +16,7 @@ from mvsl import (
 )
 from mvsl import difftest
 from mvsl import oracle as oracle_module
+from mvsl import typechecker
 from mvsl.ast import IntLit
 from mvsl.ir import apply_move_optimization, lower_program
 
@@ -85,6 +86,34 @@ def test_oracle_enforces_overlap():
     with pytest.raises(RuntimeTrap) as e:
         oracle(src)
     assert e.value.code == "OverlapViolation"
+
+
+def test_oracle_checks_overlap_without_the_type_checker(monkeypatch):
+    # A type checker that wrongly rules out every runtime check lets the
+    # VM run the call; the oracle checks every place of a call itself,
+    # so it traps and the harness reports a FAIL.
+    check = typechecker._Checker.check_exclusivity
+    monkeypatch.setattr(
+        typechecker._Checker, "check_exclusivity", lambda self, *args: check(self, *args) and []
+    )
+    source = dict(corpus_sources())["overlap_dynamic_trap.mvs"]
+    report = differential_run(parse_source(source), source)
+    assert report["status"] == "FAIL"
+    oracle_row, *vm_rows = report["results"]
+    assert oracle_row["trap"] == "OverlapViolation"
+    assert all(row["trap"] is None and row["output"] == "[1, 2]" for row in vm_rows), vm_rows
+
+
+def test_three_places_trap_at_the_call():
+    # Only the first and the last place of the call collide.
+    source = dict(corpus_sources())["overlap_dynamic_three.mvs"]
+    report = differential_run(parse_source(source), source)
+    assert report["status"] == "PASS"
+    start = source.index("rotate(")
+    span = [start, source.index(")", start) + 1]
+    assert all(
+        row["trap"] == "OverlapViolation" and row["span"] == span for row in report["results"]
+    ), report["results"]
 
 
 def test_oracle_closure_persistence():

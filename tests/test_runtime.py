@@ -367,12 +367,21 @@ def test_check_dynamic_overlap_unit():
     same = Location((("slot", 0, 3), ("elem", 7, 2)), None, None)
     sibling = Location((("slot", 0, 3), ("elem", 7, 1)), None, None)
     deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")), None, None)
-    check_dynamic_overlap(same, sibling, NO_SPAN)  # distinct elements: fine
+    check_dynamic_overlap([same, sibling], NO_SPAN)  # distinct elements: fine
     with pytest.raises(RuntimeTrap):
-        check_dynamic_overlap(same, same, NO_SPAN)
+        check_dynamic_overlap([same, same], NO_SPAN)
     with pytest.raises(RuntimeTrap):
-        check_dynamic_overlap(same, deeper, NO_SPAN)  # prefix containment
-    check_dynamic_overlap(sibling, deeper, NO_SPAN)
+        check_dynamic_overlap([same, deeper], NO_SPAN)  # prefix containment
+    with pytest.raises(RuntimeTrap):
+        check_dynamic_overlap([deeper, same], NO_SPAN)  # in either order
+    check_dynamic_overlap([sibling, deeper], NO_SPAN)
+    # one pass over three: only the first and the last overlap
+    other = Location((("slot", 0, 4),), None, None)
+    check_dynamic_overlap([same, sibling, other], NO_SPAN)
+    with pytest.raises(RuntimeTrap):
+        check_dynamic_overlap([same, other, deeper], NO_SPAN)
+    with pytest.raises(RuntimeTrap):
+        check_dynamic_overlap([deeper, other, sibling, same], NO_SPAN)
 
 
 # -- whole-run invariants -----------------------------------------------------------

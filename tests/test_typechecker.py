@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsl import GenConfig, check_program, generate_program, interpret_eager, parse_source
-from mvsl.ast import Assign, Binding, Call, Chain, Cond, FuncLit
+from mvsl.ast import Assign, Binding, Call, Chain, Cond, FuncLit, pretty_expr
 from mvsl.diagnostics import ParseError, TypeCheckError
 from mvsl.typechecker import (
     DISJOINT,
@@ -11,6 +11,7 @@ from mvsl.typechecker import (
     OVERLAP,
     AccessPathShape,
     paths_overlap,
+    shape_of_path,
 )
 from mvsl.types import BY_VALUE, FLOAT, INOUT, INT, ArrayType, FuncType, StructType
 
@@ -121,27 +122,109 @@ def test_overlapping_inout_messages():
     assert err_message(CALLEE + "b.f(&b, &y, &y)") == "inout arguments 'y' and 'y' overlap"
 
 
-def test_overlap_pairs_index_the_places_callee_first():
-    def pairs(source):
-        call = check(source).program.entry.tail
-        assert isinstance(call, Call)
-        return call.overlap_pairs
+def checked_places(source):
+    call = check(source).program.entry.tail
+    assert isinstance(call, Call)
+    return call.checked_places
 
+
+def test_checked_places_index_the_places_callee_first():
     dyn = SWAP + "var a: [Int] = [1, 2] in var i: Int = 0 in "
-    # the callee `swap` is place 0, disjoint from both arguments
-    assert pairs(dyn + "swap(&a[i], &a[0])") == [(1, 2)]
+    # the callee `swap` is place 0, read in place and never checked
+    assert checked_places(dyn + "swap(&a[i], &a[0])") == [1, 2]
     # a callee that is no path is no place
     lit = "((l: inout Int, r: inout Int) -> Int { l + r })"
-    assert pairs("var a: [Int] = [1, 2] in var i: Int = 0 in " + lit + "(&a[i], &a[0])") == [
-        (0, 1)
-    ]
+    assert checked_places(dyn + lit + "(&a[i], &a[0])") == [0, 1]
     fs = (
         "struct S { var f: (inout S) -> Int; var n: Int } in "
         "var ss: [S] = [S((s: inout S) -> Int { s.n }, 1), S((s: inout S) -> Int { 0 }, 2)] in "
         "var i: Int = 0 in "
     )
-    assert pairs(fs + "ss[i].f(&ss[0])") == [(0, 1)]
-    assert pairs(fs + "ss[0].f(&ss[1])") == []
+    assert checked_places(fs + "ss[i].f(&ss[0])") == [0, 1]
+    assert checked_places(fs + "ss[0].f(&ss[1])") == []
+
+
+def test_checked_places_are_every_place_of_a_root_with_a_dynamic_subscript():
+    src = (
+        "struct T { var f: (inout Int, inout Int, inout Int) -> Int; var xs: [Int]; var n: Int } in "
+        "var t: T = T((p: inout Int, q: inout Int, r: inout Int) -> Int { p }, [1, 2], 3) in "
+        "var y: Int = 4 in var i: Int = 0 in "
+    )
+    # t.n is statically disjoint from both elements, and checked with them
+    assert checked_places(src + "t.f(&t.xs[i], &t.n, &t.xs[0])") == [1, 2, 3]
+    # a root's one place is checked with nothing
+    assert checked_places(src + "t.f(&t.xs[i], &y, &t.n)") == [1, 3]
+    assert checked_places(src + "t.f(&t.xs[0], &y, &t.n)") == []
+
+
+# Random calls over two roots, m: [[Int]] and s: S, whose closures take
+# the arguments' types, against a pairwise reference on paths_overlap.
+SUBSCRIPTS = ["0", "1", "i", "j"]
+PLACES = [("m", "[[Int]]"), ("s", "S"), ("s.n", "Int"), ("s.m", "[[Int]]")]
+for root in ("m", "s.m"):
+    PLACES += [(f"{root}[{x}]", "[Int]") for x in SUBSCRIPTS]
+    PLACES += [(f"{root}[{x}][{y}]", "Int") for x in SUBSCRIPTS for y in SUBSCRIPTS]
+CALLEES = ["", "s.f", "s.fs[0]", "s.fs[i]", "s.fs[j]"]
+
+
+def random_call(callee: str, args: list[tuple[str, str]]) -> str:
+    params = ", ".join(f"a{k}: inout {ty}" for k, (_, ty) in enumerate(args))
+    lit = f"({params}) -> Int {{ 0 }}"
+    fn = f"({', '.join('inout ' + ty for _, ty in args)}) -> Int"
+    return (
+        f"struct S {{ var f: {fn}; var fs: [{fn}]; var m: [[Int]]; var n: Int }} in "
+        f"var m: [[Int]] = [[1, 2], [3, 4]] in "
+        f"var s: S = S({lit}, [{lit}, {lit}], [[1, 2], [3, 4]], 5) in "
+        f"var i: Int = 0 in var j: Int = 1 in "
+        f"{callee or '(' + lit + ')'}({', '.join('&' + p for p, _ in args)})"
+    )
+
+
+def pairwise_reference(places: list, n_callee: int) -> tuple[str | None, set[int]]:
+    """The first clash's message, or None, and the places of the pairs
+    that paths_overlap calls MaybeOverlap, by comparing every pair."""
+    shapes = [shape_of_path(p) for p in places]
+    maybe: set[int] = set()
+    callee_clash = None
+    for i in range(len(places)):
+        for j in range(i + 1, len(places)):
+            verdict = paths_overlap(shapes[i], shapes[j])
+            if verdict == OVERLAP or shapes[i] == shapes[j]:
+                if i >= n_callee:
+                    a, b = pretty_expr(places[i]), pretty_expr(places[j])
+                    return f"inout arguments '{a}' and '{b}' overlap", set()
+                if callee_clash is None:
+                    callee_clash = j
+            elif verdict == MAYBE_OVERLAP:
+                maybe |= {i, j}
+    if callee_clash is not None:
+        a, b = pretty_expr(places[callee_clash]), pretty_expr(places[0])
+        return f"inout argument '{a}' overlaps the call target '{b}'", set()
+    return None, maybe
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CALLEES),
+    st.lists(st.sampled_from(PLACES), min_size=1, max_size=6),
+)
+def test_exclusivity_matches_the_pairwise_reference(callee, args):
+    program = parse_source(random_call(callee, args))
+    try:
+        check_program(program)
+        message = None
+    except TypeCheckError as e:
+        assert e.code == "OverlappingInout", e.message
+        message = e.message
+    call = program.entry.tail
+    places = ([call.callee] if callee else []) + [a.path for a in call.args]
+    expected, maybe = pairwise_reference(places, len(places) - len(args))
+    assert message == expected
+    if message is None:
+        checked = call.checked_places
+        assert checked == sorted(set(checked))
+        assert maybe <= set(checked), (maybe, checked)
+        assert callee != "s.f" or 0 not in checked  # read in place
 
 
 def test_recursive_struct():
