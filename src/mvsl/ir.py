@@ -18,10 +18,11 @@ Lowering adds no plumbing of its own, and emits no Move.  Each computed
 value is produced in the slot where it lands: an initializer in its
 binding's slot, a conditional's arms in its result slot, a chain's tail
 in the chain's destination, ahead of the Destroys of the chain's
-bindings, which free other slots.  A call reads a callee path of field
-steps (f, box.fn, a captured g) in place, from its base slot through
-those steps; only a callee path with an index step is resolved to a
-Location, like an inout argument.
+bindings, which free other slots.  A call reads its callee in place and
+never consumes it: a callee path of field steps (f, box.fn, a captured
+g) from its base slot through those steps, and any other callee, a
+temporary or the Location of a callee path with an index step, from a
+slot of its own, which a Destroy frees after the call.
 
 The move optimization first decides last use, in one backward walk of
 each routine's naive IR (_last_uses), then which by-value parameters
@@ -200,9 +201,9 @@ class CallInstr(Instr):
     # it passes on whole (&x): the callee gets the caller's Location, which
     # stays in the caller's slot.
     lent: tuple[int, ...] = ()
-    # When set, the callee is not consumed: the call reads the closure in
-    # place, at these field steps from slot callee.
-    callee_steps: list[Step] | None = None
+    # The call reads the closure in place, at these field steps from slot
+    # callee, and never consumes it.
+    callee_steps: list[Step] = field(default_factory=list)
 
 
 @dataclass
@@ -488,17 +489,22 @@ class _RoutineBuilder:
         # closure value, then the inout arguments.  A callee path of field
         # steps only is read in place by the call itself: its walk cannot
         # trap, and it is never checked, so it stands in places as its
-        # base slot.  Any other callee is a temporary the call consumes.
+        # base slot.  Any other callee is a slot of this call, a
+        # temporary or a Location, which the call reads in place and a
+        # Destroy frees after it.
         targets: list[tuple[Path, int, list[Step]]] = []
-        callee_steps: list[Step] | None = None
+        places: list[int] = []
+        callee_steps: list[Step] = []
         if isinstance(e.callee, Path):
             callee, steps = self.lower_target(e.callee)
             if all(step[0] == "field" for step in steps):
                 callee_steps = steps
+                places.append(callee)
             else:
                 targets.append((e.callee, callee, steps))
         else:
             callee = self.lower_value(e.callee)
+        owned = not places
         # Arguments evaluate left to right; an inout argument's
         # contribution is its subscript temporaries.  All places are then
         # resolved adjacent to the call, so no user code runs between a
@@ -509,7 +515,6 @@ class _RoutineBuilder:
                 targets.append((a.path, *self.lower_target(a.path)))
             else:
                 args.append(self.lower_value(a))
-        places = [callee] if callee_steps is not None else []
         for p, base, steps in targets:
             loc = self.new_slot()
             self.emit(ResolveLocation(loc, base, steps, p is e.callee, p.span))
@@ -522,6 +527,8 @@ class _RoutineBuilder:
             dst = self.new_slot()
         call = CallInstr(dst, callee, args, places, e.span, e.callee.ty, callee_steps=callee_steps)
         self.emit(call)
+        if owned:
+            self.emit(Destroy(callee, e.span))
         return dst
 
     def finish(self, result: int, ty: FuncType | None, span: Span) -> Routine:
@@ -587,12 +594,8 @@ def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     if t is CallInstr:
         lent = ins.lent
         if not lent:
-            if ins.callee_steps is None:
-                return (), [ins.callee, *ins.args, *ins.locations], ins.dst
             return (ins.callee,), [*ins.args, *ins.locations], ins.dst
         owned = [a for a in (*ins.args, *ins.locations) if a not in lent]
-        if ins.callee_steps is None:
-            return lent, [ins.callee, *owned], ins.dst
         return (ins.callee, *lent), owned, ins.dst
     if t is Destroy:
         return (), (ins.slot,), None
@@ -716,7 +719,7 @@ def _lending_facts(routine: Routine, moves: dict) -> tuple[bool, list[FuncType],
                 if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
                     owned.add(ins.base)
             elif t is CallInstr:
-                if ins.callee_steps is not None and ins.callee == 0:
+                if ins.callee == 0:
                     env_callees.append(ins.fn_type)
             elif t is CondBr:
                 todo += [ins.else_block, ins.then_block]
@@ -1004,11 +1007,10 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
 # The states of a live slot; a slot that holds nothing has no entry.
 # Every live slot is readable, and only an owned one can be consumed.
 _OWNED = "owned"
-_LOC = "loc"
-_ENV = "env"
-_LENT = "lent"  # a lent parameter, live for the whole routine
+# A parameter other than an owned by-value one (the env, a lent
+# parameter or an inout Location), live for the whole routine.
+_BORROWED = "borrowed"
 _CONST = "const"  # a constant, live for the whole routine; consuming it reads it
-_PARAM_STATES = {P_ENV: _ENV, P_VALUE: _OWNED, P_LENT: _LENT, P_INOUT: _LOC}
 
 
 class _LinearityError(AssertionError):
@@ -1028,7 +1030,7 @@ def verify_linearity(ir: IRProgram) -> None:
     for routine in ir.routines.values():
         state = dict.fromkeys(routine.consts, _CONST)
         for i, (passing, _) in enumerate(routine.params):
-            state[i] = _PARAM_STATES[passing]
+            state[i] = _OWNED if passing == P_VALUE else _BORROWED
         _verify_block(routine.id, routine.body, state, top=True)
         for slot, st in state.items():
             if st == _OWNED:
@@ -1142,7 +1144,7 @@ def _fmt_instr(ins: Instr, consts: Consts) -> str:
     if isinstance(ins, CallInstr):
         args = ", ".join(_fmt_read(a, consts, ins.lent) for a in ins.args)
         locs = ", ".join(_fmt_read(l, consts, ins.lent) for l in ins.locations)
-        callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps or [], consts)}"
+        callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps, consts)}"
         return f"call {callee} ({args})({locs}) -> %{ins.dst}"
     if isinstance(ins, BinaryInstr):
         lhs, rhs = _fmt_read(ins.lhs, consts, ins.lent), _fmt_read(ins.rhs, consts, ins.lent)

@@ -371,8 +371,14 @@ class _Parser:
                 break
         p.span = Span(begin, end)
 
-    def call(self, callee: Expr) -> Expr:
-        self.advance()  # the "(" postfix found
+    def call(self, callee: Expr) -> Call:
+        args, end = self.arguments()
+        return Call(callee, args, Span(callee.span.start, self.end(end)))
+
+    def arguments(self) -> tuple[list[Expr | InoutArg], int]:
+        """Parse a parenthesized argument list at the cursor; returns the
+        arguments and the index of the closing ')'."""
+        self.advance()  # the "("
         args: list[Expr | InoutArg] = []
         if not self.at(PUNCT, ")"):
             while True:
@@ -386,25 +392,19 @@ class _Parser:
                     args.append(self.operand())
                 if not self.match(PUNCT, ","):
                     break
-        end = self.expect(PUNCT, ")", "')' or ','")
-        span = Span(callee.span.start, self.end(end))
-        if (
-            isinstance(callee, Path)
-            and not callee.accessors
-            and callee.root in self.struct_names
-        ):
-            plain: list[Expr] = []
-            for a in args:
-                if isinstance(a, InoutArg):
-                    raise ParseError(a.span, "inout argument in struct initializer")
-                plain.append(a)
-            return StructInit(callee.root, plain, span)
-        return Call(callee, args, span)
+        return args, self.expect(PUNCT, ")", "')' or ','")
 
     def primary(self) -> Expr:
         kind = self.kind
         lexeme = self.lexeme
         first = self.pos
+        if kind is IDENT and lexeme in self.struct_names and self.lexemes[first + 1] == "(":
+            self.advance()
+            args, end = self.arguments()
+            for a in args:
+                if isinstance(a, InoutArg):
+                    raise ParseError(a.span, "inout argument in struct initializer")
+            return StructInit(lexeme, args, self.span(first, end))
         if kind is IDENT or kind is UNDERSCORE:
             return self.path()
         if kind is INT:

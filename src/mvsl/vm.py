@@ -21,10 +21,11 @@ follows both a Location's trail and an instruction's path steps; a
 resolution duplicates every shared block along the path, so a callee
 always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
-in one pass over the places the type checker could not decide.  A
-callee path is a Location only when it has an index step; a callee path
-of field steps is read at the call, from its base slot through the
-steps, as native code loads a function from a struct field.
+in one pass over the places the type checker could not decide.  A call
+reads its callee in place, from its slot through its field steps, as
+native code loads a function from a struct field, and never consumes
+it; a slot that holds a Location, as for a callee path with an index
+step, is walked through its trail first.
 
 An inout parameter passed on whole (&x) is forwarded, as native code
 passes the same pointer on: the move-optimized IR lends the call the
@@ -181,18 +182,13 @@ class Frame:
 
 
 class Location:
-    """A trail plus the place it reached when it was resolved: the value
-    lives at container[index].  Only a call whose callee path has an
-    index step reads that place, right after the resolution; every other
-    use walks the trail again, since sharing created since then must be
-    duplicated."""
+    """A trail, and nothing more: every use walks it again, since sharing
+    created since the resolution must be duplicated."""
 
-    __slots__ = ("trail", "container", "index")
+    __slots__ = ("trail",)
 
-    def __init__(self, trail: tuple, container: list | None, index: int | None):
+    def __init__(self, trail: tuple):
         self.trail = trail
-        self.container = container
-        self.index = index
 
 
 def check_dynamic_overlap(locations: list[Location], span: Span) -> None:
@@ -339,6 +335,8 @@ class VM:
             else:
                 self.stats.releases += 1
             return
+        if t is Location:  # a place, which owns nothing
+            return
         raise AssertionError(f"cannot destroy {v!r}")
 
     def cow_dup(self, old: Block) -> Block:
@@ -442,34 +440,29 @@ class VM:
                 "inout resolution of an immutable binding"
             )
         trail: list = []
-        container, index = self._place(frame, ins.base, ins.steps, ins.span, True, trail)
-        frame.slots[ins.dst] = Location(tuple(trail), container, index)
+        self._place(frame, ins.base, ins.steps, ins.span, True, trail)
+        frame.slots[ins.dst] = Location(tuple(trail))
 
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
         slots = frame.slots
-        fn = callee = slots[ins.callee]
-        steps = ins.callee_steps
-        if steps is not None:
-            # A callee path of field steps, read in place: the closure
-            # stays there and its environment mutations persist there.  A
-            # Location base is walked as a resolution walks it.
-            if type(fn) is Location:
-                container, index = self._place(frame, ins.callee, steps, ins.span, True)
-                fn = container[index]
-            else:
-                for step in steps:
-                    fn = fn.fields[step[2]]
-        elif type(callee) is Location:
-            # A callee path with an index step, borrowed the same way.
-            # Lowering resolves it after every argument, and only inout
-            # resolutions, which find its blocks already unique, run
-            # before the call: its recorded place is current.
-            fn = callee.container[callee.index]
+        # The callee is read in place, at its field steps from its slot:
+        # the closure stays there and its environment mutations persist
+        # there.  A Location in the slot is walked as a resolution walks
+        # it.  Lowering resolves a callee path with an index step after
+        # every argument, and only inout resolutions, which find its
+        # blocks already unique, run before the call, so its walk
+        # duplicates nothing.
+        fn = slots[ins.callee]
+        if type(fn) is Location:
+            container, index = self._place(frame, ins.callee, ins.callee_steps, ins.span, True)
+            fn = container[index]
+        else:
+            for step in ins.callee_steps:
+                fn = fn.fields[step[2]]
         assert type(fn) is FuncVal
         routine = fn.routine
-        # The closure is lent to the call: an owned callee stays in its
-        # slot until the call returns, so its captures are counted once.
-        # A lent argument stays in the caller's slot, which still owns it.
+        # The closure is lent to the call, and so is a lent argument: each
+        # stays where the caller holds it, and the caller still owns it.
         callee_frame = Frame(routine, frame)
         into = callee_frame.slots
         into[0] = fn
@@ -486,10 +479,6 @@ class VM:
                 self.audit_location(frame, a, ins.span)
         result = self.exec_block(routine.body, callee_frame)
         assert result is not None, "routine body must end in Return"
-        if steps is None:
-            slots[ins.callee] = None
-            if fn is callee:
-                self.destroy_value(callee)
         slots[ins.dst] = result
 
     def exec_block(self, block: list[Instr], frame: Frame) -> Value | None:
@@ -566,13 +555,12 @@ class VM:
     def audit_location(self, frame: Frame, slot: int, span: Span) -> None:
         """Check that the Location in frame's slot, an inout parameter lent
         to a call as it is, is what resolving it again would give: the
-        same trail to the same place, with no block on the way shared, so
-        that the walk would duplicate nothing."""
-        loc = frame.slots[slot]
+        same trail, with no block on the way shared, so that the walk
+        would duplicate nothing."""
         trail: list = []
-        container, index = self._place(frame, slot, (), span, False, trail)
+        self._place(frame, slot, (), span, False, trail)
         shared = [hop[2] for hop in trail if hop[0] == "elem" and hop[1].r != 1]
-        assert tuple(trail) == loc.trail and container is loc.container and index == loc.index, (
+        assert tuple(trail) == frame.slots[slot].trail, (
             "stale location: a lent inout parameter no longer reaches its place"
         )
         assert not shared, (

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -19,6 +20,7 @@ from mvsl.ast import (
     Path,
     StructInit,
 )
+from mvsl.diagnostics import Span
 
 from conftest import lexable_corpus_sources
 
@@ -106,6 +108,35 @@ def test_round_trip_corpus():
     for name, source in lexable_corpus_sources():
         p = parse_source(source)
         assert parse_source(pretty_program(p)) == p, name
+
+
+def test_parsing_builds_only_the_spans_its_trees_reach(monkeypatch):
+    # A Span is built for an AST node and for nothing else: a struct
+    # initializer is recognised before any Path of its name is built.
+    sources = [source for _, source in lexable_corpus_sources()]
+    sources += [pretty_program(generate_program(GenConfig(s, size_budget=400))) for s in range(64)]
+    built = 0
+    init = Span.__init__
+
+    def counted(self, start, end):
+        nonlocal built
+        built += 1
+        init(self, start, end)
+
+    monkeypatch.setattr(Span, "__init__", counted)
+    trees = [parse_source(source) for source in sources]
+    monkeypatch.undo()
+    reached: set[int] = set()
+    todo: list = list(trees)
+    while todo:
+        node = todo.pop()
+        if type(node) is Span:
+            reached.add(id(node))
+        elif type(node) is list or type(node) is tuple:
+            todo += node
+        elif dataclasses.is_dataclass(node):
+            todo += [getattr(node, f.name) for f in dataclasses.fields(node)]
+    assert built == len(reached)
 
 
 @settings(deadline=None, max_examples=60)

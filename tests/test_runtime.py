@@ -285,6 +285,7 @@ def test_binary_operator_table_agrees_with_the_oracle(table, values):
     [
         "call_frame_layout.mvs",
         "callee_in_place.mvs",
+        "callee_temporary.mvs",
         "inout_forwarding.mvs",
         "lend_captured_callee.mvs",
         "lend_captured_callee_writer.mvs",
@@ -297,6 +298,9 @@ def test_call_programs_under_every_config_and_the_debug_audit(name):
     # callee_in_place.mvs calls through every form of callee path and
     # ends in the trap of an indexed callee, which comes before its
     # argument's.
+    # callee_temporary.mvs calls a temporary closure that captures an
+    # array and one chosen by a conditional: each is destroyed after its
+    # call.
     # inout_forwarding.mvs passes inout parameters on whole, so the debug
     # runs of the move-optimized IR check each lent Location against a
     # fresh resolution.
@@ -364,9 +368,9 @@ def test_disjoint_rows_ok():
 
 
 def test_check_dynamic_overlap_unit():
-    same = Location((("slot", 0, 3), ("elem", 7, 2)), None, None)
-    sibling = Location((("slot", 0, 3), ("elem", 7, 1)), None, None)
-    deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")), None, None)
+    same = Location((("slot", 0, 3), ("elem", 7, 2)))
+    sibling = Location((("slot", 0, 3), ("elem", 7, 1)))
+    deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")))
     check_dynamic_overlap([same, sibling], NO_SPAN)  # distinct elements: fine
     with pytest.raises(RuntimeTrap):
         check_dynamic_overlap([same, same], NO_SPAN)
@@ -376,7 +380,7 @@ def test_check_dynamic_overlap_unit():
         check_dynamic_overlap([deeper, same], NO_SPAN)  # in either order
     check_dynamic_overlap([sibling, deeper], NO_SPAN)
     # one pass over three: only the first and the last overlap
-    other = Location((("slot", 0, 4),), None, None)
+    other = Location((("slot", 0, 4),))
     check_dynamic_overlap([same, sibling, other], NO_SPAN)
     with pytest.raises(RuntimeTrap):
         check_dynamic_overlap([same, other, deeper], NO_SPAN)
