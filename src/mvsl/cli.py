@@ -133,7 +133,7 @@ def _cmd_run(args) -> int:
         ir = _timed(timings, "lower", lower_program, tp)
         if not args.no_move_opt:
             ir = _timed(timings, "move_opt", apply_move_optimization, ir)
-        text, stats = _timed(timings, "execute", execute, ir, not args.no_cow)
+        text, stats = _timed(timings, "execute", execute, ir, not args.no_cow, False, timings)
         print(text)
         if args.stats:
             print(stats.as_json(), file=sys.stderr)

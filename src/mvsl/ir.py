@@ -214,6 +214,9 @@ class BinaryInstr(Instr):
     rhs: int
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # operands read in place, not consumed
+    # Float operands (else Int), by which emitted code picks its operator
+    # function once; not printed, and no part of equality.
+    float_operands: bool = field(default=False, repr=False, compare=False)
 
 
 @dataclass
@@ -434,7 +437,8 @@ class _RoutineBuilder:
             lhs = self.lower_operand(e.lhs)
             rhs = self.lower_operand(e.rhs)
             t = self.new_slot() if dst is None else dst
-            self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span))
+            floats = type(e.lhs.ty) is FloatType
+            self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span, float_operands=floats))
             return t
         if isinstance(e, Chain):
             return self.lower_chain(e, dst)

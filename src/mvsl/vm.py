@@ -17,7 +17,8 @@ in the struct or environment record, so no field is looked up by name.
 
 inout arguments travel as Locations: a trail of frame-slot, field, and
 array-element hops, never a machine address.  One walker, VM._place,
-follows both a Location's trail and an instruction's path steps; a
+follows both a Location's trail and an instruction's path steps, from a
+list of slots, which need not be a frame's; a
 resolution duplicates every shared block along the path, so a callee
 always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
@@ -53,12 +54,25 @@ argument leaves the caller's slot empty.  A lent argument stays in the
 caller's slot, which still owns it: the callee's frame holds the same
 value for the duration of the call and never destroys it.  The closure
 is lent the same way.
+
+Hot routines are compiled.  The VM counts each routine's entries in a
+run, and at the COMPILE_THRESHOLD-th it compiles the routine to a
+Python function (mvsl.codegen), which later calls run instead of the
+routine's instructions: its slots are Python locals, and it calls this
+VM's own _place, copy_value, destroy_value and alloc, so the counters
+are the interpreter's.  A call of a compiled routine passes its
+arguments positionally, the closure first, and costs one Python frame.
+Compiled code calls a routine still cold through VM.enter.  Nothing
+compiled outlives the run, and with debug on nothing compiles, since
+the audit walks the interpreter's frames.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import countOf
 
@@ -86,6 +100,14 @@ from .ir import (
     Routine,
     StorePath,
 )
+
+# A routine is compiled to a Python function at this entry in a run (see
+# mvsl.codegen); math.inf keeps every routine interpreted.  In one execute
+# pass at seed 0, fib_closure enters its recursive routine 3 193 times and
+# cow_inout its 511, while no diff_sweep routine is entered more than 26
+# times: at 50 each of the first two compiles its one hot routine, and
+# diff_sweep, whose emission would not pay back, compiles none.
+COMPILE_THRESHOLD = 50
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -276,6 +298,11 @@ class VM:
         self.cow = cow
         self.debug = debug
         self.stats = RuntimeStats()
+        # Tiering, for this run only, by routine id: each routine's entries
+        # so far, and its compiled code, None while it is cold.
+        self.entries: dict[str, int] = dict.fromkeys(ir.routines, 0)
+        self.code: dict[str, Callable | None] = dict.fromkeys(ir.routines)
+        self.codegen_s = 0.0  # seconds spent emitting and compiling
 
     def alloc(self, elems: list) -> Block:
         self.stats.allocs += 1
@@ -362,21 +389,22 @@ class VM:
 
     # -- places -------------------------------------------------------------------
 
-    def _place(self, frame: Frame, base: int, steps, span: Span, prepare: bool, trail=None):
-        """Walk from frame slot base through the IR steps to (container,
-        index): the place lives at container[index], a frame-slot list,
-        the field list of a struct or closure, or a block's element list.
+    def _place(self, slots: list, base: int, steps, span: Span, prepare: bool, trail=None):
+        """Walk from slots[base] through the IR steps to (container,
+        index): the place lives at container[index], a slot list, the
+        field list of a struct or closure, or a block's element list.
 
         A base slot holding a Location is walked through its trail
-        first.  An ("index", slot) step reads its slot and leaves it as
-        it is: an Int needs no destroy, and a constant slot must keep its
-        value for the routine's next use.  With
+        first.  An ("index", slot) step reads slots[slot] and leaves it
+        as it is: an Int needs no destroy, and a constant slot must keep
+        its value for the routine's next use.  With
         prepare=True a shared block crossed on the way is replaced by a
         fresh duplicate, so the place can be written.  trail, when given,
         receives the hops walked, each element hop naming the block it
-        reached.
+        reached, after the head of the base Location's trail; for any
+        other base the caller puts the ("slot", frame, base) head in
+        trail first, since only it knows the frame that slots belong to.
         """
-        slots = frame.slots
         container, index = slots, base
         hops = steps
         cur = slots[base]
@@ -385,10 +413,8 @@ class VM:
             assert head[0] == "slot"
             container, index = head[1].slots, head[2]
             hops = (*cur.trail[1:], *steps)
-        else:
-            head = ("slot", frame, base)
-        if trail is not None:
-            trail.append(head)
+            if trail is not None:
+                trail.append(head)
         for hop in hops:
             cur = container[index]
             kind = hop[0]
@@ -418,7 +444,7 @@ class VM:
     # -- instruction execution ------------------------------------------------
 
     def exec_load(self, frame: Frame, ins: LoadPath) -> None:
-        container, index = self._place(frame, ins.base, ins.steps, ins.span, prepare=False)
+        container, index = self._place(frame.slots, ins.base, ins.steps, ins.span, False)
         frame.slots[ins.dst] = self.copy_value(container[index])
 
     def exec_store(self, frame: Frame, ins: StorePath) -> None:
@@ -429,19 +455,21 @@ class VM:
             assert ins.base not in frame.routine.immutable_slots, (
                 "write through an immutable binding"
             )
-        container, index = self._place(frame, ins.base, ins.steps, ins.span, prepare=True)
+        container, index = self._place(slots, ins.base, ins.steps, ins.span, True)
         old = container[index]
         container[index] = value
         self.destroy_value(old)
 
     def exec_resolve(self, frame: Frame, ins: ResolveLocation) -> None:
-        if self.debug and not ins.borrow and type(frame.slots[ins.base]) is not Location:
-            assert ins.base not in frame.routine.immutable_slots, (
+        slots = frame.slots
+        trail: list = []
+        if type(slots[ins.base]) is not Location:
+            assert not self.debug or ins.borrow or ins.base not in frame.routine.immutable_slots, (
                 "inout resolution of an immutable binding"
             )
-        trail: list = []
-        self._place(frame, ins.base, ins.steps, ins.span, True, trail)
-        frame.slots[ins.dst] = Location(tuple(trail))
+            trail.append(("slot", frame, ins.base))
+        self._place(slots, ins.base, ins.steps, ins.span, True, trail)
+        slots[ins.dst] = Location(tuple(trail))
 
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
         slots = frame.slots
@@ -454,19 +482,33 @@ class VM:
         # duplicates nothing.
         fn = slots[ins.callee]
         if type(fn) is Location:
-            container, index = self._place(frame, ins.callee, ins.callee_steps, ins.span, True)
+            container, index = self._place(slots, ins.callee, ins.callee_steps, ins.span, True)
             fn = container[index]
         else:
             for step in ins.callee_steps:
                 fn = fn.fields[step[2]]
         assert type(fn) is FuncVal
         routine = fn.routine
+        rid = routine.id
+        code = self.code[rid]
+        if code is None:  # _count, inlined: most calls are to cold routines
+            n = self.entries[rid] = self.entries[rid] + 1
+            if n == COMPILE_THRESHOLD:
+                code = self._compile(routine)
         # The closure is lent to the call, and so is a lent argument: each
         # stays where the caller holds it, and the caller still owns it.
+        lent = ins.lent
+        if code is not None:
+            passed = (*ins.args, *ins.locations)
+            values = [slots[a] for a in passed]
+            for a in passed:
+                if a not in lent:
+                    slots[a] = None
+            slots[ins.dst] = code(fn, *values)
+            return
         callee_frame = Frame(routine, frame)
         into = callee_frame.slots
         into[0] = fn
-        lent = ins.lent
         for a, s in zip(ins.args, routine.arg_slots):
             into[s] = slots[a]
             if a not in lent:
@@ -480,6 +522,51 @@ class VM:
         result = self.exec_block(routine.body, callee_frame)
         assert result is not None, "routine body must end in Return"
         slots[ins.dst] = result
+
+    def enter(self, fn: FuncVal, args: list, locations: list) -> Value:
+        """Compiled code's call of a routine with no code yet: count the
+        entry, and run its new code if this one compiled it, else run it
+        interpreted, as exec_call does, in a frame with no caller, since
+        compiled code never runs under the debug audit, the only reader
+        of the links."""
+        routine = fn.routine
+        code = self._count(routine)
+        if code is not None:
+            return code(fn, *args, *locations)
+        frame = Frame(routine)
+        into = frame.slots
+        into[0] = fn
+        for v, s in zip(args, routine.arg_slots):
+            into[s] = v
+        for v, s in zip(locations, routine.loc_slots):
+            into[s] = v
+        result = self.exec_block(routine.body, frame)
+        assert result is not None, "routine body must end in Return"
+        return result
+
+    def _count(self, routine: Routine):
+        """Count one entry of routine, which has no code yet, and compile
+        it at its COMPILE_THRESHOLD-th: its code, or None while it runs
+        interpreted.  A routine that cannot be compiled is not tried
+        again."""
+        n = self.entries[routine.id] = self.entries[routine.id] + 1
+        return self._compile(routine) if n == COMPILE_THRESHOLD else None
+
+    def _compile(self, routine: Routine):
+        """routine's code, timed and kept for the rest of the run, or None
+        if it cannot be compiled.  With debug on nothing compiles, since
+        the audit walks the frames of interpreted calls."""
+        if self.debug:
+            return None
+        # codegen reads this module's helpers, so it is imported here.
+        from .codegen import compile_routine
+
+        start = time.perf_counter()
+        code = compile_routine(self, routine)
+        self.codegen_s += time.perf_counter() - start
+        if code is not None:
+            self.code[routine.id] = code
+        return code
 
     def exec_block(self, block: list[Instr], frame: Frame) -> Value | None:
         # One exact-type test per instruction, in the order of each kind's
@@ -558,7 +645,7 @@ class VM:
         same trail, with no block on the way shared, so that the walk
         would duplicate nothing."""
         trail: list = []
-        self._place(frame, slot, (), span, False, trail)
+        self._place(frame.slots, slot, (), span, False, trail)
         shared = [hop[2] for hop in trail if hop[0] == "elem" and hop[1].r != 1]
         assert tuple(trail) == frame.slots[slot].trail, (
             "stale location: a lent inout parameter no longer reaches its place"
@@ -611,7 +698,8 @@ class VM:
 
     def run(self) -> str:
         entry = self.ir.routines[self.ir.entry]
-        result = self.exec_block(entry.body, Frame(entry))
+        code = self._count(entry)
+        result = code() if code is not None else self.exec_block(entry.body, Frame(entry))
         assert result is not None, "routine body must end in Return"
         text = format_value(result)
         self.destroy_value(result)
@@ -700,14 +788,20 @@ _FLOAT_OPS = {
 
 
 def execute(
-    ir: IRProgram, cow: bool = True, debug: bool = False
+    ir: IRProgram, cow: bool = True, debug: bool = False, timings: dict | None = None
 ) -> tuple[str, RuntimeStats]:
     """Run ir's entry routine; returns the formatted final value and
     the run's counters.  Non-trapping runs must free every block:
     allocs == frees and retains == releases.  No block is freed twice,
-    so equal counts mean none is left."""
+    so equal counts mean none is left.  timings, when given, gets the
+    seconds spent compiling hot routines under "codegen", also when the
+    run traps; they are part of the run's own time."""
     vm = VM(ir, cow=cow, debug=debug)
-    text = vm.run()
+    try:
+        text = vm.run()
+    finally:
+        if timings is not None:
+            timings["codegen"] = vm.codegen_s
     assert vm.stats.allocs == vm.stats.frees, (
         f"leak: allocs {vm.stats.allocs} != frees {vm.stats.frees}"
     )

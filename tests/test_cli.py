@@ -106,8 +106,8 @@ def test_run_stats_go_to_stderr(capsys, pair_file):
 @pytest.mark.parametrize(
     "flags, phases",
     [
-        ([], ["lex", "parse", "check", "lower", "move_opt", "execute"]),
-        (["--no-move-opt"], ["lex", "parse", "check", "lower", "execute"]),
+        ([], ["lex", "parse", "check", "lower", "move_opt", "codegen", "execute"]),
+        (["--no-move-opt"], ["lex", "parse", "check", "lower", "codegen", "execute"]),
         (["--oracle"], ["lex", "parse", "check", "oracle"]),
     ],
     ids=["vm", "no-move-opt", "oracle"],
@@ -119,6 +119,25 @@ def test_run_timings_go_to_stderr(capsys, pair_file, flags, phases):
     timings = json.loads(err)
     assert list(timings) == phases
     assert all(type(t) is float and t >= 0 for t in timings.values())
+
+
+def test_run_timings_show_codegen_inside_execute(capsys, tmp_path):
+    # fib(12) through a closure box enters its routine 465 times, so it
+    # is compiled; codegen is part of execute's time.  Nothing compiles
+    # in a run with no hot routine.
+    f = tmp_path / "fib.mvs"
+    f.write_text(
+        "struct F { var fn: (F, Int) -> Int } in\n"
+        "let fib: (F, Int) -> Int = (s: F, n: Int) -> Int "
+        "{ if n < 2 then n else s.fn(s, n - 1) + s.fn(s, n - 2) } in\n"
+        "let box: F = F(fib) in box.fn(box, 12)\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(f), "--timings")
+    timings = json.loads(err)
+    assert code == 0 and out == "144\n"
+    assert 0 < timings["codegen"] < timings["execute"]
+    code, out, err = run_cli(capsys, "run", str(CORPUS / "swap.mvs"), "--timings")
+    assert json.loads(err)["codegen"] == 0.0
 
 
 def test_run_timings_follow_stats_and_traps(capsys, pair_file, trap_file):

@@ -203,10 +203,13 @@ def test_long_struct_chain_checks(tmp_path):
 
 # -- call depth -----------------------------------------------------------------------
 
-# A call costs the VM two Python frames (exec_call and the callee body's
-# exec_block) plus one per CondBr arm it is in.  Under pytest and the
-# default recursion limit this recursion reaches 316 calls, where one more
-# Python frame per call stops it near 236; the oracle also stops near 236.
+# An interpreted call costs the VM two Python frames (exec_call and the
+# callee body's exec_block) plus one per CondBr arm it is in.  From a
+# routine's 50th entry in a run on, a call runs its compiled function
+# (mvsl.codegen), one Python frame in all.  Under pytest and the default
+# recursion limit this recursion reaches 852 calls (849 with
+# --no-move-opt --no-cow), against 316 when every call was interpreted;
+# the oracle stops at 315.
 CALL_DEPTH = 280
 
 

@@ -5,7 +5,9 @@ taken from outside the VM: VM.exec_block is wrapped with monkeypatch and
 adds len(block) on each entry, which counts a block that traps part way
 in full.  The VM keeps no counter of its own, since one add per block
 entry would cost fib(16), which enters 7 984 blocks, about 5 % of its
-execute time.
+execute time.  Compiled routines do not run exec_block, so the count is
+taken with compilation off (tests/test_codegen.py pins which routines
+compile).
 
 Each workload is built as perfbench/workloads.py builds it at seed 0 and
 runs one execute pass of the optimized IR with copy-on-write on, as the
@@ -14,6 +16,8 @@ EXPECTED with
 
     PYTHONPATH=src python tests/test_vm_instructions.py
 """
+
+import math
 
 from mvsl import RuntimeTrap, apply_move_optimization, check_program, lower_program, parse_source
 from mvsl import vm as vm_module
@@ -41,6 +45,7 @@ def instructions(name: str, patch=setattr) -> int:
         return RUN_BLOCK(self, block, frame)
 
     patch(vm_module.VM, "exec_block", counted)
+    patch(vm_module, "COMPILE_THRESHOLD", math.inf)
     for inp in workloads.build(name, 0).inputs():
         ir = apply_move_optimization(lower_program(check_program(parse_source(inp.source))))
         try:
