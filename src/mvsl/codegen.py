@@ -14,8 +14,13 @@ by-value and inout arguments, and returns its result.
   resolves a place of its own makes a Frame.
 - The IR has no loops: a CondBr becomes if/else, and a body a tree of
   nested arms.
-- A BinaryInstr calls the VM's own operator function, picked once from
-  the operand type that lowering recorded.
+- A BinaryInstr is inline Python, in the form that the operand type
+  lowering recorded picks: a comparison yields 1 or 0, a Float + - *
+  is the bare operation, and an Int + - * is followed by a check
+  against INT_MIN and INT_MAX (only the bound it can cross, when it
+  adds or subtracts a constant) that traps through the VM's own
+  _overflow.  Division and remainder, with their zero and sign cases,
+  still call the VM's _int_div, _int_rem and _float_div.
 - A call reads the closure in place, as the VM does, and calls its
   routine's compiled function directly, or VM.enter while the routine
   is cold.
@@ -57,13 +62,18 @@ from .ir import (
     StorePath,
 )
 from .vm import (
-    _FLOAT_OPS,
-    _INT_OPS,
+    INT_MAX,
+    INT_MIN,
     VM,
     Frame,
     FuncVal,
     Location,
     StructVal,
+    _COMPARISONS,
+    _float_div,
+    _int_div,
+    _int_rem,
+    _overflow,
     check_dynamic_overlap,
 )
 
@@ -94,6 +104,7 @@ class _Emitter:
             "_Func": FuncVal,
             "_Location": Location,
             "_overlap": check_dynamic_overlap,
+            "_overflow": _overflow,
         }
         # Slots that hold a Location: the inout parameters and each
         # resolution's result.  Each other slot a resolution starts
@@ -209,9 +220,28 @@ def _destroy(e: _Emitter, ins: Destroy, depth: int) -> None:
 
 
 def _binary(e: _Emitter, ins: BinaryInstr, depth: int) -> None:
-    op = e.name((_FLOAT_OPS if ins.float_operands else _INT_OPS)[ins.op])
-    args = f"{e.ref(ins.lhs)}, {e.ref(ins.rhs)}, {e.name(ins.span)}"
-    e.emit(depth, f"{e.ref(ins.dst)} = {op}({args})")
+    dst, lhs, rhs, op = e.ref(ins.dst), e.ref(ins.lhs), e.ref(ins.rhs), ins.op
+    if op in _COMPARISONS:
+        e.emit(depth, f"{dst} = 1 if {lhs} {op} {rhs} else 0")
+    elif op == "/" and ins.float_operands:
+        e.emit(depth, f"{dst} = {e.name(_float_div)}({lhs}, {rhs})")
+    elif op in ("/", "%"):
+        div = e.name(_int_div if op == "/" else _int_rem)
+        e.emit(depth, f"{dst} = {div}({lhs}, {rhs}, {e.name(ins.span)})")
+    else:
+        e.emit(depth, f"{dst} = {lhs} {op} {rhs}")
+        if ins.float_operands:
+            return
+        # Every Int in a slot is in range, so adding or subtracting a
+        # constant can leave the range on one side only.
+        c = e.routine.consts.get(ins.rhs)
+        if c is None or op == "*":
+            in_range = f"{INT_MIN} <= {dst} <= {INT_MAX}"
+        elif (c >= 0) == (op == "+"):
+            in_range = f"{dst} <= {INT_MAX}"
+        else:
+            in_range = f"{INT_MIN} <= {dst}"
+        e.emit(depth, f"if not {in_range}: _overflow({op!r}, {e.name(ins.span)})")
 
 
 def _cond_br(e: _Emitter, ins: CondBr, depth: int) -> None:

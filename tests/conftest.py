@@ -24,8 +24,13 @@ def run_source(source, cow=True, move_opt=True, debug=False):
     return execute(lower_source(source, move_opt), cow=cow, debug=debug)
 
 
+# The file name mvsl.codegen compiles each routine's function under.
+COMPILED = "<mvsl "
+
+
 def line_events(fn, arg):
-    """(line events inside the package while fn(arg) runs, its result)."""
+    """(line events inside the package and in the routines it compiled
+    while fn(arg) runs, its result)."""
     count = 0
 
     def local(frame, event, _arg):
@@ -35,7 +40,7 @@ def line_events(fn, arg):
         return local
 
     def tracer(frame, _event, _arg):
-        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+        return local if frame.f_code.co_filename.startswith((PACKAGE, COMPILED)) else None
 
     previous = sys.gettrace()
     sys.settrace(tracer)

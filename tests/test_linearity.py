@@ -2,7 +2,8 @@
 work linear in program size.
 
 Each phase runs under sys.settrace on a program of size N and on one of
-size 2N, and the line events executed inside src/mvsl are counted.  The
+size 2N, and the line events executed inside src/mvsl, and inside the
+routines that mvsl.codegen compiled during the run, are counted.  The
 count is deterministic, so the gate needs no timer: a phase fails when
 its count grows more than 2.1x per doubling of the program.  Ratios are
 pinned, not counts, since line events differ between CPython versions.
@@ -20,11 +21,13 @@ hands to one OverlapCheck that the VM, like the oracle, runs in one pass
 over their trails, and on a chain of conditional bindings, each testing
 the one before, so that every earlier binding is live at each CondBr.
 
-The VM's and the oracle's runs are gated on the binding chain and on the
-long array literal, the shape of the cow_inout workload's array.  The
-oracle is not gated on the passing chain: there it does 3.7x the work
-per doubling, because each f{i} deep-copies its capture of f{i - 1} and
-every environment nested in it, which the eager semantics requires.
+The VM's and the oracle's runs are gated on the binding chain, on the
+long array literal, the shape of the cow_inout workload's array, and on
+a chain of calls of one closure, which the VM compiles at its
+COMPILE_THRESHOLD-th entry.  The oracle is not gated on the passing
+chain: there it does 3.7x the work per doubling, because each f{i}
+deep-copies its capture of f{i - 1} and every environment nested in it,
+which the eager semantics requires.
 Generated programs do
 about 2.3x the executed work per doubling of their lowered instructions,
 because bigger programs call more closures, so that ratio measures the
@@ -53,6 +56,7 @@ import math
 from mvsl import (
     GenConfig,
     check_program,
+    codegen,
     generate_program,
     interpret_eager,
     parse_source,
@@ -60,11 +64,12 @@ from mvsl import (
     tokenize,
 )
 from mvsl.ir import CondBr, apply_move_optimization, lower_program
-from mvsl.vm import VM, execute
+from mvsl.vm import COMPILE_THRESHOLD, VM, execute
 
 from conftest import line_events, lower_source
 
 N = 200  # at most 400: traced runs are slow
+COMPILE = codegen.compile_routine
 LIMIT = 2.1  # line events per doubling of the source
 
 
@@ -130,6 +135,12 @@ def array_literal(n: int) -> list[str]:
 def binding_chain(n: int) -> list[str]:
     chain = "".join(f"var x{i}: Int = x{i - 1} + 1 in " for i in range(1, n))
     return [f"var x0: Int = 1 in {chain}x{n - 1}"]
+
+
+def call_chain(n: int) -> list[str]:
+    """n bindings, each one closure's call on the one before."""
+    chain = "".join(f"var x{i}: Int = f(x{i - 1}) in " for i in range(1, n))
+    return [f"let f: (Int) -> Int = (k: Int) -> Int {{ k + 1 }} in var x0: Int = 0 in {chain}x{n - 1}"]
 
 
 def conditional_chain(n: int) -> list[str]:
@@ -220,6 +231,28 @@ def growth(
 
 def test_binding_chain_is_linear():
     ratios = growth(binding_chain(N), binding_chain(2 * N), run=True)
+    assert all(r <= LIMIT for r in ratios.values()), ratios
+
+
+def test_line_events_count_compiled_code():
+    ir = lower_source(call_chain(2)[0])
+    code = COMPILE(VM(ir, cow=True, debug=False), ir.routines["@fn0"])
+    n, result = line_events(lambda k: code(None, k), 1)
+    assert n > 0 and result == 2, (n, result)
+
+
+def test_a_compiled_routine_is_linear(monkeypatch):
+    # f is entered N - 1 and 2N - 1 times, so it compiles in both runs.
+    compiled = []
+
+    def record(vm_, routine):
+        compiled.append(routine.id)
+        return COMPILE(vm_, routine)
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    assert COMPILE_THRESHOLD < N
+    ratios = growth(call_chain(N), call_chain(2 * N), run=True)
+    assert compiled == ["@fn0", "@fn0"]
     assert all(r <= LIMIT for r in ratios.values()), ratios
 
 
