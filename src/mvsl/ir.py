@@ -285,6 +285,11 @@ class IRProgram:
     routines: dict[str, Routine]
     entry: str
     structs: dict[str, StructInfo]
+    # mvsl.codegen's emitted code, by routine id: filled once per IR and
+    # per routine, at its first compilation in any run, and None for a
+    # routine that cannot be compiled.  Each IR keeps its own, since
+    # move-opt shares untouched Routines between the naive IR and its own.
+    compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 ENTRY_ID = "@entry"

@@ -62,9 +62,12 @@ routine's instructions: its slots are Python locals, and it calls this
 VM's own _place, copy_value, destroy_value and alloc, so the counters
 are the interpreter's.  A call of a compiled routine passes its
 arguments positionally, the closure first, and costs one Python frame.
-Compiled code calls a routine still cold through VM.enter.  Nothing
-compiled outlives the run, and with debug on nothing compiles, since
-the audit walks the interpreter's frames.
+Compiled code calls a routine still cold through VM.enter.  The
+tiering is per run, but the code is kept per IR: a routine is emitted
+and compiled once per IRProgram, and each later run that compiles it
+binds that code to its own VM in microseconds.  No run's VM outlives
+the run.  With debug on nothing compiles, since the audit walks the
+interpreter's frames.
 """
 
 from __future__ import annotations
@@ -102,8 +105,11 @@ from .ir import (
 )
 
 # A routine is compiled to a Python function at this entry in a run (see
-# mvsl.codegen); math.inf keeps every routine interpreted.  In one execute
-# pass at seed 0, fib_closure enters its recursive routine 3 193 times and
+# mvsl.codegen); math.inf keeps every routine interpreted.  Entries are
+# counted per run, though emitting is paid once per IR: every run of an IR
+# interprets a routine's first 49 entries again, and from the second run
+# on its compilation only binds the kept code.  In one execute pass at
+# seed 0, fib_closure enters its recursive routine 3 193 times and
 # cow_inout its 511, while no diff_sweep routine is entered more than 26
 # times: at 50 each of the first two compiles its one hot routine, and
 # diff_sweep, whose emission would not pay back, compiles none.
@@ -299,10 +305,11 @@ class VM:
         self.debug = debug
         self.stats = RuntimeStats()
         # Tiering, for this run only, by routine id: each routine's entries
-        # so far, and its compiled code, None while it is cold.
+        # so far, and its compiled code bound to this VM, None while it is
+        # cold.
         self.entries: dict[str, int] = dict.fromkeys(ir.routines, 0)
         self.code: dict[str, Callable | None] = dict.fromkeys(ir.routines)
-        self.codegen_s = 0.0  # seconds spent emitting and compiling
+        self.codegen_s = 0.0  # seconds spent compiling hot routines
 
     def alloc(self, elems: list) -> Block:
         self.stats.allocs += 1
@@ -553,9 +560,11 @@ class VM:
         return self._compile(routine) if n == COMPILE_THRESHOLD else None
 
     def _compile(self, routine: Routine):
-        """routine's code, timed and kept for the rest of the run, or None
-        if it cannot be compiled.  With debug on nothing compiles, since
-        the audit walks the frames of interpreted calls."""
+        """routine's code bound to this VM, timed and kept for the rest of
+        the run, or None if it cannot be compiled.  The IR keeps what was
+        emitted for it, so only the first run of an IR to compile routine
+        emits it.  With debug on nothing compiles, since the audit walks
+        the frames of interpreted calls."""
         if self.debug:
             return None
         # codegen reads this module's helpers, so it is imported here.
@@ -574,7 +583,7 @@ class VM:
         # optimized IR runs in the three benchmark workloads (seed 0):
         # fib(16) through a closure box (22 356 instructions), the inout
         # fill of 256 elements (4 870) and the diff_sweep programs
-        # (52 604).  BinaryInstr 38.6 %, CondBr 12.0, Return 11.0,
+        # (52 390).  BinaryInstr 38.6 %, CondBr 12.0, Return 11.0,
         # CallInstr 10.8, LoadPath 5.9, MakeInt 5.4, Destroy 5.4,
         # StorePath 4.0, MakeStruct 2.1, ResolveLocation 1.3, each other
         # kind 0.9 or less.
@@ -795,7 +804,9 @@ def execute(
     allocs == frees and retains == releases.  No block is freed twice,
     so equal counts mean none is left.  timings, when given, gets the
     seconds spent compiling hot routines under "codegen", also when the
-    run traps; they are part of the run's own time."""
+    run traps; they are part of the run's own time.  The first run of an
+    IR that compiles a routine emits it, in hundreds of microseconds;
+    every later run only binds the code the IR keeps, in microseconds."""
     vm = VM(ir, cow=cow, debug=debug)
     try:
         text = vm.run()

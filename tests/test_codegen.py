@@ -7,13 +7,17 @@ too, and each program runs in all four cow x move_opt configurations
 both compiled and interpreted (threshold inf).  Output, trap kind, trap
 span, trap message and every RuntimeStats field must be equal.  The programs are the
 corpus, generated seeds 0-199 at size budget 50 and 0-19 at budget 400,
-and the three benchmark workloads at seed 0.
+and the three benchmark workloads at seed 0.  Each IR runs compiled twice
+in each configuration: its first compiled run emits its routines, and
+every later one binds the code that IR keeps.
 
 Which routines compile at the default threshold is pinned per workload,
 so that a change of threshold shows here.
 """
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -67,7 +71,8 @@ def check_sources(monkeypatch, sources: list[str]) -> int:
                 monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
                 interpreted = outcome(ir, cow)
                 monkeypatch.setattr(vm, "COMPILE_THRESHOLD", 1)
-                assert outcome(ir, cow) == interpreted, (source, cow)
+                for run in ("first", "second"):
+                    assert outcome(ir, cow) == interpreted, (source, cow, run)
     return n
 
 
@@ -89,10 +94,91 @@ def test_compiled_runs_equal_interpreted_runs(monkeypatch, sources):
     assert check_sources(monkeypatch, sources()) > 0
 
 
+def count_emissions(monkeypatch) -> list[str]:
+    """The ids of the routines emitted from now on, one per emission."""
+    emitted = []
+    function = codegen._Emitter.function
+
+    def counted(e):
+        emitted.append(e.routine.id)
+        return function(e)
+
+    monkeypatch.setattr(codegen._Emitter, "function", counted)
+    return emitted
+
+
+@pytest.mark.parametrize("name", ["fib_closure", "cow_inout"])
+def test_emission_runs_once_per_ir(monkeypatch, name):
+    # Three runs of one IR at the default threshold: each compiles the
+    # hot routine at its 50th entry, and only the first emits it.
+    ir = lower_source(workloads.build(name, 0).inputs()[0].source)
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
+    interpreted = outcome(ir, True)
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", 50)
+    emitted = count_emissions(monkeypatch)
+    assert [outcome(ir, True) for _ in range(3)] == [interpreted] * 3
+    assert emitted == ["@fn0"]
+    assert list(ir.compiled) == ["@fn0"]
+
+
+def test_no_run_outlives_itself(monkeypatch):
+    # The IR keeps the emitted code, but nothing bound to the run that
+    # emitted it: that run's VM is gone once the run is.
+    runs = []
+
+    def record(vm_, routine):
+        runs.append(weakref.ref(vm_))
+        return COMPILE(vm_, routine)
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    ir = lower_source(workloads.build("fib_closure", 0).inputs()[0].source)
+    outcome(ir, True)
+    gc.collect()
+    assert len(runs) == 1 and runs[0]() is None
+    assert ir.compiled["@fn0"] is not None
+
+
+def test_the_naive_and_the_optimized_ir_never_share_an_entry(monkeypatch):
+    # Move-opt shares the entry routine between the two IRs and rewrites
+    # the routine it makes a closure of: the entry's code must make each
+    # IR's own closure, so the code is kept per IR, not per Routine.
+    source = dict(corpus_sources())["closure_of_rewritten_routine.mvs"]
+    interpreted = {}
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
+    for move_opt in (False, True):
+        for cow in (False, True):
+            interpreted[move_opt, cow] = outcome(lower_source(source, move_opt), cow)
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", 1)
+    for order in ((False, True), (True, False)):
+        base = lower_source(source, move_opt=False)
+        irs = {False: base, True: apply_move_optimization(base)}
+        assert irs[True].routines["@entry"] is base.routines["@entry"]
+        assert irs[True].routines["@fn0"] is not base.routines["@fn0"]
+        for move_opt in order:
+            for cow in (False, True):
+                assert outcome(irs[move_opt], cow) == interpreted[move_opt, cow], (order, cow)
+        assert base.compiled.keys() == irs[True].compiled.keys() == {"@entry", "@fn0", "@fn1"}
+        assert all(base.compiled[r] is not irs[True].compiled[r] for r in base.compiled)
+
+
+def test_a_trap_does_not_spoil_the_kept_code(monkeypatch):
+    # overflow.mvs traps in its compiled entry, on the run that emits it
+    # and on the run that binds the kept code alike.
+    ir = lower_source(dict(corpus_sources())["overflow.mvs"])
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
+    interpreted = outcome(ir, True)
+    assert interpreted[1] == "IntegerOverflow"
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", 1)
+    emitted = count_emissions(monkeypatch)
+    assert [outcome(ir, True) for _ in range(2)] == [interpreted] * 2
+    assert emitted == ["@entry"]
+
+
 def test_a_routine_nested_past_the_indentation_limit_stays_interpreted(monkeypatch):
     # 100 nested conditionals in the callee's arm: CPython refuses 100
     # levels of indentation, so the routine is interpreted on every one
-    # of its 61 entries, and compiling it is tried once.
+    # of its 61 entries, and compiling it is tried once per run and
+    # emitted once per IR.
     arms = "".join(f"if n < {i + 1} then {i} else " for i in range(100)) + "7"
     source = (
         "struct F { var fn: (F, Int) -> Int } in\n"
@@ -110,8 +196,13 @@ def test_a_routine_nested_past_the_indentation_limit_stays_interpreted(monkeypat
 
     monkeypatch.setattr(codegen, "compile_routine", record)
     monkeypatch.setattr(vm, "COMPILE_THRESHOLD", 1)
+    emitted = count_emissions(monkeypatch)
     assert outcome(ir, True)[0] == "1830"
     assert tried == [("@entry", True), ("@fn0", False)]
+    assert outcome(ir, True)[0] == "1830"
+    assert tried == [("@entry", True), ("@fn0", False)] * 2
+    assert emitted == ["@entry", "@fn0"]
+    assert ir.compiled["@fn0"] is None
 
 
 def test_every_instruction_kind_has_a_template():
