@@ -48,7 +48,6 @@ interpreted.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 from .ir import (
@@ -71,6 +70,7 @@ from .ir import (
     Return,
     Routine,
     StorePath,
+    instructions,
 )
 from .vm import (
     INT_MAX,
@@ -115,7 +115,7 @@ class _Emitter:
         # Slots that hold a Location: the inout parameters and each
         # resolution's result.  Each other slot a resolution starts
         # from lives in the frame.
-        resolves = [ins for ins in _instructions(routine.body) if type(ins) is ResolveLocation]
+        resolves = [ins for ins in instructions(routine.body) if type(ins) is ResolveLocation]
         self.locations = {*routine.loc_slots, *(ins.dst for ins in resolves)}
         self.framed = {ins.base for ins in resolves} - self.locations
 
@@ -125,15 +125,11 @@ class _Emitter:
         self.ns[n] = value
         return n
 
-    def literal(self, v: int | float) -> str:
-        """An Int or Float as source; inf and nan have no literal."""
-        return repr(v) if type(v) is int or math.isfinite(v) else self.name(v)
-
     def ref(self, slot: int) -> str:
         """The expression of a slot: a literal for a constant."""
         consts = self.routine.consts
         if slot in consts:
-            return self.literal(consts[slot])
+            return repr(consts[slot])
         return f"_S[{slot}]" if slot in self.framed else f"s{slot}"
 
     def refs(self, slots) -> str:
@@ -182,21 +178,11 @@ class _Emitter:
             self.emit(depth, f"{self.ref(ins.base)} = _L[0]")
 
 
-def _instructions(block: list[Instr]):
-    """Every instruction of block, its arms' too."""
-    todo = [block]
-    while todo:
-        for ins in todo.pop():
-            yield ins
-            if type(ins) is CondBr:
-                todo += [ins.then_block, ins.else_block]
-
-
 # -- one template per instruction kind ------------------------------------------
 
 
 def _make_scalar(e: _Emitter, ins: MakeInt | MakeFloat, depth: int) -> None:
-    e.emit(depth, f"{e.ref(ins.dst)} = {e.literal(ins.value)}")
+    e.emit(depth, f"{e.ref(ins.dst)} = {ins.value!r}")
 
 
 def _make_array(e: _Emitter, ins: MakeArray, depth: int) -> None:

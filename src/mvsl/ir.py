@@ -47,13 +47,18 @@ use.
 
 Slots are indexes into a routine-local frame.  Instructions form a
 tree: straight-line lists plus CondBr, which carries its branch blocks
-inline.  Linearity (each produced slot consumed exactly once per path)
-is machine-checked by verify_linearity before and after optimization.
+inline; instructions() walks a block and its arms.  Linearity (each
+produced slot consumed exactly once per path) is machine-checked by
+verify_linearity before and after optimization.
+
+Each instruction kind declares once, in its own class, the role of each
+slot field and its printed form (see Instr).  The last-use walk, move
+elision and the verifier read the roles, and dump_ir prints the form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from operator import is_
 
@@ -88,111 +93,171 @@ Step = tuple[str, str, int] | tuple[str, int]
 # A routine's constants: slot -> its Int or Float value.
 Consts = dict[int, int | float]
 
+# The role of an instruction's slot field, declared as its annotation.
+Read = int  # read in place; prints as %n
+Produced = int  # written with a new value; prints as %n
+Consumed = int  # consumed; prints through _fmt_read
+Lendable = int  # consumed, or read in place when lent lists it; prints through _fmt_read
+Steps = list[Step]  # a path; the slot of each index step is Lendable
+FieldSteps = list[Step]  # a path of field steps only, which holds no slot
+
+
+def _display(items: list[str]) -> str:
+    """The source of one sequence of items, each an expression or a *iterable."""
+    if len(items) == 1 and items[0][0] == "*":
+        return items[0][1:]
+    return f"[{', '.join(items)}]" if items else "()"
+
 
 class Instr:
+    """An instruction.  Each kind declares once, in its own class, the
+    role of each slot field, as the field's annotation, and form, its
+    mnemonic and printed fields for str.format.  From the roles it gets
+    roles(), the slots it reads, consumes and produces (or None), and
+    lendable(), the slots its lent may list, as straight-line code made
+    once per kind, since the verifier asks every instruction twice per
+    program."""
+
     span: Span = NO_SPAN
+    form: str
+
+    def __init_subclass__(cls) -> None:
+        slots: dict[str, list[str]] = {"Read": [], "Lendable": [], "Consumed": [], "Produced": []}
+        for name, role in cls.__annotations__.items():
+            x = f"self.{name}"
+            if role == "Steps":
+                role, x = "Lendable", f'*[s[1] for s in {x} if s[0] == "index"]'
+            elif role.startswith("list["):
+                role, x = role[5:-1], f"*{x}"
+            slots.get(role, []).append(x)
+        reads, lendable, consumed, produced = slots.values()
+        dst = produced[0] if produced else "None"
+        lines = ["def lendable(self):", f"    return {_display(lendable)}", "def roles(self):"]
+        if lendable:  # a slot that lent lists is read, not consumed
+            owned = _display([f"*[s for s in {_display(lendable)} if s not in lent]", *consumed])
+            lines += [
+                "    lent = self.lent",
+                "    if lent:",
+                f"        return {_display([*reads, '*lent'])}, {owned}, {dst}",
+            ]
+        lines.append(f"    return {_display(reads)}, {_display(lendable + consumed)}, {dst}")
+        ns: dict = {}
+        exec(compile("\n".join(lines), f"<mvsl.ir {cls.__name__}>", "exec"), ns)
+        cls.roles, cls.lendable = ns["roles"], ns["lendable"]
 
 
 @dataclass
 class MakeInt(Instr):
-    dst: int
+    dst: Produced
     value: int
     span: Span = NO_SPAN
+    form = "make_int {value} -> {dst}"
 
 
 @dataclass
 class MakeFloat(Instr):
-    dst: int
+    dst: Produced
     value: float
     span: Span = NO_SPAN
+    form = "make_float {value!r} -> {dst}"
 
 
 @dataclass
 class MakeArray(Instr):
-    dst: int
+    dst: Produced
     element_type: Type
-    operands: list[int]
+    operands: list[Consumed]
     span: Span = NO_SPAN
+    form = "make_array [{element_type}] ({operands}) -> {dst}"
 
 
 @dataclass
 class MakeStruct(Instr):
-    dst: int
+    dst: Produced
     struct_name: str
-    operands: list[int]
+    operands: list[Consumed]
     span: Span = NO_SPAN
+    form = "make_struct {struct_name} ({operands}) -> {dst}"
 
 
 @dataclass
 class MakeClosure(Instr):
-    dst: int
+    dst: Produced
     routine_id: str
-    operands: list[int]  # captured values, declaration order
+    operands: list[Consumed]  # captured values, declaration order
     span: Span = NO_SPAN
+    form = "make_closure {routine_id} ({operands}) -> {dst}"
 
 
 @dataclass
 class Copy(Instr):
-    dst: int
-    src: int
+    dst: Produced
+    src: Read
     span: Span = NO_SPAN
+    form = "copy {src} -> {dst}"
 
 
 @dataclass
 class Move(Instr):
-    dst: int
-    src: int
+    dst: Produced
+    src: Consumed
     span: Span = NO_SPAN
+    form = "move {src} -> {dst}"
 
 
 @dataclass
 class Destroy(Instr):
-    slot: int
+    slot: Consumed
     span: Span = NO_SPAN
+    form = "destroy {slot}"
 
 
 @dataclass
 class LoadPath(Instr):
-    dst: int
-    base: int
-    steps: list[Step]
+    dst: Produced
+    base: Read
+    steps: Steps
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
+    form = "load_path {base}{steps} -> {dst}"
 
 
 @dataclass
 class StorePath(Instr):
-    base: int
-    steps: list[Step]
-    value: int
+    base: Read
+    steps: Steps
+    value: Consumed
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
+    form = "store_path {base}{steps} <- {value}"
 
 
 @dataclass
 class ResolveLocation(Instr):
-    dst: int
-    base: int
-    steps: list[Step]
+    dst: Produced
+    base: Read
+    steps: Steps
     # True for a call's callee path with an index step: the location may
     # root at an immutable binding, since invocation is not a mutation.
     borrow: bool = False
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
+    form = "resolve_location {base}{steps} -> {dst}"
 
 
 @dataclass
 class OverlapCheck(Instr):
-    locations: list[int]
+    locations: list[Read]
     span: Span = NO_SPAN
+    form = "overlap_check {locations}"
 
 
 @dataclass
 class CallInstr(Instr):
-    dst: int
-    callee: int
-    args: list[int]
-    locations: list[int]
+    dst: Produced
+    callee: Read
+    args: list[Lendable]
+    locations: list[Lendable]
     span: Span = NO_SPAN
     # The callee's type, which fixes the passing convention of each argument.
     fn_type: FuncType | None = None
@@ -203,35 +268,49 @@ class CallInstr(Instr):
     lent: tuple[int, ...] = ()
     # The call reads the closure in place, at these field steps from slot
     # callee, and never consumes it.
-    callee_steps: list[Step] = field(default_factory=list)
+    callee_steps: FieldSteps = field(default_factory=list)
+    form = "call {callee}{callee_steps} ({args})({locations}) -> {dst}"
 
 
 @dataclass
 class BinaryInstr(Instr):
-    dst: int
+    dst: Produced
     op: str
-    lhs: int
-    rhs: int
+    lhs: Lendable
+    rhs: Lendable
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # operands read in place, not consumed
     # Float operands (else Int), by which emitted code picks its operator
     # function once; not printed, and no part of equality.
     float_operands: bool = field(default=False, repr=False, compare=False)
+    form = "binary {op} {lhs}, {rhs} -> {dst}"
 
 
 @dataclass
 class CondBr(Instr):
-    cond: int
+    cond: Lendable
     then_block: list[Instr]
     else_block: list[Instr]
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # (cond,) when the condition is read in place
+    form = "cond_br {cond}"
 
 
 @dataclass
 class Return(Instr):
-    slot: int
+    slot: Consumed
     span: Span = NO_SPAN
+    form = "return {slot}"
+
+
+def instructions(block: list[Instr]) -> Iterator[Instr]:
+    """Every instruction of block and of its CondBrs' arms."""
+    todo = [block]
+    while todo:
+        for ins in todo.pop():
+            yield ins
+            if type(ins) is CondBr:
+                todo += [ins.then_block, ins.else_block]
 
 
 # Routine parameter passing markers.  A lent parameter is a by-value
@@ -594,42 +673,9 @@ def lower_program(tp: TypedProgram) -> IRProgram:
 
 def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
     """The slots ins only reads, the slots it consumes, and the slot it
-    produces (or None); the instructions of nested blocks are excluded."""
-    t = type(ins)  # the kinds by how often each reaches here in generated programs
-    if t is BinaryInstr:
-        if ins.lent:
-            return ins.lent, [s for s in (ins.lhs, ins.rhs) if s not in ins.lent], ins.dst
-        return (), (ins.lhs, ins.rhs), ins.dst
-    if t is CallInstr:
-        lent = ins.lent
-        if not lent:
-            return (ins.callee,), [*ins.args, *ins.locations], ins.dst
-        owned = [a for a in (*ins.args, *ins.locations) if a not in lent]
-        return (ins.callee, *lent), owned, ins.dst
-    if t is Destroy:
-        return (), (ins.slot,), None
-    if t is LoadPath or t is ResolveLocation or t is StorePath:
-        owned = [s[1] for s in ins.steps if s[0] == "index" and s[1] not in ins.lent]
-        if t is StorePath:
-            return (ins.base, *ins.lent), [*owned, ins.value], None
-        return (ins.base, *ins.lent), owned, ins.dst
-    if t is CondBr:
-        if ins.lent:
-            return ins.lent, (), None
-        return (), (ins.cond,), None
-    if t is Copy:
-        return (ins.src,), (), ins.dst
-    if t is Return:
-        return (), (ins.slot,), None
-    if t is MakeArray or t is MakeStruct or t is MakeClosure:
-        return (), ins.operands, ins.dst
-    if t is MakeInt or t is MakeFloat:
-        return (), (), ins.dst
-    if t is Move:
-        return (), (ins.src,), ins.dst
-    if t is OverlapCheck:
-        return ins.locations, (), None
-    raise AssertionError(f"unknown instruction {ins!r}")
+    produces (or None), as its kind declares them; the instructions of
+    nested blocks are excluded."""
+    return ins.roles()
 
 
 def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInfo]) -> bool:
@@ -673,26 +719,23 @@ def _last_uses(
     for ins in reversed(block):
         i -= 1
         t = type(ins)
-        if t is BinaryInstr:
-            later[ins.lhs] = later[ins.rhs] = None
-        elif t is Destroy:
+        if t is Destroy:
             later[ins.slot] = i
-        elif t is Copy:
+            continue
+        if t is Copy:
             j = later.get(ins.src)
             if j is not None:
                 moves[id(ins)] = j
-            later[ins.src] = None
-        elif t is not MakeInt and t is not MakeFloat:
-            if t is CondBr:
-                used = _last_uses(ins.then_block, moves, arm_uses).keys()
-                used |= _last_uses(ins.else_block, moves, arm_uses).keys()
-                arm_uses[id(ins)] = used
-                later.update(dict.fromkeys(used))
-            reads, consumes, _ = _operands(ins)
-            for slot in reads:
-                later[slot] = None
-            for slot in consumes:
-                later[slot] = None
+        elif t is CondBr:
+            used = _last_uses(ins.then_block, moves, arm_uses).keys()
+            used |= _last_uses(ins.else_block, moves, arm_uses).keys()
+            arm_uses[id(ins)] = used
+            later.update(dict.fromkeys(used))
+        reads, consumes, _ = _operands(ins)
+        for slot in reads:
+            later[slot] = None
+        for slot in consumes:
+            later[slot] = None
     return later
 
 
@@ -716,22 +759,18 @@ def _lending_facts(routine: Routine, moves: dict) -> tuple[bool, list[FuncType],
     writes_env = False
     env_callees: list[FuncType] = []
     owned: set[int] = set()
-    todo = [routine.body]
-    while todo:
-        for ins in todo.pop():
-            t = type(ins)
-            if t is Copy:
-                if ins.src in params and id(ins) in moves:
-                    owned.add(ins.src)
-            elif t is StorePath or t is ResolveLocation:
-                writes_env = writes_env or ins.base == 0
-                if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
-                    owned.add(ins.base)
-            elif t is CallInstr:
-                if ins.callee == 0:
-                    env_callees.append(ins.fn_type)
-            elif t is CondBr:
-                todo += [ins.else_block, ins.then_block]
+    for ins in instructions(routine.body):
+        t = type(ins)
+        if t is Copy:
+            if ins.src in params and id(ins) in moves:
+                owned.add(ins.src)
+        elif t is StorePath or t is ResolveLocation:
+            writes_env = writes_env or ins.base == 0
+            if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
+                owned.add(ins.base)
+        elif t is CallInstr:
+            if ins.callee == 0:
+                env_callees.append(ins.fn_type)
     return writes_env, env_callees, owned
 
 
@@ -793,11 +832,22 @@ class _Lending:
         return self.by_type.get(ty, _LENDS_NONE)
 
 
-def _lent_reads(slots: Sequence[int], renamed: dict[int, int], handed: set[int]) -> tuple[int, ...]:
-    """The sources that an instruction reading slots, some of them deleted
-    Copies' temporaries, reads in place: each renamed temporary's source,
-    unless the Copy was the source's last use, which hands it over."""
-    return tuple([renamed[s] for s in slots if s in renamed and s not in handed])
+def _reading_sources(ins: Instr, renamed: dict[int, int], handed: set[int]) -> dict:
+    """The fields of ins, a reader of deleted Copies' temporaries, that
+    change when it reads their sources: each Lendable field, and lent,
+    the sources it reads in place, which are all but those whose Copy was
+    the source's last use, which hands the source over."""
+    lent = tuple([renamed[s] for s in ins.lendable() if s in renamed and s not in handed])
+    fields: dict = {"lent": lent}
+    for name, role in type(ins).__annotations__.items():
+        value = getattr(ins, name)
+        if role == "Lendable":
+            fields[name] = renamed.get(value, value)
+        elif role == "Steps":
+            fields[name] = [
+                ("index", renamed.get(s[1], s[1])) if s[0] == "index" else s for s in value
+            ]
+    return fields
 
 
 def _elide_moves(
@@ -818,11 +868,11 @@ def _elide_moves(
     - A Copy into an argument that the call's type lends is deleted: the
       call reads the source in place.  Where the Copy was the source's
       last use, the source's Destroy moves to just after the call.
-    - A Copy into a BinaryInstr operand, a CondBr condition or the
-      subscript of an index step is deleted likewise: the instruction
-      reads the source in place, or, at the source's last use, consumes
-      it, and the source's Destroy is dropped.  These are Ints or Floats,
-      which need no destroy.
+    - A Copy into a Lendable slot of any other reader, a BinaryInstr
+      operand, a CondBr condition or an index step's subscript, is
+      deleted likewise: the instruction reads the source in place, or,
+      at the source's last use, consumes it, and the source's Destroy is
+      dropped.  These are Ints or Floats, which need no destroy.
     - Any other argument at a lent position is a temporary, destroyed by
       the caller just after the call.  An Int or Float needs no destroy,
       so such a temporary, or a source whose Destroy would follow the
@@ -840,9 +890,8 @@ def _elide_moves(
     block, which is block itself when nothing changed.
     """
     n = len(block)
-    # A temporary that a call at a lent position or as a location, a
-    # BinaryInstr, a CondBr or an index step reads -> the index of that
-    # reader.
+    # A temporary in a Lendable slot of a reader, a call's only at a lent
+    # position or as a location -> the index of that reader.
     readers: dict[int, int] = {}
     # A slot -> the first index after the current one that writes or
     # consumes it; a reader at that index reads before it writes.
@@ -854,15 +903,14 @@ def _elide_moves(
     # reader takes the source, or a call's caller destroys it after it.
     handed: set[int] = set()
     skip: set[int] = set()  # indexes of the instructions deleted
+    rereaders: set[int] = set()  # indexes of the readers of renamed temporaries
     masks: dict[int, tuple[int, ...]] = {}  # a call's index -> how it passes its arguments
     rewrites = False  # a call lends a non-scalar, or a CondBr's arms may change
     i = n
     for ins in reversed(block):
         i -= 1
         t = type(ins)
-        if t is BinaryInstr:
-            readers[ins.lhs] = readers[ins.rhs] = i
-        elif t is Destroy:
+        if t is Destroy:
             if ins.slot in lent_params:
                 skip.add(i)
         elif t is Copy:
@@ -873,16 +921,16 @@ def _elide_moves(
                 skip.add(j)
                 if k is None:
                     clobbered[src] = i  # a Move
-                else:
-                    renamed[ins.dst] = src
-                    handed.add(ins.dst)
-                    skip.add(i)
-                    # Any reader but a call consumes src at k, so it
-                    # cannot read src in place for another operand.
-                    clobbered[src] = k if type(block[k]) is CallInstr else k - 1
-            elif k is not None and clobbered.get(src, n) >= k:
-                renamed[ins.dst] = src
-                skip.add(i)
+                    continue
+                handed.add(ins.dst)
+                # Any reader but a call consumes src at k, so it
+                # cannot read src in place for another operand.
+                clobbered[src] = k if type(block[k]) is CallInstr else k - 1
+            elif k is None or clobbered.get(src, n) < k:
+                continue
+            renamed[ins.dst] = src
+            rereaders.add(k)
+            skip.add(i)
         elif t is CallInstr:
             masks[i] = mask = lending.get(ins.fn_type)[0]
             rewrites = rewrites or _LEND in mask
@@ -891,20 +939,16 @@ def _elide_moves(
                     readers[a] = i
             for a in ins.locations:
                 readers[a] = i
-        elif t is CondBr:
-            rewrites = True
-            assert id(ins) in arm_uses, "arm_uses does not come from _last_uses over this IR"
-            clobbered.update(dict.fromkeys(arm_uses[id(ins)], i))
-            readers[ins.cond] = i
-        elif t is LoadPath or t is StorePath or t is ResolveLocation:
-            for step in ins.steps:
-                if step[0] == "index":
-                    readers[step[1]] = i
-            if t is StorePath:
+        else:
+            for a in ins.lendable():
+                readers[a] = i
+            if t is CondBr:
+                rewrites = True
+                assert id(ins) in arm_uses, "arm_uses does not come from _last_uses over this IR"
+                clobbered.update(dict.fromkeys(arm_uses[id(ins)], i))
+            elif t is StorePath or (t is ResolveLocation and not ins.borrow):
                 clobbered[ins.base] = i
-            elif t is ResolveLocation and not ins.borrow:
-                clobbered[ins.base] = i
-                if not ins.steps and ins.base in loc_params:
+                if t is ResolveLocation and not ins.steps and ins.base in loc_params:
                     renamed[ins.dst] = ins.base
                     skip.add(i)
     if not (rewrites or skip or renamed):  # every Move drops a Destroy
@@ -919,19 +963,14 @@ def _elide_moves(
     at = -1
     for i, ins in enumerate(block):
         t = type(ins)
-        if t is BinaryInstr:
-            if ins.lhs in renamed or ins.rhs in renamed:
-                lent = _lent_reads((ins.lhs, ins.rhs), renamed, handed)
-                lhs, rhs = renamed.get(ins.lhs, ins.lhs), renamed.get(ins.rhs, ins.rhs)
-                ins = replace(ins, lhs=lhs, rhs=rhs, lent=lent)
-        elif t is Destroy:
+        if t is Destroy:
             if i not in skip:
                 out.append(ins)
             continue
-        elif i in skip:
+        if i in skip:
             at = -1
             continue
-        elif t is Copy:
+        if t is Copy:
             if id(ins) in moves and ins.src not in lent_params:
                 if at >= 0 and getattr(out[at], "dst", None) == ins.src:
                     out[at] = replace(out[at], dst=ins.dst)
@@ -962,21 +1001,15 @@ def _elide_moves(
             out.append(ins)
             out += after
             continue
-        elif t is CondBr:
-            then = _elide_moves(ins.then_block, lending, moves, arm_uses, loc_params)
-            orelse = _elide_moves(ins.else_block, lending, moves, arm_uses, loc_params)
-            if ins.cond in renamed or then is not ins.then_block or orelse is not ins.else_block:
-                lent = _lent_reads((ins.cond,), renamed, handed)
-                cond = renamed.get(ins.cond, ins.cond)
-                ins = replace(ins, cond=cond, then_block=then, else_block=orelse, lent=lent)
-        elif renamed and (t is LoadPath or t is StorePath or t is ResolveLocation):
-            subs = [step[1] for step in ins.steps if step[0] == "index"]
-            if any(s in renamed for s in subs):
-                steps = [
-                    ("index", renamed.get(step[1], step[1])) if step[0] == "index" else step
-                    for step in ins.steps
-                ]
-                ins = replace(ins, steps=steps, lent=_lent_reads(subs, renamed, handed))
+        elif t is CondBr or i in rereaders:
+            arms = {}
+            if t is CondBr:
+                then = _elide_moves(ins.then_block, lending, moves, arm_uses, loc_params)
+                orelse = _elide_moves(ins.else_block, lending, moves, arm_uses, loc_params)
+                if then is not ins.then_block or orelse is not ins.else_block:
+                    arms = {"then_block": then, "else_block": orelse}
+            if arms or i in rereaders:
+                ins = replace(ins, **arms, **_reading_sources(ins, renamed, handed))
         at = len(out)
         out.append(ins)
     return block if len(out) == n and all(map(is_, out, block)) else out
@@ -1114,65 +1147,37 @@ def _fmt_read(slot: int, consts: Consts, lent: tuple[int, ...]) -> str:
     return f"lent %{slot}" if slot in lent else f"%{slot}"
 
 
-def _fmt_steps(steps: list[Step], consts: Consts, lent: tuple[int, ...] = ()) -> str:
-    out = []
-    for step in steps:
-        out.append(f".{step[1]}" if step[0] == "field" else f"[{_fmt_read(step[1], consts, lent)}]")
-    return "".join(out)
-
-
 def _fmt_instr(ins: Instr, consts: Consts) -> str:
-    if isinstance(ins, MakeInt):
-        return f"make_int {ins.value} -> %{ins.dst}"
-    if isinstance(ins, MakeFloat):
-        return f"make_float {ins.value!r} -> %{ins.dst}"
-    if isinstance(ins, MakeArray):
-        ops = ", ".join(f"%{o}" for o in ins.operands)
-        return f"make_array [{ins.element_type}] ({ops}) -> %{ins.dst}"
-    if isinstance(ins, MakeStruct):
-        ops = ", ".join(f"%{o}" for o in ins.operands)
-        return f"make_struct {ins.struct_name} ({ops}) -> %{ins.dst}"
-    if isinstance(ins, MakeClosure):
-        ops = ", ".join(f"%{o}" for o in ins.operands)
-        return f"make_closure {ins.routine_id} ({ops}) -> %{ins.dst}"
-    if isinstance(ins, Copy):
-        return f"copy %{ins.src} -> %{ins.dst}"
-    if isinstance(ins, Move):
-        return f"move %{ins.src} -> %{ins.dst}"
-    if isinstance(ins, Destroy):
-        return f"destroy %{ins.slot}"
-    if isinstance(ins, LoadPath):
-        return f"load_path %{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)} -> %{ins.dst}"
-    if isinstance(ins, StorePath):
-        return f"store_path %{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)} <- %{ins.value}"
-    if isinstance(ins, ResolveLocation):
-        path = f"%{ins.base}{_fmt_steps(ins.steps, consts, ins.lent)}"
-        return f"resolve_location {path} -> %{ins.dst}"
-    if isinstance(ins, OverlapCheck):
-        return "overlap_check " + ", ".join(f"%{loc}" for loc in ins.locations)
-    if isinstance(ins, CallInstr):
-        args = ", ".join(_fmt_read(a, consts, ins.lent) for a in ins.args)
-        locs = ", ".join(_fmt_read(l, consts, ins.lent) for l in ins.locations)
-        callee = f"%{ins.callee}{_fmt_steps(ins.callee_steps, consts)}"
-        return f"call {callee} ({args})({locs}) -> %{ins.dst}"
-    if isinstance(ins, BinaryInstr):
-        lhs, rhs = _fmt_read(ins.lhs, consts, ins.lent), _fmt_read(ins.rhs, consts, ins.lent)
-        return f"binary {ins.op} {lhs}, {rhs} -> %{ins.dst}"
-    if isinstance(ins, Return):
-        return f"return %{ins.slot}"
-    raise AssertionError(f"unknown instruction {ins!r}")
+    """ins in its kind's form: a Read or Produced slot as %n, a Consumed
+    or Lendable one through _fmt_read, a list of slots with commas, a
+    path as its steps, and any other field as it is."""
+    lent = getattr(ins, "lent", ())
+    shown = {}
+    for name, role in type(ins).__annotations__.items():
+        value = getattr(ins, name)
+        slots = value if role.startswith("list[") else [value]
+        role = role.removeprefix("list[").removesuffix("]")
+        if role in ("Steps", "FieldSteps"):
+            value = "".join(
+                f".{s[1]}" if s[0] == "field" else f"[{_fmt_read(s[1], consts, lent)}]"
+                for s in value
+            )
+        elif role in ("Read", "Produced"):
+            value = ", ".join(f"%{s}" for s in slots)
+        elif role in ("Consumed", "Lendable"):
+            value = ", ".join(_fmt_read(s, consts, lent) for s in slots)
+        shown[name] = value
+    return type(ins).form.format_map(shown)
 
 
 def _dump_block(block: list[Instr], consts: Consts, out: list[str], indent: str) -> None:
     for i, ins in enumerate(block):
-        if isinstance(ins, CondBr):
-            out.append(f"{indent}{i}: cond_br {_fmt_read(ins.cond, consts, ins.lent)}")
+        out.append(f"{indent}{i}: {_fmt_instr(ins, consts)}")
+        if type(ins) is CondBr:
             out.append(f"{indent}then:")
             _dump_block(ins.then_block, consts, out, indent + "  ")
             out.append(f"{indent}else:")
             _dump_block(ins.else_block, consts, out, indent + "  ")
-        else:
-            out.append(f"{indent}{i}: {_fmt_instr(ins, consts)}")
 
 
 def dump_ir(ir: IRProgram) -> str:
