@@ -1,21 +1,21 @@
 """Compile a hot routine to a Python function: mvsl's native code.
 
 The VM interprets a routine until its COMPILE_THRESHOLD-th entry in a
-run, then calls compile_routine, which emits the routine, naive or
-move-optimized IR alike, as the source of one Python function and
-compile()s it.  The function takes the routine's parameters in call
-order, the closure first, then the by-value and inout arguments, and
-returns its result.
+run, or only until its first when the IR already keeps its code, then
+calls compile_routine, which emits the routine, naive or move-optimized
+IR alike, as the source of one Python function and compile()s it.  The
+function takes the routine's parameters in call order, the closure
+first, then the by-value and inout arguments, and returns its result.
 
 Emission reads only the IR, so it is done once per IRProgram and
-routine: the compiled module and the constants it reads are kept in
-IRProgram.compiled.  Each run that compiles the routine binds that code
-to its own VM, in a fresh globals dict of those constants and the VM's
-helpers, and runs the module in it to make the function, which takes a
-few microseconds.  Nothing bound to a VM is kept, so no run outlives
-itself.  The code is kept per IR, not per Routine: move-opt shares an
-untouched Routine between the naive IR and its own, and its closures
-must make each IR's own routines.
+routine: the compiled module, the constants it reads and the names of
+the VM helpers it calls are kept in IRProgram.compiled.  Each run that
+compiles the routine binds that code to its own VM, in a fresh globals
+dict of those constants and those helpers, and runs the module in it to
+make the function, which takes a few microseconds.  Nothing bound to a
+VM is kept, so no run outlives itself.  The code is kept per IR, not per
+Routine: move-opt shares an untouched Routine between the naive IR and
+its own, and its closures must make each IR's own routines.
 
 - A slot is a Python local and a constant a literal, except the slots a
   ResolveLocation roots its trail at: a Location names the frame and slot
@@ -29,17 +29,31 @@ must make each IR's own routines.
   is the bare operation, and an Int + - * is followed by a check
   against INT_MIN and INT_MAX (only the bound it can cross, when it
   adds or subtracts a constant) that traps through the VM's own
-  _overflow.  Division and remainder, with their zero and sign cases,
-  still call the VM's _int_div, _int_rem and _float_div.
+  _overflow.  An Int / or % by a positive constant, which can neither
+  divide by zero nor overflow, truncates inline; any other division or
+  remainder, with its zero and sign cases, calls the VM's _int_div,
+  _int_rem or _float_div.
 - A call reads the closure in place, as the VM does, and calls its
   routine's compiled function directly, or VM.enter while the routine
   is cold.
-- Path walks, copies, destroys, allocation and copy-on-write go through
-  the VM's own _place, copy_value, destroy_value, alloc and cow_dup, so
-  every counter comes from the code the interpreter runs.  Each path
-  walk gets a list of its base and subscript values, with its steps
-  renumbered to index that list, and the base slot is read back after
-  a walk that may write it.
+- A LoadPath or StorePath walks its steps inline, with the checks
+  _place makes in its order: a field step reads .fields[k], and an index
+  step asserts an Int subscript and a Block, in a store replaces a
+  shared block (r > 1) by the VM's cow_dup in the container it was read
+  from, the base slot itself for the first step, and checks bounds,
+  trapping through the VM's own check_bounds.  A base that holds a
+  Location, an inout parameter, is first followed through its trail by
+  VM.follow.  The emitter knows which slots hold a Location, the inout
+  parameters and the resolutions' results: copy_value refuses a
+  Location, and every Move is a rewritten Copy, so nothing carries one
+  into another slot.
+- A ResolveLocation records its trail, so it still calls the VM's
+  _place, over a list of its base and subscripts, with its steps
+  renumbered to index that list, and reads the base back after the walk.
+  A call whose callee slot holds a Location reads it through _place too.
+- Copies, destroys and allocation go through the VM's own copy_value,
+  destroy_value and alloc, so every counter comes from the code the
+  interpreter runs.
 
 Each instruction kind has one template in TEMPLATES.  A routine whose
 conditionals nest deeper than CPython's indentation allows stays
@@ -49,6 +63,7 @@ interpreted.
 from __future__ import annotations
 
 from collections.abc import Callable
+from types import CodeType
 
 from .ir import (
     BinaryInstr,
@@ -76,6 +91,7 @@ from .vm import (
     INT_MAX,
     INT_MIN,
     VM,
+    Block,
     Frame,
     FuncVal,
     Location,
@@ -109,6 +125,7 @@ class _Emitter:
             "_Struct": StructVal,
             "_Func": FuncVal,
             "_Location": Location,
+            "_Block": Block,
             "_overlap": check_dynamic_overlap,
             "_overflow": _overflow,
         }
@@ -159,23 +176,41 @@ class _Emitter:
         for ins in block:
             TEMPLATES[type(ins)](self, ins, depth)
 
-    def walk(self, ins, depth: int, prepare: bool, trail: str = "") -> None:
-        """Emit a _place walk of ins's path into _c, _i: over a list of
-        the base and the subscripts, with steps that index that list."""
-        subs, steps = [ins.base], []
+    def place(self, ins: LoadPath | StorePath, depth: int, prepare: bool) -> str:
+        """Emit the walk of ins's path inline, in the order _place walks
+        it, and return the place it reaches as an assignable expression.
+        A base that holds a Location is followed through its trail by the
+        VM's follow.  A field step reads .fields[k].  An index step
+        asserts that its subscript is an Int and the value a Block, with
+        prepare replaces a shared block by a duplicate in the container
+        it was read from, and checks bounds, trapping through the VM's
+        check_bounds."""
+        span = self.name(ins.span)
+        if ins.base in self.locations:
+            self.emit(depth, f"_c, _i = _follow({self.ref(ins.base)}, {span}, {prepare}, None)")
+            place = "_c[_i]"
+        else:
+            place = self.ref(ins.base)
         for step in ins.steps:
-            if step[0] == "index":
-                subs.append(step[1])
-                step = ("index", len(subs) - 1)
-            steps.append(step)
-        self.emit(depth, f"_L = [{self.refs(subs)}]")
-        args = f"_L, 0, {self.name(tuple(steps))}, {self.name(ins.span)}, {prepare}{trail}"
-        self.emit(depth, f"_c, _i = _place({args})")
-
-    def write_back(self, ins, depth: int) -> None:
-        """Read the base back after a walk that may have replaced it."""
-        if ins.base not in self.locations:
-            self.emit(depth, f"{self.ref(ins.base)} = _L[0]")
+            if step[0] == "field":
+                place = f"{place}.fields[{step[2]}]"
+                continue
+            i = self.ref(step[1])
+            v = place if place.isidentifier() else "_v"
+            if v != place:
+                self.emit(depth, f"_v = {place}")
+            if step[1] in self.routine.consts:
+                assert type(self.routine.consts[step[1]]) is int
+                self.emit(depth, f"assert type({v}) is _Block")
+            else:
+                self.emit(depth, f"assert type({i}) is int and type({v}) is _Block")
+            if prepare:
+                targets = v if v == place else f"{v} = {place}"
+                self.emit(depth, f"if {v}.r > 1: {targets} = _cow({v})")
+            self.emit(depth, f"_e = {v}.elems")
+            self.emit(depth, f"if not 0 <= {i} < len(_e): _bounds({v}, {i}, {span})")
+            place = f"_e[{i}]"
+        return place
 
 
 # -- one template per instruction kind ------------------------------------------
@@ -213,10 +248,16 @@ def _destroy(e: _Emitter, ins: Destroy, depth: int) -> None:
 
 def _binary(e: _Emitter, ins: BinaryInstr, depth: int) -> None:
     dst, lhs, rhs, op = e.ref(ins.dst), e.ref(ins.lhs), e.ref(ins.rhs), ins.op
+    c = e.routine.consts.get(ins.rhs)
     if op in _COMPARISONS:
         e.emit(depth, f"{dst} = 1 if {lhs} {op} {rhs} else 0")
     elif op == "/" and ins.float_operands:
         e.emit(depth, f"{dst} = {e.name(_float_div)}({lhs}, {rhs})")
+    elif op in ("/", "%") and c is not None and c > 0:
+        # A positive constant divisor can neither be zero nor overflow the
+        # quotient: truncate toward zero inline.
+        py = "//" if op == "/" else "%"
+        e.emit(depth, f"{dst} = {lhs} {py} {rhs} if {lhs} >= 0 else -(-{lhs} {py} {rhs})")
     elif op in ("/", "%"):
         div = e.name(_int_div if op == "/" else _int_rem)
         e.emit(depth, f"{dst} = {div}({lhs}, {rhs}, {e.name(ins.span)})")
@@ -226,7 +267,6 @@ def _binary(e: _Emitter, ins: BinaryInstr, depth: int) -> None:
             return
         # Every Int in a slot is in range, so adding or subtracting a
         # constant can leave the range on one side only.
-        c = e.routine.consts.get(ins.rhs)
         if c is None or op == "*":
             in_range = f"{INT_MIN} <= {dst} <= {INT_MAX}"
         elif (c >= 0) == (op == "+"):
@@ -248,25 +288,34 @@ def _return(e: _Emitter, ins: Return, depth: int) -> None:
 
 
 def _load_path(e: _Emitter, ins: LoadPath, depth: int) -> None:
-    e.walk(ins, depth, False)
-    e.emit(depth, f"{e.ref(ins.dst)} = _copy(_c[_i])")
+    place = e.place(ins, depth, False)
+    e.emit(depth, f"{e.ref(ins.dst)} = _copy({place})")
 
 
 def _store_path(e: _Emitter, ins: StorePath, depth: int) -> None:
-    e.walk(ins, depth, True)
-    e.emit(depth, "_old = _c[_i]")
-    e.emit(depth, f"_c[_i] = {e.ref(ins.value)}")
-    e.write_back(ins, depth)
+    place = e.place(ins, depth, True)
+    e.emit(depth, f"_old = {place}")
+    e.emit(depth, f"{place} = {e.ref(ins.value)}")
     e.emit(depth, "_destroy(_old)")
 
 
 def _resolve(e: _Emitter, ins: ResolveLocation, depth: int) -> None:
+    # A resolution records its trail, so it walks through _place, over a
+    # list of its base and subscripts, with steps that index that list.
+    subs, steps = [ins.base], []
+    for step in ins.steps:
+        if step[0] == "index":
+            subs.append(step[1])
+            step = ("index", len(subs) - 1)
+        steps.append(step)
     if ins.base in e.locations:
         e.emit(depth, "_T = []")
     else:
         e.emit(depth, f'_T = [("slot", _F, {ins.base})]')
-    e.walk(ins, depth, True, ", _T")
-    e.write_back(ins, depth)
+    e.emit(depth, f"_L = [{e.refs(subs)}]")
+    e.emit(depth, f"_place(_L, 0, {e.name(tuple(steps))}, {e.name(ins.span)}, True, _T)")
+    if ins.base not in e.locations:  # the walk may have replaced it
+        e.emit(depth, f"{e.ref(ins.base)} = _L[0]")
     e.emit(depth, f"{e.ref(ins.dst)} = _Location(tuple(_T))")
 
 
@@ -309,15 +358,35 @@ TEMPLATES: dict[type, Callable] = {
 }
 
 
+# The VM's own helpers and tables, by the global name compiled code reads
+# them under and their attribute of the VM.  A function is bound only to
+# those it reads.
+VM_GLOBALS = {
+    "_place": "_place",
+    "_follow": "follow",
+    "_cow": "cow_dup",
+    "_bounds": "check_bounds",
+    "_copy": "copy_value",
+    "_destroy": "destroy_value",
+    "_alloc": "alloc",
+    "_stats": "stats",
+    "_code": "code",
+    "_enter": "enter",
+}
+
+
 def _emit(ir: IRProgram, routine: Routine) -> tuple | None:
-    """routine's compiled module and the globals it reads that no VM
-    binds, or None when its conditionals nest too deep to emit."""
+    """routine's compiled module, the globals it reads that no VM binds
+    and the names of the VM's own it reads, or None when its conditionals
+    nest too deep to emit."""
     e = _Emitter(ir, routine)
     try:
         source = e.function()
     except _TooDeep:
         return None
-    return compile(source, f"<mvsl {routine.id}>", "exec"), e.ns
+    code = compile(source, f"<mvsl {routine.id}>", "exec")
+    (function,) = [c for c in code.co_consts if type(c) is CodeType]
+    return code, e.ns, [name for name in VM_GLOBALS if name in function.co_names]
 
 
 def compile_routine(vm: VM, routine: Routine) -> Callable | None:
@@ -330,16 +399,7 @@ def compile_routine(vm: VM, routine: Routine) -> Callable | None:
     emitted = compiled[routine.id]
     if emitted is None:
         return None
-    code, consts = emitted
-    ns = {
-        **consts,
-        "_place": vm._place,
-        "_copy": vm.copy_value,
-        "_destroy": vm.destroy_value,
-        "_alloc": vm.alloc,
-        "_stats": vm.stats,
-        "_code": vm.code,
-        "_enter": vm.enter,
-    }
+    code, consts, names = emitted
+    ns = {**consts, **{name: getattr(vm, VM_GLOBALS[name]) for name in names}}
     exec(code, ns)
     return ns["_routine"]

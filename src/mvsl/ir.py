@@ -58,7 +58,7 @@ elision and the verifier read the roles, and dump_ir prints the form.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from operator import is_
 
@@ -113,10 +113,10 @@ class Instr:
     """An instruction.  Each kind declares once, in its own class, the
     role of each slot field, as the field's annotation, and form, its
     mnemonic and printed fields for str.format.  From the roles it gets
-    roles(), the slots it reads, consumes and produces (or None), and
-    lendable(), the slots its lent may list, as straight-line code made
-    once per kind, since the verifier asks every instruction twice per
-    program."""
+    roles(), the slots it reads, consumes and produces (or None), a
+    CondBr's arms aside, and lendable(), the slots its lent may list, as
+    straight-line code made once per kind, since the verifier asks every
+    instruction twice per program."""
 
     span: Span = NO_SPAN
     form: str
@@ -671,13 +671,6 @@ def lower_program(tp: TypedProgram) -> IRProgram:
 # Move optimization
 
 
-def _operands(ins: Instr) -> tuple[Sequence[int], Sequence[int], int | None]:
-    """The slots ins only reads, the slots it consumes, and the slot it
-    produces (or None), as its kind declares them; the instructions of
-    nested blocks are excluded."""
-    return ins.roles()
-
-
 def _holds_writer(ty: Type, writers: set[FuncType], structs: dict[str, StructInfo]) -> bool:
     """Whether a value of type ty can hold a closure whose type is in
     writers, through struct fields and array elements."""
@@ -731,7 +724,7 @@ def _last_uses(
             used |= _last_uses(ins.else_block, moves, arm_uses).keys()
             arm_uses[id(ins)] = used
             later.update(dict.fromkeys(used))
-        reads, consumes, _ = _operands(ins)
+        reads, consumes, _ = ins.roles()
         for slot in reads:
             later[slot] = None
         for slot in consumes:
@@ -1092,7 +1085,7 @@ def _verify_block(
         t = type(ins)
         if t is Return and (not top or idx != len(block) - 1):
             raise _lin_fail(rid, ins, "Return must end the routine body")
-        reads, consumes, dst = _operands(ins)
+        reads, consumes, dst = ins.roles()
         for slot in reads:
             if slot not in state:
                 raise _lin_fail(rid, ins, f"slot {slot} not readable")

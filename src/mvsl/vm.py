@@ -16,9 +16,10 @@ The VM runs the layout lowering fixed: a field step carries its offset
 in the struct or environment record, so no field is looked up by name.
 
 inout arguments travel as Locations: a trail of frame-slot, field, and
-array-element hops, never a machine address.  One walker, VM._place,
-follows both a Location's trail and an instruction's path steps, from a
-list of slots, which need not be a frame's; a
+array-element hops, never a machine address.  One walker, VM.follow,
+follows a Location's trail; VM._place follows an instruction's path
+steps from a list of slots, which need not be a frame's, after following
+the trail of a Location in the base slot.  A
 resolution duplicates every shared block along the path, so a callee
 always writes uniquely-referenced storage.  Overlap between two
 locations of one call is the trail-prefix relation, checked dynamically
@@ -58,16 +59,17 @@ is lent the same way.
 Hot routines are compiled.  The VM counts each routine's entries in a
 run, and at the COMPILE_THRESHOLD-th it compiles the routine to a
 Python function (mvsl.codegen), which later calls run instead of the
-routine's instructions: its slots are Python locals, and it calls this
-VM's own _place, copy_value, destroy_value and alloc, so the counters
-are the interpreter's.  A call of a compiled routine passes its
-arguments positionally, the closure first, and costs one Python frame.
-Compiled code calls a routine still cold through VM.enter.  The
-tiering is per run, but the code is kept per IR: a routine is emitted
-and compiled once per IRProgram, and each later run that compiles it
-binds that code to its own VM in microseconds.  No run's VM outlives
-the run.  With debug on nothing compiles, since the audit walks the
-interpreter's frames.
+routine's instructions: its slots are Python locals, its path walks are
+inline, and it calls this VM's own follow, check_bounds, cow_dup,
+copy_value, destroy_value and alloc, so the counters and traps are the
+interpreter's.  A call of a compiled routine passes its arguments
+positionally, the closure first, and costs one Python frame.  Compiled
+code calls a routine still cold through VM.enter.  The code is kept per
+IR: a routine is emitted and compiled once per IRProgram, and a later
+run binds that code to its own VM, in microseconds, at the routine's
+first entry, since interpreting it again would only find it hot again.
+No run's VM outlives the run.  With debug on nothing compiles, since the
+audit walks the interpreter's frames.
 """
 
 from __future__ import annotations
@@ -105,10 +107,9 @@ from .ir import (
 )
 
 # A routine is compiled to a Python function at this entry in a run (see
-# mvsl.codegen); math.inf keeps every routine interpreted.  Entries are
-# counted per run, though emitting is paid once per IR: every run of an IR
-# interprets a routine's first 49 entries again, and from the second run
-# on its compilation only binds the kept code.  In one execute pass at
+# mvsl.codegen); math.inf keeps every routine interpreted.  Emitting is
+# paid once per IR: a run of an IR that already keeps a routine's code
+# binds it at the routine's first entry instead.  In one execute pass at
 # seed 0, fib_closure enters its recursive routine 3 193 times and
 # cow_inout its 511, while no diff_sweep routine is entered more than 26
 # times: at 50 each of the first two compiles its one hot routine, and
@@ -305,9 +306,15 @@ class VM:
         self.debug = debug
         self.stats = RuntimeStats()
         # Tiering, for this run only, by routine id: each routine's entries
-        # so far, and its compiled code bound to this VM, None while it is
-        # cold.
+        # counted toward COMPILE_THRESHOLD, and its compiled code bound to
+        # this VM, None while it is cold.  A routine whose code the IR
+        # keeps starts one entry short, so its first entry binds that code;
+        # at math.inf nothing does.
         self.entries: dict[str, int] = dict.fromkeys(ir.routines, 0)
+        if COMPILE_THRESHOLD < math.inf:
+            for rid, emitted in ir.compiled.items():
+                if emitted is not None:
+                    self.entries[rid] = COMPILE_THRESHOLD - 1
         self.code: dict[str, Callable | None] = dict.fromkeys(ir.routines)
         self.codegen_s = 0.0  # seconds spent compiling hot routines
 
@@ -396,50 +403,68 @@ class VM:
 
     # -- places -------------------------------------------------------------------
 
+    def follow(self, loc: Location, span: Span, prepare: bool, trail: list | None):
+        """Walk loc's trail from its frame slot to (container, index), the
+        one walker of trails.  Each hop is checked as it is walked: a
+        field hop must reach a struct or closure, and an element hop the
+        very block it names, or the location is stale.  With prepare=True
+        a shared block crossed on the way is replaced by a fresh duplicate,
+        so the place can be written.  trail, when given, receives the hops
+        walked, each element hop naming the block it reached."""
+        hops = loc.trail
+        head = hops[0]
+        assert head[0] == "slot"
+        container, index = head[1].slots, head[2]
+        if trail is not None:
+            trail.append(head)
+        for hop in hops[1:]:
+            cur = container[index]
+            if hop[0] == "field":
+                assert type(cur) is StructVal or type(cur) is FuncVal
+                container, index = cur.fields, hop[2]
+                if trail is not None:
+                    trail.append(hop)
+                continue
+            assert cur is hop[1], "stale location: storage replaced during argument evaluation"
+            i = hop[2]
+            if prepare and cur.r > 1:
+                cur = container[index] = self.cow_dup(cur)
+            self.check_bounds(cur, i, span)
+            container, index = cur.elems, i
+            if trail is not None:
+                trail.append(("elem", cur, i))
+        return container, index
+
     def _place(self, slots: list, base: int, steps, span: Span, prepare: bool, trail=None):
         """Walk from slots[base] through the IR steps to (container,
         index): the place lives at container[index], a slot list, the
         field list of a struct or closure, or a block's element list.
 
         A base slot holding a Location is walked through its trail
-        first.  An ("index", slot) step reads slots[slot] and leaves it
-        as it is: an Int needs no destroy, and a constant slot must keep
-        its value for the routine's next use.  With
+        first, by follow.  An ("index", slot) step reads slots[slot] and
+        leaves it as it is: an Int needs no destroy, and a constant slot
+        must keep its value for the routine's next use.  With
         prepare=True a shared block crossed on the way is replaced by a
         fresh duplicate, so the place can be written.  trail, when given,
-        receives the hops walked, each element hop naming the block it
-        reached, after the head of the base Location's trail; for any
-        other base the caller puts the ("slot", frame, base) head in
-        trail first, since only it knows the frame that slots belong to.
+        receives the hops walked, as follow records them; for a base
+        that holds no Location the caller puts the ("slot", frame, base)
+        head in trail first, since only it knows the frame that slots
+        belong to.
         """
         container, index = slots, base
-        hops = steps
-        cur = slots[base]
-        if type(cur) is Location:
-            head = cur.trail[0]
-            assert head[0] == "slot"
-            container, index = head[1].slots, head[2]
-            hops = (*cur.trail[1:], *steps)
-            if trail is not None:
-                trail.append(head)
-        for hop in hops:
+        if type(slots[base]) is Location:
+            container, index = self.follow(slots[base], span, prepare, trail)
+        for hop in steps:
             cur = container[index]
-            kind = hop[0]
-            if kind == "field":
+            if hop[0] == "field":
                 assert type(cur) is StructVal or type(cur) is FuncVal
                 container, index = cur.fields, hop[2]
                 if trail is not None:
                     trail.append(hop)
                 continue
-            if kind == "index":
-                i = slots[hop[1]]
-                assert type(i) is int
-                assert type(cur) is Block
-            else:
-                assert cur is hop[1], (
-                    "stale location: storage replaced during argument evaluation"
-                )
-                i = hop[2]
+            i = slots[hop[1]]
+            assert type(i) is int
+            assert type(cur) is Block
             if prepare and cur.r > 1:
                 cur = container[index] = self.cow_dup(cur)
             self.check_bounds(cur, i, span)

@@ -33,7 +33,7 @@ from mvsl import (
     pretty_program,
 )
 from mvsl import codegen, vm
-from mvsl.ir import BinaryInstr, Instr
+from mvsl.ir import BinaryInstr, Instr, LoadPath, StorePath
 
 from conftest import corpus_sources, lower_source, workloads
 
@@ -109,8 +109,9 @@ def count_emissions(monkeypatch) -> list[str]:
 
 @pytest.mark.parametrize("name", ["fib_closure", "cow_inout"])
 def test_emission_runs_once_per_ir(monkeypatch, name):
-    # Three runs of one IR at the default threshold: each compiles the
-    # hot routine at its 50th entry, and only the first emits it.
+    # Three runs of one IR at the default threshold: the first compiles
+    # the hot routine at its 50th entry and emits it, and each later one
+    # binds the code the IR keeps at the routine's first entry.
     ir = lower_source(workloads.build(name, 0).inputs()[0].source)
     monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
     interpreted = outcome(ir, True)
@@ -119,6 +120,54 @@ def test_emission_runs_once_per_ir(monkeypatch, name):
     assert [outcome(ir, True) for _ in range(3)] == [interpreted] * 3
     assert emitted == ["@fn0"]
     assert list(ir.compiled) == ["@fn0"]
+
+
+@pytest.mark.parametrize("name", ["fib_closure", "cow_inout"])
+def test_kept_code_is_bound_at_a_routines_first_entry(monkeypatch, name):
+    # Three runs of one IR at the default threshold: the first interprets
+    # @fn0's first 49 entries and binds it at its 50th, and the later ones
+    # bind the code the IR keeps at their first entry and interpret none.
+    inp = workloads.build(name, 0).inputs()[0]
+    ir = lower_source(inp.source)
+    body = ir.routines["@fn0"].body
+    interpreted: list[int] = []  # entries of @fn0 interpreted, per run
+    bound = []  # (routine id, entries of @fn0 interpreted before it was bound)
+    exec_block = vm.VM.exec_block
+
+    def counted(self, block, frame):
+        interpreted[-1] += block is body
+        return exec_block(self, block, frame)
+
+    def record(vm_, routine):
+        bound.append((routine.id, interpreted[-1]))
+        return COMPILE(vm_, routine)
+
+    monkeypatch.setattr(vm.VM, "exec_block", counted)
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    assert vm.COMPILE_THRESHOLD == 50
+    for _ in range(3):
+        interpreted.append(0)
+        assert outcome(ir, True)[0] == inp.expected[0]
+    assert bound == [("@fn0", 49), ("@fn0", 0), ("@fn0", 0)]
+    assert interpreted == [49, 0, 0]
+
+
+def test_an_infinite_threshold_compiles_nothing_on_an_ir_that_keeps_code(monkeypatch):
+    # check_sources takes its interpreted reference at math.inf, also on
+    # an IR whose earlier run kept code: that code must not be bound.
+    ir = lower_source(workloads.build("fib_closure", 0).inputs()[0].source)
+    compiled_run = outcome(ir, True)
+    assert ir.compiled["@fn0"] is not None
+    tried = []
+
+    def record(vm_, routine):
+        tried.append(routine.id)
+        return COMPILE(vm_, routine)
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
+    assert outcome(ir, True) == compiled_run
+    assert tried == []
 
 
 def test_no_run_outlives_itself(monkeypatch):
@@ -251,6 +300,11 @@ SCALAR_EDGES = [
     (MIN, "*", "(0 - 1)", OVERFLOW.format("*")),
     (MIN, "/", "(0 - 1)", OVERFLOW.format("/")),
     (MIN, "%", "(0 - 1)", "0"),
+    (MIN, "/", "2", "-4611686018427387904"),
+    (MIN, "%", "2", "0"),
+    (MAX, "/", "1", MAX),
+    (MAX, "%", "3", "1"),
+    ("(0 - 7)", "%", "1", "0"),
     ("7", "/", "0", BY_ZERO),
     ("7", "%", "0", BY_ZERO),
     (MAX, "-", MIN, OVERFLOW.format("-")),
@@ -304,24 +358,72 @@ def test_scalar_edge_cases_run_alike_compiled(monkeypatch, lhs, op, rhs, expecte
         assert (text if code is None else f"{code}: {message}") == expected, source
 
 
-def test_the_corpus_catches_a_dropped_overflow_check(monkeypatch):
-    # A mutant of the binary template that emits no overflow check: the
-    # corpus's overflow.mvs, and only it, then runs differently compiled.
-    binary = codegen.TEMPLATES[BinaryInstr]
+def corpus_failing_without(monkeypatch, kinds: list[type], dropped: str) -> list[str]:
+    """The corpus programs that run differently compiled, or index past a
+    list's end, when the templates of kinds emit no line containing
+    dropped."""
+    for kind in kinds:
 
-    def unchecked(e, ins, depth):
-        n = len(e.lines)
-        binary(e, ins, depth)
-        e.lines[n:] = [line for line in e.lines[n:] if "_overflow(" not in line]
+        def mutant(e, ins, depth, template=codegen.TEMPLATES[kind]):
+            n = len(e.lines)
+            template(e, ins, depth)
+            e.lines[n:] = [line for line in e.lines[n:] if dropped not in line]
 
-    monkeypatch.setitem(codegen.TEMPLATES, BinaryInstr, unchecked)
+        monkeypatch.setitem(codegen.TEMPLATES, kind, mutant)
     failing = []
     for name, source in corpus_sources():
         try:
             check_sources(monkeypatch, [source])
-        except AssertionError:
+        except (AssertionError, IndexError):
             failing.append(name)
-    assert failing == ["overflow.mvs"]
+    return failing
+
+
+def test_the_corpus_catches_a_dropped_overflow_check(monkeypatch):
+    # A mutant of the binary template that emits no overflow check: the
+    # corpus's overflow.mvs, and only it, then runs differently compiled.
+    assert corpus_failing_without(monkeypatch, [BinaryInstr], "_overflow(") == ["overflow.mvs"]
+
+
+def test_the_corpus_catches_a_dropped_bounds_check(monkeypatch):
+    # The load and store templates without their inline bounds check:
+    # index_oob.mvs's read past the end then crashes compiled.  The
+    # corpus's other bounds traps are in a resolution, which _place walks.
+    failing = corpus_failing_without(monkeypatch, [LoadPath, StorePath], "_bounds(")
+    assert failing == ["index_oob.mvs"]
+
+
+def test_the_corpus_catches_a_dropped_cow_check(monkeypatch):
+    # The store template without its inline copy-on-write of a shared
+    # block: a store then writes through to every holder of the block.
+    assert corpus_failing_without(monkeypatch, [StorePath], ".r > 1") == [
+        "closure_capture_inout.mvs",
+        "closure_capture_nested.mvs",
+        "cow_conditional_taken.mvs",
+        "inout_forwarding.mvs",
+        "lend_inout_overlap.mvs",
+        "scalar_arrays.mvs",
+    ]
+
+
+def test_cow_inouts_compiled_walks_are_inline(monkeypatch):
+    # fill's loads and stores walk their places inline, its inout
+    # parameter through the VM's follow, and its division by a constant
+    # is inline: its function calls neither _place nor _int_div.
+    compiled = {}
+
+    def record(vm_, routine):
+        compiled[routine.id] = code = COMPILE(vm_, routine)
+        return code
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    ir = lower_source(workloads.build("cow_inout", 0).inputs()[0].source)
+    outcome(ir, True)
+    assert "_place(" not in codegen._Emitter(ir, ir.routines["@fn0"]).function()
+    bound = compiled["@fn0"].__globals__
+    assert "_follow" in bound and "_place" not in bound
+    assert not any(v is vm._int_div or getattr(v, "__func__", None) is vm.VM._place
+                   for v in bound.values())
 
 
 def test_compiled_arithmetic_calls_only_the_division_helpers(monkeypatch):

@@ -1,7 +1,7 @@
 """Each instruction kind's declarations: the role of each slot field and
 the printed form.
 
-Every kind declares them in its own class; _operands (the slots an
+Every kind declares them in its own class; roles() (the slots an
 instruction reads, consumes and produces) and _fmt_instr (its line in
 dump_ir) are derived from them.  The golden digests cover every form but
 do not show it, so one hand-built instruction per kind, and per printing
@@ -32,7 +32,6 @@ from mvsl.ir import (
     Return,
     StorePath,
     _fmt_instr,
-    _operands,
 )
 from mvsl.types import IntType
 
@@ -122,14 +121,14 @@ def test_every_kind_is_pinned():
 @pytest.mark.parametrize("ins, consts, line, operands", CASES, ids=[c[2] for c in CASES])
 def test_printed_line_and_operands(ins, consts, line, operands):
     assert _fmt_instr(ins, consts) == line
-    reads, consumes, dst = _operands(ins)
+    reads, consumes, dst = ins.roles()
     assert (tuple(reads), tuple(consumes), dst) == operands
 
 
 def test_lent_slots_move_from_consumed_to_read():
     for ins, *_ in CASES:
         lent = getattr(ins, "lent", ())
-        reads, consumes, _ = _operands(ins)
+        reads, consumes, _ = ins.roles()
         assert set(lent) <= set(reads), ins
         assert not set(lent) & set(consumes), ins
 
