@@ -19,41 +19,42 @@ its own, and its closures must make each IR's own routines.
 
 - A slot is a Python local and a constant a literal, except the slots a
   ResolveLocation roots its trail at: a Location names the frame and slot
-  it starts from, so those slots live in a Frame made per call, which
-  the callee reads and writes through the trail.  Only a routine that
-  resolves a place of its own makes a Frame.
+  it starts from, so those slots live in a Frame made per call, whose
+  slot list _S is the endpoint of a Location of such a slot alone.  Only
+  a routine that resolves a place of its own makes a Frame.
 - The IR has no loops: a CondBr becomes if/else, and a body a tree of
   nested arms.
 - A BinaryInstr is inline Python, in the form that the operand type
-  lowering recorded picks: a comparison yields 1 or 0, a Float + - *
-  is the bare operation, and an Int + - * is followed by a check
-  against INT_MIN and INT_MAX (only the bound it can cross, when it
-  adds or subtracts a constant) that traps through the VM's own
-  _overflow.  An Int / or % by a positive constant, which can neither
-  divide by zero nor overflow, truncates inline; any other division or
-  remainder, with its zero and sign cases, calls the VM's _int_div,
-  _int_rem or _float_div.
+  lowering recorded picks.  A comparison directly before the CondBr that
+  consumes it, its only reader, is that branch's test (if a < b:); any
+  other comparison yields 1 or 0.  A Float + - * is the bare operation,
+  and an Int + - * is followed by a check against INT_MIN and INT_MAX
+  (only the bound it can cross, when it adds or subtracts a constant)
+  that traps through the VM's own _overflow.  An Int / or % by a
+  positive constant, which can neither divide by zero nor overflow,
+  truncates inline; any other division or remainder, with its zero and
+  sign cases, calls the VM's _int_div, _int_rem or _float_div.
 - A call reads the closure in place, as the VM does, and calls its
   routine's compiled function directly, or VM.enter while the routine
   is cold.
-- A LoadPath or StorePath walks its steps inline, with the checks
-  _place makes in its order: a field step reads .fields[k], and an index
-  step asserts an Int subscript and a Block, in a store replaces a
-  shared block (r > 1) by the VM's cow_dup in the container it was read
-  from, the base slot itself for the first step, and checks bounds,
-  trapping through the VM's own check_bounds.  A base that holds a
-  Location, an inout parameter, is first followed through its trail by
-  VM.follow.  The emitter knows which slots hold a Location, the inout
-  parameters and the resolutions' results: copy_value refuses a
-  Location, and every Move is a rewritten Copy, so nothing carries one
-  into another slot.
-- A ResolveLocation records its trail, so it still calls the VM's
-  _place, over a list of its base and subscripts, with its steps
-  renumbered to index that list, and reads the base back after the walk.
-  A call whose callee slot holds a Location reads it through _place too.
-- Copies, destroys and allocation go through the VM's own copy_value,
-  destroy_value and alloc, so every counter comes from the code the
-  interpreter runs.
+- A LoadPath, StorePath or ResolveLocation walks its steps inline, with
+  the checks _place makes in its order: a field step reads .fields[k],
+  and an index step asserts an Int subscript and a Block, in a store or
+  a resolution replaces a shared block (r > 1) by the VM's cow_dup in
+  the container it was read from, the base slot itself for the first
+  step, and checks bounds, trapping through the VM's own check_bounds.
+  A resolution also records its hops in a trail, and makes its Location
+  with vm.locate.  A base that holds a Location, an inout parameter or
+  a resolution's result, is read at the Location's endpoint, as native
+  code reads through an address, after the O(1) check of its anchor;
+  so is a call's callee slot that holds one.  The emitter knows which
+  slots hold a Location: copy_value refuses a Location, and every Move
+  is a rewritten Copy, so nothing carries one into another slot.
+- A LoadPath or StorePath of an Int or Float place, as lowering marks
+  it, reads or overwrites the element with a plain assignment.  Other
+  copies and destroys, and allocation, go through the VM's own
+  copy_value, destroy_value and alloc, so every counter comes from the
+  code the interpreter runs.
 
 Each instruction kind has one template in TEMPLATES.  A routine whose
 conditionals nest deeper than CPython's indentation allows stays
@@ -94,7 +95,7 @@ from .vm import (
     Block,
     Frame,
     FuncVal,
-    Location,
+    STALE_LOCATION,
     StructVal,
     _COMPARISONS,
     _float_div,
@@ -102,6 +103,7 @@ from .vm import (
     _int_rem,
     _overflow,
     check_dynamic_overlap,
+    locate,
 )
 
 # CPython allows 100 levels of indentation; the function body takes one.
@@ -124,7 +126,8 @@ class _Emitter:
         self.ns: dict = {
             "_Struct": StructVal,
             "_Func": FuncVal,
-            "_Location": Location,
+            "_locate": locate,
+            "_STALE": STALE_LOCATION,
             "_Block": Block,
             "_overlap": check_dynamic_overlap,
             "_overflow": _overflow,
@@ -173,29 +176,64 @@ class _Emitter:
             raise _TooDeep
         if not block:
             self.emit(depth, "pass")
-        for ins in block:
-            TEMPLATES[type(ins)](self, ins, depth)
-
-    def place(self, ins: LoadPath | StorePath, depth: int, prepare: bool) -> str:
-        """Emit the walk of ins's path inline, in the order _place walks
-        it, and return the place it reaches as an assignable expression.
-        A base that holds a Location is followed through its trail by the
-        VM's follow.  A field step reads .fields[k].  An index step
-        asserts that its subscript is an Int and the value a Block, with
-        prepare replaces a shared block by a duplicate in the container
-        it was read from, and checks bounds, trapping through the VM's
-        check_bounds."""
-        span = self.name(ins.span)
-        if ins.base in self.locations:
-            self.emit(depth, f"_c, _i = _follow({self.ref(ins.base)}, {span}, {prepare}, None)")
-            place = "_c[_i]"
-        else:
-            place = self.ref(ins.base)
-        for step in ins.steps:
-            if step[0] == "field":
-                place = f"{place}.fields[{step[2]}]"
+        i = 0
+        while i < len(block):
+            ins, after = block[i], block[i + 1] if i + 1 < len(block) else None
+            if (
+                type(after) is CondBr
+                and type(ins) is BinaryInstr
+                and ins.op in _COMPARISONS
+                and after.cond == ins.dst
+                and after.cond not in after.lent
+            ):
+                # The branch consumes the comparison, its only reader: it
+                # tests the comparison itself, and no 1 or 0 is made.
+                _branch(self, after, depth, f"{self.ref(ins.lhs)} {ins.op} {self.ref(ins.rhs)}")
+                i += 2
                 continue
-            i = self.ref(step[1])
+            TEMPLATES[type(ins)](self, ins, depth)
+            i += 1
+
+    def location(self, slot: int, depth: int) -> tuple[str, str]:
+        """Emit the O(1) check of the Location in slot, that its anchor
+        still holds, and return its endpoint as (container, index)."""
+        loc = self.ref(slot)
+        self.emit(depth, f"_g = {loc}.anchor")
+        self.emit(depth, "assert _g is None or _g[0][_g[1]] is _g[2], _STALE")
+        return f"{loc}.container", f"{loc}.index"
+
+    def place(self, ins: LoadPath | StorePath | ResolveLocation, depth: int, prepare: bool,
+              trail: bool = False) -> tuple[str | None, str]:
+        """Emit the walk of ins's path inline, in the order _place walks
+        it, and return the place it reaches as (container, index), whose
+        container[index] is assignable; container is None for a local,
+        which index names.  A base that holds a Location starts at its
+        endpoint.  A field step reads .fields[k].  An index step asserts
+        that its subscript is an Int and the value a Block, with prepare
+        replaces a shared block by a duplicate in the container it was
+        read from, and checks bounds, trapping through the VM's
+        check_bounds.  With trail the walk also records its hops in _T,
+        as a resolution does."""
+        span = self.name(ins.span)
+        c: str | None
+        if ins.base in self.locations:
+            c, i = self.location(ins.base, depth)
+            if trail:
+                self.emit(depth, f"_T = [*{self.ref(ins.base)}.trail]")
+        elif ins.base in self.framed:
+            c, i = "_S", str(ins.base)
+            if trail:
+                self.emit(depth, f'_T = [("slot", _F, {ins.base})]')
+        else:
+            c, i = None, self.ref(ins.base)
+        for step in ins.steps:
+            place = _at(c, i)
+            if step[0] == "field":
+                c, i = f"{place}.fields", str(step[2])
+                if trail:
+                    self.emit(depth, f"_T.append({self.name(step)})")
+                continue
+            sub = self.ref(step[1])
             v = place if place.isidentifier() else "_v"
             if v != place:
                 self.emit(depth, f"_v = {place}")
@@ -203,14 +241,22 @@ class _Emitter:
                 assert type(self.routine.consts[step[1]]) is int
                 self.emit(depth, f"assert type({v}) is _Block")
             else:
-                self.emit(depth, f"assert type({i}) is int and type({v}) is _Block")
+                self.emit(depth, f"assert type({sub}) is int and type({v}) is _Block")
             if prepare:
                 targets = v if v == place else f"{v} = {place}"
                 self.emit(depth, f"if {v}.r > 1: {targets} = _cow({v})")
             self.emit(depth, f"_e = {v}.elems")
-            self.emit(depth, f"if not 0 <= {i} < len(_e): _bounds({v}, {i}, {span})")
-            place = f"_e[{i}]"
-        return place
+            self.emit(depth, f"if not 0 <= {sub} < len(_e): _bounds({v}, {sub}, {span})")
+            if trail:
+                self.emit(depth, f'_T.append(("elem", {v}, {sub}))')
+            c, i = "_e", sub
+        return c, i
+
+
+def _at(container: str | None, index: str) -> str:
+    """The expression of the place (container, index) that _Emitter.place
+    returns."""
+    return index if container is None else f"{container}[{index}]"
 
 
 # -- one template per instruction kind ------------------------------------------
@@ -277,7 +323,12 @@ def _binary(e: _Emitter, ins: BinaryInstr, depth: int) -> None:
 
 
 def _cond_br(e: _Emitter, ins: CondBr, depth: int) -> None:
-    e.emit(depth, f"if {e.ref(ins.cond)}:")
+    _branch(e, ins, depth, e.ref(ins.cond))
+
+
+def _branch(e: _Emitter, ins: CondBr, depth: int, test: str) -> None:
+    """ins's arms under if test / else."""
+    e.emit(depth, f"if {test}:")
     e.block(ins.then_block, depth + 1)
     e.emit(depth, "else:")
     e.block(ins.else_block, depth + 1)
@@ -288,35 +339,24 @@ def _return(e: _Emitter, ins: Return, depth: int) -> None:
 
 
 def _load_path(e: _Emitter, ins: LoadPath, depth: int) -> None:
-    place = e.place(ins, depth, False)
-    e.emit(depth, f"{e.ref(ins.dst)} = _copy({place})")
+    place = _at(*e.place(ins, depth, False))
+    e.emit(depth, f"{e.ref(ins.dst)} = {place if ins.scalar else f'_copy({place})'}")
 
 
 def _store_path(e: _Emitter, ins: StorePath, depth: int) -> None:
-    place = e.place(ins, depth, True)
-    e.emit(depth, f"_old = {place}")
+    place = _at(*e.place(ins, depth, True))
+    if not ins.scalar:
+        e.emit(depth, f"_old = {place}")
     e.emit(depth, f"{place} = {e.ref(ins.value)}")
-    e.emit(depth, "_destroy(_old)")
+    if not ins.scalar:
+        e.emit(depth, "_destroy(_old)")
 
 
 def _resolve(e: _Emitter, ins: ResolveLocation, depth: int) -> None:
-    # A resolution records its trail, so it walks through _place, over a
-    # list of its base and subscripts, with steps that index that list.
-    subs, steps = [ins.base], []
-    for step in ins.steps:
-        if step[0] == "index":
-            subs.append(step[1])
-            step = ("index", len(subs) - 1)
-        steps.append(step)
-    if ins.base in e.locations:
-        e.emit(depth, "_T = []")
-    else:
-        e.emit(depth, f'_T = [("slot", _F, {ins.base})]')
-    e.emit(depth, f"_L = [{e.refs(subs)}]")
-    e.emit(depth, f"_place(_L, 0, {e.name(tuple(steps))}, {e.name(ins.span)}, True, _T)")
-    if ins.base not in e.locations:  # the walk may have replaced it
-        e.emit(depth, f"{e.ref(ins.base)} = _L[0]")
-    e.emit(depth, f"{e.ref(ins.dst)} = _Location(tuple(_T))")
+    # A resolution's base is framed or holds a Location, so its place has
+    # a container, the frame's _S for a framed base with no steps.
+    c, i = e.place(ins, depth, True, trail=True)
+    e.emit(depth, f"{e.ref(ins.dst)} = _locate(_T, {c}, {i})")
 
 
 def _overlap_check(e: _Emitter, ins: OverlapCheck, depth: int) -> None:
@@ -324,13 +364,11 @@ def _overlap_check(e: _Emitter, ins: OverlapCheck, depth: int) -> None:
 
 
 def _call(e: _Emitter, ins: CallInstr, depth: int) -> None:
+    callee = e.ref(ins.callee)
     if ins.callee in e.locations:
-        steps, span = e.name(tuple(ins.callee_steps)), e.name(ins.span)
-        e.emit(depth, f"_c, _i = _place([{e.ref(ins.callee)}], 0, {steps}, {span}, True)")
-        e.emit(depth, "_fn = _c[_i]")
-    else:
-        fields = "".join(f".fields[{step[2]}]" for step in ins.callee_steps)
-        e.emit(depth, f"_fn = {e.ref(ins.callee)}{fields}")
+        callee = _at(*e.location(ins.callee, depth))
+    fields = "".join(f".fields[{step[2]}]" for step in ins.callee_steps)
+    e.emit(depth, f"_fn = {callee}{fields}")
     args, locations = list(map(e.ref, ins.args)), list(map(e.ref, ins.locations))
     direct = f"_f({', '.join(['_fn', *args, *locations])})"
     cold = f"_enter(_fn, [{', '.join(args)}], [{', '.join(locations)}])"
@@ -362,8 +400,6 @@ TEMPLATES: dict[type, Callable] = {
 # them under and their attribute of the VM.  A function is bound only to
 # those it reads.
 VM_GLOBALS = {
-    "_place": "_place",
-    "_follow": "follow",
     "_cow": "cow_dup",
     "_bounds": "check_bounds",
     "_copy": "copy_value",

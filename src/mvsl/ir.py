@@ -219,6 +219,11 @@ class LoadPath(Instr):
     steps: Steps
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
+    # An Int or Float place, whose element the VM and emitted code read
+    # with no copy_value; not printed, and no part of equality.  A
+    # type for each slot, once lowering records one, would subsume this
+    # flag and BinaryInstr.float_operands.
+    scalar: bool = field(default=False, repr=False, compare=False)
     form = "load_path {base}{steps} -> {dst}"
 
 
@@ -229,6 +234,11 @@ class StorePath(Instr):
     value: Consumed
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
+    # An Int or Float place, whose element the VM and emitted code overwrite
+    # with no destroy_value of the old value; not printed, and no part of equality.  A
+    # type for each slot, once lowering records one, would subsume this
+    # flag and BinaryInstr.float_operands.
+    scalar: bool = field(default=False, repr=False, compare=False)
     form = "store_path {base}{steps} <- {value}"
 
 
@@ -378,6 +388,11 @@ ENTRY_ID = "@entry"
 # Lowering
 
 
+def _is_scalar(ty: Type | None) -> bool:
+    """Whether ty is Int or Float, whose values own nothing."""
+    return type(ty) is IntType or type(ty) is FloatType
+
+
 class _RoutineBuilder:
     def __init__(self, lowerer: _Lowerer, rid: str, fl: FuncLit | None):
         self.lowerer = lowerer
@@ -458,7 +473,7 @@ class _RoutineBuilder:
         # Subscripts of the target evaluate before the value, left to right.
         base, steps = self.lower_target(e.target)
         v = self.lower_value(e.value)
-        self.emit(StorePath(base, steps, v, e.span))
+        self.emit(StorePath(base, steps, v, e.span, scalar=_is_scalar(e.value.ty)))
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
         """Base slot and steps for a write or location path; a root that
@@ -485,7 +500,7 @@ class _RoutineBuilder:
             self.emit(Copy(dst, src, p.span))
             return
         base, steps = self.lower_target(p)
-        self.emit(LoadPath(dst, base, steps, p.span))
+        self.emit(LoadPath(dst, base, steps, p.span, scalar=_is_scalar(p.ty)))
 
     def lower_value(self, e: Expr, dst: int | None = None) -> int:
         """Lower an expression; returns the slot owning its value: dst
@@ -807,7 +822,7 @@ class _Lending:
             for slot, (passing, pty) in enumerate(ty.params, 1):
                 if passing != BY_VALUE:
                     continue
-                if type(pty) is IntType or type(pty) is FloatType:
+                if _is_scalar(pty):
                     how = _LEND_SCALAR
                 elif slot in slots or (writers and _holds_writer(pty, writers, ir.structs)):
                     how = _OWN

@@ -15,19 +15,23 @@ printed in one join, and each such copy and free still counts once.
 The VM runs the layout lowering fixed: a field step carries its offset
 in the struct or environment record, so no field is looked up by name.
 
-inout arguments travel as Locations: a trail of frame-slot, field, and
-array-element hops, never a machine address.  One walker, VM.follow,
-follows a Location's trail; VM._place follows an instruction's path
-steps from a list of slots, which need not be a frame's, after following
-the trail of a Location in the base slot.  A
-resolution duplicates every shared block along the path, so a callee
-always writes uniquely-referenced storage.  Overlap between two
-locations of one call is the trail-prefix relation, checked dynamically
-in one pass over the places the type checker could not decide.  A call
-reads its callee in place, from its slot through its field steps, as
-native code loads a function from a struct field, and never consumes
-it; a slot that holds a Location, as for a callee path with an index
-step, is walked through its trail first.
+inout arguments travel as Locations, as native code passes an address:
+the place a resolution reached, (container, index), beside the trail of
+frame-slot, field and array-element hops that reached it.  A use reads
+and writes the place directly, after an O(1) check that the trail's root
+still holds what the resolution walked from; VM.follow does that, and
+with debug on walks the trail again.  VM._place follows an instruction's
+path steps from a list of slots, which need not be a frame's, starting
+at the place of a Location in the base slot.  A resolution duplicates
+every shared block along the path, so a callee always writes
+uniquely-referenced storage, and by the law of exclusivity nothing
+shares a block on the trail while the Location lives (see Location).
+Overlap between two locations of one call is the trail-prefix relation,
+checked dynamically in one pass over the places the type checker could
+not decide.  A call reads its callee in place, from its slot through its
+field steps, as native code loads a function from a struct field, and
+never consumes it; a slot that holds a Location, as for a callee path
+with an index step, is read at its place.
 
 An inout parameter passed on whole (&x) is forwarded, as native code
 passes the same pointer on: the move-optimized IR lends the call the
@@ -35,9 +39,14 @@ parameter's own Location, which the callee's frame holds while the
 caller's slot keeps it, so a second call in the same arm finds it
 too.  Nothing can share a block on its trail while the caller runs, so
 a new resolution would walk the same trail and duplicate nothing; with
-debug on, VM.audit_location checks exactly that at each such call.
+debug on, VM.follow checks exactly that at each such call.
 The naive IR resolves the parameter again, so the differential harness
 compares the two.
+
+Scalars are values.  A LoadPath or StorePath of an Int or Float place,
+as lowering marks it, reads or overwrites the element with no
+copy_value or destroy_value, as native code moves a scalar in a
+register.
 
 A routine's constants sit in its frames from the start: a frame's slots
 are a copy of Routine.template, so an instruction reads a constant
@@ -60,8 +69,8 @@ Hot routines are compiled.  The VM counts each routine's entries in a
 run, and at the COMPILE_THRESHOLD-th it compiles the routine to a
 Python function (mvsl.codegen), which later calls run instead of the
 routine's instructions: its slots are Python locals, its path walks are
-inline, and it calls this VM's own follow, check_bounds, cow_dup,
-copy_value, destroy_value and alloc, so the counters and traps are the
+inline, and it calls this VM's own check_bounds, cow_dup, copy_value,
+destroy_value and alloc, so the counters and traps are the
 interpreter's.  A call of a compiled routine passes its arguments
 positionally, the closure first, and costs one Python frame.  Compiled
 code calls a routine still cold through VM.enter.  The code is kept per
@@ -209,15 +218,49 @@ class Frame:
 #   ("elem", block, index)  — array element step.
 # Two locations overlap iff one trail is a prefix of the other.
 
+STALE_LOCATION = "stale location: storage on its trail was replaced since its resolution"
+
 
 class Location:
-    """A trail, and nothing more: every use walks it again, since sharing
-    created since the resolution must be duplicated."""
+    """The place an inout argument names, passed as native code passes
+    an address: the endpoint (container, index) that its resolution
+    reached, read and written with no walk, beside the trail of hops
+    that reached it, which OverlapCheck and a nested resolution read.
 
-    __slots__ = ("trail",)
+    The endpoint stays the place while the Location lives, by the law of
+    exclusivity.  Lowering copies by-value arguments before it resolves,
+    and a resolution walks with prepare, which leaves every block on the
+    trail unique.  The caller is suspended during the call, and the
+    checker and OverlapCheck rule out a second path to the place, so
+    nothing else reaches a block on the trail.  Sharing made later is of
+    blocks at or below the endpoint, which each instruction's own steps
+    still check.
 
-    def __init__(self, trail: tuple):
+    Every use checks anchor, in O(1), so that a root slot whose array or
+    struct was replaced since the resolution is caught as a stale
+    location: anchor is None for a trail of its slot alone, whose
+    endpoint is that slot, else (slots, k, root), the root slot and the
+    value the resolution walked from, which must still be there.  With
+    debug on, VM.follow also walks the trail again at every use and
+    checks that it reaches the endpoint."""
+
+    __slots__ = ("trail", "container", "index", "anchor")
+
+    def __init__(self, trail: tuple, container: list, index: int, anchor: tuple | None):
         self.trail = trail
+        self.container = container
+        self.index = index
+        self.anchor = anchor
+
+
+def locate(trail: list, container: list, index: int) -> Location:
+    """The Location of container[index], which a resolution reached by
+    the hops of trail; its anchor is read off the trail's root slot."""
+    anchor = None
+    if len(trail) > 1:
+        _, frame, k = trail[0]
+        anchor = (frame.slots, k, frame.slots[k])
+    return Location(tuple(trail), container, index, anchor)
 
 
 def check_dynamic_overlap(locations: list[Location], span: Span) -> None:
@@ -403,45 +446,26 @@ class VM:
 
     # -- places -------------------------------------------------------------------
 
-    def follow(self, loc: Location, span: Span, prepare: bool, trail: list | None):
-        """Walk loc's trail from its frame slot to (container, index), the
-        one walker of trails.  Each hop is checked as it is walked: a
-        field hop must reach a struct or closure, and an element hop the
-        very block it names, or the location is stale.  With prepare=True
-        a shared block crossed on the way is replaced by a fresh duplicate,
-        so the place can be written.  trail, when given, receives the hops
-        walked, each element hop naming the block it reached."""
-        hops = loc.trail
-        head = hops[0]
-        assert head[0] == "slot"
-        container, index = head[1].slots, head[2]
+    def follow(self, loc: Location, prepare: bool, trail: list | None):
+        """The place loc names, (container, index): its endpoint, once its
+        anchor is found in place.  With debug on, the trail is walked
+        again too, as a resolution would walk it (audit_trail).  trail,
+        when given, receives loc's hops."""
+        anchor = loc.anchor
+        assert anchor is None or anchor[0][anchor[1]] is anchor[2], STALE_LOCATION
+        if self.debug:
+            self.audit_trail(loc, prepare)
         if trail is not None:
-            trail.append(head)
-        for hop in hops[1:]:
-            cur = container[index]
-            if hop[0] == "field":
-                assert type(cur) is StructVal or type(cur) is FuncVal
-                container, index = cur.fields, hop[2]
-                if trail is not None:
-                    trail.append(hop)
-                continue
-            assert cur is hop[1], "stale location: storage replaced during argument evaluation"
-            i = hop[2]
-            if prepare and cur.r > 1:
-                cur = container[index] = self.cow_dup(cur)
-            self.check_bounds(cur, i, span)
-            container, index = cur.elems, i
-            if trail is not None:
-                trail.append(("elem", cur, i))
-        return container, index
+            trail += loc.trail
+        return loc.container, loc.index
 
     def _place(self, slots: list, base: int, steps, span: Span, prepare: bool, trail=None):
         """Walk from slots[base] through the IR steps to (container,
         index): the place lives at container[index], a slot list, the
         field list of a struct or closure, or a block's element list.
 
-        A base slot holding a Location is walked through its trail
-        first, by follow.  An ("index", slot) step reads slots[slot] and
+        A base slot holding a Location starts the walk at its endpoint,
+        by follow.  An ("index", slot) step reads slots[slot] and
         leaves it as it is: an Int needs no destroy, and a constant slot
         must keep its value for the routine's next use.  With
         prepare=True a shared block crossed on the way is replaced by a
@@ -453,7 +477,7 @@ class VM:
         """
         container, index = slots, base
         if type(slots[base]) is Location:
-            container, index = self.follow(slots[base], span, prepare, trail)
+            container, index = self.follow(slots[base], prepare, trail)
         for hop in steps:
             cur = container[index]
             if hop[0] == "field":
@@ -477,7 +501,8 @@ class VM:
 
     def exec_load(self, frame: Frame, ins: LoadPath) -> None:
         container, index = self._place(frame.slots, ins.base, ins.steps, ins.span, False)
-        frame.slots[ins.dst] = self.copy_value(container[index])
+        v = container[index]
+        frame.slots[ins.dst] = v if ins.scalar else self.copy_value(v)
 
     def exec_store(self, frame: Frame, ins: StorePath) -> None:
         slots = frame.slots
@@ -488,6 +513,9 @@ class VM:
                 "write through an immutable binding"
             )
         container, index = self._place(slots, ins.base, ins.steps, ins.span, True)
+        if ins.scalar:  # an Int or Float, which owns nothing
+            container[index] = value
+            return
         old = container[index]
         container[index] = value
         self.destroy_value(old)
@@ -500,8 +528,8 @@ class VM:
                 "inout resolution of an immutable binding"
             )
             trail.append(("slot", frame, ins.base))
-        self._place(slots, ins.base, ins.steps, ins.span, True, trail)
-        slots[ins.dst] = Location(tuple(trail))
+        container, index = self._place(slots, ins.base, ins.steps, ins.span, True, trail)
+        slots[ins.dst] = locate(trail, container, index)
 
     def exec_call(self, frame: Frame, ins: CallInstr) -> None:
         slots = frame.slots
@@ -550,7 +578,10 @@ class VM:
             if a not in lent:
                 slots[a] = None
             elif self.debug:
-                self.audit_location(frame, a, ins.span)
+                # A lent inout parameter is not resolved again: a fresh
+                # resolution would walk the same trail and duplicate
+                # nothing, which follow's audit checks.
+                self.follow(slots[a], True, None)
         result = self.exec_block(routine.body, callee_frame)
         assert result is not None, "routine body must end in Return"
         slots[ins.dst] = result
@@ -673,19 +704,29 @@ class VM:
 
     # -- debug audit --------------------------------------------------------------
 
-    def audit_location(self, frame: Frame, slot: int, span: Span) -> None:
-        """Check that the Location in frame's slot, an inout parameter lent
-        to a call as it is, is what resolving it again would give: the
-        same trail, with no block on the way shared, so that the walk
-        would duplicate nothing."""
-        trail: list = []
-        self._place(frame.slots, slot, (), span, False, trail)
-        shared = [hop[2] for hop in trail if hop[0] == "elem" and hop[1].r != 1]
-        assert tuple(trail) == frame.slots[slot].trail, (
-            "stale location: a lent inout parameter no longer reaches its place"
-        )
-        assert not shared, (
-            f"stale location: a lent inout parameter crosses shared blocks at {shared}"
+    def audit_trail(self, loc: Location, prepare: bool) -> None:
+        """Walk loc's trail again from its frame slot, as a resolution
+        walks it, and check that nothing on it changed since loc was
+        resolved: each element hop reaches the very block it names, the
+        walk ends at loc's endpoint, and with prepare no block on the way
+        is shared, since a fresh walk would duplicate it and reach
+        another place."""
+        hops = loc.trail
+        _, frame, index = hops[0]
+        container = frame.slots
+        for hop in hops[1:]:
+            cur = container[index]
+            if hop[0] == "field":
+                assert type(cur) is StructVal or type(cur) is FuncVal
+                container, index = cur.fields, hop[2]
+                continue
+            assert cur is hop[1], STALE_LOCATION
+            assert not prepare or cur.r == 1, (
+                f"stale location: the block at its element hop {hop[2]} is shared"
+            )
+            container, index = cur.elems, hop[2]
+        assert container is loc.container and index == loc.index, (
+            "stale location: its trail no longer reaches its endpoint"
         )
 
     def audit_refcounts(self, frame: Frame, pending: Value | None = None) -> None:

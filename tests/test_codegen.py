@@ -326,6 +326,11 @@ SCALAR_EDGES = [
     ("1.0", ">=", NAN, "0"),
     (NAN, "<=", NAN, "0"),
     (NAN, ">", "1.0", "0"),
+    # A comparison that only a branch reads is tested in the branch's if:
+    # a NaN operand must still take the else arm of < and the then arm of
+    # !=.
+    (f"(if {NAN} < 1.0 then 1.0 else 2.0)", "+", "0.0", "2.0"),
+    (f"(if {NAN} != {NAN} then 1.0 else 2.0)", "+", "0.0", "1.0"),
     (NEG_ZERO, "==", "0.0", "1"),
     (NEG_ZERO, "!=", "0.0", "0"),
     (NEG_ZERO, "<", "0.0", "0"),
@@ -388,7 +393,8 @@ def test_the_corpus_catches_a_dropped_overflow_check(monkeypatch):
 def test_the_corpus_catches_a_dropped_bounds_check(monkeypatch):
     # The load and store templates without their inline bounds check:
     # index_oob.mvs's read past the end then crashes compiled.  The
-    # corpus's other bounds traps are in a resolution, which _place walks.
+    # corpus's other bounds traps are in a resolution, whose template
+    # keeps its own check.
     failing = corpus_failing_without(monkeypatch, [LoadPath, StorePath], "_bounds(")
     assert failing == ["index_oob.mvs"]
 
@@ -400,6 +406,7 @@ def test_the_corpus_catches_a_dropped_cow_check(monkeypatch):
         "closure_capture_inout.mvs",
         "closure_capture_nested.mvs",
         "cow_conditional_taken.mvs",
+        "inout_copied_in_callee.mvs",
         "inout_forwarding.mvs",
         "lend_inout_overlap.mvs",
         "scalar_arrays.mvs",
@@ -408,8 +415,11 @@ def test_the_corpus_catches_a_dropped_cow_check(monkeypatch):
 
 def test_cow_inouts_compiled_walks_are_inline(monkeypatch):
     # fill's loads and stores walk their places inline, its inout
-    # parameter through the VM's follow, and its division by a constant
-    # is inline: its function calls neither _place nor _int_div.
+    # parameter from the Location's endpoint, with no walk of its trail;
+    # its Int elements are read and overwritten with no copy or destroy;
+    # and its division by a constant is inline: its function calls none
+    # of _place, follow, copy_value, destroy_value on an element or
+    # _int_div.
     compiled = {}
 
     def record(vm_, routine):
@@ -419,11 +429,45 @@ def test_cow_inouts_compiled_walks_are_inline(monkeypatch):
     monkeypatch.setattr(codegen, "compile_routine", record)
     ir = lower_source(workloads.build("cow_inout", 0).inputs()[0].source)
     outcome(ir, True)
-    assert "_place(" not in codegen._Emitter(ir, ir.routines["@fn0"]).function()
+    source = codegen._Emitter(ir, ir.routines["@fn0"]).function()
+    for call in ("_place(", "_follow(", "_copy(", "_destroy(_old)"):
+        assert call not in source, call
     bound = compiled["@fn0"].__globals__
-    assert "_follow" in bound and "_place" not in bound
-    assert not any(v is vm._int_div or getattr(v, "__func__", None) is vm.VM._place
+    assert "_follow" not in bound and "_place" not in bound and "_copy" not in bound
+    assert not any(v is vm._int_div or getattr(v, "__func__", None) in (vm.VM._place, vm.VM.follow)
                    for v in bound.values())
+
+
+# fib's compiled routine: each comparison that only its branch reads is
+# the branch's test, with no 1 or 0 made first.
+FIB_FN0 = """\
+def _routine(s0, s1, s2):
+    if s2 < 2:
+        if s2 < 1:
+            s3 = 90
+        else:
+            s3 = 69
+    else:
+        s12 = s2 - 1
+        if not -9223372036854775808 <= s12: _overflow('-', _k7)
+        _fn = s1.fields[0]
+        _f = _code[_fn.routine.id]
+        s13 = _f(_fn, s1, s12) if _f is not None else _enter(_fn, [s1, s12], [])
+        s16 = s2 - 2
+        if not -9223372036854775808 <= s16: _overflow('-', _k8)
+        _fn = s1.fields[0]
+        _f = _code[_fn.routine.id]
+        s17 = _f(_fn, s1, s16) if _f is not None else _enter(_fn, [s1, s16], [])
+        s3 = s13 + s17
+        if not -9223372036854775808 <= s3 <= 9223372036854775807: _overflow('+', _k9)
+    return s3"""
+
+
+def test_fibs_comparisons_are_its_branch_tests():
+    ir = lower_source(workloads.build("fib_closure", 0).inputs()[0].source)
+    source = codegen._Emitter(ir, ir.routines["@fn0"]).function()
+    assert source == FIB_FN0
+    assert "1 if " not in source
 
 
 def test_compiled_arithmetic_calls_only_the_division_helpers(monkeypatch):

@@ -1,5 +1,6 @@
 import builtins
 import functools
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from mvsl import (
     parse_source,
     serialize_array_layout,
 )
-from mvsl import difftest
+from mvsl import codegen, difftest
 from mvsl.diagnostics import NO_SPAN
 from mvsl import oracle as oracle_module
 from mvsl import vm as vm_module
@@ -32,17 +33,19 @@ from mvsl.ir import (
     MakeArray,
     MakeClosure,
     MakeInt,
+    MakeStruct,
     ResolveLocation,
     Return,
     Routine,
     StorePath,
     apply_move_optimization,
+    instructions,
     lower_program,
 )
 from mvsl.types import INT
 from mvsl.vm import VM, Block, Location, StructVal, check_dynamic_overlap, format_value
 
-from conftest import corpus_expected, corpus_sources, lower_source, run_source
+from conftest import corpus_expected, corpus_sources, lower_source, run_source, workloads
 
 PAIR = "struct Pair { var fs: Int; var sn: Int } in "
 
@@ -368,9 +371,9 @@ def test_disjoint_rows_ok():
 
 
 def test_check_dynamic_overlap_unit():
-    same = Location((("slot", 0, 3), ("elem", 7, 2)))
-    sibling = Location((("slot", 0, 3), ("elem", 7, 1)))
-    deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")))
+    same = Location((("slot", 0, 3), ("elem", 7, 2)), [], 0, None)
+    sibling = Location((("slot", 0, 3), ("elem", 7, 1)), [], 0, None)
+    deeper = Location((("slot", 0, 3), ("elem", 7, 2), ("field", "fs")), [], 0, None)
     check_dynamic_overlap([same, sibling], NO_SPAN)  # distinct elements: fine
     with pytest.raises(RuntimeTrap):
         check_dynamic_overlap([same, same], NO_SPAN)
@@ -380,7 +383,7 @@ def test_check_dynamic_overlap_unit():
         check_dynamic_overlap([deeper, same], NO_SPAN)  # in either order
     check_dynamic_overlap([sibling, deeper], NO_SPAN)
     # one pass over three: only the first and the last overlap
-    other = Location((("slot", 0, 4),))
+    other = Location((("slot", 0, 4),), [], 0, None)
     check_dynamic_overlap([same, sibling, other], NO_SPAN)
     with pytest.raises(RuntimeTrap):
         check_dynamic_overlap([same, other, deeper], NO_SPAN)
@@ -679,14 +682,114 @@ STALE_PREFIX = [
 ]
 
 
-@pytest.mark.parametrize(
-    "use",
-    [LoadPath(7, 3, []), StorePath(3, [], 6), ResolveLocation(7, 3, [])],
-    ids=["load", "store", "resolve"],
-)
+STALE_USES = [LoadPath(7, 3, []), StorePath(3, [], 6), ResolveLocation(7, 3, [])]
+
+
+@pytest.mark.parametrize("use", STALE_USES, ids=["load", "store", "resolve"])
 def test_stale_location_is_caught(use):
     with pytest.raises(AssertionError, match="stale location"):
         execute(hand_ir([*STALE_PREFIX, use, Return(7)], 8))
+
+
+# %3 locates %1.a, a field of a struct; then %1 is replaced by a new
+# struct.  The trail has no element hop, so only its root shows the
+# replacement: %3's cached field list is the old struct's.
+STALE_FIELD_PREFIX = [
+    MakeInt(0, 7),
+    MakeStruct(1, "S", [0]),
+    ResolveLocation(3, 1, [("field", "a", 0)]),
+    MakeInt(4, 8),
+    MakeStruct(5, "S", [4]),
+    StorePath(1, [], 5),
+    MakeInt(6, 9),
+]
+
+
+@pytest.mark.parametrize("use", STALE_USES, ids=["load", "store", "resolve"])
+def test_a_stale_location_of_field_hops_is_caught(use):
+    with pytest.raises(AssertionError, match="stale location"):
+        execute(hand_ir([*STALE_FIELD_PREFIX, use, Return(7)], 8))
+
+
+@pytest.mark.parametrize("use", STALE_USES, ids=["load", "store", "resolve"])
+def test_compiled_code_catches_a_stale_location(monkeypatch, use):
+    # Compiled, the entry keeps slot 1 in its frame, since a resolution
+    # roots there, and each use checks the anchor as the interpreter does.
+    compiled = []
+
+    def record(vm_, routine, compile_routine=codegen.compile_routine):
+        compiled.append(routine.id)
+        return compile_routine(vm_, routine)
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    monkeypatch.setattr(vm_module, "COMPILE_THRESHOLD", 1)
+    with pytest.raises(AssertionError, match="stale location"):
+        execute(hand_ir([*STALE_PREFIX, use, Return(7)], 8))
+    assert compiled == [ENTRY_ID]
+
+
+@pytest.mark.parametrize("use", STALE_USES, ids=["load", "store", "resolve"])
+def test_the_anchor_check_is_what_catches_a_stale_location(monkeypatch, use):
+    # The mutant that drops the O(1) stale check, by giving no Location an
+    # anchor, fails test_stale_location_is_caught: each use of the stale
+    # Location then reads, writes or resolves the freed block's element
+    # silently, and the run returns the array that replaced it.
+    init = Location.__init__
+
+    def unanchored(self, trail, container, index, anchor):
+        init(self, trail, container, index, None)
+
+    monkeypatch.setattr(Location, "__init__", unanchored)
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        test_stale_location_is_caught(use)
+    assert execute(hand_ir([*STALE_PREFIX, use, Return(1)], 8))[0] == "[8]"
+
+
+def test_the_debug_audit_checks_a_cached_endpoint_against_a_fresh_walk(monkeypatch):
+    # Every Location's endpoint is made a copy of the list its trail
+    # reaches, while its anchor still holds, so the O(1) check passes and
+    # the write through x lands in the copy.  With debug on, every use
+    # walks the trail again and finds that it reaches another place.
+    source = (
+        "struct U {} in var a: [Int] = [1, 2] in "
+        "let f: (inout Int) -> U = (x: inout Int) -> U { x = x + 10 in U() } in "
+        "_ = f(&a[1]) in a"
+    )
+    assert run_source(source)[0] == "[1, 12]"
+    init = Location.__init__
+
+    def elsewhere(self, trail, container, index, anchor):
+        init(self, trail, list(container), index, anchor)
+
+    monkeypatch.setattr(Location, "__init__", elsewhere)
+    assert run_source(source)[0] == "[1, 2]"
+    with pytest.raises(AssertionError, match="stale location"):
+        run_source(source, debug=True)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, 1])
+def test_scalar_elements_are_read_and_written_with_no_copy_or_destroy(monkeypatch, threshold):
+    # cow_inout reads an Int element of v and writes one of x through a
+    # path at each of its 256 leaves.  Lowering marks both paths scalar,
+    # so neither the interpreter nor the compiled code passes an Int to
+    # copy_value or destroy_value, and every counter is as it was.
+    scalars = []
+    for name in ("copy_value", "destroy_value"):
+
+        def counted(self, v, method=getattr(VM, name), name=name):
+            if type(v) is int:
+                scalars.append(name)
+            return method(self, v)
+
+        monkeypatch.setattr(VM, name, counted)
+    monkeypatch.setattr(vm_module, "COMPILE_THRESHOLD", threshold)
+    source = workloads.build("cow_inout", 0).inputs()[0].source
+    ir = lower_source(source)
+    paths = [ins for ins in instructions(ir.routines["@fn0"].body)
+             if type(ins) in (LoadPath, StorePath)]
+    assert [(type(ins), ins.scalar) for ins in paths] == [(LoadPath, True), (StorePath, True)]
+    assert execute(ir)[0] == workloads.build("cow_inout", 0).inputs()[0].expected[0]
+    assert scalars == []
 
 
 def test_a_lent_location_is_checked_against_a_fresh_resolution(monkeypatch):
