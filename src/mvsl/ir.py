@@ -5,7 +5,10 @@ binding, or a path through one) is a Copy or a LoadPath, each binding
 leaving scope gets a Destroy, and function literals become global
 routines taking their environment record as an extra leading
 parameter.  This naive IR is what `--no-move-opt` runs: it copies only
-where the eager semantics copies, at a place read.
+where the eager semantics copies, at a place read.  Lowering dispatches
+on each expression's exact type through one table, _LOWER, whose
+handlers call it themselves, so that a nesting level costs no more
+Python frames than its own handler needs.
 
 A literal operand of a BinaryInstr, or a literal subscript of a path
 step, costs no instruction: it is a constant of its routine
@@ -25,10 +28,14 @@ temporary or the Location of a callee path with an index step, from a
 slot of its own, which a Destroy frees after the call.
 
 The move optimization first decides last use, in one backward walk of
-each routine's naive IR (_last_uses), then which by-value parameters
-each function type lends (see _Lending); lowering records nothing for
-either.  Then it rewrites each block, deciding backward and emitting
-forward (_elide_moves).  It rewrites a Copy into a Move and deletes the
+each routine's naive IR (_last_uses), which also gathers the facts
+_Lending needs of each literal, then which by-value parameters each
+function type lends (see _Lending); lowering records nothing for
+either.  The checker interns function types, so move-opt finds each one
+in its tables by identity.  Then it rewrites each block, deciding
+backward and emitting forward (_elide_moves), and builds each rewritten
+instruction and routine by its constructor from positional fields, the
+unprinted flags included.  It rewrites a Copy into a Move and deletes the
 source's Destroy whenever that Destroy, in the Copy's own block, is the
 source's only later use.  It lends by-value arguments: a call reads a
 lent argument in place, and the callee neither copies nor destroys it.
@@ -59,7 +66,7 @@ elision and the verifier read the roles, and dump_ir prints the form.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import is_
 
 from .ast import (
@@ -398,7 +405,7 @@ class _RoutineBuilder:
         self.lowerer = lowerer
         self.id = rid
         self.body: list[Instr] = []
-        self.blocks: list[list[Instr]] = [self.body]
+        self.emit = self.body.append
         self.n_slots = 0
         self.slot_map: dict[int, int] = {}  # binding id -> slot
         self.inout_ids: set[int] = set()  # binding ids of inout params
@@ -434,25 +441,84 @@ class _RoutineBuilder:
         self.n_slots += 1
         return self.n_slots - 1
 
-    def emit(self, ins: Instr) -> None:
-        self.blocks[-1].append(ins)
-
     # -- expression lowering --------------------------------------------------
+    #
+    # An expression is lowered by _LOWER[type(e)](self, e, dst), which
+    # returns the slot owning its value: dst when given, where the value
+    # is produced, else a fresh slot.  One handler per kind of
+    # expression, keyed by exact type, since no AST class has subclasses.
+    # Each handler calls the table itself, not a dispatching method, so a
+    # node costs one Python frame and deep programs recurse no deeper
+    # than under a ladder of isinstance tests.  Instructions are built
+    # from positional fields, which CPython binds faster than keywords,
+    # and go to self.emit, the append of the block being lowered: the
+    # body, or a conditional's arm.
+
+    def lower_int(self, e: IntLit, dst: int | None) -> int:
+        t = self.new_slot() if dst is None else dst
+        self.emit(MakeInt(t, e.value, e.span))
+        return t
+
+    def lower_float(self, e: FloatLit, dst: int | None) -> int:
+        t = self.new_slot() if dst is None else dst
+        self.emit(MakeFloat(t, e.value, e.span))
+        return t
+
+    def lower_array(self, e: ArrayLit, dst: int | None) -> int:
+        assert type(e.ty) is ArrayType
+        ops = []
+        for x in e.elements:
+            ops.append(_LOWER[type(x)](self, x, None))
+        t = self.new_slot() if dst is None else dst
+        self.emit(MakeArray(t, e.ty.element, ops, e.span))
+        return t
+
+    def lower_struct(self, e: StructInit, dst: int | None) -> int:
+        ops = []
+        for a in e.args:
+            ops.append(_LOWER[type(a)](self, a, None))
+        t = self.new_slot() if dst is None else dst
+        self.emit(MakeStruct(t, e.name, ops, e.span))
+        return t
+
+    def lower_binary(self, e: Binary, dst: int | None) -> int:
+        lhs = self.lower_operand(e.lhs)
+        rhs = self.lower_operand(e.rhs)
+        t = self.new_slot() if dst is None else dst
+        floats = type(e.lhs.ty) is FloatType
+        self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span, (), floats))
+        return t
+
+    def lower_cond(self, e: Cond, dst: int | None) -> int:
+        """Lower each arm into its own block, producing its value in the
+        conditional's result slot."""
+        result = self.new_slot() if dst is None else dst
+        cond = _LOWER[type(e.cond)](self, e.cond, None)
+        emit = self.emit
+        then_block: list[Instr] = []
+        else_block: list[Instr] = []
+        self.emit = then_block.append
+        _LOWER[type(e.then)](self, e.then, result)
+        self.emit = else_block.append
+        _LOWER[type(e.orelse)](self, e.orelse, result)
+        self.emit = emit
+        emit(CondBr(cond, then_block, else_block, e.span))
+        return result
 
     def lower_chain(self, e: Chain, dst: int | None) -> int:
         """Lower the statements, then the tail into dst, then destroy the
         bindings in reverse; those Destroys free other slots than dst."""
         live: list[Binding] = []
         for s in e.stmts:
-            if isinstance(s, Assign):
+            if type(s) is Assign:
                 self.lower_assign(s)
             elif s.name == "_":
-                t = self.lower_value(s.init)
+                t = _LOWER[type(s.init)](self, s.init, None)
                 self.emit(Destroy(t, s.init.span))
             else:
                 self.lower_binding(s)
                 live.append(s)
-        result = self.lower_value(e.tail, dst)
+        result = _LOWER[type(e.tail)](self, e.tail, dst)
         for s in reversed(live):
             self.emit(Destroy(self.slot_map[s.binding_id], s.span))
         return result
@@ -463,17 +529,18 @@ class _RoutineBuilder:
         self.slot_map[e.binding_id] = slot
         if e.qualifier == "let":
             self.immutable.add(slot)
-        self.lower_value(e.init, slot)
+        _LOWER[type(e.init)](self, e.init, slot)
 
     def lower_assign(self, e: Assign) -> None:
+        value = e.value
         if e.target.root == "_" and not e.target.accessors:
-            t = self.lower_value(e.value)
-            self.emit(Destroy(t, e.value.span))
+            t = _LOWER[type(value)](self, value, None)
+            self.emit(Destroy(t, value.span))
             return
         # Subscripts of the target evaluate before the value, left to right.
         base, steps = self.lower_target(e.target)
-        v = self.lower_value(e.value)
-        self.emit(StorePath(base, steps, v, e.span, scalar=_is_scalar(e.value.ty)))
+        v = _LOWER[type(value)](self, value, None)
+        self.emit(StorePath(base, steps, v, e.span, (), _is_scalar(value.ty)))
 
     def lower_target(self, p: Path) -> tuple[int, list[Step]]:
         """Base slot and steps for a write or location path; a root that
@@ -485,79 +552,30 @@ class _RoutineBuilder:
             assert base is not None
             steps.append(self.env_steps[p.root_binding_id])
         for acc in p.accessors:
-            if isinstance(acc, FieldAcc):
+            if type(acc) is FieldAcc:
                 steps.append(("field", acc.name, acc.offset))
             else:
                 steps.append(("index", self.lower_operand(acc.index)))
         return base, steps
 
-    def emit_path_read(self, p: Path, dst: int) -> None:
-        """Read a path into dst; a bare read of a slot that holds its
-        value, not an inout Location, is a plain Copy."""
+    def lower_path(self, p: Path, dst: int | None) -> int:
+        """Read a path; a bare read of a slot that holds its value, not an
+        inout Location, is a plain Copy."""
+        t = self.new_slot() if dst is None else dst
         rid = p.root_binding_id
         if not p.accessors and rid in self.slot_map and rid not in self.inout_ids:
-            src = self.slot_map[rid]
-            self.emit(Copy(dst, src, p.span))
-            return
-        base, steps = self.lower_target(p)
-        self.emit(LoadPath(dst, base, steps, p.span, scalar=_is_scalar(p.ty)))
-
-    def lower_value(self, e: Expr, dst: int | None = None) -> int:
-        """Lower an expression; returns the slot owning its value: dst
-        when given, where the value is produced, else a fresh slot."""
-        if isinstance(e, IntLit):
-            t = self.new_slot() if dst is None else dst
-            self.emit(MakeInt(t, e.value, e.span))
-            return t
-        if isinstance(e, FloatLit):
-            t = self.new_slot() if dst is None else dst
-            self.emit(MakeFloat(t, e.value, e.span))
-            return t
-        if isinstance(e, ArrayLit):
-            assert isinstance(e.ty, ArrayType)
-            ops = [self.lower_value(x) for x in e.elements]
-            t = self.new_slot() if dst is None else dst
-            self.emit(MakeArray(t, e.ty.element, ops, e.span))
-            return t
-        if isinstance(e, StructInit):
-            ops = [self.lower_value(a) for a in e.args]
-            t = self.new_slot() if dst is None else dst
-            self.emit(MakeStruct(t, e.name, ops, e.span))
-            return t
-        if isinstance(e, Path):
-            t = self.new_slot() if dst is None else dst
-            self.emit_path_read(e, t)
-            return t
-        if isinstance(e, FuncLit):
-            return self.lower_funclit(e, dst)
-        if isinstance(e, Call):
-            return self.lower_call(e, dst)
-        if isinstance(e, Binary):
-            lhs = self.lower_operand(e.lhs)
-            rhs = self.lower_operand(e.rhs)
-            t = self.new_slot() if dst is None else dst
-            floats = type(e.lhs.ty) is FloatType
-            self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span, float_operands=floats))
-            return t
-        if isinstance(e, Chain):
-            return self.lower_chain(e, dst)
-        if isinstance(e, Cond):
-            result = self.new_slot() if dst is None else dst
-            cond = self.lower_value(e.cond)
-            then_block: list[Instr] = []
-            else_block: list[Instr] = []
-            self.lower_arm(e.then, then_block, result)
-            self.lower_arm(e.orelse, else_block, result)
-            self.emit(CondBr(cond, then_block, else_block, e.span))
-            return result
-        raise AssertionError(f"cannot lower {e!r} as an operand")
+            self.emit(Copy(t, self.slot_map[rid], p.span))
+        else:
+            base, steps = self.lower_target(p)
+            self.emit(LoadPath(t, base, steps, p.span, (), _is_scalar(p.ty)))
+        return t
 
     def lower_operand(self, e: Expr) -> int:
         """Lower a Binary operand or a subscript.  A literal is a constant
         slot of the routine, one per distinct value, and costs no
         instruction; anything else is lowered as a value."""
         if type(e) is not IntLit and type(e) is not FloatLit:
-            return self.lower_value(e)
+            return _LOWER[type(e)](self, e, None)
         key = repr(e.value)  # keeps 1 and 1.0, and 0.0 and -0.0, apart
         slot = self.const_slots.get(key)
         if slot is None:
@@ -565,20 +583,13 @@ class _RoutineBuilder:
             self.consts[slot] = e.value
         return slot
 
-    def lower_arm(self, e: Expr, block: list[Instr], result: int) -> None:
-        """Lower a conditional arm into block, producing its value in the
-        conditional's result slot."""
-        self.blocks.append(block)
-        self.lower_value(e, result)
-        self.blocks.pop()
-
     def lower_funclit(self, e: FuncLit, dst: int | None) -> int:
         routine = self.lowerer.lower_routine(e)
         assert e.captures is not None
         ops = []
         for cap in e.captures:
             t = self.new_slot()
-            self.emit_path_read(Path(cap.name, span=e.span, root_binding_id=cap.binding_id), t)
+            self.lower_path(Path(cap.name, span=e.span, root_binding_id=cap.binding_id), t)
             ops.append(t)
         if dst is None:
             dst = self.new_slot()
@@ -598,7 +609,7 @@ class _RoutineBuilder:
         targets: list[tuple[Path, int, list[Step]]] = []
         places: list[int] = []
         callee_steps: list[Step] = []
-        if isinstance(e.callee, Path):
+        if type(e.callee) is Path:
             callee, steps = self.lower_target(e.callee)
             if all(step[0] == "field" for step in steps):
                 callee_steps = steps
@@ -606,7 +617,7 @@ class _RoutineBuilder:
             else:
                 targets.append((e.callee, callee, steps))
         else:
-            callee = self.lower_value(e.callee)
+            callee = _LOWER[type(e.callee)](self, e.callee, None)
         owned = not places
         # Arguments evaluate left to right; an inout argument's
         # contribution is its subscript temporaries.  All places are then
@@ -614,21 +625,21 @@ class _RoutineBuilder:
         # resolution and the call it feeds, and checked together, once.
         args: list[int] = []
         for a in e.args:
-            if isinstance(a, InoutArg):
+            if type(a) is InoutArg:
                 targets.append((a.path, *self.lower_target(a.path)))
             else:
-                args.append(self.lower_value(a))
+                args.append(_LOWER[type(a)](self, a, None))
         for p, base, steps in targets:
             loc = self.new_slot()
             self.emit(ResolveLocation(loc, base, steps, p is e.callee, p.span))
             places.append(loc)
         if e.checked_places:
             self.emit(OverlapCheck([places[i] for i in e.checked_places], e.span))
-        if isinstance(e.callee, Path):
+        if type(e.callee) is Path:
             callee = places.pop(0)
         if dst is None:
             dst = self.new_slot()
-        call = CallInstr(dst, callee, args, places, e.span, e.callee.ty, callee_steps=callee_steps)
+        call = CallInstr(dst, callee, args, places, e.span, e.callee.ty, (), callee_steps)
         self.emit(call)
         if owned:
             self.emit(Destroy(callee, e.span))
@@ -651,6 +662,20 @@ class _RoutineBuilder:
         )
 
 
+_LOWER = {
+    IntLit: _RoutineBuilder.lower_int,
+    FloatLit: _RoutineBuilder.lower_float,
+    Path: _RoutineBuilder.lower_path,
+    Binary: _RoutineBuilder.lower_binary,
+    Call: _RoutineBuilder.lower_call,
+    Cond: _RoutineBuilder.lower_cond,
+    Chain: _RoutineBuilder.lower_chain,
+    ArrayLit: _RoutineBuilder.lower_array,
+    StructInit: _RoutineBuilder.lower_struct,
+    FuncLit: _RoutineBuilder.lower_funclit,
+}
+
+
 class _Lowerer:
     def __init__(self, tp: TypedProgram):
         self.tp = tp
@@ -661,7 +686,7 @@ class _Lowerer:
         rid = f"@fn{self.next_fn}"
         self.next_fn += 1
         b = _RoutineBuilder(self, rid, fl)
-        result = b.lower_value(fl.body)
+        result = _LOWER[type(fl.body)](b, fl.body, None)
         assert isinstance(fl.ty, FuncType)
         routine = b.finish(result, fl.ty, fl.span)
         self.routines[rid] = routine
@@ -669,7 +694,8 @@ class _Lowerer:
 
     def lower(self) -> IRProgram:
         b = _RoutineBuilder(self, ENTRY_ID, None)
-        result = b.lower_value(self.tp.program.entry)
+        entry = self.tp.program.entry
+        result = _LOWER[type(entry)](b, entry, None)
         routine = b.finish(result, None, self.tp.program.entry.span)
         self.routines[ENTRY_ID] = routine
         return IRProgram(self.routines, ENTRY_ID, self.tp.structs)
@@ -710,15 +736,41 @@ _LEND_SCALAR = 2  # lent, and an Int or Float, which needs no destroy
 _LENDS_NONE: tuple[tuple[int, ...], frozenset[int]] = ((), frozenset())
 
 
+@dataclass(slots=True)
+class _Facts:
+    """What _Lending needs of one literal, which _last_uses reads off its
+    naive IR in the walk that decides last use: whether it writes its
+    environment itself (a store or a Location rooted at the env slot, 0,
+    since even an index step on the way to a borrowed callee may put a
+    duplicate of a shared block there), the closure types it calls
+    through a field path from slot 0, and the by-value parameter slots it
+    must own:
+
+    - one copied by a Copy that is its last use, which _elide_moves turns
+      into a Move (only the exit Destroys name a parameter);
+    - one that a borrowed callee path enters through an index step (only
+      a borrowed callee can root at a by-value parameter): resolving it
+      may put a duplicate of a shared block into the slot, which a lent
+      slot, never destroyed, would leak while the caller's block lost a
+      reference.
+    """
+
+    params: set[int]  # the literal's by-value parameter slots
+    writes_env: bool = False
+    env_callees: list[FuncType] = field(default_factory=list)
+    owned: set[int] = field(default_factory=set)
+
+
 def _last_uses(
-    block: list[Instr], moves: dict[int, int], arm_uses: dict[int, set[int]]
+    block: list[Instr], moves: dict[int, int], arm_uses: dict[int, set[int]], facts: _Facts
 ) -> dict[int, int | None]:
     """Decide last use in one backward walk of a block of naive IR and of
     its CondBrs' arms, before anything is lent.  Records in moves each
     Copy, by id, whose source's only later use is the source's Destroy in
-    the same block, mapped to that Destroy's index, and in arm_uses each
-    CondBr, by id, mapped to the slots its arms read, consume or destroy.
-    Returns a dict whose keys are those slots for block itself.
+    the same block, mapped to that Destroy's index, in arm_uses each
+    CondBr, by id, mapped to the slots its arms read, consume or destroy,
+    and in facts what _Lending needs of the routine.  Returns a dict
+    whose keys are those slots for block itself.
     """
     # A slot used below the current instruction -> the index of its
     # Destroy when that is its only later use, else None.
@@ -734,52 +786,26 @@ def _last_uses(
             j = later.get(ins.src)
             if j is not None:
                 moves[id(ins)] = j
+                if ins.src in facts.params:
+                    facts.owned.add(ins.src)
         elif t is CondBr:
-            used = _last_uses(ins.then_block, moves, arm_uses).keys()
-            used |= _last_uses(ins.else_block, moves, arm_uses).keys()
+            used = _last_uses(ins.then_block, moves, arm_uses, facts).keys()
+            used |= _last_uses(ins.else_block, moves, arm_uses, facts).keys()
             arm_uses[id(ins)] = used
             later.update(dict.fromkeys(used))
+        elif t is StorePath or t is ResolveLocation:
+            if ins.base == 0:
+                facts.writes_env = True
+            if t is ResolveLocation and ins.base in facts.params and ins.steps[0][0] == "index":
+                facts.owned.add(ins.base)
+        elif t is CallInstr and ins.callee == 0:
+            facts.env_callees.append(ins.fn_type)
         reads, consumes, _ = ins.roles()
         for slot in reads:
             later[slot] = None
         for slot in consumes:
             later[slot] = None
     return later
-
-
-def _lending_facts(routine: Routine, moves: dict) -> tuple[bool, list[FuncType], set[int]]:
-    """What _Lending needs of one literal, read off its naive IR in one
-    walk: whether it writes its environment itself (a store or a Location
-    rooted at the env slot, 0, since even an index step on the way to a
-    borrowed callee may put a duplicate of a shared block there), the
-    closure types it calls through a field path from slot 0, and the
-    by-value parameter slots it must own:
-
-    - one copied by a Copy in moves (see _last_uses), its last use, which
-      _elide_moves turns into a Move (only the exit Destroys name a parameter);
-    - one that a borrowed callee path enters through an index step (only
-      a borrowed callee can root at a by-value parameter): resolving it
-      may put a duplicate of a shared block into the slot, which a lent
-      slot, never destroyed, would leak while the caller's block lost a
-      reference.
-    """
-    params = {s for s, (passing, _) in enumerate(routine.params) if passing == P_VALUE}
-    writes_env = False
-    env_callees: list[FuncType] = []
-    owned: set[int] = set()
-    for ins in instructions(routine.body):
-        t = type(ins)
-        if t is Copy:
-            if ins.src in params and id(ins) in moves:
-                owned.add(ins.src)
-        elif t is StorePath or t is ResolveLocation:
-            writes_env = writes_env or ins.base == 0
-            if t is ResolveLocation and ins.base in params and ins.steps[0][0] == "index":
-                owned.add(ins.base)
-        elif t is CallInstr:
-            if ins.callee == 0:
-                env_callees.append(ins.fn_type)
-    return writes_env, env_callees, owned
 
 
 class _Lending:
@@ -791,23 +817,24 @@ class _Lending:
     A writer type has a literal that writes its environment itself, or
     that calls a captured closure of a writer type: a least fixpoint, one
     worklist pass.  An Int or Float is always lent: it holds no closure,
-    and its copy costs no more than a move.  The facts come from one walk
-    of each literal's naive IR (_lending_facts) and from _last_uses.
+    and its copy costs no more than a move.  The facts, by routine id,
+    come from _last_uses.  The checker interns function types, so every
+    table here finds a type by identity.
     """
 
-    def __init__(self, ir: IRProgram, moves: dict[int, int]):
+    def __init__(self, ir: IRProgram, facts: dict[str, _Facts]):
         writers: set[FuncType] = set()
         callers: dict[FuncType, set[FuncType]] = {}
         owned: dict[FuncType, set[int]] = {}
         for r in ir.routines.values():
             if r.ty is None:
                 continue
-            writes_env, env_callees, owned_params = _lending_facts(r, moves)
-            if writes_env:
+            f = facts[r.id]
+            if f.writes_env:
                 writers.add(r.ty)
-            for ty in env_callees:
+            for ty in f.env_callees:
                 callers.setdefault(ty, set()).add(r.ty)
-            owned.setdefault(r.ty, set()).update(owned_params)
+            owned.setdefault(r.ty, set()).update(f.owned)
         todo = list(writers)
         while todo:
             for caller in callers.get(todo.pop(), ()):
@@ -840,6 +867,17 @@ class _Lending:
         return self.by_type.get(ty, _LENDS_NONE)
 
 
+def _rebuild(ins: Instr, changes: dict) -> Instr:
+    """ins with the fields that changes names replaced, built by its
+    kind's constructor from positional fields, which keeps every other
+    field, the unprinted scalar and float_operands flags too.  On CPython
+    3.11 an instance given a whole new __dict__ reads its fields more
+    slowly in the VM, and dataclasses.replace pays for keyword arguments
+    and a walk of fields() at every call."""
+    t = type(ins)
+    return t(*[changes[f] if f in changes else getattr(ins, f) for f in t.__annotations__])
+
+
 def _reading_sources(ins: Instr, renamed: dict[int, int], handed: set[int]) -> dict:
     """The fields of ins, a reader of deleted Copies' temporaries, that
     change when it reads their sources: each Lendable field, and lent,
@@ -848,12 +886,13 @@ def _reading_sources(ins: Instr, renamed: dict[int, int], handed: set[int]) -> d
     lent = tuple([renamed[s] for s in ins.lendable() if s in renamed and s not in handed])
     fields: dict = {"lent": lent}
     for name, role in type(ins).__annotations__.items():
-        value = getattr(ins, name)
         if role == "Lendable":
+            value = getattr(ins, name)
             fields[name] = renamed.get(value, value)
         elif role == "Steps":
             fields[name] = [
-                ("index", renamed.get(s[1], s[1])) if s[0] == "index" else s for s in value
+                ("index", renamed.get(s[1], s[1])) if s[0] == "index" else s
+                for s in getattr(ins, name)
             ]
     return fields
 
@@ -961,9 +1000,8 @@ def _elide_moves(
                     skip.add(i)
     if not (rewrites or skip or renamed):  # every Move drops a Destroy
         return block
-    # Rewritten instructions are built by dataclasses.replace, through
-    # their constructor: on CPython 3.11 an instance given a whole new
-    # __dict__ instead reads its fields more slowly in the VM.
+    # Rewritten instructions are built by their kinds' constructors from
+    # positional fields (see _rebuild).
     out: list[Instr] = []
     # The index in out of the latest emitted instruction other than a
     # Destroy, or -1 after a deleted one: a Move of the slot it produces
@@ -981,7 +1019,7 @@ def _elide_moves(
         if t is Copy:
             if id(ins) in moves and ins.src not in lent_params:
                 if at >= 0 and getattr(out[at], "dst", None) == ins.src:
-                    out[at] = replace(out[at], dst=ins.dst)
+                    out[at] = _rebuild(out[at], {"dst": ins.dst})
                     continue
                 ins = Move(ins.dst, ins.src, ins.span)
         elif t is CallInstr:
@@ -1004,7 +1042,10 @@ def _elide_moves(
                 locations = [renamed.get(a, a) for a in ins.locations]
                 lent += [a for a in locations if a in loc_params]
                 if lent or args != ins.args:
-                    ins = replace(ins, args=args, locations=locations, lent=tuple(lent))
+                    ins = CallInstr(
+                        ins.dst, ins.callee, args, locations,
+                        ins.span, ins.fn_type, tuple(lent), ins.callee_steps,
+                    )
             at = len(out)
             out.append(ins)
             out += after
@@ -1017,7 +1058,7 @@ def _elide_moves(
                 if then is not ins.then_block or orelse is not ins.else_block:
                     arms = {"then_block": then, "else_block": orelse}
             if arms or i in rereaders:
-                ins = replace(ins, **arms, **_reading_sources(ins, renamed, handed))
+                ins = _rebuild(ins, {**arms, **_reading_sources(ins, renamed, handed)})
         at = len(out)
         out.append(ins)
     return block if len(out) == n and all(map(is_, out, block)) else out
@@ -1032,9 +1073,12 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
     """
     moves: dict[int, int] = {}
     arm_uses: dict[int, set[int]] = {}
-    for routine in ir.routines.values():
-        _last_uses(routine.body, moves, arm_uses)
-    lending = _Lending(ir, moves)
+    facts: dict[str, _Facts] = {}
+    for rid, routine in ir.routines.items():
+        params = {s for s, (passing, _) in enumerate(routine.params) if passing == P_VALUE}
+        facts[rid] = _Facts(params)
+        _last_uses(routine.body, moves, arm_uses, facts[rid])
+    lending = _Lending(ir, facts)
     routines: dict[str, Routine] = {}
     for rid, routine in ir.routines.items():
         params = routine.params
@@ -1045,7 +1089,10 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
         if body is routine.body:
             routines[rid] = routine
         else:
-            routines[rid] = replace(routine, params=params, body=body)
+            routines[rid] = Routine(
+                rid, params, body, routine.n_slots, routine.env_fields,
+                routine.immutable_slots, routine.ty, routine.consts,
+            )
     out = IRProgram(routines, ir.entry, ir.structs)
     verify_linearity(out)
     return out

@@ -18,7 +18,9 @@ Checking annotates the AST in place: every expression gets a `ty`,
 bindings get unique ids, paths learn their root binding, function
 literals their capture lists, and calls the indexes of their places (a
 path callee, then the inout arguments) whose overlap must be checked at
-runtime.
+runtime.  Expressions are checked through one table keyed by exact node
+type (_CHECK), and the function types of one program are interned: equal
+ones are one object.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .ast import (
     Capture,
     Chain,
     Cond,
-    Expr,
     FieldAcc,
     FloatLit,
     FuncLit,
@@ -94,9 +95,12 @@ class StructInfo:
             return None
 
 
-def resolve_type(te: TypeExpr, struct_names: set[str]) -> Type:
-    """Resolve a surface type expression to a semantic type."""
-    if isinstance(te, NamedTE):
+def resolve_type(
+    te: TypeExpr, struct_names: set[str], func_types: dict[FuncType, FuncType]
+) -> Type:
+    """Resolve a surface type expression to a semantic type.  A function
+    type is interned in func_types, so that equal ones are one object."""
+    if type(te) is NamedTE:
         if te.name == "Int":
             return INT
         if te.name == "Float":
@@ -104,19 +108,23 @@ def resolve_type(te: TypeExpr, struct_names: set[str]) -> Type:
         if te.name in struct_names:
             return StructType(te.name)
         raise _err(te.span, UNBOUND_NAME, f"unknown type '{te.name}'")
-    if isinstance(te, ArrayTE):
-        return ArrayType(resolve_type(te.element, struct_names))
-    if isinstance(te, FuncTE):
+    if type(te) is ArrayTE:
+        return ArrayType(resolve_type(te.element, struct_names, func_types))
+    if type(te) is FuncTE:
         params = tuple(
-            (INOUT if passing == "inout" else BY_VALUE, resolve_type(pt, struct_names))
+            (INOUT if passing == "inout" else BY_VALUE, resolve_type(pt, struct_names, func_types))
             for passing, pt in te.params
         )
-        return FuncType(params, resolve_type(te.ret, struct_names))
+        ft = FuncType(params, resolve_type(te.ret, struct_names, func_types))
+        return func_types.setdefault(ft, ft)
     raise AssertionError(f"unknown type expression {te!r}")
 
 
-def build_struct_table(structs: list[StructDecl]) -> dict[str, StructInfo]:
-    """Resolve all field types and reject recursive struct cycles.
+def build_struct_table(
+    structs: list[StructDecl], func_types: dict[FuncType, FuncType]
+) -> dict[str, StructInfo]:
+    """Resolve all field types, interning function types in func_types,
+    and reject recursive struct cycles.
 
     Function-typed fields are exempt from the cycle check: a function
     value never stores another value inline, so recursion through a
@@ -129,7 +137,7 @@ def build_struct_table(structs: list[StructDecl]) -> dict[str, StructInfo]:
         info = StructInfo(s, [], [], [])
         edge: list[str] = []
         for f in s.fields:
-            ty = resolve_type(f.type_expr, names)
+            ty = resolve_type(f.type_expr, names, func_types)
             info.field_names.append(f.name)
             info.field_quals.append(f.qualifier)
             info.field_types.append(ty)
@@ -197,9 +205,9 @@ def shape_of_path(p: Path) -> AccessPathShape:
     assert p.root_binding_id is not None, "path must be type-checked first"
     steps: list[tuple[str, object]] = []
     for acc in p.accessors:
-        if isinstance(acc, FieldAcc):
+        if type(acc) is FieldAcc:
             steps.append(("field", acc.name))
-        elif isinstance(acc.index, IntLit):
+        elif type(acc.index) is IntLit:
             steps.append(("lit", acc.index.value))
         else:
             steps.append(("dyn", pretty_expr(acc.index)))
@@ -289,9 +297,13 @@ class TypedProgram:
 
 
 class _Checker:
-    def __init__(self, structs: dict[str, StructInfo]):
+    def __init__(self, structs: dict[str, StructInfo], func_types: dict[FuncType, FuncType]):
         self.structs = structs
         self.struct_names = set(structs)
+        # Every function type made so far, keyed by itself: an equal type
+        # made later is replaced by the first, so that move-opt finds each
+        # call's type in its tables by identity.
+        self.func_types = func_types
         self.next_binding_id = 0
 
     def fresh_id(self) -> int:
@@ -299,90 +311,87 @@ class _Checker:
         return self.next_binding_id - 1
 
     # -- expressions --------------------------------------------------------
+    #
+    # An expression is checked by _CHECK[type(e)](self, e, ctx): one
+    # handler per kind of expression, keyed by exact type, since no AST
+    # class has subclasses.  Each handler records the type it returns as
+    # e.ty, and calls the table itself, not a dispatching method, so a
+    # node costs one Python frame and deep programs recurse no deeper
+    # than under a ladder of isinstance tests.  Types compare by identity
+    # first: Int, Float and each function type are one object per
+    # program, so most comparisons call no dataclass __eq__.
 
-    def check_expr(self, e: Expr, ctx: TypingContext) -> Type:
-        ty = self._check(e, ctx)
-        e.ty = ty
+    def check_array(self, e: ArrayLit, ctx: TypingContext) -> Type:
+        head = e.elements[0]
+        first = _CHECK[type(head)](self, head, ctx)
+        for elem in e.elements[1:]:
+            t = _CHECK[type(elem)](self, elem, ctx)
+            if t is not first and t != first:
+                raise _err(
+                    elem.span,
+                    TYPE_MISMATCH,
+                    f"array element has type {t}, expected {first}",
+                )
+        e.ty = ty = ArrayType(first)
         return ty
 
-    def _check(self, e: Expr, ctx: TypingContext) -> Type:
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, FloatLit):
-            return FLOAT
-        if isinstance(e, ArrayLit):
-            first = self.check_expr(e.elements[0], ctx)
-            for elem in e.elements[1:]:
-                t = self.check_expr(elem, ctx)
-                if t != first:
-                    raise _err(
-                        elem.span,
-                        TYPE_MISMATCH,
-                        f"array element has type {t}, expected {first}",
-                    )
-            return ArrayType(first)
-        if isinstance(e, StructInit):
-            info = self.structs.get(e.name)
-            assert info is not None, "parser only classifies known struct names"
-            if len(e.args) != len(info.field_types):
+    def check_struct(self, e: StructInit, ctx: TypingContext) -> Type:
+        info = self.structs.get(e.name)
+        assert info is not None, "parser only classifies known struct names"
+        if len(e.args) != len(info.field_types):
+            raise _err(
+                e.span,
+                ARITY_MISMATCH,
+                f"struct {e.name} has {len(info.field_types)} fields, "
+                f"found {len(e.args)} arguments",
+            )
+        for arg, fname, fty in zip(e.args, info.field_names, info.field_types):
+            t = _CHECK[type(arg)](self, arg, ctx)
+            if t is not fty and t != fty:
                 raise _err(
-                    e.span,
-                    ARITY_MISMATCH,
-                    f"struct {e.name} has {len(info.field_types)} fields, "
-                    f"found {len(e.args)} arguments",
-                )
-            for arg, fname, fty in zip(e.args, info.field_names, info.field_types):
-                t = self.check_expr(arg, ctx)
-                if t != fty:
-                    raise _err(
-                        arg.span,
-                        TYPE_MISMATCH,
-                        f"field {fname} of {e.name} has type {fty}, found {t}",
-                    )
-            return StructType(e.name)
-        if isinstance(e, Path):
-            ty, _ = self.resolve_path(e, ctx)
-            return ty
-        if isinstance(e, FuncLit):
-            return self.check_funclit(e, ctx)
-        if isinstance(e, Call):
-            return self.check_call(e, ctx)
-        if isinstance(e, Binary):
-            return self.check_binary(e, ctx)
-        if isinstance(e, Cond):
-            ct = self.check_expr(e.cond, ctx)
-            if ct != INT:
-                raise _err(e.cond.span, TYPE_MISMATCH, f"condition must be Int, found {ct}")
-            tt = self.check_expr(e.then, ctx)
-            et = self.check_expr(e.orelse, ctx)
-            if tt != et:
-                raise _err(
-                    e.orelse.span,
+                    arg.span,
                     TYPE_MISMATCH,
-                    f"branches differ: then has type {tt}, else has type {et}",
+                    f"field {fname} of {e.name} has type {fty}, found {t}",
                 )
-            return tt
-        if isinstance(e, Chain):
-            return self.check_chain(e, ctx)
-        raise AssertionError(f"unknown expression {e!r}")
+        e.ty = ty = StructType(e.name)
+        return ty
+
+    def check_path(self, e: Path, ctx: TypingContext) -> Type:
+        e.ty = ty = self.resolve_path(e, ctx)[0]
+        return ty
+
+    def check_cond(self, e: Cond, ctx: TypingContext) -> Type:
+        ct = _CHECK[type(e.cond)](self, e.cond, ctx)
+        if ct is not INT and ct != INT:
+            raise _err(e.cond.span, TYPE_MISMATCH, f"condition must be Int, found {ct}")
+        tt = _CHECK[type(e.then)](self, e.then, ctx)
+        et = _CHECK[type(e.orelse)](self, e.orelse, ctx)
+        if tt is not et and tt != et:
+            raise _err(
+                e.orelse.span,
+                TYPE_MISMATCH,
+                f"branches differ: then has type {tt}, else has type {et}",
+            )
+        e.ty = tt
+        return tt
 
     def check_chain(self, e: Chain, ctx: TypingContext) -> Type:
         # One scope: a later binding of a name replaces the earlier.
         ctx.push()
         for s in e.stmts:
-            if isinstance(s, Binding):
+            if type(s) is Binding:
                 self.check_binding(s, ctx)
             else:
                 self.check_assign(s, ctx)
-        tail_ty = self.check_expr(e.tail, ctx)
+        e.ty = tail_ty = _CHECK[type(e.tail)](self, e.tail, ctx)
         ctx.pop()
         return tail_ty
 
     def check_binding(self, e: Binding, ctx: TypingContext) -> None:
-        init_ty = self.check_expr(e.init, ctx)
+        init_ty = _CHECK[type(e.init)](self, e.init, ctx)
         if e.annotation is not None:
-            want = resolve_type(e.annotation, self.struct_names)
-            if init_ty != want:
+            want = resolve_type(e.annotation, self.struct_names, self.func_types)
+            if init_ty is not want and init_ty != want:
                 raise _err(
                     e.init.span,
                     TYPE_MISMATCH,
@@ -395,7 +404,7 @@ class _Checker:
     def check_assign(self, e: Assign, ctx: TypingContext) -> None:
         if e.target.root == "_" and not e.target.accessors:
             # Wildcard discard: value may have any type.
-            self.check_expr(e.value, ctx)
+            _CHECK[type(e.value)](self, e.value, ctx)
         else:
             target_ty, mutable = self.resolve_path(e.target, ctx)
             if not mutable:
@@ -404,8 +413,8 @@ class _Checker:
                     IMMUTABLE_TARGET,
                     f"cannot assign through immutable path '{pretty_expr(e.target)}'",
                 )
-            value_ty = self.check_expr(e.value, ctx)
-            if value_ty != target_ty:
+            value_ty = _CHECK[type(e.value)](self, e.value, ctx)
+            if value_ty is not target_ty and value_ty != target_ty:
                 raise _err(
                     e.value.span,
                     TYPE_MISMATCH,
@@ -413,9 +422,9 @@ class _Checker:
                 )
 
     def check_binary(self, e: Binary, ctx: TypingContext) -> Type:
-        lt = self.check_expr(e.lhs, ctx)
-        rt = self.check_expr(e.rhs, ctx)
-        if lt != rt:
+        lt = _CHECK[type(e.lhs)](self, e.lhs, ctx)
+        rt = _CHECK[type(e.rhs)](self, e.rhs, ctx)
+        if lt is not rt and lt != rt:
             raise _err(
                 e.rhs.span, TYPE_MISMATCH, f"operands differ: {lt} {e.op} {rt}"
             )
@@ -425,25 +434,24 @@ class _Checker:
             )
         if e.op == "%" and lt != INT:
             raise _err(e.span, TYPE_MISMATCH, "operator '%' requires Int operands")
-        if BINARY_PREC[e.op] == PREC_CMP:
-            return INT
-        return lt
+        e.ty = ty = INT if BINARY_PREC[e.op] == PREC_CMP else lt
+        return ty
 
     def check_funclit(self, e: FuncLit, ctx: TypingContext) -> Type:
         inner = TypingContext(ctx)
         param_ids: list[int] = []
         sig: list[tuple[str, Type]] = []
         for p in e.params:
-            ty = resolve_type(p.type_expr, self.struct_names)
+            ty = resolve_type(p.type_expr, self.struct_names, self.func_types)
             passing = INOUT if p.passing == "inout" else BY_VALUE
             sig.append((passing, ty))
             pid = self.fresh_id()
             param_ids.append(pid)
             # By-value parameters are immutable; mutate a local copy instead.
             inner.bind(BindingInfo(p.name, ty, passing == INOUT, pid))
-        ret = resolve_type(e.ret, self.struct_names)
-        body_ty = self.check_expr(e.body, inner)
-        if body_ty != ret:
+        ret = resolve_type(e.ret, self.struct_names, self.func_types)
+        body_ty = _CHECK[type(e.body)](self, e.body, inner)
+        if body_ty is not ret and body_ty != ret:
             raise _err(
                 e.body.span,
                 TYPE_MISMATCH,
@@ -452,11 +460,13 @@ class _Checker:
         e.param_ids = param_ids
         caps = sorted(inner.captures.values(), key=lambda b: b.binding_id)
         e.captures = [Capture(c.name, c.binding_id, c.ty) for c in caps]
-        return FuncType(tuple(sig), ret)
+        ft = FuncType(tuple(sig), ret)
+        e.ty = ty = self.func_types.setdefault(ft, ft)
+        return ty
 
     def check_call(self, e: Call, ctx: TypingContext) -> Type:
-        callee_ty = self.check_expr(e.callee, ctx)
-        if not isinstance(callee_ty, FuncType):
+        callee_ty = _CHECK[type(e.callee)](self, e.callee, ctx)
+        if type(callee_ty) is not FuncType:
             raise _err(
                 e.callee.span, TYPE_MISMATCH, f"cannot call a value of type {callee_ty}"
             )
@@ -467,11 +477,11 @@ class _Checker:
                 f"function takes {len(callee_ty.params)} arguments, found {len(e.args)}",
             )
         # The call's places: a path callee, then the inout arguments.
-        places: list[Path] = [e.callee] if isinstance(e.callee, Path) else []
+        places: list[Path] = [e.callee] if type(e.callee) is Path else []
         n_callee = len(places)
         for i, (arg, (passing, pty)) in enumerate(zip(e.args, callee_ty.params)):
             if passing == INOUT:
-                if not isinstance(arg, InoutArg):
+                if type(arg) is not InoutArg:
                     raise _err(
                         arg.span,
                         INVALID_INOUT_ARGUMENT,
@@ -484,7 +494,7 @@ class _Checker:
                         IMMUTABLE_TARGET,
                         f"inout argument '{pretty_expr(arg.path)}' is an immutable path",
                     )
-                if ty != pty:
+                if ty is not pty and ty != pty:
                     raise _err(
                         arg.span,
                         TYPE_MISMATCH,
@@ -492,21 +502,22 @@ class _Checker:
                     )
                 places.append(arg.path)
             else:
-                if isinstance(arg, InoutArg):
+                if type(arg) is InoutArg:
                     raise _err(
                         arg.span,
                         INVALID_INOUT_ARGUMENT,
                         f"argument {i + 1} is passed by value; '&' is not allowed",
                     )
-                ty = self.check_expr(arg, ctx)
-                if ty != pty:
+                ty = _CHECK[type(arg)](self, arg, ctx)
+                if ty is not pty and ty != pty:
                     raise _err(
                         arg.span,
                         TYPE_MISMATCH,
                         f"argument has type {ty}, parameter expects {pty}",
                     )
         e.checked_places = self.check_exclusivity(e, places, n_callee)
-        return callee_ty.ret
+        e.ty = ty = callee_ty.ret
+        return ty
 
     def check_exclusivity(self, call: Call, places: list[Path], n_callee: int) -> list[int]:
         """Reject a call whose places clash statically, the first n_callee
@@ -524,6 +535,8 @@ class _Checker:
         and two paths from one root have the same type at each common
         step, so it is statically disjoint from every other place.
         """
+        if len(places) < 2:
+            return []  # nothing to clash with or to check
         shapes = [shape_of_path(p) for p in places]
         trie: dict[object, int] = {}  # a root, or (node, step) -> node
         ends: dict[int, int] = {}  # node -> first argument ending there
@@ -562,11 +575,13 @@ class _Checker:
                     f"inout argument '{pretty_expr(places[j])}' overlaps "
                     f"the call target '{pretty_expr(places[0])}'",
                 )
+        dynamic = {s.root for s in shapes if any(kind == "dyn" for kind, _ in s.steps)}
+        if not dynamic:
+            return []
         groups: dict[int, list[int]] = {}  # root -> places, but a callee read in place
         for i, shape in enumerate(shapes):
             if i >= n_callee or any(kind != "field" for kind, _ in shape.steps):
                 groups.setdefault(shape.root, []).append(i)
-        dynamic = {s.root for s in shapes if any(kind == "dyn" for kind, _ in s.steps)}
         return sorted(i for root in dynamic if len(groups[root]) > 1 for i in groups[root])
 
     # -- paths ---------------------------------------------------------------
@@ -587,8 +602,8 @@ class _Checker:
         ty: Type = info.ty
         mutable = info.mutable
         for acc in p.accessors:
-            if isinstance(acc, FieldAcc):
-                if not isinstance(ty, StructType):
+            if type(acc) is FieldAcc:
+                if type(ty) is not StructType:
                     raise _err(
                         acc.span, TYPE_MISMATCH, f"type {ty} has no fields"
                     )
@@ -604,10 +619,10 @@ class _Checker:
                 mutable = mutable and sinfo.field_quals[idx] == "var"
                 ty = sinfo.field_types[idx]
             else:
-                if not isinstance(ty, ArrayType):
+                if type(ty) is not ArrayType:
                     raise _err(acc.span, TYPE_MISMATCH, f"cannot index type {ty}")
-                idx_ty = self.check_expr(acc.index, ctx)
-                if idx_ty != INT:
+                idx_ty = _CHECK[type(acc.index)](self, acc.index, ctx)
+                if idx_ty is not INT and idx_ty != INT:
                     raise _err(
                         acc.index.span,
                         TYPE_MISMATCH,
@@ -618,10 +633,26 @@ class _Checker:
         return ty, mutable
 
 
+_CHECK = {
+    # setattr returns None, so a literal's handler returns its type.
+    IntLit: lambda checker, e, ctx: setattr(e, "ty", INT) or INT,
+    FloatLit: lambda checker, e, ctx: setattr(e, "ty", FLOAT) or FLOAT,
+    Path: _Checker.check_path,
+    Binary: _Checker.check_binary,
+    Call: _Checker.check_call,
+    Cond: _Checker.check_cond,
+    Chain: _Checker.check_chain,
+    ArrayLit: _Checker.check_array,
+    StructInit: _Checker.check_struct,
+    FuncLit: _Checker.check_funclit,
+}
+
+
 def check_program(program: Program) -> TypedProgram:
     """Type-check a parsed program; returns the annotated program."""
-    table = build_struct_table(program.structs)
-    checker = _Checker(table)
-    ctx = TypingContext(None)
-    entry_type = checker.check_expr(program.entry, ctx)
+    func_types: dict[FuncType, FuncType] = {}
+    table = build_struct_table(program.structs, func_types)
+    checker = _Checker(table, func_types)
+    entry = program.entry
+    entry_type = _CHECK[type(entry)](checker, entry, TypingContext(None))
     return TypedProgram(program, table, entry_type)

@@ -43,7 +43,7 @@ from mvsl.ir import (
     lower_program,
     verify_linearity,
 )
-from mvsl.types import INT, StructType
+from mvsl.types import INT, FuncType, StructType
 
 from conftest import (
     corpus_expected,
@@ -432,6 +432,60 @@ def test_optimization_leaves_base_alone_and_shares_it():
     assert changed and unchanged
 
 
+def test_move_opt_keeps_the_unprinted_flags():
+    """Neither == nor dump_ir sees BinaryInstr.float_operands or the
+    scalar flag of LoadPath and StorePath, and the interpreter ignores
+    float_operands.  So each instruction of those kinds that move-opt
+    emits must carry the flag of the naive instruction of its kind at its
+    span, rebuilt ones too."""
+    flags = {BinaryInstr: "float_operands", LoadPath: "scalar", StorePath: "scalar"}
+    sources = [source for _, source in corpus_sources()]
+    sources += [pretty_program(generate_program(GenConfig(seed))) for seed in range(100)]
+    rebuilt = Counter()  # rebuilt instructions whose flag is set, by kind
+    for source in sources:
+        try:
+            base = lower_source(source, move_opt=False)
+        except (ParseError, TypeCheckError):
+            continue
+        opt = apply_move_optimization(base)
+        for rid, routine in base.routines.items():
+            naive = {}
+            for ins in walk(routine.body):
+                if type(ins) in flags:
+                    naive.setdefault((type(ins), ins.span), set()).add(getattr(ins, flags[type(ins)]))
+            kept = {id(ins) for ins in walk(routine.body)}
+            for ins in walk(opt.routines[rid].body):
+                if type(ins) in flags:
+                    flag = getattr(ins, flags[type(ins)])
+                    assert naive[type(ins), ins.span] == {flag}, (rid, ins)
+                    rebuilt[type(ins)] += flag and id(ins) not in kept
+    assert all(rebuilt[kind] for kind in flags), rebuilt
+
+
+def test_move_opt_finds_function_types_by_identity(monkeypatch):
+    """The checker interns function types, so move-opt's tables find each
+    literal's and each call's type by identity: over the diff_sweep
+    benchmark's programs it never compares two of them structurally."""
+    bases = [
+        lower_source(inp.source, move_opt=False)
+        for inp in workloads.build("diff_sweep", 0).inputs()
+    ]
+    assert sum(type(i) is CallInstr for base in bases for i in all_instrs(base)) > 1000
+    compared = []
+    eq = FuncType.__eq__
+
+    def counting_eq(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(FuncType, "__eq__", counting_eq)
+    assert FuncType((), INT) == FuncType((), INT) and len(compared) == 1
+    compared.clear()
+    for base in bases:
+        apply_move_optimization(base)
+    assert compared == []
+
+
 def single_routine(body, n_slots):
     routine = Routine(ENTRY_ID, [], body, n_slots)
     return IRProgram({ENTRY_ID: routine}, ENTRY_ID, {})
@@ -672,12 +726,15 @@ def test_calling_a_captured_closure_writes_the_env_only_through_a_writer(name, p
 
 
 def last_uses(ir):
-    """The last uses _last_uses records over every routine of ir, as
-    apply_move_optimization decides them: (moves, arm_uses)."""
-    moves, arm_uses = {}, {}
-    for routine in ir.routines.values():
-        ir_module._last_uses(routine.body, moves, arm_uses)
-    return moves, arm_uses
+    """The last uses and lending facts _last_uses records over every
+    routine of ir, as apply_move_optimization decides them: (moves,
+    arm_uses, facts by routine id)."""
+    moves, arm_uses, facts = {}, {}, {}
+    for rid, routine in ir.routines.items():
+        params = {s for s, (p, _) in enumerate(routine.params) if p == P_VALUE}
+        facts[rid] = ir_module._Facts(params)
+        ir_module._last_uses(routine.body, moves, arm_uses, facts[rid])
+    return moves, arm_uses, facts
 
 
 def test_writer_types_are_a_fixpoint_over_captured_callees():
@@ -700,14 +757,14 @@ def test_writer_types_are_a_fixpoint_over_captured_callees():
         f"let p: {probe} = ({params}) -> Int {{ 0 }} in k([q(1, 2)])"
     )
     base, _ = fetch(src)
-    moves, _ = last_uses(base)
-    facts = {str(r.ty): ir_module._lending_facts(r, moves) for r in base.routines.values() if r.ty}
-    assert facts["(Int) -> Int"][:2] == (True, [])
-    assert facts["(Float) -> Int"][0] is False
-    assert [str(t) for t in facts["(Float) -> Int"][1]] == ["(Int) -> Int"]
-    assert [str(t) for t in facts["(Int, Int) -> Int"][1]] == ["([Float]) -> Int"]
+    _, _, by_id = last_uses(base)
+    facts = {str(r.ty): by_id[r.id] for r in base.routines.values() if r.ty}
+    assert (facts["(Int) -> Int"].writes_env, facts["(Int) -> Int"].env_callees) == (True, [])
+    assert facts["(Float) -> Int"].writes_env is False
+    assert [str(t) for t in facts["(Float) -> Int"].env_callees] == ["(Int) -> Int"]
+    assert [str(t) for t in facts["(Int, Int) -> Int"].env_callees] == ["([Float]) -> Int"]
     (ty,) = [r.ty for r in base.routines.values() if str(r.ty) == probe]
-    mask, _ = ir_module._Lending(base, moves).get(ty)
+    mask, _ = ir_module._Lending(base, by_id).get(ty)
     writers = {str(pty) for (_, pty), how in zip(ty.params, mask) if how == ir_module._OWN}
     assert writers == {"(Int) -> Int", "(Float) -> Int", "([Int]) -> Int"}
 
@@ -978,7 +1035,7 @@ def test_owned_parameters_are_those_move_elision_moves():
     bases += list(base_programs())
     checked = 0
     for base in bases:
-        moves, arm_uses = last_uses(base)
+        moves, arm_uses, facts = last_uses(base)
         for routine in base.routines.values():
             if routine.ty is None:
                 continue
@@ -997,7 +1054,7 @@ def test_owned_parameters_are_those_move_elision_moves():
                 for i in walk(routine.body)
                 if type(i) is ResolveLocation and i.steps and i.steps[0][0] == "index"
             }
-            owned = ir_module._lending_facts(routine, moves)[2]
+            owned = facts[routine.id].owned
             assert moved == owned - indexed, routine.id
             checked += bool(moved)
     assert checked >= 3
@@ -1039,7 +1096,7 @@ def test_borrowed_callee_through_an_index_keeps_the_parameter_owned(src, out, pa
     (fn,) = [r for r in opt.routines.values() if r.ty and r.params[1][1] != INT]
     assert fn.params[1][0] == passing
     # fs's only use is the resolution, so it is owned for that alone.
-    owned = ir_module._lending_facts(base.routines[fn.id], last_uses(base)[0])[2]
+    owned = last_uses(base)[2][fn.id].owned
     assert owned == ({1} if passing == P_VALUE else set())
     for cow in (True, False):
         assert execute(opt, cow=cow, debug=True)[0] == out

@@ -121,6 +121,53 @@ def test_too_deep_is_error_syntax_exit_1(tmp_path, source):
     assert "error[Syntax]: nesting too deep (limit 150)" in err
 
 
+# The deepest Python stack, (check_program, lower_program), that each
+# form reaches at MAX_NESTING levels, their own frames included.  Both
+# dispatch through a table whose handlers call the table themselves, so
+# a level costs the frames of its own handling and no dispatch frame.
+# Checking inout-subscripts is deepest, in pretty_expr's rendering of a
+# dynamic subscript for the exclusivity check.
+COMPILE_FRAMES = {
+    "parentheses": (3, 6),
+    "brackets": (152, 154),
+    "if-arms": (152, 154),
+    "call-arguments": (155, 155),
+    "called-literals": (153, 231),
+    "binary-operators": (152, 303),
+    "subscripts": (303, 454),
+    "inout-subscripts": (604, 454),
+    "types": (154, 156),
+}
+
+
+def deepest_stack(fn, *args) -> tuple[int, object]:
+    """(the most Python frames fn(*args) had on the stack at once, its own
+    included; its result)."""
+    depth = most = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, most
+        if event == "call":
+            depth += 1
+            most = max(most, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return most, result
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_checking_and_lowering_do_not_deepen_the_stack(form):
+    check, typed = deepest_stack(check_program, parse_source(FORMS[form](MAX_NESTING)))
+    lower, _ = deepest_stack(lower_program, typed)
+    assert check <= COMPILE_FRAMES[form][0] and lower <= COMPILE_FRAMES[form][1], (check, lower)
+
+
 # -- long chains -----------------------------------------------------------------------
 
 
