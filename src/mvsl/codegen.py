@@ -24,10 +24,10 @@ its own, and its closures must make each IR's own routines.
   a routine that resolves a place of its own makes a Frame.
 - The IR has no loops: a CondBr becomes if/else, and a body a tree of
   nested arms.
-- A BinaryInstr is inline Python, in the form that the operand type
-  lowering recorded picks.  A comparison directly before the CondBr that
-  consumes it, its only reader, is that branch's test (if a < b:); any
-  other comparison yields 1 or 0.  A Float + - * is the bare operation,
+- A BinaryInstr is inline Python, in the form that the type lowering
+  recorded for its operand's slot picks.  A comparison directly before
+  the CondBr that consumes it, its only reader, is that branch's test
+  (if a < b:); any other comparison yields 1 or 0.  A Float + - * is the bare operation,
   and an Int + - * is followed by a check against INT_MIN and INT_MAX
   (only the bound it can cross, when it adds or subtracts a constant)
   that traps through the VM's own _overflow.  An Int / or % by a
@@ -54,7 +54,12 @@ its own, and its closures must make each IR's own routines.
   it, reads or overwrites the element with a plain assignment.  Other
   copies and destroys, and allocation, go through the VM's own
   copy_value, destroy_value and alloc, so every counter comes from the
-  code the interpreter runs.
+  code the interpreter runs.  Move-opt leaves no Destroy of a value that
+  owns nothing to emit.
+- A MakeStruct of a field-less struct is a kept constant, the routine's
+  one StructVal of that struct, made at emission: it has no parts, so
+  no write reaches into it, a copy of it is a new value, and sharing it
+  cannot be seen.
 
 Each instruction kind has one template in TEMPLATES.  A routine whose
 conditionals nest deeper than CPython's indentation allows stays
@@ -88,6 +93,7 @@ from .ir import (
     StorePath,
     instructions,
 )
+from .types import FloatType
 from .vm import (
     INT_MAX,
     INT_MIN,
@@ -138,12 +144,27 @@ class _Emitter:
         resolves = [ins for ins in instructions(routine.body) if type(ins) is ResolveLocation]
         self.locations = {*routine.loc_slots, *(ins.dst for ins in resolves)}
         self.framed = {ins.base for ins in resolves} - self.locations
+        self.units: dict[str, str] = {}  # field-less struct name -> its global (see unit)
 
     def name(self, value) -> str:
         """A global of the function, bound to value."""
         n = f"_k{len(self.ns)}"
         self.ns[n] = value
         return n
+
+    def unit(self, struct_name: str) -> str:
+        """The global bound to the routine's one value of a field-less
+        struct, which has no parts: no write reaches into it, and a copy
+        of it is a new value, so sharing it cannot be seen."""
+        if struct_name not in self.units:
+            self.units[struct_name] = self.name(StructVal(struct_name, []))
+        return self.units[struct_name]
+
+    def floats(self, slot: int) -> bool:
+        """Whether slot holds a Float, by the type lowering recorded; a
+        slot of no recorded type, as in a hand-built IR, holds an Int."""
+        types = self.routine.slot_types
+        return slot < len(types) and type(types[slot]) is FloatType
 
     def ref(self, slot: int) -> str:
         """The expression of a slot: a literal for a constant."""
@@ -271,6 +292,9 @@ def _make_array(e: _Emitter, ins: MakeArray, depth: int) -> None:
 
 
 def _make_struct(e: _Emitter, ins: MakeStruct, depth: int) -> None:
+    if not ins.operands:  # a field-less struct: the routine's one value of it
+        e.emit(depth, f"{e.ref(ins.dst)} = {e.unit(ins.struct_name)}")
+        return
     e.emit(depth, f"{e.ref(ins.dst)} = _Struct({ins.struct_name!r}, [{e.refs(ins.operands)}])")
 
 
@@ -297,7 +321,7 @@ def _binary(e: _Emitter, ins: BinaryInstr, depth: int) -> None:
     c = e.routine.consts.get(ins.rhs)
     if op in _COMPARISONS:
         e.emit(depth, f"{dst} = 1 if {lhs} {op} {rhs} else 0")
-    elif op == "/" and ins.float_operands:
+    elif op == "/" and e.floats(ins.lhs):
         e.emit(depth, f"{dst} = {e.name(_float_div)}({lhs}, {rhs})")
     elif op in ("/", "%") and c is not None and c > 0:
         # A positive constant divisor can neither be zero nor overflow the
@@ -309,7 +333,7 @@ def _binary(e: _Emitter, ins: BinaryInstr, depth: int) -> None:
         e.emit(depth, f"{dst} = {div}({lhs}, {rhs}, {e.name(ins.span)})")
     else:
         e.emit(depth, f"{dst} = {lhs} {op} {rhs}")
-        if ins.float_operands:
+        if e.floats(ins.lhs):
             return
         # Every Int in a slot is in range, so adding or subtracting a
         # constant can leave the range on one side only.

@@ -10,6 +10,13 @@ on each expression's exact type through one table, _LOWER, whose
 handlers call it themselves, so that a nesting level costs no more
 Python frames than its own handler needs.
 
+Lowering records the type of each slot's value, from the checker's
+(Routine.slot_types), and IRProgram.owns_nothing decides once per
+program which types own no heap memory: Int, Float, and a struct whose
+fields all own nothing, a field-less one too.  An array or a closure
+owns its block or environment, and a slot of no recorded type, as in a
+hand-built IR, counts as owned.
+
 A literal operand of a BinaryInstr, or a literal subscript of a path
 step, costs no instruction: it is a constant of its routine
 (Routine.consts), one slot per distinct value, which every frame of the
@@ -47,15 +54,20 @@ value is produced where it is moved to: when a Copy becomes a Move and
 the instruction emitted above it, Destroys aside, produces its source,
 the Move goes and that instruction writes its destination, as the tail
 of `let a = [1] in a` does.
+And it emits no Destroy of a slot whose value owns nothing, by the
+slot's type, neither the naive IR's own nor one after a lending call:
+dropping such a value does nothing.
 The naive IR keeps its Copies and Destroys: they are the naive
-strategy's cost.  The only instruction the optimization moves is a
-Destroy, to just after a call that reads its slot at the slot's last
-use.
+strategy's cost, and its Destroys mark last use for _last_uses, so every
+decision above is the same whether a value owns anything or not.  The
+only instruction the optimization moves is a Destroy, to just after a
+call that reads its slot at the slot's last use.
 
 Slots are indexes into a routine-local frame.  Instructions form a
 tree: straight-line lists plus CondBr, which carries its branch blocks
 inline; instructions() walks a block and its arms.  Linearity (each
-produced slot consumed exactly once per path) is machine-checked by
+produced slot consumed exactly once per path, except that a value that
+owns nothing need not be consumed) is machine-checked by
 verify_linearity before and after optimization.
 
 Each instruction kind declares once, in its own class, the role of each
@@ -65,7 +77,7 @@ elision and the verifier read the roles, and dump_ir prints the form.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from operator import is_
 
@@ -227,9 +239,7 @@ class LoadPath(Instr):
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
     # An Int or Float place, whose element the VM and emitted code read
-    # with no copy_value; not printed, and no part of equality.  A
-    # type for each slot, once lowering records one, would subsume this
-    # flag and BinaryInstr.float_operands.
+    # with no copy_value; not printed, and no part of equality.
     scalar: bool = field(default=False, repr=False, compare=False)
     form = "load_path {base}{steps} -> {dst}"
 
@@ -241,10 +251,9 @@ class StorePath(Instr):
     value: Consumed
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # subscript slots read in place, not consumed
-    # An Int or Float place, whose element the VM and emitted code overwrite
-    # with no destroy_value of the old value; not printed, and no part of equality.  A
-    # type for each slot, once lowering records one, would subsume this
-    # flag and BinaryInstr.float_operands.
+    # An Int or Float place, whose element the VM and emitted code
+    # overwrite with no destroy_value of the old value; not printed, and
+    # no part of equality.
     scalar: bool = field(default=False, repr=False, compare=False)
     form = "store_path {base}{steps} <- {value}"
 
@@ -297,9 +306,6 @@ class BinaryInstr(Instr):
     rhs: Lendable
     span: Span = NO_SPAN
     lent: tuple[int, ...] = ()  # operands read in place, not consumed
-    # Float operands (else Int), by which emitted code picks its operator
-    # function once; not printed, and no part of equality.
-    float_operands: bool = field(default=False, repr=False, compare=False)
     form = "binary {op} {lhs}, {rhs} -> {dst}"
 
 
@@ -359,6 +365,10 @@ class Routine:
     # makes them; every frame of the routine starts with them in place,
     # and nothing writes or clears those slots.
     consts: Consts = field(default_factory=dict)
+    # The type of each slot's value, by slot, as lowering recorded it from
+    # the checker's: None for a slot that holds a Location.  A hand-built
+    # IR records none, and a slot of no recorded type counts as owned.
+    slot_types: list[Type | None] = field(default_factory=list)
     # A new frame's slots: None, or the constant in a constant slot.
     template: list = field(init=False, repr=False, compare=False)
     # The frame layout a call fills, derived from params: the slots of
@@ -386,6 +396,43 @@ class IRProgram:
     # routine that cannot be compiled.  Each IR keeps its own, since
     # move-opt shares untouched Routines between the naive IR and its own.
     compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Struct name -> whether its values own nothing (see owns_nothing).
+    trivial_structs: dict[str, bool] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def owns_nothing(self, ty: Type | None) -> bool:
+        """Whether a value of type ty owns no heap memory, so that
+        dropping it does nothing: an Int, a Float, or a struct whose
+        fields all own nothing, recursively, a field-less one too.  An
+        array owns its block and a closure its environment, and a slot of
+        no recorded type (None) counts as owned.  Each struct is decided
+        once per program."""
+        t = type(ty)
+        if t is IntType or t is FloatType:
+            return True
+        if t is not StructType:
+            return False
+        known = self.trivial_structs.get(ty.name)
+        if known is None:
+            self.trivial_structs[ty.name] = False  # a cycle, which the checker rejects
+            fields = self.structs[ty.name].field_types
+            known = self.trivial_structs[ty.name] = all(map(self.owns_nothing, fields))
+        return known
+
+    def trivial(self, routine: Routine) -> Callable[[int], bool]:
+        """Whether a slot of routine holds a value that owns nothing, by
+        the type lowering recorded for it.  Move-opt asks once per
+        Destroy, so a scalar is decided inline."""
+        types, owns_nothing = routine.slot_types, self.owns_nothing
+        n = len(types)
+
+        def trivial(slot: int) -> bool:
+            ty = types[slot] if slot < n else None
+            t = type(ty)
+            return t is IntType or t is FloatType or (t is StructType and owns_nothing(ty))
+
+        return trivial
 
 
 ENTRY_ID = "@entry"
@@ -406,7 +453,7 @@ class _RoutineBuilder:
         self.id = rid
         self.body: list[Instr] = []
         self.emit = self.body.append
-        self.n_slots = 0
+        self.slot_types: list[Type | None] = []  # by slot, the type of its value
         self.slot_map: dict[int, int] = {}  # binding id -> slot
         self.inout_ids: set[int] = set()  # binding ids of inout params
         self.env_slot: int | None = None
@@ -417,7 +464,7 @@ class _RoutineBuilder:
         self.consts: Consts = {}
         self.const_slots: dict[str, int] = {}  # repr of a constant -> its slot
         if fl is not None:
-            self.env_slot = self.new_slot()
+            self.env_slot = self.new_slot(fl.ty)
             self.params.append((P_ENV, None))
             self.env_fields = []
             assert fl.captures is not None and fl.param_ids is not None
@@ -426,7 +473,7 @@ class _RoutineBuilder:
                 self.env_fields.append((cap.name, cap.ty))
             assert isinstance(fl.ty, FuncType)
             for param, pid, (passing, pty) in zip(fl.params, fl.param_ids, fl.ty.params):
-                slot = self.new_slot()
+                slot = self.new_slot(pty)
                 self.slot_map[pid] = slot
                 if passing == INOUT:
                     self.inout_ids.add(pid)
@@ -437,30 +484,31 @@ class _RoutineBuilder:
 
     # -- emission helpers ----------------------------------------------------
 
-    def new_slot(self) -> int:
-        self.n_slots += 1
-        return self.n_slots - 1
+    def new_slot(self, ty: Type | None) -> int:
+        """A fresh slot for a value of type ty (None for a Location)."""
+        self.slot_types.append(ty)
+        return len(self.slot_types) - 1
 
     # -- expression lowering --------------------------------------------------
     #
     # An expression is lowered by _LOWER[type(e)](self, e, dst), which
     # returns the slot owning its value: dst when given, where the value
-    # is produced, else a fresh slot.  One handler per kind of
-    # expression, keyed by exact type, since no AST class has subclasses.
-    # Each handler calls the table itself, not a dispatching method, so a
-    # node costs one Python frame and deep programs recurse no deeper
-    # than under a ladder of isinstance tests.  Instructions are built
+    # is produced, else a fresh slot of the expression's type.  One
+    # handler per kind of expression, keyed by exact type, since no AST
+    # class has subclasses.  Each handler calls the table itself, not a
+    # dispatching method, so a node costs one Python frame and deep
+    # programs recurse no deeper than under a ladder of isinstance tests.  Instructions are built
     # from positional fields, which CPython binds faster than keywords,
     # and go to self.emit, the append of the block being lowered: the
     # body, or a conditional's arm.
 
     def lower_int(self, e: IntLit, dst: int | None) -> int:
-        t = self.new_slot() if dst is None else dst
+        t = self.new_slot(e.ty) if dst is None else dst
         self.emit(MakeInt(t, e.value, e.span))
         return t
 
     def lower_float(self, e: FloatLit, dst: int | None) -> int:
-        t = self.new_slot() if dst is None else dst
+        t = self.new_slot(e.ty) if dst is None else dst
         self.emit(MakeFloat(t, e.value, e.span))
         return t
 
@@ -469,7 +517,7 @@ class _RoutineBuilder:
         ops = []
         for x in e.elements:
             ops.append(_LOWER[type(x)](self, x, None))
-        t = self.new_slot() if dst is None else dst
+        t = self.new_slot(e.ty) if dst is None else dst
         self.emit(MakeArray(t, e.ty.element, ops, e.span))
         return t
 
@@ -477,22 +525,21 @@ class _RoutineBuilder:
         ops = []
         for a in e.args:
             ops.append(_LOWER[type(a)](self, a, None))
-        t = self.new_slot() if dst is None else dst
+        t = self.new_slot(e.ty) if dst is None else dst
         self.emit(MakeStruct(t, e.name, ops, e.span))
         return t
 
     def lower_binary(self, e: Binary, dst: int | None) -> int:
         lhs = self.lower_operand(e.lhs)
         rhs = self.lower_operand(e.rhs)
-        t = self.new_slot() if dst is None else dst
-        floats = type(e.lhs.ty) is FloatType
-        self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span, (), floats))
+        t = self.new_slot(e.ty) if dst is None else dst
+        self.emit(BinaryInstr(t, e.op, lhs, rhs, e.span))
         return t
 
     def lower_cond(self, e: Cond, dst: int | None) -> int:
         """Lower each arm into its own block, producing its value in the
         conditional's result slot."""
-        result = self.new_slot() if dst is None else dst
+        result = self.new_slot(e.ty) if dst is None else dst
         cond = _LOWER[type(e.cond)](self, e.cond, None)
         emit = self.emit
         then_block: list[Instr] = []
@@ -525,7 +572,7 @@ class _RoutineBuilder:
 
     def lower_binding(self, e: Binding) -> None:
         assert e.binding_id is not None
-        slot = self.new_slot()
+        slot = self.new_slot(e.init.ty)
         self.slot_map[e.binding_id] = slot
         if e.qualifier == "let":
             self.immutable.add(slot)
@@ -561,7 +608,7 @@ class _RoutineBuilder:
     def lower_path(self, p: Path, dst: int | None) -> int:
         """Read a path; a bare read of a slot that holds its value, not an
         inout Location, is a plain Copy."""
-        t = self.new_slot() if dst is None else dst
+        t = self.new_slot(p.ty) if dst is None else dst
         rid = p.root_binding_id
         if not p.accessors and rid in self.slot_map and rid not in self.inout_ids:
             self.emit(Copy(t, self.slot_map[rid], p.span))
@@ -579,7 +626,7 @@ class _RoutineBuilder:
         key = repr(e.value)  # keeps 1 and 1.0, and 0.0 and -0.0, apart
         slot = self.const_slots.get(key)
         if slot is None:
-            slot = self.const_slots[key] = self.new_slot()
+            slot = self.const_slots[key] = self.new_slot(e.ty)
             self.consts[slot] = e.value
         return slot
 
@@ -588,11 +635,11 @@ class _RoutineBuilder:
         assert e.captures is not None
         ops = []
         for cap in e.captures:
-            t = self.new_slot()
+            t = self.new_slot(cap.ty)
             self.lower_path(Path(cap.name, span=e.span, root_binding_id=cap.binding_id), t)
             ops.append(t)
         if dst is None:
-            dst = self.new_slot()
+            dst = self.new_slot(e.ty)
         self.emit(MakeClosure(dst, routine.id, ops, e.span))
         return dst
 
@@ -630,7 +677,7 @@ class _RoutineBuilder:
             else:
                 args.append(_LOWER[type(a)](self, a, None))
         for p, base, steps in targets:
-            loc = self.new_slot()
+            loc = self.new_slot(None)
             self.emit(ResolveLocation(loc, base, steps, p is e.callee, p.span))
             places.append(loc)
         if e.checked_places:
@@ -638,7 +685,7 @@ class _RoutineBuilder:
         if type(e.callee) is Path:
             callee = places.pop(0)
         if dst is None:
-            dst = self.new_slot()
+            dst = self.new_slot(e.ty)
         call = CallInstr(dst, callee, args, places, e.span, e.callee.ty, (), callee_steps)
         self.emit(call)
         if owned:
@@ -654,11 +701,12 @@ class _RoutineBuilder:
             self.id,
             self.params,
             self.body,
-            self.n_slots,
+            len(self.slot_types),
             self.env_fields,
             frozenset(self.immutable),
             ty,
             self.consts,
+            self.slot_types,
         )
 
 
@@ -903,6 +951,7 @@ def _elide_moves(
     moves: dict[int, int],
     arm_uses: dict[int, set[int]],
     loc_params: tuple[int, ...],
+    trivial: Callable[[int], bool],
     lent_params: frozenset[int] = frozenset(),
 ) -> list[Instr]:
     """Rewrite the Copies of one block: decide in one backward walk, from
@@ -912,6 +961,10 @@ def _elide_moves(
     - A Copy in moves becomes a Move, and its source's Destroy is dropped.
       The Destroys of lent_params, the routine's lent parameters, are
       dropped, and their Copies stay.
+    - A Destroy of a slot whose value owns nothing, by trivial, is
+      dropped, and so is one that would follow a lending call: dropping
+      such a value does nothing.  The naive IR's Destroys have already
+      marked last use, so no other decision changes.
     - A Copy into an argument that the call's type lends is deleted: the
       call reads the source in place.  Where the Copy was the source's
       last use, the source's Destroy moves to just after the call.
@@ -958,7 +1011,7 @@ def _elide_moves(
         i -= 1
         t = type(ins)
         if t is Destroy:
-            if ins.slot in lent_params:
+            if ins.slot in lent_params or trivial(ins.slot):
                 skip.add(i)
         elif t is Copy:
             src = ins.src
@@ -1034,11 +1087,15 @@ def _elide_moves(
                         lent.append(src)  # read in place
                     elif how == _LEND:
                         lent.append(src)
-                        after.append(Destroy(src, ins.span))
+                        if not trivial(src):
+                            after.append(Destroy(src, ins.span))
                     elif how:
                         taken.append(src)  # a scalar: the call takes it
-                # A scalar taken that is also read in place is destroyed after all.
-                after += [Destroy(src, ins.span) for src in taken if src in lent]
+                # A scalar taken that is also read in place is destroyed
+                # after all, unless its type says it owns nothing.
+                after += [
+                    Destroy(src, ins.span) for src in taken if src in lent and not trivial(src)
+                ]
                 locations = [renamed.get(a, a) for a in ins.locations]
                 lent += [a for a in locations if a in loc_params]
                 if lent or args != ins.args:
@@ -1053,8 +1110,8 @@ def _elide_moves(
         elif t is CondBr or i in rereaders:
             arms = {}
             if t is CondBr:
-                then = _elide_moves(ins.then_block, lending, moves, arm_uses, loc_params)
-                orelse = _elide_moves(ins.else_block, lending, moves, arm_uses, loc_params)
+                then = _elide_moves(ins.then_block, lending, moves, arm_uses, loc_params, trivial)
+                orelse = _elide_moves(ins.else_block, lending, moves, arm_uses, loc_params, trivial)
                 if then is not ins.then_block or orelse is not ins.else_block:
                     arms = {"then_block": then, "else_block": orelse}
             if arms or i in rereaders:
@@ -1066,7 +1123,8 @@ def _elide_moves(
 
 def apply_move_optimization(ir: IRProgram) -> IRProgram:
     """Return ir with last-use Copies rewritten to Moves, arguments lent
-    where the callee's type lends them, and scalar operands read in place.
+    where the callee's type lends them, scalar operands read in place, and
+    no Destroy of a slot whose value owns nothing.
 
     ir itself is left unchanged.  The result shares with it every
     routine, block and instruction that the rewrite does not touch.
@@ -1085,13 +1143,14 @@ def apply_move_optimization(ir: IRProgram) -> IRProgram:
         lent = lending.get(routine.ty)[1]
         if lent:
             params = [(P_LENT, p[1]) if s in lent else p for s, p in enumerate(params)]
-        body = _elide_moves(routine.body, lending, moves, arm_uses, routine.loc_slots, lent)
+        trivial = ir.trivial(routine)
+        body = _elide_moves(routine.body, lending, moves, arm_uses, routine.loc_slots, trivial, lent)
         if body is routine.body:
             routines[rid] = routine
         else:
             routines[rid] = Routine(
                 rid, params, body, routine.n_slots, routine.env_fields,
-                routine.immutable_slots, routine.ty, routine.consts,
+                routine.immutable_slots, routine.ty, routine.consts, routine.slot_types,
             )
     out = IRProgram(routines, ir.entry, ir.structs)
     verify_linearity(out)
@@ -1123,26 +1182,37 @@ def verify_linearity(ir: IRProgram) -> None:
     along each control-flow path (Copy only reads its source, and a lent
     argument or operand is only read).  A lent parameter is readable
     throughout its routine and never consumed; so is a constant, and an
-    instruction that would consume one only reads it."""
+    instruction that would consume one only reads it.  A slot whose value
+    owns nothing, by its recorded type, need not be consumed: it may be
+    live at the end of an arm or of the routine, and one live at only one
+    arm's end is dropped where the arms meet.  It is still produced once
+    per path and never read after it is consumed."""
     for routine in ir.routines.values():
         state = dict.fromkeys(routine.consts, _CONST)
         for i, (passing, _) in enumerate(routine.params):
             state[i] = _OWNED if passing == P_VALUE else _BORROWED
-        _verify_block(routine.id, routine.body, state, top=True)
+        trivial = ir.trivial(routine)
+        _verify_block(routine.id, routine.body, state, trivial, top=True)
         for slot, st in state.items():
-            if st == _OWNED:
+            if st == _OWNED and not trivial(slot):
                 raise _LinearityError(
                     f"linearity violation in {routine.id}: slot {slot} leaks at exit"
                 )
 
 
 def _verify_block(
-    rid: str, block: list[Instr], state: dict[int, str], top: bool, undo: dict | None = None
+    rid: str,
+    block: list[Instr],
+    state: dict[int, str],
+    trivial: Callable[[int], bool],
+    top: bool,
+    undo: dict | None = None,
 ) -> None:
     """Verify block from state, which it updates.  undo, when given,
     gets each slot's state before the block first changed it (None for
     no entry), so that a CondBr can check its arms against each other in
-    time linear in the slots they touch, not in the slots live."""
+    time linear in the slots they touch, not in the slots live.  trivial
+    tells the slots whose values own nothing."""
     for idx, ins in enumerate(block):
         t = type(ins)
         if t is Return and (not top or idx != len(block) - 1):
@@ -1170,19 +1240,27 @@ def _verify_block(
             # touched and roll it back; then run the else arm in place.
             then_undo: dict[int, str | None] = {}
             else_undo: dict[int, str | None] = {}
-            _verify_block(rid, ins.then_block, state, False, then_undo)
+            _verify_block(rid, ins.then_block, state, trivial, False, then_undo)
             then_end = {slot: state.get(slot) for slot in then_undo}
             for slot, st in then_undo.items():
                 if st is None:
                     state.pop(slot, None)
                 else:
                     state[slot] = st
-            _verify_block(rid, ins.else_block, state, False, else_undo)
+            _verify_block(rid, ins.else_block, state, trivial, False, else_undo)
             # A slot that only the else arm touched ends the then arm as
             # it was at the branch.
             then_end = {**else_undo, **then_end}
-            if any(state.get(slot) != st for slot, st in then_end.items()):
-                raise _lin_fail(rid, ins, "branch end states differ")
+            for slot, st in then_end.items():
+                if state.get(slot) == st:
+                    continue
+                if not trivial(slot):
+                    raise _lin_fail(rid, ins, "branch end states differ")
+                # Live at one arm's end only, and owning nothing: it is
+                # dropped here.  Either undo holds its state at the branch.
+                if undo is not None and slot not in undo:
+                    undo[slot] = (then_undo if slot in then_undo else else_undo)[slot]
+                state.pop(slot, None)
             if undo is not None:
                 for slot, st in else_undo.items():
                     undo.setdefault(slot, st)

@@ -95,9 +95,23 @@ class StructInfo:
             return None
 
 
-def resolve_type(
-    te: TypeExpr, struct_names: set[str], func_types: dict[FuncType, FuncType]
-) -> Type:
+# Function types by (params, ret); see intern_func_type.
+FuncTypes = dict[tuple, FuncType]
+
+
+def intern_func_type(func_types: FuncTypes, params: tuple, ret: Type) -> FuncType:
+    """The one function type of params and ret in func_types, made on
+    first use.  The key is the pair itself, not a FuncType: its function
+    types are already interned, so a lookup compares them by identity,
+    never through FuncType.__eq__'s walk of nested types."""
+    key = (params, ret)
+    ft = func_types.get(key)
+    if ft is None:
+        ft = func_types[key] = FuncType(params, ret)
+    return ft
+
+
+def resolve_type(te: TypeExpr, struct_names: set[str], func_types: FuncTypes) -> Type:
     """Resolve a surface type expression to a semantic type.  A function
     type is interned in func_types, so that equal ones are one object."""
     if type(te) is NamedTE:
@@ -115,14 +129,11 @@ def resolve_type(
             (INOUT if passing == "inout" else BY_VALUE, resolve_type(pt, struct_names, func_types))
             for passing, pt in te.params
         )
-        ft = FuncType(params, resolve_type(te.ret, struct_names, func_types))
-        return func_types.setdefault(ft, ft)
+        return intern_func_type(func_types, params, resolve_type(te.ret, struct_names, func_types))
     raise AssertionError(f"unknown type expression {te!r}")
 
 
-def build_struct_table(
-    structs: list[StructDecl], func_types: dict[FuncType, FuncType]
-) -> dict[str, StructInfo]:
+def build_struct_table(structs: list[StructDecl], func_types: FuncTypes) -> dict[str, StructInfo]:
     """Resolve all field types, interning function types in func_types,
     and reject recursive struct cycles.
 
@@ -297,12 +308,12 @@ class TypedProgram:
 
 
 class _Checker:
-    def __init__(self, structs: dict[str, StructInfo], func_types: dict[FuncType, FuncType]):
+    def __init__(self, structs: dict[str, StructInfo], func_types: FuncTypes):
         self.structs = structs
         self.struct_names = set(structs)
-        # Every function type made so far, keyed by itself: an equal type
-        # made later is replaced by the first, so that move-opt finds each
-        # call's type in its tables by identity.
+        # Every function type made so far (see intern_func_type): an equal
+        # type is never made again, so that move-opt finds each call's type
+        # in its tables by identity.
         self.func_types = func_types
         self.next_binding_id = 0
 
@@ -460,8 +471,7 @@ class _Checker:
         e.param_ids = param_ids
         caps = sorted(inner.captures.values(), key=lambda b: b.binding_id)
         e.captures = [Capture(c.name, c.binding_id, c.ty) for c in caps]
-        ft = FuncType(tuple(sig), ret)
-        e.ty = ty = self.func_types.setdefault(ft, ft)
+        e.ty = ty = intern_func_type(self.func_types, tuple(sig), ret)
         return ty
 
     def check_call(self, e: Call, ctx: TypingContext) -> Type:
@@ -650,7 +660,7 @@ _CHECK = {
 
 def check_program(program: Program) -> TypedProgram:
     """Type-check a parsed program; returns the annotated program."""
-    func_types: dict[FuncType, FuncType] = {}
+    func_types: FuncTypes = {}
     table = build_struct_table(program.structs, func_types)
     checker = _Checker(table, func_types)
     entry = program.entry

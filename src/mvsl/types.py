@@ -57,13 +57,13 @@ class FuncType(Type):
 
     def __hash__(self) -> int:
         # Computed once per object, since the structural hash walks every
-        # nested type.  Over the seed-0 programs of the diff_sweep
-        # benchmark the checker hashes each of the 2 722 function types
-        # it makes once, to intern it, and move-opt then finds interned
-        # types in its tables 7 758 times.  On CPython 3.11 the cache
-        # saves about 0.42 us on each lookup and costs about 0.35 us on
-        # each first hash, about 2 ms a pass net.  Equality stays
-        # structural, so equal types hash alike.
+        # nested type.  The checker interns function types under their
+        # parts (typechecker.intern_func_type), so over the seed-0
+        # programs of the diff_sweep benchmark it makes 711, and move-opt
+        # finds them in its tables 7 758 times.  On CPython 3.11 the
+        # cache saves about 0.42 us on each lookup and costs about
+        # 0.35 us on each first hash, about 3 ms a pass net.  Equality
+        # stays structural, so equal types hash alike.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.params, self.ret))

@@ -2,8 +2,13 @@
 
 Values form disjoint trees.  Ints, floats, and structs live inline;
 an array value is its refcounted Block; a closure is its own environment
-record, the routine it runs next to the values it captured.  Copying an
-array under copy-on-write just retains its block and shares it; the
+record, the routine it runs next to the values it captured.  A
+field-less struct has no parts, so compiled code shares one StructVal of
+it: nothing can write into it, and a copy of it is a new value.  A value
+that owns nothing, an Int, a Float or a struct of such values, is never
+destroyed by the move-optimized IR, since dropping it does nothing; it
+stays in its slot until the frame goes.  Copying an array under
+copy-on-write just retains its block and shares it; the
 block is duplicated lazily, the first time a mutation reaches it while
 it is shared, and the fresh block replaces the shared one in the place
 written.  With cow off every copy is a deep copy, so blocks are never
@@ -638,11 +643,11 @@ class VM:
         # mean share of the instructions that one execute pass of the
         # optimized IR runs in the three benchmark workloads (seed 0):
         # fib(16) through a closure box (22 356 instructions), the inout
-        # fill of 256 elements (4 870) and the diff_sweep programs
-        # (52 390).  BinaryInstr 38.6 %, CondBr 12.0, Return 11.0,
-        # CallInstr 10.8, LoadPath 5.9, MakeInt 5.4, Destroy 5.4,
-        # StorePath 4.0, MakeStruct 2.1, ResolveLocation 1.3, each other
-        # kind 0.9 or less.
+        # fill of 256 elements (4 614) and the diff_sweep programs
+        # (48 820).  BinaryInstr 40.1 %, CondBr 12.3, Return 11.4,
+        # CallInstr 11.2, LoadPath 6.3, MakeInt 5.6, StorePath 4.3,
+        # MakeStruct 2.3, Destroy 1.5, ResolveLocation 1.4, each other
+        # kind 1.0 or less.
         slots = frame.slots
         debug = self.debug
         for ins in block:
@@ -670,14 +675,14 @@ class VM:
                 self.exec_load(frame, ins)
             elif t is MakeInt:
                 slots[ins.dst] = ins.value
-            elif t is Destroy:
-                v = slots[ins.slot]
-                slots[ins.slot] = None
-                self.destroy_value(v)
             elif t is StorePath:
                 self.exec_store(frame, ins)
             elif t is MakeStruct:
                 slots[ins.dst] = StructVal(ins.struct_name, _take_all(slots, ins.operands))
+            elif t is Destroy:
+                v = slots[ins.slot]
+                slots[ins.slot] = None
+                self.destroy_value(v)
             elif t is ResolveLocation:
                 self.exec_resolve(frame, ins)
             elif t is MakeClosure:

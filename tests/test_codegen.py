@@ -1,15 +1,16 @@
 """Compiled routines against the interpreter.
 
 The VM compiles a routine to a Python function (mvsl.codegen) at its
-COMPILE_THRESHOLD-th entry in a run.  Here the threshold is 1, so every
-routine a run enters is compiled at its first entry, the entry routine
-too, and each program runs in all four cow x move_opt configurations
-both compiled and interpreted (threshold inf).  Output, trap kind, trap
-span, trap message and every RuntimeStats field must be equal.  The programs are the
-corpus, generated seeds 0-199 at size budget 50 and 0-19 at budget 400,
-and the three benchmark workloads at seed 0.  Each IR runs compiled twice
-in each configuration: its first compiled run emits its routines, and
-every later one binds the code that IR keeps.
+COMPILE_THRESHOLD-th entry in a run.  Here each program runs in all four
+cow x move_opt configurations interpreted (threshold inf), then at the
+default threshold 50, where a routine entered 50 times compiles part way
+through the run, then twice at threshold 1, where every routine a run
+enters is compiled at its first entry, the entry routine too.  Output,
+trap kind, trap span, trap message and every RuntimeStats field must be
+equal.  The programs are the corpus, generated seeds 0-199 at size budget
+50 and 0-19 at budget 400, and the three benchmark workloads at seed 0.
+A routine's first compiled run on an IR emits it, and every later one
+binds the code that IR keeps.
 
 Which routines compile at the default threshold is pinned per workload,
 so that a change of threshold shows here.
@@ -35,7 +36,7 @@ from mvsl import (
 from mvsl import codegen, vm
 from mvsl.ir import BinaryInstr, Instr, LoadPath, StorePath
 
-from conftest import corpus_sources, lower_source, workloads
+from conftest import corpus_expected, corpus_sources, lower_source, workloads
 
 
 def outcome(ir, cow: bool) -> tuple:
@@ -70,8 +71,8 @@ def check_sources(monkeypatch, sources: list[str]) -> int:
             for cow in (False, True):
                 monkeypatch.setattr(vm, "COMPILE_THRESHOLD", math.inf)
                 interpreted = outcome(ir, cow)
-                monkeypatch.setattr(vm, "COMPILE_THRESHOLD", 1)
-                for run in ("first", "second"):
+                for threshold, run in ((50, "hot"), (1, "first"), (1, "second")):
+                    monkeypatch.setattr(vm, "COMPILE_THRESHOLD", threshold)
                     assert outcome(ir, cow) == interpreted, (source, cow, run)
     return n
 
@@ -410,6 +411,7 @@ def test_the_corpus_catches_a_dropped_cow_check(monkeypatch):
         "inout_forwarding.mvs",
         "lend_inout_overlap.mvs",
         "scalar_arrays.mvs",
+        "unit_values.mvs",
     ]
 
 
@@ -436,6 +438,48 @@ def test_cow_inouts_compiled_walks_are_inline(monkeypatch):
     assert "_follow" not in bound and "_place" not in bound and "_copy" not in bound
     assert not any(v is vm._int_div or getattr(v, "__func__", None) in (vm.VM._place, vm.VM.follow)
                    for v in bound.values())
+
+
+def test_cow_inouts_fill_neither_makes_nor_destroys_a_u(monkeypatch):
+    # fill returns the field-less U, which owns nothing: move-opt destroys
+    # no value of it, and each leaf binds the routine's one U.  fib's
+    # compiled routine, which neither makes nor destroys a struct, is as
+    # FIB_FN0 pins it.
+    ir = lower_source(workloads.build("cow_inout", 0).inputs()[0].source)
+    source = codegen._Emitter(ir, ir.routines["@fn0"]).function()
+    assert "_destroy(" not in source and "_Struct(" not in source
+    compiled = {}
+
+    def record(vm_, routine):
+        compiled[routine.id] = code = COMPILE(vm_, routine)
+        return code
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    outcome(ir, True)
+    units = [v for v in compiled["@fn0"].__globals__.values() if type(v) is vm.StructVal]
+    assert [(u.name, u.fields) for u in units] == [("U", [])]
+    assert "_destroy" not in compiled["@fn0"].__globals__
+
+
+def test_a_field_less_struct_is_one_value_per_compiled_routine(monkeypatch):
+    # unit_values.mvs's tick and walk are entered 61 times each, so both
+    # compile at the default threshold.  tick makes U in both arms and
+    # walk in its base case: each routine binds one U for all of them.
+    # check_sources compares the runs with the interpreter's.
+    compiled = {}
+
+    def record(vm_, routine):
+        compiled[routine.id] = code = COMPILE(vm_, routine)
+        return code
+
+    monkeypatch.setattr(codegen, "compile_routine", record)
+    ir = lower_source(dict(corpus_sources())["unit_values.mvs"])
+    assert outcome(ir, True)[0] == corpus_expected("unit_values.mvs")
+    assert sorted(compiled) == ["@fn0", "@fn1"]
+    for rid, code in compiled.items():
+        assert "_Struct('U'" not in codegen._Emitter(ir, ir.routines[rid]).function()
+        units = [v for v in code.__globals__.values() if type(v) is vm.StructVal]
+        assert [(u.name, u.fields) for u in units] == [("U", [])], rid
 
 
 # fib's compiled routine: each comparison that only its branch reads is

@@ -43,7 +43,7 @@ from mvsl.ir import (
     lower_program,
     verify_linearity,
 )
-from mvsl.types import INT, FuncType, StructType
+from mvsl.types import FLOAT, INT, ArrayType, FuncType, StructType
 
 from conftest import (
     corpus_expected,
@@ -284,7 +284,7 @@ def blocks(block):
             yield from blocks(ins.else_block)
 
 
-def check_rewrites(old, new):
+def check_rewrites(old, new, trivial):
     """Account for every instruction of routine old that the optimization
     replaced or deleted in routine new.
 
@@ -303,7 +303,9 @@ def check_rewrites(old, new):
       lends its slot.
     - A deleted Destroy is that of a Move's source, of a lent parameter,
       or of a renamed source handed to its reader: destroyed after a
-      call, or taken by the reader.
+      call, or taken by the reader.  Destroys of slots whose values own
+      nothing, by trivial, are all deleted and none is added, so they are
+      left out of this count.
     """
     old_ins, new_ins = list(walk(old.body)), list(walk(new.body))
     old_ids, new_ids = {id(i) for i in old_ins}, {id(i) for i in new_ins}
@@ -409,7 +411,8 @@ def check_rewrites(old, new):
     expected.update(i.src for i in retargets if isinstance(i, Copy))
     expected.update(s for s in handed)
     expected.update(i.slot for i in gone if isinstance(i, Destroy) and i.slot in lent_params)
-    assert Counter(i.slot for i in gone if isinstance(i, Destroy)) == expected
+    expected = Counter({s: n for s, n in expected.items() if not trivial(s)})
+    assert Counter(i.slot for i in gone if type(i) is Destroy and not trivial(i.slot)) == expected
 
 
 def test_optimization_leaves_base_alone_and_shares_it():
@@ -428,17 +431,16 @@ def test_optimization_leaves_base_alone_and_shares_it():
                 continue
             changed += 1
             assert new.body is not routine.body
-            check_rewrites(routine, new)
+            check_rewrites(routine, new, base.trivial(routine))
     assert changed and unchanged
 
 
 def test_move_opt_keeps_the_unprinted_flags():
-    """Neither == nor dump_ir sees BinaryInstr.float_operands or the
-    scalar flag of LoadPath and StorePath, and the interpreter ignores
-    float_operands.  So each instruction of those kinds that move-opt
-    emits must carry the flag of the naive instruction of its kind at its
-    span, rebuilt ones too."""
-    flags = {BinaryInstr: "float_operands", LoadPath: "scalar", StorePath: "scalar"}
+    """Neither == nor dump_ir sees the scalar flag of LoadPath and
+    StorePath.  So each instruction of those kinds that move-opt emits
+    must carry the flag of the naive instruction of its kind at its span,
+    rebuilt ones too."""
+    flags = {LoadPath: "scalar", StorePath: "scalar"}
     sources = [source for _, source in corpus_sources()]
     sources += [pretty_program(generate_program(GenConfig(seed))) for seed in range(100)]
     rebuilt = Counter()  # rebuilt instructions whose flag is set, by kind
@@ -898,6 +900,7 @@ def routine_dump(ir, rid):
 def test_fill_passes_its_inout_parameter_on_and_reads_lo_in_place():
     # Each recursive call is lent fill's own Location for x, with no
     # resolution, and the leaf indexes with lo in place, with no copy.
+    # The first call's U, which owns nothing, is not destroyed.
     _, opt = fetch(workloads.cow_source([1, 2, 3, 4]))
     assert routine_dump(opt, "@fn0") == [
         "routine @fn0(env, lent G, inout [Int], lent [Int], lent Int, lent Int) slots=34",
@@ -914,8 +917,7 @@ def test_fill_passes_its_inout_parameter_on_and_reads_lo_in_place():
         "    0: binary + lent %4, lent %5 -> %22",
         "    1: binary / %22, #2 -> %19",
         "    2: call %1.fn (lent %1, lent %3, lent %4, lent %19)(lent %2) -> %28",
-        "    3: destroy %28",
-        "    4: call %1.fn (lent %1, lent %3, %19, lent %5)(lent %2) -> %6",
+        "    3: call %1.fn (lent %1, lent %3, %19, lent %5)(lent %2) -> %6",
         "  3: return %6",
     ]
     fill = opt.routines["@fn0"]
@@ -972,8 +974,8 @@ def test_lowering_copies_only_at_a_place_read():
     # read: the Copy has the path's span, the Destroy the binding's.)
     # A chain arm writes the conditional's result slot ahead of its
     # bindings' Destroys.  Seeds are parsed from their printed form, so
-    # that their spans are real; neither they nor the corpus have a chain
-    # arm with a binding.
+    # that their spans are real; they have no chain arm with a binding,
+    # and the corpus has one, the recursive arm of unit_values.mvs's walk.
     arms = [
         ("var c: Int = 1 in if c then (var x: Int = 5 in x) else 2", "5"),
         (
@@ -1003,7 +1005,7 @@ def test_lowering_copies_only_at_a_place_read():
                     then, orelse = cond.then_block, cond.else_block
                     assert arm_result(then) == arm_result(orelse) is not None
                     chain_arms += (type(then[-1]) is Destroy) + (type(orelse[-1]) is Destroy)
-    assert chain_arms == 4
+    assert chain_arms == 5
 
 
 class _NoLending:
@@ -1039,7 +1041,8 @@ def test_owned_parameters_are_those_move_elision_moves():
         for routine in base.routines.values():
             if routine.ty is None:
                 continue
-            body = ir_module._elide_moves(routine.body, _NoLending(), moves, arm_uses, ())
+            trivial = base.trivial(routine)
+            body = ir_module._elide_moves(routine.body, _NoLending(), moves, arm_uses, (), trivial)
             values = {s for s, (p, _) in enumerate(routine.params) if p == P_VALUE}
             # Moved, or handed to the operand or subscript that reads it.
             moved = {
@@ -1191,6 +1194,108 @@ def test_linearity_reads_a_lent_parameter_throughout():
         Return(4),
     ]
     verify_linearity(IRProgram({ENTRY_ID: Routine(ENTRY_ID, [(P_LENT, INT)], body, 5)}, ENTRY_ID, {}))
+
+
+# Structs of the typed linearity cases: U owns nothing, nor does P, whose
+# one field is an Int; A owns its array.
+TYPED_STRUCTS = check_program(parse_source(
+    "struct U {} in struct P { var x: Int } in struct A { var xs: [Int] } in 0"
+)).structs
+U, P, A = StructType("U"), StructType("P"), StructType("A")
+
+
+def typed_ir(body, slot_types):
+    routine = Routine(ENTRY_ID, [], body, 8, slot_types=slot_types)
+    return IRProgram({ENTRY_ID: routine}, ENTRY_ID, TYPED_STRUCTS)
+
+
+def live_at_one_arm_end(destroying_arm):
+    """%1 is live at the end of the arm that does not destroy it; %3
+    is never destroyed."""
+    arms = [[MakeInt(2, 5), Destroy(1)], [MakeInt(2, 6)]]
+    if destroying_arm == "else":
+        arms.reverse()
+    return [
+        MakeInt(0, 1),
+        MakeStruct(1, "U", []),
+        MakeInt(4, 7),
+        MakeStruct(3, "P", [4]),
+        CondBr(0, *arms),
+        Return(2),
+    ]
+
+
+@pytest.mark.parametrize("destroying_arm", ["then", "else"])
+def test_linearity_lets_a_value_that_owns_nothing_stay_live(destroying_arm):
+    # Typed as U and P, which own nothing, %1 may be live at one arm's
+    # end, where the arms meet it is dropped, and %3 at the routine's exit.
+    body = live_at_one_arm_end(destroying_arm)
+    verify_linearity(typed_ir(body, [INT, U, INT, P, INT]))
+    # Dropped at the merge: reading %1 after it fails.
+    body[-1:] = [Copy(5, 1), Return(2)]
+    with pytest.raises(AssertionError, match="slot 1 not readable"):
+        verify_linearity(typed_ir(body, [INT, U, INT, P, INT, U]))
+
+
+@pytest.mark.parametrize("destroying_arm", ["then", "else"])
+@pytest.mark.parametrize(
+    "types, message",
+    [
+        # an owned %1 live at one arm's end
+        ([INT, A, INT, P, INT], "branch end states differ"),
+        ([INT, ArrayType(INT), INT, P, INT], "branch end states differ"),
+        # an owned %3 live at the exit
+        ([INT, U, INT, A, INT], "slot 3 leaks at exit"),
+        # no recorded type: owned
+        ([], "branch end states differ"),
+        ([INT, U, INT, None, INT], "slot 3 leaks at exit"),
+    ],
+)
+def test_linearity_still_rejects_an_owned_value_left_live(destroying_arm, types, message):
+    body = live_at_one_arm_end(destroying_arm)
+    with pytest.raises(AssertionError, match=message):
+        verify_linearity(typed_ir(body, types))
+
+
+@pytest.mark.parametrize("ty", [U, P, INT, FLOAT])
+def test_linearity_rejects_a_read_of_a_value_that_owns_nothing_after_its_move(ty):
+    body = [MakeInt(0, 0), MakeStruct(1, "P", [0]), Move(2, 1), Copy(3, 1), Return(3)]
+    with pytest.raises(AssertionError, match="slot 1 not readable"):
+        verify_linearity(typed_ir(body, [INT, ty, ty, ty]))
+    body = [MakeInt(0, 0), MakeStruct(1, "P", [0]), Move(2, 1), Destroy(1), Return(2)]
+    with pytest.raises(AssertionError, match="slot 1 not owned"):
+        verify_linearity(typed_ir(body, [INT, ty, ty]))
+
+
+def test_move_opt_destroys_no_value_that_owns_nothing():
+    """Over the corpus and seeds 0-99, lowering types every slot, no
+    Destroy of move-opt's names a slot whose value owns nothing, and the
+    naive IR, the naive strategy's reference, keeps those Destroys."""
+    sources = [source for _, source in corpus_sources()]
+    sources += [pretty_program(generate_program(GenConfig(seed))) for seed in range(100)]
+    kept = Counter()  # the naive IR's Destroys of values that own nothing, by type
+    for source in sources:
+        try:
+            base = lower_source(source, move_opt=False)
+        except (ParseError, TypeCheckError):
+            continue
+        opt = apply_move_optimization(base)
+        for rid, routine in opt.routines.items():
+            assert len(routine.slot_types) == routine.n_slots, rid
+            trivial = opt.trivial(routine)
+            assert not [i for i in walk(routine.body) if type(i) is Destroy and trivial(i.slot)]
+            for ins in walk(base.routines[rid].body):
+                if type(ins) is Destroy and trivial(ins.slot):
+                    kept[str(routine.slot_types[ins.slot])] += 1
+    assert kept["Int"] and kept["U"] and len(kept) > 3, kept
+
+
+def test_only_ints_floats_and_structs_of_them_own_nothing():
+    ir = typed_ir([], [])
+    owned = [A, ArrayType(INT), ArrayType(U), FuncType((), INT), None]
+    assert all(map(ir.owns_nothing, [INT, FLOAT, U, P]))
+    assert not any(map(ir.owns_nothing, owned))
+    assert ir.trivial_structs == {"U": True, "P": True, "A": False}
 
 
 def test_linearity_consumes_operands_before_producing():

@@ -15,7 +15,7 @@ from mvsl.typechecker import (
 )
 from mvsl.types import BY_VALUE, FLOAT, INOUT, INT, ArrayType, FuncType, StructType
 
-from conftest import corpus_expected
+from conftest import corpus_expected, workloads
 
 SWAP = """
 struct U {} in
@@ -437,3 +437,32 @@ def test_function_types_compare_and_hash_structurally():
     assert {a: 1}[b] == 1
     assert a != make(FLOAT) and hash(a) == hash(a)
     assert repr(a) == repr(make(INT))
+
+
+def test_the_checker_interns_function_types_by_identity(monkeypatch):
+    """Each function type is interned under the pair of its already
+    interned parameter and return types, so checking the diff_sweep
+    benchmark's programs never compares two function types structurally,
+    and equal function types are one object."""
+    programs = [parse_source(inp.source) for inp in workloads.build("diff_sweep", 0).inputs()]
+    compared = []
+    eq = FuncType.__eq__
+
+    def counting_eq(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(FuncType, "__eq__", counting_eq)
+    assert FuncType((), INT) == FuncType((), INT) and len(compared) == 1
+    compared.clear()
+    for program in programs:
+        check_program(program)
+    assert compared == []
+    # Nested function types are one object per type too.
+    tp = check(
+        "let f: ((Int) -> Int) -> Int = (g: (Int) -> Int) -> Int { g(1) } in "
+        "let h: ((Int) -> Int) -> Int = f in "
+        "let k: (Int) -> Int = (n: Int) -> Int { n } in h(k)"
+    )
+    f, h, k = tp.program.entry.stmts
+    assert h.init.ty is f.init.ty and f.init.ty.params[0][1] is k.init.ty
